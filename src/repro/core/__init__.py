@@ -16,11 +16,12 @@ what to transfer and when the program resumes:
 Schemes turn a :class:`FaultContext` into a :class:`TransferPlan` — resume
 time plus per-subpage arrival times plus wire occupancy — which the
 simulator executes against its residency, replacement, and congestion
-state.
+state.  The built-in schemes compile each distinct plan once into a
+:class:`PlanRow` and shift it to every later fault's time.
 """
 
 from repro.core.fault import FaultKind, FaultRecord
-from repro.core.plans import FaultContext, TransferPlan
+from repro.core.plans import FaultContext, PlanRow, PlanTable, TransferPlan
 from repro.core.schemes import (
     EagerFullPageFetch,
     FetchScheme,
@@ -50,6 +51,8 @@ __all__ = [
     "FullPageFetch",
     "LazySubpageFetch",
     "NeighborSequencer",
+    "PlanRow",
+    "PlanTable",
     "Sequencer",
     "SubpageBitmap",
     "SubpagePipelining",

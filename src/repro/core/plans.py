@@ -1,15 +1,22 @@
 """Fault contexts and transfer plans: the scheme <-> simulator contract.
 
-On a page fault the simulator builds a :class:`FaultContext` and asks the
-configured scheme for a :class:`TransferPlan`.  The plan is expressed in
-*idle-network* times; the simulator then applies congestion (demand
-priority, background queueing) via :class:`repro.net.congestion.LinkModel`,
-which may slide the background arrivals.
+A scheme plans a fault described by a :class:`FaultContext` as a
+:class:`TransferPlan`.  The plan is expressed in *idle-network* times;
+the simulator then applies congestion (demand priority, background
+queueing) via :class:`repro.net.congestion.LinkModel`, which may slide
+the background arrivals.
+
+On the simulator's fault path the plan arrives as a :data:`Placement`
+from the scheme's per-run :data:`Planner`.  The built-in schemes answer
+from compiled :class:`PlanRow` objects, one per distinct plan, kept in a
+:class:`PlanTable` per latency model and subpage size; a scheme that
+only implements ``plan_fault`` is asked with a fresh context per fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import SchemeError
 from repro.net.latency import LatencyModel
@@ -86,3 +93,211 @@ class TransferPlan:
     @property
     def last_arrival_ms(self) -> float:
         return max(self.arrivals_ms.values())
+
+    def placement(self) -> "Placement":
+        """This plan in the form the simulator executes (see
+        :data:`Placement`)."""
+        resume = self.resume_ms
+        valid_bits = 0
+        follow: dict[int, float] = {}
+        for index, arrival in self.arrivals_ms.items():
+            if arrival <= resume:
+                valid_bits |= 1 << index
+            else:
+                follow[index] = arrival
+        return (
+            resume,
+            valid_bits,
+            follow,
+            self.demand_wire_ms,
+            self.background_ready_ms,
+            self.background_wire_ms,
+            self.cpu_overhead_ms,
+        )
+
+
+#: A planned fault as the simulator executes it, in absolute times:
+#: ``(resume_ms, valid_bits, follow, demand_wire_ms, background_ready_ms,
+#: background_wire_ms, cpu_overhead_ms)``.  ``valid_bits`` marks every
+#: subpage that has arrived by ``resume_ms``; ``follow`` maps each later
+#: subpage to its idle-network arrival time.
+Placement = tuple[float, int, dict[int, float], float, float, float, float]
+
+#: Per-run fault planner: ``(now_ms, page, faulted_subpage,
+#: faulted_block) -> Placement``
+#: (see :meth:`repro.core.schemes.FetchScheme.planner`).
+Planner = Callable[[float, int, int, int], Placement]
+
+
+class PlanRow:
+    """A compiled fault plan: one fault's transfers relative to the fault.
+
+    For a fixed scheme, latency model and subpage size, a plan depends on
+    the fault time only through a shift, so the scheme-relative part —
+    which subpages travel in which message, and every latency and wire
+    time involved — is computed once and kept here.  :meth:`times`
+    turns it into absolute times with exactly the float operations, in
+    exactly the order, the per-fault arithmetic used:
+
+    * ``resume = now + latency``
+    * each pipelined message: ``t = t + step`` from ``t = resume``
+    * the trailing message: ``(now + rest) + rest_extra``, raised to the
+      last pipelined arrival when ``clamp`` is set
+    * ``background_ready = (now + request_fixed) + demand_wire``
+
+    so a plan from a row is ``==`` to one planned from scratch.  The
+    valid-bit partition (:meth:`place`) compares absolute times, since
+    at a large ``now`` rounding can collapse a step to zero.
+
+    Building a row checks the :class:`TransferPlan` invariants once, so
+    a malformed row is never cached.
+    """
+
+    __slots__ = (
+        "initial",
+        "initial_mask",
+        "parts",
+        "pipelined",
+        "latency_ms",
+        "step_ms",
+        "rest_ms",
+        "rest_extra_ms",
+        "clamp",
+        "demand_wire_ms",
+        "background",
+        "request_fixed_ms",
+        "background_wire_ms",
+        "cpu_overhead_ms",
+    )
+
+    def __init__(
+        self,
+        initial: tuple[int, ...],
+        latency_ms: float,
+        demand_wire_ms: float,
+        groups: tuple[tuple[int, ...], ...] = (),
+        step_ms: float = 0.0,
+        trailing: tuple[int, ...] = (),
+        rest_ms: float = 0.0,
+        rest_extra_ms: float = 0.0,
+        clamp: bool = False,
+        request_fixed_ms: float | None = None,
+        background_wire_ms: float = 0.0,
+        cpu_overhead_ms: float = 0.0,
+    ) -> None:
+        self.initial = initial
+        self.initial_mask = _mask(initial)
+        parts = list(groups)
+        if trailing:
+            parts.append(trailing)
+        #: ``(mask, subpages)`` per message after the initial one: the
+        #: pipelined groups in order, then the trailing remainder.
+        self.parts = tuple((_mask(part), part) for part in parts)
+        self.pipelined = len(groups)
+        self.latency_ms = latency_ms
+        self.step_ms = step_ms
+        self.rest_ms = rest_ms
+        self.rest_extra_ms = rest_extra_ms
+        self.clamp = clamp
+        self.demand_wire_ms = demand_wire_ms
+        #: Whether the plan has a background part (``request_fixed_ms``
+        #: given); without one its ready time is 0.0.
+        self.background = request_fixed_ms is not None
+        self.request_fixed_ms = request_fixed_ms or 0.0
+        self.background_wire_ms = background_wire_ms
+        self.cpu_overhead_ms = cpu_overhead_ms
+        self.plan(0.0)  # TransferPlan invariants, once
+
+    def times(self, now_ms: float) -> tuple[float, list[float], float]:
+        """``(resume, arrival per part, background ready)`` at ``now_ms``."""
+        resume = now_ms + self.latency_ms
+        arrivals = []
+        t = resume
+        step = self.step_ms
+        for _ in range(self.pipelined):
+            t += step
+            arrivals.append(t)
+        if len(self.parts) > self.pipelined:
+            trailing = now_ms + self.rest_ms + self.rest_extra_ms
+            if self.clamp and t > trailing:
+                trailing = t
+            arrivals.append(trailing)
+        ready = (
+            now_ms + self.request_fixed_ms + self.demand_wire_ms
+            if self.background
+            else 0.0
+        )
+        return resume, arrivals, ready
+
+    def place(self, now_ms: float) -> Placement:
+        """The fault at ``now_ms`` as the simulator executes it."""
+        resume, arrivals, ready = self.times(now_ms)
+        valid_bits = self.initial_mask
+        follow: dict[int, float] = {}
+        for (mask, subpages), arrival in zip(self.parts, arrivals):
+            if arrival <= resume:
+                valid_bits |= mask
+            else:
+                for index in subpages:
+                    follow[index] = arrival
+        return (
+            resume,
+            valid_bits,
+            follow,
+            self.demand_wire_ms,
+            ready,
+            self.background_wire_ms,
+            self.cpu_overhead_ms,
+        )
+
+    def plan(self, now_ms: float) -> TransferPlan:
+        """The fault at ``now_ms`` as a :class:`TransferPlan`."""
+        resume, arrivals, ready = self.times(now_ms)
+        arrivals_ms = dict.fromkeys(self.initial, resume)
+        for (_, subpages), arrival in zip(self.parts, arrivals):
+            for index in subpages:
+                arrivals_ms[index] = arrival
+        return TransferPlan(
+            resume_ms=resume,
+            arrivals_ms=arrivals_ms,
+            demand_wire_ms=self.demand_wire_ms,
+            background_ready_ms=ready,
+            background_wire_ms=self.background_wire_ms,
+            cpu_overhead_ms=self.cpu_overhead_ms,
+        )
+
+
+def _mask(subpages: tuple[int, ...]) -> int:
+    mask = 0
+    for index in subpages:
+        mask |= 1 << index
+    return mask
+
+
+class PlanTable:
+    """One scheme's compiled rows for one (latency model, subpage size,
+    page size).
+
+    ``rows`` maps a scheme-defined key — for pipelining (initial
+    subpages, the faulted one first; follow-on order; pipeline depth) —
+    to its :class:`PlanRow`.  The latency model is treated as immutable
+    once planned with.
+    """
+
+    __slots__ = (
+        "latency", "subpage_bytes", "page_bytes", "subpages_per_page",
+        "whole_page", "rows",
+    )
+
+    def __init__(
+        self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
+    ) -> None:
+        self.latency = latency
+        self.subpage_bytes = subpage_bytes
+        self.page_bytes = page_bytes
+        self.subpages_per_page = page_bytes // subpage_bytes
+        #: Every fault moves the whole page as one transfer.
+        self.whole_page = (
+            subpage_bytes >= page_bytes or self.subpages_per_page == 1
+        )
+        self.rows: dict = {}

@@ -5,6 +5,11 @@ idle-network absolute times; the simulator afterwards applies link
 congestion.  All latency numbers come from the context's
 :class:`~repro.net.latency.LatencyModel`, i.e. from the prototype's
 calibrated measurements by default.
+
+The built-in schemes are fixed policies, so a plan is a pure function of
+the fault's position in the page, shifted by the fault time.  They
+compile each distinct plan once into a :class:`~repro.core.plans.PlanRow`
+memoized on the scheme, and answer every later fault from it.
 """
 
 from __future__ import annotations
@@ -12,8 +17,20 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigError, SchemeError, UnknownSchemeError
-from repro.core.plans import FaultContext, TransferPlan
+from repro.core.plans import (
+    FaultContext,
+    PlanRow,
+    PlanTable,
+    Planner,
+    TransferPlan,
+)
 from repro.core.sequencers import Sequencer, check_follow_on, make_sequencer
+from repro.net.latency import LatencyModel
+from repro.units import MIN_SUBPAGE_BYTES
+
+#: Plan tables a scheme keeps (one per latency model and subpage size it
+#: has planned with); the oldest is dropped beyond this.
+_MAX_TABLES = 16
 
 
 class FetchScheme(ABC):
@@ -32,6 +49,57 @@ class FetchScheme(ABC):
     def plan_fault(self, ctx: FaultContext) -> TransferPlan:
         """Plan the transfers for a fault described by ``ctx``."""
 
+    def planner(
+        self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
+    ) -> Planner:
+        """The per-run fault planner the simulator calls on every fault.
+
+        The default builds a :class:`FaultContext` and asks
+        :meth:`plan_fault`, so a scheme that defines only
+        :meth:`plan_fault` works unchanged; the built-in schemes answer
+        from their compiled rows instead.
+        """
+
+        def plan(now_ms: float, page: int, faulted: int, block: int):
+            return self.plan_fault(
+                FaultContext(
+                    now_ms=now_ms,
+                    page=page,
+                    faulted_subpage=faulted,
+                    faulted_block=block,
+                    subpage_bytes=subpage_bytes,
+                    page_bytes=page_bytes,
+                    latency=latency,
+                )
+            ).placement()
+
+        return plan
+
+    def plan_table(
+        self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
+    ) -> PlanTable:
+        """This scheme's memoized rows for one latency model and size."""
+        tables = self.__dict__.setdefault("_plan_tables", {})
+        key = (id(latency), subpage_bytes, page_bytes)
+        table = tables.get(key)
+        if table is None:
+            if len(tables) >= _MAX_TABLES:
+                del tables[next(iter(tables))]
+            table = tables[key] = PlanTable(
+                latency, subpage_bytes, page_bytes
+            )
+        return table
+
+    def _ctx_table(self, ctx: FaultContext) -> PlanTable:
+        return self.plan_table(ctx.latency, ctx.subpage_bytes, ctx.page_bytes)
+
+    def __getstate__(self) -> dict:
+        # The tables are keyed by the latency model's id(), which an
+        # unpickled copy does not keep; rebuild them where the copy runs.
+        state = dict(self.__dict__)
+        state.pop("_plan_tables", None)
+        return state
+
     def label(self, subpage_bytes: int) -> str:
         """Short label used in result tables (e.g. ``sp_1024``)."""
         return f"{self.name}_{subpage_bytes}"
@@ -40,25 +108,69 @@ class FetchScheme(ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class FullPageFetch(FetchScheme):
+def fullpage_row(table: PlanTable) -> PlanRow:
+    """The whole page in one transfer; the program resumes when it lands.
+
+    Also every scheme's plan when the subpage is the whole page.
+    """
+    row = table.rows.get(None)
+    if row is None:
+        latency = table.latency
+        row = table.rows[None] = PlanRow(
+            initial=tuple(range(table.subpages_per_page)),
+            latency_ms=latency.fullpage_latency_ms(),
+            demand_wire_ms=latency.wire_time_ms(table.page_bytes),
+        )
+    return row
+
+
+def _by_subpage_planner(rows: dict, build) -> Planner:
+    """Planner for a scheme whose row depends on the faulted subpage
+    only: ``rows[faulted]``, built by ``build(faulted)`` on first use."""
+
+    def plan(now_ms: float, page: int, faulted: int, block: int):
+        row = rows.get(faulted)
+        if row is None:
+            row = rows[faulted] = build(faulted)
+        return row.place(now_ms)
+
+    return plan
+
+
+class _SubpageKeyedScheme(FetchScheme):
+    """A scheme whose plan depends on the faulted subpage only."""
+
+    @abstractmethod
+    def row(self, table: PlanTable, faulted: int) -> PlanRow:
+        """The compiled plan for a fault on subpage ``faulted``."""
+
+    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
+        return self.row(self._ctx_table(ctx), ctx.faulted_subpage).plan(
+            ctx.now_ms
+        )
+
+    def planner(
+        self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
+    ) -> Planner:
+        table = self.plan_table(latency, subpage_bytes, page_bytes)
+        return _by_subpage_planner(
+            {}, lambda faulted: self.row(table, faulted)
+        )
+
+
+class FullPageFetch(_SubpageKeyedScheme):
     """Baseline GMS behaviour: transfer the entire page, then resume."""
 
     name = "fullpage"
 
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        resume = ctx.now_ms + ctx.latency.fullpage_latency_ms()
-        arrivals = {i: resume for i in range(ctx.subpages_per_page)}
-        return TransferPlan(
-            resume_ms=resume,
-            arrivals_ms=arrivals,
-            demand_wire_ms=ctx.latency.wire_time_ms(ctx.page_bytes),
-        )
+    def row(self, table: PlanTable, faulted: int) -> PlanRow:
+        return fullpage_row(table)
 
     def label(self, subpage_bytes: int) -> str:
         return "p_8192" if subpage_bytes else "p"
 
 
-class LazySubpageFetch(FetchScheme):
+class LazySubpageFetch(_SubpageKeyedScheme):
     """Transfer only the faulted subpage; fetch the rest on demand.
 
     "This is equivalent in many respects to simply reducing the page
@@ -68,18 +180,20 @@ class LazySubpageFetch(FetchScheme):
 
     name = "lazy"
 
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        resume = ctx.now_ms + ctx.latency.subpage_latency_ms(
-            ctx.subpage_bytes
-        )
-        return TransferPlan(
-            resume_ms=resume,
-            arrivals_ms={ctx.faulted_subpage: resume},
-            demand_wire_ms=ctx.latency.wire_time_ms(ctx.subpage_bytes),
-        )
+    def row(self, table: PlanTable, faulted: int) -> PlanRow:
+        row = table.rows.get(faulted)
+        if row is None:
+            latency = table.latency
+            s = table.subpage_bytes
+            row = table.rows[faulted] = PlanRow(
+                initial=(faulted,),
+                latency_ms=latency.subpage_latency_ms(s),
+                demand_wire_ms=latency.wire_time_ms(s),
+            )
+        return row
 
 
-class EagerFullPageFetch(FetchScheme):
+class EagerFullPageFetch(_SubpageKeyedScheme):
     """Transfer the faulted subpage, resume, ship the rest as one message.
 
     The remainder's request overlaps the subpage's wire time on the
@@ -90,28 +204,32 @@ class EagerFullPageFetch(FetchScheme):
 
     name = "eager"
 
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        s = ctx.subpage_bytes
-        if s >= ctx.page_bytes:
-            return FullPageFetch().plan_fault(ctx)
-        resume = ctx.now_ms + ctx.latency.subpage_latency_ms(s)
-        rest = ctx.now_ms + ctx.latency.rest_of_page_ms(s)
-        arrivals = {i: rest for i in range(ctx.subpages_per_page)}
-        arrivals[ctx.faulted_subpage] = resume
-        demand_wire = ctx.latency.wire_time_ms(s)
-        return TransferPlan(
-            resume_ms=resume,
-            arrivals_ms=arrivals,
-            demand_wire_ms=demand_wire,
-            # The rest rides the wire right behind the subpage; the
-            # calibrated rest-of-page latency already accounts for that
-            # serialization, so the background's nominal wire slot starts
-            # where the demand's ends.
-            background_ready_ms=ctx.now_ms
-            + ctx.latency.request_fixed_ms
-            + demand_wire,
-            background_wire_ms=ctx.latency.wire_time_ms(ctx.page_bytes - s),
-        )
+    def row(self, table: PlanTable, faulted: int) -> PlanRow:
+        if table.whole_page:
+            return fullpage_row(table)
+        row = table.rows.get(faulted)
+        if row is None:
+            latency = table.latency
+            s = table.subpage_bytes
+            rest = tuple(
+                i for i in range(table.subpages_per_page) if i != faulted
+            )
+            row = table.rows[faulted] = PlanRow(
+                initial=(faulted,),
+                latency_ms=latency.subpage_latency_ms(s),
+                demand_wire_ms=latency.wire_time_ms(s),
+                trailing=rest,
+                rest_ms=latency.rest_of_page_ms(s),
+                # The rest rides the wire right behind the subpage; the
+                # calibrated rest-of-page latency already accounts for
+                # that serialization, so the background's nominal wire
+                # slot starts where the demand's ends.
+                request_fixed_ms=latency.request_fixed_ms,
+                background_wire_ms=latency.wire_time_ms(
+                    table.page_bytes - s
+                ),
+            )
+        return row
 
     def label(self, subpage_bytes: int) -> str:
         return f"sp_{subpage_bytes}"
@@ -170,16 +288,18 @@ class SubpagePipelining(FetchScheme):
         self.double_initial = double_initial
 
     def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        spp = ctx.subpages_per_page
-        if ctx.subpage_bytes >= ctx.page_bytes or spp == 1:
-            return FullPageFetch().plan_fault(ctx)
-        order = self.sequencer.order(ctx.faulted_subpage, spp)
+        table = self._ctx_table(ctx)
+        if table.whole_page:
+            return fullpage_row(table).plan(ctx.now_ms)
+        order = self.sequencer.order(
+            ctx.faulted_subpage, table.subpages_per_page
+        )
         return self.plan_with_order(ctx, order)
 
     def plan_with_order(
         self,
         ctx: FaultContext,
-        order: list[int],
+        order: list[int] | tuple[int, ...],
         pipeline_count: int | None = None,
         direction: int = 0,
     ) -> TransferPlan:
@@ -192,85 +312,145 @@ class SubpagePipelining(FetchScheme):
         overrides the configured depth for this one fault, and a nonzero
         ``direction`` steers the doubled initial fetch's neighbor choice
         (Section 4.3) instead of the faulted-block-offset heuristic.
-        Arithmetic is identical to :meth:`plan_fault`, which routes
-        through here with the sequencer's order and the configured depth.
+        :meth:`plan_fault` routes through here with the sequencer's
+        order and the configured depth.
         """
-        s = ctx.subpage_bytes
-        spp = ctx.subpages_per_page
-        if s >= ctx.page_bytes or spp == 1:
-            return FullPageFetch().plan_fault(ctx)
         if pipeline_count is None:
             pipeline_count = self.pipeline_count
-        check_follow_on(ctx.faulted_subpage, order, spp)
+        return self.row(
+            self._ctx_table(ctx),
+            ctx.faulted_subpage,
+            ctx.faulted_block,
+            tuple(order),
+            pipeline_count,
+            direction,
+        ).plan(ctx.now_ms)
 
-        initial = self.initial_subpages(ctx, direction)
+    def row(
+        self,
+        table: PlanTable,
+        faulted: int,
+        block: int,
+        order: tuple[int, ...],
+        depth: int,
+        direction: int = 0,
+    ) -> PlanRow:
+        """The compiled plan for one fault (see :meth:`plan_with_order`).
+
+        Keyed by (initial subpages, the faulted one first; follow-on
+        order; depth).  The order is validated when its row is built; an
+        invalid order raises :class:`SchemeError` and is never cached,
+        so it raises again every time it is offered.
+        """
+        if table.whole_page:
+            return fullpage_row(table)
+        initial = (faulted,)
+        if self.double_initial:
+            initial += (
+                self._initial_partner(
+                    faulted, block, table.subpage_bytes,
+                    table.subpages_per_page, direction,
+                ),
+            )
+        key = (initial, order, depth)  # initial[0] is the faulted subpage
+        row = table.rows.get(key)
+        if row is None:
+            row = table.rows[key] = self._build_row(
+                table, faulted, initial, order, depth
+            )
+        return row
+
+    def _build_row(
+        self,
+        table: PlanTable,
+        faulted: int,
+        initial: tuple[int, ...],
+        order: tuple[int, ...],
+        depth: int,
+    ) -> PlanRow:
+        latency = table.latency
+        s = table.subpage_bytes
+        check_follow_on(faulted, order, table.subpages_per_page)
+        remaining = [index for index in order if index not in initial]
+        segment = self.segment_subpages
+        groups = []
+        while len(groups) < depth and remaining:
+            groups.append(tuple(remaining[:segment]))
+            remaining = remaining[segment:]
+        messages = len(groups)
         initial_bytes = s * len(initial)
-        resume = ctx.now_ms + ctx.latency.subpage_latency_ms(initial_bytes)
-        arrivals = {index: resume for index in initial}
-
-        order = [index for index in order if index not in arrivals]
-        wire_step = ctx.latency.wire_time_ms(s * self.segment_subpages)
-        messages = 0
-        t = resume
-        while messages < pipeline_count and order:
-            group, order = (
-                order[: self.segment_subpages],
-                order[self.segment_subpages :],
-            )
-            t += wire_step + self.interrupt_ms
-            for index in group:
-                arrivals[index] = t
-            messages += 1
-        last_pipelined = t
-
-        if order:
-            rest_base = ctx.now_ms + ctx.latency.rest_of_page_ms(s)
-            trailing = max(
-                rest_base + messages * self.interrupt_ms, last_pipelined
-            )
-            for index in order:
-                arrivals[index] = trailing
-
-        demand_wire = ctx.latency.wire_time_ms(initial_bytes)
-        return TransferPlan(
-            resume_ms=resume,
-            arrivals_ms=arrivals,
-            demand_wire_ms=demand_wire,
-            background_ready_ms=ctx.now_ms
-            + ctx.latency.request_fixed_ms
-            + demand_wire,
-            background_wire_ms=ctx.latency.wire_time_ms(
-                ctx.page_bytes - initial_bytes
+        return PlanRow(
+            initial=initial,
+            latency_ms=latency.subpage_latency_ms(initial_bytes),
+            demand_wire_ms=latency.wire_time_ms(initial_bytes),
+            groups=tuple(groups),
+            step_ms=latency.wire_time_ms(s * segment) + self.interrupt_ms,
+            trailing=tuple(remaining),
+            rest_ms=latency.rest_of_page_ms(s),
+            rest_extra_ms=messages * self.interrupt_ms,
+            clamp=True,
+            request_fixed_ms=latency.request_fixed_ms,
+            background_wire_ms=latency.wire_time_ms(
+                table.page_bytes - initial_bytes
             ),
             cpu_overhead_ms=messages * self.interrupt_ms,
         )
 
-    def initial_subpages(
-        self, ctx: FaultContext, direction: int = 0
-    ) -> list[int]:
-        """Subpages shipped with the initial (demand) fetch."""
-        initial = [ctx.faulted_subpage]
-        if self.double_initial and ctx.subpages_per_page >= 2:
-            initial.append(self._initial_partner(ctx, direction))
-        return initial
+    def planner(
+        self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
+    ) -> Planner:
+        table = self.plan_table(latency, subpage_bytes, page_bytes)
+        if table.whole_page:
+            return _by_subpage_planner({}, lambda _: fullpage_row(table))
+        spp = table.subpages_per_page
+        depth = self.pipeline_count
 
-    def _initial_partner(self, ctx: FaultContext, direction: int = 0) -> int:
+        def build(faulted: int, block: int = 0) -> PlanRow:
+            order = tuple(self.sequencer.order(faulted, spp))
+            return self.row(table, faulted, block, order, depth)
+
+        if not self.double_initial:
+            # The sequencer order is a pure function of the faulted
+            # subpage, so with one initial subpage the row is too.
+            return _by_subpage_planner({}, build)
+        by_initial: dict[tuple[int, int], PlanRow] = {}
+
+        def plan(now_ms: float, page: int, faulted: int, block: int):
+            key = (
+                faulted,
+                self._initial_partner(faulted, block, subpage_bytes, spp),
+            )
+            row = by_initial.get(key)
+            if row is None:
+                row = by_initial[key] = build(faulted, block)
+            return row.place(now_ms)
+
+        return plan
+
+    def _initial_partner(
+        self,
+        faulted: int,
+        block: int,
+        subpage_bytes: int,
+        subpages_per_page: int,
+        direction: int = 0,
+    ) -> int:
         """Neighbor to ride along with the initial fetch (direction by
         where in the subpage the faulted block lies, unless a predictor
         supplies a nonzero ``direction``)."""
         if direction:
             prefer_next = direction > 0
         else:
-            blocks_per_subpage = max(1, ctx.subpage_bytes // 256)
-            offset = ctx.faulted_block % blocks_per_subpage
+            blocks_per_subpage = max(1, subpage_bytes // MIN_SUBPAGE_BYTES)
+            offset = block % blocks_per_subpage
             prefer_next = offset >= blocks_per_subpage / 2
         candidates = (
-            (ctx.faulted_subpage + 1, ctx.faulted_subpage - 1)
+            (faulted + 1, faulted - 1)
             if prefer_next
-            else (ctx.faulted_subpage - 1, ctx.faulted_subpage + 1)
+            else (faulted - 1, faulted + 1)
         )
         for candidate in candidates:
-            if ctx.subpage_exists(candidate):
+            if 0 <= candidate < subpages_per_page:
                 return candidate
         raise SchemeError("page has no neighbor subpage")  # pragma: no cover
 

@@ -12,12 +12,13 @@ in one message.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 
 from repro.errors import ConfigError, SchemeError, UnknownSchemeError
 
 
 def check_follow_on(
-    faulted: int, order: list[int], subpages_per_page: int
+    faulted: int, order: Sequence[int], subpages_per_page: int
 ) -> None:
     """Validate a follow-on transfer order against the sequencer contract.
 
@@ -59,7 +60,9 @@ class Sequencer(ABC):
         """Full transfer order for all subpages except ``faulted``.
 
         The scheme takes the first *k* entries as individually pipelined
-        subpages and ships the rest in one trailing message.
+        subpages and ships the rest in one trailing message.  The order
+        must be a pure function of the arguments: the scheme compiles
+        it into a plan row once per faulted subpage.
         """
 
     def _check(self, faulted: int, count: int) -> None:

@@ -41,10 +41,20 @@ class PendingArrivals:
     :class:`LinkModel` then only track ``wire_end_ms``.  Only
     :meth:`earliest`/:meth:`latest` require a non-empty schedule; call
     sites must check ``arrival_ms`` first.
+
+    The latest arrival is cached: the shifts move it exactly as they
+    move the arrival it came from (float addition rounds monotonically,
+    so no other arrival can overtake it).  Change the schedule through
+    :meth:`shift_after`, :meth:`shift_all` and :meth:`merge` only.
     """
 
     arrival_ms: dict[int, float] = field(default_factory=dict)
     wire_end_ms: float = 0.0
+    _latest_ms: float = field(default=0.0, init=False, repr=False,
+                              compare=False)
+
+    def __post_init__(self) -> None:
+        self._latest_ms = max(self.arrival_ms.values(), default=0.0)
 
     def shift_after(self, time_ms: float, delta_ms: float) -> None:
         """Delay every arrival later than ``time_ms`` by ``delta_ms``."""
@@ -53,6 +63,8 @@ class PendingArrivals:
         for subpage, arrival in self.arrival_ms.items():
             if arrival > time_ms:
                 self.arrival_ms[subpage] = arrival + delta_ms
+        if self._latest_ms > time_ms:
+            self._latest_ms += delta_ms
         if self.wire_end_ms > time_ms:
             self.wire_end_ms += delta_ms
 
@@ -69,7 +81,15 @@ class PendingArrivals:
             raise SimulationError("cannot shift arrivals backwards")
         for subpage, arrival in self.arrival_ms.items():
             self.arrival_ms[subpage] = arrival + delta_ms
+        self._latest_ms += delta_ms
         self.wire_end_ms += delta_ms
+
+    def merge(self, other: "PendingArrivals") -> None:
+        """Fold ``other``'s schedule into this one (``other``'s arrival
+        wins for a subpage both carry)."""
+        self.arrival_ms.update(other.arrival_ms)
+        self._latest_ms = max(self.arrival_ms.values(), default=0.0)
+        self.wire_end_ms = max(self.wire_end_ms, other.wire_end_ms)
 
     def earliest(self) -> float:
         if not self.arrival_ms:
@@ -79,7 +99,7 @@ class PendingArrivals:
     def latest(self) -> float:
         if not self.arrival_ms:
             raise SimulationError("no pending arrivals")
-        return max(self.arrival_ms.values())
+        return self._latest_ms
 
 
 class LinkModel:
@@ -109,7 +129,11 @@ class LinkModel:
         #: of queueing delay attributable to cross-traffic.
         self._own_busy_until = 0.0
         self._in_flight: list[PendingArrivals] = []
-        self._ins = instrument
+        #: The instrument's transfer hook, bound once (called per
+        #: transfer, positionally: the cheapest dispatch).
+        self._on_transfer = (
+            instrument.on_transfer if instrument is not None else None
+        )
         self._fabric: CrossTraffic | None = None
         self.label = label
         #: Total background delay added by queueing (for diagnostics).
@@ -159,10 +183,8 @@ class LinkModel:
             self._own_busy_until = max(self._own_busy_until,
                                        ready_ms + wire_ms)
             self._fabric.on_demand(self, ready_ms, wire_ms)
-        if self._ins is not None:
-            self._ins.on_transfer(
-                "demand", ready_ms, ready_ms + wire_ms, page=page
-            )
+        if self._on_transfer is not None:
+            self._on_transfer("demand", ready_ms, ready_ms + wire_ms, page)
 
     def background(
         self,
@@ -199,10 +221,9 @@ class LinkModel:
             )
             self._fabric.on_background(self, start, start + wire_ms)
         self._in_flight.append(pending)
-        if self._ins is not None:
-            self._ins.on_transfer(
-                "background", start, start + wire_ms,
-                page=page, queue_delay_ms=delay,
+        if self._on_transfer is not None:
+            self._on_transfer(
+                "background", start, start + wire_ms, page, delay
             )
         return delay
 

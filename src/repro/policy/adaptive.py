@@ -22,15 +22,22 @@ regression anchor (see ``tests/sim/test_adaptive_equivalence.py``).
 
 from __future__ import annotations
 
-from repro.core.plans import FaultContext, TransferPlan
+from repro.core.plans import (
+    FaultContext,
+    PlanRow,
+    PlanTable,
+    Planner,
+    TransferPlan,
+)
 from repro.core.schemes import (
     FetchScheme,
-    FullPageFetch,
     LazySubpageFetch,
     SubpagePipelining,
+    fullpage_row,
     register_scheme,
 )
 from repro.errors import ConfigError
+from repro.net.latency import LatencyModel
 from repro.policy.history import DEFAULT_DEPTH, KIND_FAULT
 from repro.policy.predictors import (
     Predictor,
@@ -50,7 +57,7 @@ class AdaptivePolicy:
 
     Owned by an :class:`AdaptiveScheme`; the simulator calls
     :meth:`begin_run` before each run and :meth:`observe` from the fault
-    path, and the scheme routes every fault through :meth:`plan_fault`.
+    path, and the scheme routes every fault through :meth:`row`.
     Also keeps the prediction scoreboard: each fault's predicted-
     to-arrive set is scored against the subpages actually touched before
     the page is next predicted for (or the run ends).
@@ -59,13 +66,18 @@ class AdaptivePolicy:
     def __init__(self, scheme: AdaptiveScheme) -> None:
         self.scheme = scheme
         self.predictor = scheme.predictor
-        # Bound once: observe() runs on every fault-path event, so the
-        # attribute chase must not repeat per call.
+        # Bound once: observe() and row() run on every fault-path
+        # event, so the attribute chase must not repeat per call.
         self._record = self.predictor.record
+        self._predict = self.predictor.predict
+        self._inner_row = scheme.inner.row
+        self._depth_for = scheme.depth_for
         # In transparent mode the scoreboard is never surfaced
         # (finish() returns None), so observation reduces to history
         # recording and planning to the pure delegation.
         self._score = not scheme.transparent
+        if not self._score:
+            self.observe = self._record  # nothing to score
         # page -> (predicted set, initially-shipped set, observed set)
         self._live: dict[int, tuple[set[int], set[int], set[int]]]
         self._live = {}
@@ -112,40 +124,76 @@ class AdaptivePolicy:
         self._record(page, subpage, kind)
 
     def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        scheme = self.scheme
-        spp = ctx.subpages_per_page
-        if ctx.subpage_bytes >= ctx.page_bytes or spp == 1:
-            return FullPageFetch().plan_fault(ctx)
-        page = ctx.page
-        prediction = self.predictor.predict(page, ctx.faulted_subpage, spp)
+        table = self.scheme.inner.plan_table(
+            ctx.latency, ctx.subpage_bytes, ctx.page_bytes
+        )
+        return self.row(
+            table, ctx.page, ctx.faulted_subpage, ctx.faulted_block
+        ).plan(ctx.now_ms)
+
+    def planner(
+        self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
+    ) -> Planner:
+        """Per-run fault planner (see :meth:`FetchScheme.planner`)."""
+        table = self.scheme.inner.plan_table(
+            latency, subpage_bytes, page_bytes
+        )
+        row = self.row
+
+        def plan(now_ms: float, page: int, faulted: int, block: int):
+            return row(table, page, faulted, block).place(now_ms)
+
+        return plan
+
+    def row(
+        self, table: PlanTable, page: int, faulted: int, block: int
+    ) -> PlanRow:
+        """The compiled plan for this fault's prediction.
+
+        Predictions index the wrapped pipelined scheme's rows, so a
+        repeated prediction (every one, under the static predictor)
+        reuses its row instead of planning again.
+        """
+        if table.whole_page:
+            return fullpage_row(table)
+        prediction = self._predict(page, faulted, table.subpages_per_page)
         if not self._score:
-            return scheme.inner.plan_with_order(
-                ctx,
+            return self._inner_row(
+                table,
+                faulted,
+                block,
                 prediction.order,
-                pipeline_count=scheme.depth_for(prediction.confidence),
-                direction=prediction.direction,
+                self._depth_for(prediction.confidence),
+                prediction.direction,
             )
         self._faults += 1
         self._retire(page)
+        scheme = self.scheme
 
         if (
             scheme.switch_schemes
             and prediction.confidence < scheme.min_confidence
         ):
             self._lazy_fallbacks += 1
-            return scheme.lazy.plan_fault(ctx)
+            lazy = scheme.lazy
+            return lazy.row(
+                lazy.plan_table(
+                    table.latency, table.subpage_bytes, table.page_bytes
+                ),
+                faulted,
+            )
 
-        depth = scheme.depth_for(prediction.confidence)
-        plan = scheme.inner.plan_with_order(
-            ctx,
+        depth = self._depth_for(prediction.confidence)
+        row = self._inner_row(
+            table,
+            faulted,
+            block,
             prediction.order,
-            pipeline_count=depth,
-            direction=prediction.direction,
+            depth,
+            prediction.direction,
         )
 
-        initial = set(
-            scheme.inner.initial_subpages(ctx, prediction.direction)
-        )
+        initial = set(row.initial)
         budget = depth * scheme.inner.segment_subpages
         speculated: set[int] = set()
         for index in prediction.order:
@@ -156,7 +204,7 @@ class AdaptivePolicy:
         self._live[page] = (speculated, initial, set())
         self._predictions += 1
         self._depth_sum += depth
-        return plan
+        return row
 
     def _retire(self, page: int) -> None:
         """Close out a page's live prediction, charging unused bytes."""
@@ -302,6 +350,11 @@ class AdaptiveScheme(FetchScheme):
 
     def plan_fault(self, ctx: FaultContext) -> TransferPlan:
         return self.controller.plan_fault(ctx)
+
+    def planner(
+        self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
+    ) -> Planner:
+        return self.controller.planner(latency, subpage_bytes, page_bytes)
 
     def label(self, subpage_bytes: int) -> str:
         if self.transparent:

@@ -20,7 +20,6 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.core.fault import FaultKind, FaultRecord
-from repro.core.plans import FaultContext
 from repro.disk.presets import paper_disk
 from repro.errors import SimulationError
 from repro.gms.cluster import Cluster, PageLocation
@@ -108,6 +107,11 @@ class Simulator:
                 f"latency model page size {self.latency.page_bytes} != "
                 f"config page size {config.page_bytes}"
             )
+        #: Answers every fault: ``(now, page, subpage, block)`` to a
+        #: :data:`~repro.core.plans.Placement`.
+        self._plan = self.scheme.planner(
+            self.latency, config.subpage_bytes, config.page_bytes
+        )
 
     # -- public API --------------------------------------------------------
 
@@ -462,42 +466,27 @@ class Simulator:
                 distance_from=sp if cfg.track_distances else None,
             )
         else:
-            ctx = FaultContext(
-                now_ms=clock,
-                page=page,
-                faulted_subpage=sp,
-                faulted_block=block,
-                subpage_bytes=cfg.subpage_bytes,
-                page_bytes=cfg.page_bytes,
-                latency=self.latency,
-            )
-            plan = self.scheme.plan_fault(ctx)
+            (
+                resume, valid_bits, follow, demand_wire_ms,
+                background_ready_ms, background_wire_ms, cpu_overhead_ms,
+            ) = self._plan(clock, page, sp, block)
             overlapped = state.link.busy_until_ms > clock
             if cfg.congestion:
                 state.link.demand(
                     clock + self.latency.request_fixed_ms,
-                    plan.demand_wire_ms,
+                    demand_wire_ms,
                     page=page,
                 )
-            resume = plan.resume_ms
-            valid_bits = 0
-            follow: dict[int, float] = {}
-            for index, arrival in plan.arrivals_ms.items():
-                if arrival <= resume:
-                    valid_bits |= 1 << index
-                else:
-                    follow[index] = arrival
             pending = None
             if follow:
                 pending = PendingArrivals(
                     arrival_ms=follow,
-                    wire_end_ms=plan.background_ready_ms
-                    + plan.background_wire_ms,
+                    wire_end_ms=background_ready_ms + background_wire_ms,
                 )
-                if cfg.congestion and plan.background_wire_ms > 0:
+                if cfg.congestion and background_wire_ms > 0:
                     state.link.background(
-                        plan.background_ready_ms,
-                        plan.background_wire_ms,
+                        background_ready_ms,
+                        background_wire_ms,
                         pending,
                         page=page,
                     )
@@ -509,7 +498,7 @@ class Simulator:
                 sp_latency_ms=resume - clock,
                 window_start_ms=resume,
                 window_end_ms=pending.latest() if pending else resume,
-                cpu_overhead_ms=plan.cpu_overhead_ms,
+                cpu_overhead_ms=cpu_overhead_ms,
                 overlapped_another=overlapped,
             )
             result.remote_faults += 1
@@ -627,29 +616,17 @@ class Simulator:
     ) -> float:
         """Lazy-scheme fault on a subpage of a resident page."""
         cfg = self.config
-        ctx = FaultContext(
-            now_ms=clock,
-            page=page,
-            faulted_subpage=sp,
-            faulted_block=block,
-            subpage_bytes=cfg.subpage_bytes,
-            page_bytes=cfg.page_bytes,
-            latency=self.latency,
-        )
-        plan = self.scheme.plan_fault(ctx)
+        (
+            resume, valid_bits, follow, demand_wire_ms,
+            background_ready_ms, background_wire_ms, cpu_overhead_ms,
+        ) = self._plan(clock, page, sp, block)
         if cfg.congestion:
             state.link.demand(
                 clock + self.latency.request_fixed_ms,
-                plan.demand_wire_ms,
+                demand_wire_ms,
                 page=page,
             )
-        resume = plan.resume_ms
-        follow: dict[int, float] = {}
-        for index, arrival in plan.arrivals_ms.items():
-            if arrival <= resume:
-                frame.valid_bits |= 1 << index
-            else:
-                follow[index] = arrival
+        frame.valid_bits |= valid_bits
         window_end = resume
         if follow:
             # Follow-on arrivals ride the shared link exactly like a page
@@ -659,17 +636,16 @@ class Simulator:
             # wire_end_ms for _reap/_evict accounting)...
             pending = PendingArrivals(
                 arrival_ms=follow,
-                wire_end_ms=plan.background_ready_ms
-                + plan.background_wire_ms,
+                wire_end_ms=background_ready_ms + background_wire_ms,
             )
-            if cfg.congestion and plan.background_wire_ms > 0:
+            if cfg.congestion and background_wire_ms > 0:
                 state.link.background(
-                    plan.background_ready_ms,
-                    plan.background_wire_ms,
+                    background_ready_ms,
+                    background_wire_ms,
                     pending,
                     page=page,
                 )
-            window_end = max(pending.arrival_ms.values())
+            window_end = pending.latest()
             if frame.pending is None:
                 frame.pending = pending
             else:
@@ -679,10 +655,7 @@ class Simulator:
                 # merged copy.  Built-in schemes never reach this corner
                 # (a subpage fault implies the earlier plan requested
                 # only a subset of the page, i.e. no pending schedule).
-                frame.pending.arrival_ms.update(pending.arrival_ms)
-                frame.pending.wire_end_ms = max(
-                    frame.pending.wire_end_ms, pending.wire_end_ms
-                )
+                frame.pending.merge(pending)
             state.policy.note_pending(page)
         record = FaultRecord(
             page=page,
@@ -692,7 +665,7 @@ class Simulator:
             sp_latency_ms=resume - clock,
             window_start_ms=resume,
             window_end_ms=window_end,
-            cpu_overhead_ms=plan.cpu_overhead_ms,
+            cpu_overhead_ms=cpu_overhead_ms,
         )
         state.stalls.append((clock, resume))
         if cfg.record_faults:

@@ -1,6 +1,8 @@
 """Shared receiver-link congestion model."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.net.congestion import CrossTraffic, LinkModel, PendingArrivals
@@ -34,6 +36,49 @@ class TestPendingArrivals:
     def test_negative_shift_rejected(self):
         with pytest.raises(SimulationError):
             pending({0: 1.0}, 1.0).shift_after(0.0, -1.0)
+
+    @given(
+        arrivals=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=10.0),
+                st.floats(min_value=1e6, max_value=1e15),
+            ),
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_cached_latest_is_exact(self, arrivals, data):
+        """The cached latest arrival tracks any sequence of shifts, to
+        the bit: shifts from exactly an arrival's time, and shifts too
+        small to move a large arrival, included."""
+        p = pending(enumerate(arrivals), wire_end=0.0)
+        deltas = st.one_of(
+            st.just(0.0),
+            st.floats(min_value=1e-12, max_value=1e-3),
+            st.floats(min_value=0.0, max_value=100.0),
+        )
+        for _ in range(data.draw(st.integers(0, 12))):
+            delta_ms = data.draw(deltas)
+            if data.draw(st.booleans()):
+                p.shift_all(delta_ms)
+            else:
+                times = st.floats(min_value=0.0, max_value=1e15)
+                if p.arrival_ms:
+                    times |= st.sampled_from(list(p.arrival_ms.values()))
+                p.shift_after(data.draw(times), delta_ms)
+            if arrivals:
+                assert p.latest() == max(p.arrival_ms.values())
+            else:
+                with pytest.raises(SimulationError):
+                    p.latest()
+
+    def test_merge_refreshes_latest(self):
+        p = pending({1: 2.0, 2: 5.0}, wire_end=5.0)
+        p.merge(pending({2: 3.0, 4: 4.0}, wire_end=6.0))
+        # The merged-in arrival replaces the old latest one.
+        assert p.arrival_ms == {1: 2.0, 2: 3.0, 4: 4.0}
+        assert p.latest() == 4.0
+        assert p.wire_end_ms == 6.0
 
 
 class TestLinkModel:

@@ -172,3 +172,37 @@ class TestEvictionDuringLazyTransfer:
         )
         assert result.evictions == 1
         assert result.cancelled_transfers == 0
+
+
+class TestMergedScheduleLatest:
+    """A subpage fault's follow-on folded into the page's in-flight
+    schedule (``_subpage_fault``'s merge branch): the schedule's cached
+    latest arrival must move to the merged one.
+
+    Idle link.  Page 0 faults at 0 (subpage 1 due 1.5); subpage 4
+    faults at 0.501 and merges subpage 5, due 2.001, into the page's
+    schedule; the touch of subpage 1 at 1.002 waits until 1.5.
+    """
+
+    PREFIX = [sp(0, 0), sp(0, 4), sp(0, 1)]
+
+    def test_page_folds_at_the_merged_latest(self):
+        result = simulate(
+            make_trace(self.PREFIX + [sp(0, 5)]), lazypair_config(False)
+        )
+        assert result.subpage_faults == 1
+        # Still incomplete after subpage 1 lands: subpage 5 stalls.
+        start, end = result.stall_intervals[-1]
+        assert (start, end) == (pytest.approx(1.501), pytest.approx(2.001))
+        page_fault = result.fault_records[0]
+        assert page_fault.window_end_ms == end
+
+    def test_eviction_cancels_the_merged_transfer(self):
+        # Page 1's fault at 1.501 evicts page 0: subpage 1 has landed,
+        # subpage 5 (due 2.001) has not.
+        result = simulate(
+            make_trace(self.PREFIX + [sp(1, 0)]),
+            lazypair_config(False, memory_pages=1),
+        )
+        assert result.evictions == 1
+        assert result.cancelled_transfers == 1
