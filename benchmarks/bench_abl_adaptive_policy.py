@@ -14,7 +14,7 @@ fault.  Compared here, all at 1/2 memory with 1K subpages:
 
 Expected shape: the transparent arm ties, the stride arm wins on the
 sequential-heavy compile workload, and history tracking costs under 5%
-wall clock on the hit-dominated engine-benchmark cell.
+wall clock on a hit-dominated full-memory cell.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def test_abl_adaptive_policy(report):
 
 
 def hit_trace():
-    """Hit-dominated workload; keep in sync with the bench fixture in
-    ``bench_simulator_throughput.py`` (and ``tools/bench_throughput.py``)."""
+    """Hit-dominated workload; keep in sync with
+    ``tools/bench_throughput.py``."""
     import numpy as np
 
     from repro.trace.compress import compress_references
@@ -124,13 +124,14 @@ def test_history_tracking_overhead(benchmark):
     """History tracking must cost <5% on the hit-dominated cell.
 
     Same bar as the obs-layer guard
-    (``test_disabled_instrumentation_overhead``), same cell as the
-    engine gate.  The gated arm is transparent adaptive: plans are
-    bit-identical to plain pipelining, but every fault-path event still
-    flows through ``observe`` into the predictor's
-    :class:`~repro.policy.history.AccessHistory` — so the wall-clock
-    delta is exactly what per-page history tracking costs when it buys
-    nothing, the analogue of the obs guard's no-op instrument.
+    (``test_disabled_instrumentation_overhead``), same cell as
+    ``tools/bench_throughput.py``'s policy gate.  The gated arm is
+    transparent adaptive: plans are bit-identical to plain pipelining,
+    but every fault-path event still flows through ``observe`` into the
+    predictor's :class:`~repro.policy.history.AccessHistory` — so the
+    wall-clock delta is exactly what per-page history tracking costs
+    when it buys nothing, the analogue of the obs guard's no-op
+    instrument.
 
     The third arm additionally runs the prediction scoreboard (static +
     ``switch_schemes=True``: full confidence means the switch never

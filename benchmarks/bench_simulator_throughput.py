@@ -1,4 +1,4 @@
-"""Engine benchmarks: simulator and trace-pipeline throughput.
+"""Simulator and trace-pipeline throughput benchmarks.
 
 Unlike the figure benches (one-shot experiment regenerations), these are
 conventional micro-benchmarks with repeated rounds: how fast the
@@ -32,26 +32,6 @@ def mid_trace():
         np.arange(8, dtype=np.int64) * 8, 60_000
     )
     return compress_references(runs, name="throughput")
-
-
-@pytest.fixture(scope="module")
-def hit_trace():
-    """~285k-run hit-dominated workload: 16-block sweeps per page visit.
-
-    With a full-memory configuration almost every run is a plain hit —
-    the regime the fast engine's bulk span advancement targets.  The
-    mid_trace above is the opposite extreme (one run per random page
-    visit, so nearly every run switches pages).
-    """
-    rng = np.random.default_rng(7)
-    visits = rng.integers(0, 400, size=60_000)
-    starts = rng.integers(0, 112, size=60_000)
-    blocks = (starts[:, None] + np.arange(16)) % 128
-    addrs = (visits[:, None] * 8192 + blocks * 64).ravel()
-    refs = np.repeat(addrs, 4) + np.tile(
-        np.arange(4, dtype=np.int64) * 8, addrs.size
-    )
-    return compress_references(refs, name="hitstream")
 
 
 def test_simulate_eager_throughput(benchmark, mid_trace):
@@ -102,55 +82,6 @@ def test_parallel_sweep_throughput(benchmark, mid_trace, workers):
     cells_per_s = len(result.results) / benchmark.stats["mean"]
     print(f"\n  workers={workers}: {cells_per_s:.1f} cells/s "
           f"({os.cpu_count()} host CPUs)")
-
-
-def _engine_config(engine: str, scheme: str, subpage: int):
-    # track_distances demands per-hit hooks and would silently drop
-    # engine="fast" back to the reference loop (see docs/SIMULATOR.md).
-    return SimulationConfig(
-        memory_pages=512,
-        scheme=scheme,
-        subpage_bytes=subpage,
-        engine=engine,
-        track_distances=False,
-        record_faults=False,
-    )
-
-
-@pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_engine_throughput(benchmark, hit_trace, engine):
-    config = _engine_config(engine, "eager", 1024)
-    result = benchmark(simulate, hit_trace, config)
-    assert result.page_faults > 0
-    runs_per_s = hit_trace.num_runs / benchmark.stats["mean"]
-    print(f"\n  {engine}: {runs_per_s / 1e6:.2f}M runs/s")
-
-
-def test_fast_engine_speedup(hit_trace):
-    """The tentpole gate: >= 3x on a hit-dominated full-memory cell.
-
-    Min-of-rounds on both engines keeps the ratio robust to scheduler
-    noise.  The reference loop dispatches Python per run; the fast
-    engine per interesting event (400 faults + stalls out of ~285k
-    runs), so the ratio is bounded by the shared fault-path cost, not
-    by trace length.
-    """
-    import time
-
-    def best_of(config, rounds=5):
-        times = []
-        for _ in range(rounds):
-            started = time.perf_counter()
-            simulate(hit_trace, config)
-            times.append(time.perf_counter() - started)
-        return min(times)
-
-    fast = best_of(_engine_config("fast", "fullpage", 8192))
-    reference = best_of(_engine_config("reference", "fullpage", 8192))
-    speedup = reference / fast
-    print(f"\n  reference {reference * 1e3:.0f} ms, "
-          f"fast {fast * 1e3:.0f} ms, speedup {speedup:.2f}x")
-    assert speedup >= 3.0
 
 
 def test_disabled_instrumentation_overhead(mid_trace):

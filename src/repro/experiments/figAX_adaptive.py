@@ -76,7 +76,7 @@ def _config(trace_pages: int, scheme_kwargs: dict) -> SimulationConfig:
         scheme_kwargs=dict(scheme_kwargs),
         subpage_bytes=SUBPAGE_BYTES,
         # The per-fault raw material is not used here; keep the cells
-        # lean so the grid stays fast-engine friendly.
+        # lean.
         record_faults=False,
         track_distances=False,
     )

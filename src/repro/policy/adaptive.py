@@ -46,9 +46,8 @@ from repro.policy.predictors import (
 )
 
 #: Observation feeds: ``"faults"`` sees page faults and
-#: incomplete-page touches (visited identically by both engines, so the
-#: fast engine stays usable); ``"events"`` additionally sees every
-#: reference run's first touch, which forces the reference loop.
+#: incomplete-page touches; ``"events"`` additionally sees every
+#: reference run's first touch (a hit observation per resident run).
 FEEDS = ("faults", "events")
 
 
@@ -96,7 +95,7 @@ class AdaptivePolicy:
     @property
     def needs_reference_events(self) -> bool:
         """True when this policy demands the per-event ``"events"`` feed
-        (the simulator then skips the fast engine, like an instrument)."""
+        (the drive loop then reports every resident run as a hit)."""
         return (
             self.scheme.feed == "events"
             or self.predictor.needs_reference_events
@@ -266,8 +265,8 @@ class AdaptiveScheme(FetchScheme):
         Service very-low-confidence faults with lazy subpage fetch
         instead of the eager remainder.
     feed:
-        ``"faults"`` (default, fast-engine compatible) or ``"events"``
-        (per-reference-run observations, reference loop only).
+        ``"faults"`` (default) or ``"events"`` (adds per-reference-run
+        hit observations).
     history_depth:
         Ring depth for the predictor's per-page access history.
     """

@@ -4,9 +4,8 @@ The fault path feeds an :class:`AccessHistory` with every observed
 (page, subpage) access; predictors read each page's recent subpage
 sequence (and its deltas) back to detect strides and direction trends.
 Observations arrive at page faults and incomplete-page touches by
-default — events both engines visit identically, so fast-engine runs
-stay bit-identical — or per reference run when a policy demands the
-``"events"`` feed (which forces the reference loop, like an instrument).
+default, or additionally at the first touch of every reference run
+when a policy asks for the ``"events"`` feed.
 
 Immediate repeats are collapsed: a stall-then-fold sequence touches the
 same subpage several times in a row, and a run of zero deltas would

@@ -53,8 +53,8 @@ class Predictor(ABC):
     name: str = "base"
 
     #: True when the predictor needs every reference run, not just
-    #: fault-path events; the simulator then uses the reference loop
-    #: (same fallback pattern as instruments).
+    #: fault-path events; the drive loop then feeds it a hit
+    #: observation per resident run.
     needs_reference_events: bool = False
 
     def __init__(self, history_depth: int = DEFAULT_DEPTH) -> None:

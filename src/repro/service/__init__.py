@@ -3,11 +3,11 @@
 ``python -m repro.service`` turns the CLI batch tool into a
 long-running system: an asyncio HTTP/JSON API that accepts sweep specs,
 schedules their cells onto a persistent
-:class:`~repro.sim.parallel.WorkerPool` (cross-cell batch dispatch
-included), streams per-cell :class:`~repro.sim.parallel.CellEvent`
-progress over SSE, and serves every result from (and records it into)
-the sqlite-backed :class:`~repro.store.SqliteResultStore` — so a
-resubmitted spec re-runs only the cells whose content key changed.
+:class:`~repro.sim.parallel.WorkerPool`, streams per-cell
+:class:`~repro.sim.parallel.CellEvent` progress over SSE, and serves
+every result from (and records it into) the sqlite-backed
+:class:`~repro.store.SqliteResultStore` — so a resubmitted spec re-runs
+only the cells whose content key changed.
 
 See ``docs/SERVICE.md`` for the API, the store schema, and the
 incremental-recompute semantics.

@@ -77,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: $REPRO_STORE, else in-memory only)"
         ),
     )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="route eligible cells through the cross-cell batched engine",
-    )
     return parser
 
 
@@ -100,7 +95,7 @@ async def serve(args: argparse.Namespace) -> int:
         args.port if args.port is not None
         else env_int(ENV_SERVICE_PORT, DEFAULT_PORT, minimum=0)
     )
-    manager = JobManager(store=store, workers=workers, batch=args.batch)
+    manager = JobManager(store=store, workers=workers)
     server = ServiceServer(manager, host=args.host, port=port)
     await server.start()
     print(

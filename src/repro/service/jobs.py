@@ -42,7 +42,7 @@ from repro.trace.compress import RunTrace
 #: Statuses that mean "the cell was computed this run" (vs served from
 #: the store).  ``cache-error`` rides the same stream but is an extra
 #: event, not a completion.
-COMPUTED_STATUSES = frozenset({"done", "batched", "fallback", "retried"})
+COMPUTED_STATUSES = frozenset({"done", "fallback", "retried"})
 
 #: ``SimulationConfig`` fields a spec's ``base`` mapping may set.
 #: ``memory_pages`` is excluded (the grid sets it per row), and so are
@@ -60,6 +60,15 @@ _SPEC_KEYS = frozenset({
 })
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """A validated sweep request (the service's POST payload)."""
@@ -74,7 +83,6 @@ class SweepSpec:
         ("full-mem", 1.0), ("1/2-mem", 0.5), ("1/4-mem", 0.25),
     )
     include_baselines: bool = True
-    batch: bool = False
 
     @classmethod
     def from_dict(cls, payload: Any) -> "SweepSpec":
@@ -106,7 +114,7 @@ class SweepSpec:
             )
         sizes = payload.get("subpage_sizes", (4096, 2048, 1024, 512, 256))
         if (not isinstance(sizes, (list, tuple)) or not sizes
-                or not all(isinstance(s, int) and s > 0 for s in sizes)):
+                or not all(_is_int(s) and s > 0 for s in sizes)):
             raise ConfigError(
                 "'subpage_sizes' must be a non-empty list of positive ints"
             )
@@ -116,21 +124,25 @@ class SweepSpec:
         )
         if (not isinstance(fractions, dict) or not fractions
                 or not all(
-                    isinstance(k, str)
-                    and isinstance(v, (int, float)) and 0 < v
+                    isinstance(k, str) and _is_number(v) and 0 < v
                     for k, v in fractions.items()
                 )):
             raise ConfigError(
                 "'memory_fractions' must map labels to positive fractions"
             )
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError("'seed' must be an integer")
         scale = payload.get("scale")
-        if scale is not None and not (
-            isinstance(scale, (int, float)) and scale > 0
-        ):
+        if scale is not None and not (_is_number(scale) and scale > 0):
             raise ConfigError("'scale' must be a positive number")
+        include_baselines = payload.get("include_baselines", True)
+        if not isinstance(include_baselines, bool):
+            raise ConfigError("'include_baselines' must be a boolean")
+        # Accepted for compatibility with older clients and ignored:
+        # there is only one way to run a cell.
+        if not isinstance(payload.get("batch", False), bool):
+            raise ConfigError("'batch' must be a boolean")
         return cls(
             app=app,
             kind=kind,
@@ -139,10 +151,7 @@ class SweepSpec:
             base=dict(base),
             subpage_sizes=tuple(sizes),
             memory_fractions=tuple(fractions.items()),
-            include_baselines=bool(
-                payload.get("include_baselines", True)
-            ),
-            batch=bool(payload.get("batch", False)),
+            include_baselines=include_baselines,
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -155,7 +164,6 @@ class SweepSpec:
             "subpage_sizes": list(self.subpage_sizes),
             "memory_fractions": dict(self.memory_fractions),
             "include_baselines": self.include_baselines,
-            "batch": self.batch,
         }
 
     # -- job construction ---------------------------------------------------
@@ -278,11 +286,9 @@ class JobManager:
         self,
         store: Any | None = None,
         workers: int = 1,
-        batch: bool = False,
     ) -> None:
         self.store = store
         self.workers = max(1, int(workers))
-        self.batch = batch
         self.pool: WorkerPool | None = (
             WorkerPool(self.workers) if self.workers > 1 else None
         )
@@ -424,7 +430,6 @@ class JobManager:
             cache=self.store,
             progress=progress,
             pool=self.pool,
-            batch=job.spec.batch,
         )
         job.results_by_key = results
         if job.spec.kind == "subpage":

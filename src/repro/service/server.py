@@ -230,7 +230,6 @@ class ServiceServer:
         return {
             "status": "ok",
             "workers": self.manager.workers,
-            "batch": self.manager.batch,
             "jobs": len(self.manager.jobs),
             "store": str(store.root) if store is not None else None,
         }

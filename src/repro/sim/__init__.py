@@ -9,7 +9,6 @@ page-wait time components, per-fault records, overlap attribution inputs,
 and the next-subpage distance histogram.
 """
 
-from repro.sim.batch import TraceScan, batch_eligible, simulate_cells
 from repro.sim.config import SimulationConfig, memory_pages_for
 from repro.sim.parallel import (
     CellEvent,
@@ -70,9 +69,7 @@ __all__ = [
     "TlbStats",
     "TraceHandle",
     "TraceRef",
-    "TraceScan",
     "WorkerPool",
-    "batch_eligible",
     "make_policy",
     "memory_pages_for",
     "memory_sweep_jobs",
@@ -82,6 +79,5 @@ __all__ = [
     "run_seed_study",
     "run_subpage_sweep",
     "simulate",
-    "simulate_cells",
     "subpage_sweep_jobs",
 ]

@@ -30,11 +30,6 @@ BACKINGS = ("remote", "disk", "cluster")
 #: software emulation (Table 1 costs on incomplete pages).
 PROTECTIONS = ("tlb", "palcode")
 
-#: Execution engines: "fast" bulk-advances the clock over no-fault spans
-#: (bit-identical results, auto-falls back to "reference" when per-event
-#: hooks are demanded); "reference" forces the plain per-run loop.
-ENGINES = ("fast", "reference")
-
 
 @dataclass(slots=True)
 class SimulationConfig:
@@ -117,12 +112,6 @@ class SimulationConfig:
     record_faults: bool = True
     track_distances: bool = True
     observe: str = ""
-    #: Execution engine (see :data:`ENGINES`).  ``"fast"`` produces
-    #: bit-identical results via bulk span processing and silently falls
-    #: back to the reference loop when an instrument, PALcode emulation,
-    #: or distance tracking demands per-event hooks; ``"reference"``
-    #: always uses the per-run loop.
-    engine: str = "fast"
     seed: int = 0
     name: str = ""
 
@@ -144,10 +133,6 @@ class SimulationConfig:
         if self.protection not in PROTECTIONS:
             raise ConfigError(
                 f"protection {self.protection!r} not one of {PROTECTIONS}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"engine {self.engine!r} not one of {ENGINES}"
             )
         if self.event_ns <= 0:
             raise ConfigError("event_ns must be positive")

@@ -1,213 +1,16 @@
-"""Compiled-tier clock kernels for the fused batch engine.
+"""Kernel-tier name reported in benchmark environment records.
 
-The fused engine (:func:`repro.sim.batch.drive_fused`) advances the
-clocks of N cells over every boring span with the same left-to-right
-float64 addition chain the reference loop performs per cell.  That
-multi-lane prefix sum is the one genuinely compute-bound piece of the
-fused loop, so it gets a swappable kernel:
-
-* ``numpy`` (the default, always available) — a chunked 2-D
-  ``np.add.accumulate`` along the span axis, one independent lane per
-  cell, seeded per lane so every lane's chain is bit-identical to its
-  scalar equivalent.
-* ``numba`` — the same loop JIT-compiled, selected only when numba is
-  importable **and** its output passes a bitwise identical-output gate
-  against the numpy tier on a deterministic probe.  A missing numba or
-  a failed gate degrades to numpy with an
-  :class:`~repro.envknobs.EnvKnobWarning`; the compiled path can never
-  silently diverge.
-
-Selection is driven by the ``REPRO_FUSED_KERNEL`` environment knob
-(``numpy`` | ``numba`` | ``auto``; default ``auto`` = numba when it
-passes the gate, else numpy) and resolved once per process on first
-use.
+The simulator has a single scalar drive loop and no compiled kernel
+tier; :func:`kernel_name` survives only because the benchmark harness
+(``bench/run.py``) records it.  The benchmark's next change removes the
+call, and this module with it.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable
-
-import numpy as np
-
-from repro.envknobs import EnvKnobWarning, env_str
-
-__all__ = [
-    "ENV_FUSED_KERNEL",
-    "accumulate_lanes",
-    "kernel_name",
-]
-
-ENV_FUSED_KERNEL = "REPRO_FUSED_KERNEL"
-
-#: Span-axis chunk cap for the numpy tier.  The multi-lane chunk is
-#: sized from :data:`_SCRATCH_DOUBLES` instead; this cap bounds the
-#: chunk for very small lane counts and names the "spans longer than
-#: this are split" contract the tests exercise.
-_CHUNK = 65536
-
-#: Target size (in float64 slots) of the multi-lane scratch buffer:
-#: ~192 KB, small enough to stay L2-resident.  The accumulate pass
-#: re-reads and re-writes every scratch row; keeping the buffer in
-#: cache (rather than streaming a multi-MB buffer through DRAM) is
-#: worth ~2x on wide spans, and chunk splits are exact (a left-to-right
-#: addition chain split at any prefix composes bitwise).
-_SCRATCH_DOUBLES = 24576
-
-#: lanes -> reusable ``(chunk+1, pairs)`` complex scratch.  Per-process
-#: (workers are processes, no threads share the fused loop), rewritten
-#: from row 0 on every call, and never aliased by a return value.
-_scratch: dict[int, np.ndarray] = {}
-
-Kernel = Callable[[np.ndarray, int, int, np.ndarray], np.ndarray]
-
-
-def _accumulate_numpy(
-    prods: np.ndarray, i: int, j: int, seeds: np.ndarray
-) -> np.ndarray:
-    """Per-lane seeded prefix sum over ``prods[i:j]``; returns each
-    lane's final clock.
-
-    Lane ``r`` computes ``(((seeds[r] + prods[i]) + prods[i+1]) + ...)``
-    — the exact chain :func:`repro.sim.engine.span_clock` (and the
-    reference loop) would, because float64 addition is performed in the
-    same order with the same operands.  Lanes never mix.
-
-    The accumulate is latency-bound (every add depends on the previous
-    one), so adjacent lanes are packed into one ``complex128`` lane:
-    complex addition adds the real and imag components *independently*,
-    each with an ordinary IEEE-754 float64 add — no reassociation, no
-    cross-component arithmetic — which halves the number of serial
-    chain steps without changing a single bit of any lane's result.
-    In memory a complex128 is its two float64 components back to back,
-    so a float64 view of the scratch addresses lane ``r`` directly at
-    column ``r``.
-    """
-    lanes = seeds.shape[0]
-    if lanes == 1:
-        # Single cell: the 1-D fast-engine chain, no 2-D scratch.
-        seg = prods[i:j].copy()
-        seg[0] += seeds[0]
-        np.add.accumulate(seg, out=seg)
-        return seg[-1:].copy()
-    pairs = (lanes + 1) // 2
-    chunk = min(_CHUNK, max(512, _SCRATCH_DOUBLES // (2 * pairs)))
-    buf = _scratch.get(lanes)
-    if buf is None or buf.shape[0] < chunk + 1:
-        buf = _scratch[lanes] = np.empty(
-            (chunk + 1, pairs), dtype=np.complex128
-        )
-    out = seeds.astype(np.float64, copy=True)
-    for s in range(i, j, chunk):
-        e = min(j, s + chunk)
-        seg = buf[: e - s + 1]
-        segf = seg.view(np.float64)
-        # Row 0 carries the incoming clocks so one accumulate pass
-        # yields every lane's seeded chain for the chunk; the odd
-        # pad slot (when lanes is odd) is seeded with 0 and ignored.
-        segf[0, :lanes] = out
-        segf[0, lanes:] = 0.0
-        segf[1:] = prods[s:e, None]
-        np.add.accumulate(seg, axis=0, out=seg)
-        out[:] = segf[-1, :lanes]
-    return out
-
-
-def _build_numba() -> Kernel | None:
-    """The numba tier, or ``None`` when numba is not importable."""
-    try:  # pragma: no cover - exercised only where numba is installed
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=False)  # pragma: no cover - numba-only environments
-    def _accumulate_numba(prods, i, j, seeds):
-        out = seeds.copy()
-        lanes = out.shape[0]
-        for k in range(i, j):
-            p = prods[k]
-            for r in range(lanes):
-                out[r] = out[r] + p
-        return out
-
-    return _accumulate_numba
-
-
-def _gate(candidate: Kernel) -> bool:
-    """Bitwise identical-output gate for a non-default kernel tier.
-
-    Probes the candidate against the numpy tier on a deterministic
-    vector crafted to expose rounding divergence (magnitudes spanning
-    ~12 decades, mixed signs, a multi-chunk length): any reassociated
-    or fused-multiply variant of the chain differs bitwise somewhere in
-    this probe.
-    """
-    rng = np.random.default_rng(0xF05ED)
-    n = _CHUNK + 1031
-    prods = rng.uniform(1e-6, 1e6, n) * np.where(rng.random(n) < 0.1, -1, 1)
-    seeds = rng.uniform(0.0, 1e9, 5)
-    try:
-        got = candidate(prods, 17, n - 3, seeds.copy())
-    except Exception:
-        return False
-    want = _accumulate_numpy(prods, 17, n - 3, seeds.copy())
-    return bool(np.array_equal(got, want))
-
-
-def _select(name: str | None) -> tuple[Kernel, str]:
-    """Resolve a kernel tier by knob value (pure; see module cache)."""
-    choice = (name or "auto").lower()
-    if choice not in ("numpy", "numba", "auto"):
-        warnings.warn(
-            f"{ENV_FUSED_KERNEL}={choice!r} is not a known kernel tier "
-            "(numpy, numba, auto); using numpy",
-            EnvKnobWarning,
-            stacklevel=3,
-        )
-        return _accumulate_numpy, "numpy"
-    if choice == "numpy":
-        return _accumulate_numpy, "numpy"
-    candidate = _build_numba()
-    if candidate is None:
-        if choice == "numba":
-            warnings.warn(
-                f"{ENV_FUSED_KERNEL}=numba but numba is not importable; "
-                "using numpy",
-                EnvKnobWarning,
-                stacklevel=3,
-            )
-        return _accumulate_numpy, "numpy"
-    if not _gate(candidate):  # pragma: no cover - needs numba
-        warnings.warn(
-            "numba fused kernel failed the identical-output gate; "
-            "using numpy",
-            EnvKnobWarning,
-            stacklevel=3,
-        )
-        return _accumulate_numpy, "numpy"
-    return candidate, "numba"  # pragma: no cover - needs numba
-
-
-_selected: tuple[Kernel, str] | None = None
-
-
-def _resolve() -> tuple[Kernel, str]:
-    global _selected
-    if _selected is None:
-        _selected = _select(env_str(ENV_FUSED_KERNEL))
-    return _selected
-
-
-def accumulate_lanes(
-    prods: np.ndarray, i: int, j: int, seeds: np.ndarray
-) -> np.ndarray:
-    """Advance each lane's clock over ``prods[i:j]`` with the selected
-    kernel tier (resolved once per process from ``REPRO_FUSED_KERNEL``).
-    """
-    kernel, _ = _resolve()
-    return kernel(prods, i, j, seeds)
+__all__ = ["kernel_name"]
 
 
 def kernel_name() -> str:
-    """The resolved kernel tier's name (``"numpy"`` or ``"numba"``)."""
-    return _resolve()[1]
+    """Always ``"none"``: there is no kernel tier to select."""
+    return "none"

@@ -11,10 +11,14 @@ with a virtual-time interleaved scheduler:
   :class:`~repro.gms.cluster.Cluster` built by
   :func:`~repro.sim.multinode.build_shared_cluster`;
 * a min-heap keyed on ``(virtual clock, tenant index)`` always advances
-  the tenant that is earliest in virtual time, one compressed trace run
-  at a time (:meth:`Simulator._step_runs`), so getpage/putpage traffic
-  from different tenants hits the cluster in global time order and page
-  ages are cross-tenant comparable;
+  the tenant that is earliest in virtual time, so getpage/putpage
+  traffic from different tenants hits the cluster in global time order
+  and page ages are cross-tenant comparable.  The popped tenant runs a
+  clock-bounded slice of the drive loop
+  (:meth:`Simulator._drive` with ``until``): it keeps
+  executing runs for as long as it would still be the heap minimum,
+  which is exactly the order a one-run-per-pop scheduler produces, at
+  one float compare per run instead of one heap push and pop;
 * an optional :class:`~repro.net.congestion.CrossTraffic` fabric couples
   the tenants' links, so one tenant's subpage pipeline queues behind
   another's demand transfers (with per-tenant attribution).
@@ -30,6 +34,7 @@ to exactly the sequential path (the regression anchor asserted in
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -103,7 +108,7 @@ def run_multi_tenant(
     fabric = CrossTraffic() if cross_traffic else None
 
     sims = []
-    steppers = []
+    cursors = []
     for node_id, workload in enumerate(workloads):
         config = workload_config(workload, node_id, seed=seed)
         simulator = Simulator(
@@ -114,21 +119,33 @@ def run_multi_tenant(
         )
         state, cols, recorder = simulator._prepare(workload.trace)
         sims.append((workload, simulator, state, recorder))
-        steppers.append(simulator._step_runs(state, cols))
+        cursors.append([cols.runs(), -1])
 
     # Virtual-time scheduling: always advance the tenant whose clock is
-    # smallest (ties broken by tenant index, i.e. workload order).
+    # smallest (ties broken by tenant index, i.e. workload order).  The
+    # popped tenant i keeps the CPU while (clock, i) stays below the
+    # next entry (c, j): up to and including c when i < j, strictly
+    # below c otherwise.
     final_clock = [0.0] * len(sims)
     heap = [(0.0, i) for i in range(len(sims))]
     heapq.heapify(heap)
     while heap:
         clock, i = heapq.heappop(heap)
-        try:
-            advanced = next(steppers[i])
-        except StopIteration:
+        if heap:
+            c, j = heap[0]
+            until = c if i < j else math.nextafter(c, -math.inf)
+        else:
+            until = math.inf
+        _, simulator, state, _ = sims[i]
+        runs, last_page = cursors[i]
+        clock, last_page = simulator._drive(
+            state, runs, clock, last_page, until
+        )
+        if last_page is None:
             final_clock[i] = clock
-            continue
-        heapq.heappush(heap, (advanced, i))
+        else:
+            cursors[i][1] = last_page
+            heapq.heappush(heap, (clock, i))
 
     result = MultiTenantResult()
     for i, (workload, simulator, state, recorder) in enumerate(sims):

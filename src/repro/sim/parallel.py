@@ -28,11 +28,6 @@ on:
   timing; ``python -m repro.experiments --progress`` surfaces them.
   Pooled cells are collected ``as_completed``, so events and cache
   write-through happen as cells finish, not in submission order.
-* ``run_cells(batch=True)`` groups eligible cells by trace fingerprint
-  and hands each group to the cross-cell batched engine
-  (:mod:`repro.sim.batch`), which simulates all of a trace's cells
-  over one shared scan — per worker, one batch unit per shared-memory
-  trace.
 
 Environment knobs: ``REPRO_WORKERS`` sets the default worker count,
 ``REPRO_CACHE_DIR`` enables (and locates) the default flat-file result
@@ -159,10 +154,8 @@ class CellEvent:
     ``status`` is ``"done"`` (computed), ``"cached"`` (served from the
     result cache), ``"fallback"`` (computed inline because the payload
     could not be pickled to a worker), ``"retried"`` (computed inline
-    after a worker or the pool itself failed mid-batch), or
-    ``"batched"`` (computed by the cross-cell batched engine — see
-    :func:`run_cells`'s ``batch`` flag).  ``elapsed_s`` is the cell's
-    own compute time (zero for cache hits).
+    after a worker or the pool itself failed mid-batch).  ``elapsed_s``
+    is the cell's own compute time (zero for cache hits).
 
     One extra event kind rides the same stream: ``"cache-error"``,
     emitted *in addition to* the cell's completion event when its
@@ -581,23 +574,6 @@ def _execute(
     return result, time.perf_counter() - started
 
 
-def _execute_batch(
-    trace: RunTrace | TraceRef | TraceHandle,
-    configs: list[SimulationConfig],
-) -> list[tuple[SimulationResult, float]]:
-    """Worker entry point for one batch unit: all of a trace's cells.
-
-    The trace materializes once through the process-local LRU and every
-    configuration runs over it under the cross-cell batched engine
-    (:func:`repro.sim.batch.simulate_cells_timed`), sharing its
-    :class:`~repro.sim.batch.TraceScan` — which the LRU keeps warm
-    across batches, exactly like the column caches.
-    """
-    from repro.sim.batch import simulate_cells_timed
-
-    return simulate_cells_timed(_materialize(trace), configs)
-
-
 def _emit(progress: ProgressCallback | None, event: CellEvent) -> None:
     if progress is not None:
         progress(event)
@@ -624,32 +600,6 @@ def _try_pickle(obj: Any) -> bool:
     return True
 
 
-def _trace_picklable(
-    trace: RunTrace | TraceRef | TraceHandle, memo: dict
-) -> bool:
-    """Whether a trace payload can ship to a worker (memoized by id).
-
-    Handles and references skip the check entirely — they are plain
-    dataclasses of primitives.  Identity keying is safe because the
-    batch's job list keeps every payload alive for the duration.
-    """
-    if isinstance(trace, (TraceRef, TraceHandle)):
-        return True
-    key = ("trace", id(trace))
-    trace_ok = memo.get(key)
-    if trace_ok is None:
-        trace_ok = memo[key] = _try_pickle(trace)
-    return trace_ok
-
-
-def _config_picklable(config: SimulationConfig, memo: dict) -> bool:
-    key = ("config", id(config))
-    config_ok = memo.get(key)
-    if config_ok is None:
-        config_ok = memo[key] = _try_pickle(config)
-    return config_ok
-
-
 def _payload_picklable(
     trace: RunTrace | TraceRef | TraceHandle,
     config: SimulationConfig,
@@ -659,48 +609,24 @@ def _payload_picklable(
 
     ``memo`` is a per-batch cache keyed by object identity: a sweep
     whose 50 cells share one trace pickles it for the check once, not
-    50 times.
+    50 times (and handles/references skip the check entirely — they are
+    plain dataclasses of primitives).  Identity keying is safe because
+    the batch's job list keeps every payload alive for the duration.
     """
-    return _trace_picklable(trace, memo) and _config_picklable(config, memo)
-
-
-#: A batch unit: the cells (job + cache key) of one trace-fingerprint
-#: group, executed together by the cross-cell batched engine.
-BatchGroup = list[tuple[SweepJob, "str | None"]]
-
-
-#: Floor below which a batch unit is not halved further.  The fused
-#: engine's per-unit cost is dominated by the shared pass over the
-#: trace — spans, scan probes, and the event heap are walked once for
-#: the whole unit, and only the per-lane clock math scales with cell
-#: count — so a unit's wall time grows sublinearly in its cells.
-#: Halving a small unit therefore duplicates the expensive shared walk
-#: across two workers for little parallel win; units of
-#: ``MIN_FUSED_UNIT // 2`` cells are the break-even observed on the
-#: throughput bench's 24-cell grid.
-MIN_FUSED_UNIT = 8
-
-
-def _split_groups(groups: list[BatchGroup], workers: int) -> list[BatchGroup]:
-    """Split batch units so a few big groups can use the whole pool.
-
-    Units are trace-aligned, so a single-trace grid would otherwise
-    serialize on one worker; halving the biggest unit until there are
-    enough keeps every worker busy while each unit still amortizes its
-    trace's shared scan — and, under the fused engine, its shared event
-    pass, which is why halving stops at :data:`MIN_FUSED_UNIT` (fused
-    units want *many* cells per worker; see docs/PARALLEL.md).  Cells
-    keep their original relative order inside each unit.
-    """
-    units = list(groups)
-    while len(units) < workers:
-        biggest = max(units, key=len, default=None)
-        if biggest is None or len(biggest) < MIN_FUSED_UNIT:
-            break
-        units.remove(biggest)
-        mid = (len(biggest) + 1) // 2
-        units.extend((biggest[:mid], biggest[mid:]))
-    return units
+    if isinstance(trace, (TraceRef, TraceHandle)):
+        trace_ok = True
+    else:
+        key = ("trace", id(trace))
+        trace_ok = memo.get(key)
+        if trace_ok is None:
+            trace_ok = memo[key] = _try_pickle(trace)
+    if not trace_ok:
+        return False
+    key = ("config", id(config))
+    config_ok = memo.get(key)
+    if config_ok is None:
+        config_ok = memo[key] = _try_pickle(config)
+    return config_ok
 
 
 def _run_pool(
@@ -709,27 +635,20 @@ def _run_pool(
     cache: ResultCache | None,
     progress: ProgressCallback | None,
     results: dict[Any, SimulationResult],
-    groups: list[BatchGroup] | None = None,
-) -> tuple[list[tuple[SweepJob, str | None, str]], list[tuple[BatchGroup, str]]]:
-    """Run shippable cells and batch units through the pool.
+) -> list[tuple[SweepJob, str | None, str]]:
+    """Run shippable cells through the pool.
 
     Futures are collected ``as_completed``, so progress events and cache
-    write-through happen as units finish rather than in submission
-    order.  Returns ``(cells, groups)`` that still need inline
-    execution: cells as ``(job, cache_key, status)`` triples —
-    ``"fallback"`` for payloads that could not pickle, ``"retried"``
-    for worker or pool failures — and batch units as
-    ``(group, status)`` pairs (a group whose *trace* cannot pickle
-    stays batched inline rather than degrading to per-cell runs).  A
-    batch unit that fails in a worker retries per cell, inline.  When
-    the pool itself dies mid-batch, futures that already completed are
-    harvested first (their results and cache write-through are kept)
-    and only the genuinely unfinished cells re-run inline.
+    write-through happen as cells finish rather than in submission
+    order.  Returns the cells that still need inline execution as
+    ``(job, cache_key, status)`` triples — ``"fallback"`` for payloads
+    that could not pickle, ``"retried"`` for worker or pool failures.
+    When the pool itself dies mid-batch, futures that already completed
+    are harvested first (their results and cache write-through are
+    kept) and only the genuinely unfinished cells re-run inline.
     """
     inline: list[tuple[SweepJob, str | None, str]] = []
-    inline_groups: list[tuple[BatchGroup, str]] = []
     shippable: list[tuple[SweepJob, str | None, Any]] = []
-    ship_groups: list[tuple[BatchGroup, Any]] = []
     memo: dict = {}
     for job, ckey in todo:
         payload = pool.prepare(job.trace)
@@ -737,71 +656,32 @@ def _run_pool(
             shippable.append((job, ckey, payload))
         else:
             inline.append((job, ckey, "fallback"))
-    for group in groups or ():
-        payload = pool.prepare(group[0][0].trace)
-        if not _trace_picklable(payload, memo):
-            inline_groups.append((group, "fallback"))
-            continue
-        keep = [
-            cell for cell in group if _config_picklable(cell[0].config, memo)
-        ]
-        inline.extend(
-            (job, ckey, "fallback")
-            for job, ckey in group
-            if not _config_picklable(job.config, memo)
-        )
-        if keep:
-            ship_groups.append((keep, payload))
-    if not shippable and not ship_groups:
-        return inline, inline_groups
+    if not shippable:
+        return inline
 
-    def record(
-        job: SweepJob, ckey: str | None, result, elapsed, status: str
-    ) -> None:
+    def record(job: SweepJob, ckey: str | None, result, elapsed) -> None:
         results[job.key] = result
         _write_through(cache, ckey, result, progress, job.key)
-        _emit(progress, CellEvent(job.key, status, elapsed))
+        _emit(progress, CellEvent(job.key, "done", elapsed))
 
     futures: dict[Any, Any] = {}
-    group_futures: list[Any] = [None] * len(ship_groups)
     handled: set[Any] = set()
-    handled_groups: set[int] = set()
     try:
         executor = pool.executor()
-        fut_to_unit: dict[Any, tuple[str, Any]] = {}
+        fut_to_cell: dict[Any, tuple[SweepJob, str | None]] = {}
         for job, ckey, payload in shippable:
             future = executor.submit(_execute, payload, job.config)
             futures[job.key] = future
-            fut_to_unit[future] = ("cell", (job, ckey))
-        for index, (group, payload) in enumerate(ship_groups):
-            future = executor.submit(
-                _execute_batch, payload, [job.config for job, _ in group]
-            )
-            group_futures[index] = future
-            fut_to_unit[future] = ("group", index)
-        for future in as_completed(fut_to_unit):
-            kind, unit = fut_to_unit[future]
-            if kind == "cell":
-                job, ckey = unit
-                handled.add(job.key)
-                try:
-                    result, elapsed = future.result()
-                except Exception:
-                    inline.append((job, ckey, "retried"))
-                else:
-                    record(job, ckey, result, elapsed, "done")
+            fut_to_cell[future] = (job, ckey)
+        for future in as_completed(fut_to_cell):
+            job, ckey = fut_to_cell[future]
+            handled.add(job.key)
+            try:
+                result, elapsed = future.result()
+            except Exception:
+                inline.append((job, ckey, "retried"))
             else:
-                group, _ = ship_groups[unit]
-                handled_groups.add(unit)
-                try:
-                    pairs = future.result()
-                except Exception:
-                    inline.extend(
-                        (job, ckey, "retried") for job, ckey in group
-                    )
-                else:
-                    for (job, ckey), (result, elapsed) in zip(group, pairs):
-                        record(job, ckey, result, elapsed, "batched")
+                record(job, ckey, result, elapsed)
     except Exception:
         # The pool itself failed (fork unavailable, broken worker
         # teardown, ...).  Keep every result a worker already produced —
@@ -821,32 +701,12 @@ def _run_pool(
                 except Exception:
                     pass
                 else:
-                    record(job, ckey, result, elapsed, "done")
+                    record(job, ckey, result, elapsed)
                     continue
             if future is not None:
                 future.cancel()
             inline.append((job, ckey, "retried"))
-        for index, (group, _) in enumerate(ship_groups):
-            if index in handled_groups:
-                continue
-            future = group_futures[index]
-            if (
-                future is not None
-                and future.done()
-                and not future.cancelled()
-            ):
-                try:
-                    pairs = future.result()
-                except Exception:
-                    pass
-                else:
-                    for (job, ckey), (result, elapsed) in zip(group, pairs):
-                        record(job, ckey, result, elapsed, "batched")
-                    continue
-            if future is not None:
-                future.cancel()
-            inline.extend((job, ckey, "retried") for job, ckey in group)
-    return inline, inline_groups
+    return inline
 
 
 def run_cells(
@@ -856,7 +716,6 @@ def run_cells(
     progress: ProgressCallback | None = None,
     metrics: Any | None = None,
     pool: WorkerPool | None = None,
-    batch: bool = False,
 ) -> dict[Any, SimulationResult]:
     """Execute sweep cells, in parallel when asked, returning by key.
 
@@ -877,22 +736,10 @@ def run_cells(
     :class:`~repro.sim.shm.TraceHandle` payloads when the platform
     allows, falling back to per-cell pickling when it does not.
 
-    ``batch=True`` routes eligible cells through the cross-cell batched
-    engine (:mod:`repro.sim.batch`): cells passing
-    :func:`~repro.sim.batch.batch_eligible` are grouped by trace
-    fingerprint, and each group of two or more simulates in one pass
-    over its trace's shared scan — as one unit per worker under a pool
-    (so a worker batches all the cells of its shared-memory trace), or
-    inline otherwise — reporting ``"batched"`` events.  Ineligible
-    cells (instrumented, adaptive, uncacheable model instances, ...)
-    and singleton groups keep the ordinary per-cell dispatch, and a
-    batch unit that fails retries per cell, so ``batch=True`` is always
-    safe to request.
-
     Results are identical to running :func:`simulate` serially on each
-    cell in job order, whatever the worker count, shipping path, or
-    ``batch`` setting; the returned dict is in job order even though
-    pooled cells complete out of order.
+    cell in job order, whatever the worker count or shipping path; the
+    returned dict is in job order even though pooled cells complete out
+    of order.
     """
     jobs = list(jobs)
     seen: set[Any] = set()
@@ -918,55 +765,18 @@ def run_cells(
                 continue
         todo.append((job, ckey))
 
-    groups: list[BatchGroup] = []
-    if batch and todo:
-        from repro.sim.batch import batch_eligible
-
-        singles: list[tuple[SweepJob, str | None]] = []
-        by_trace: dict[str, BatchGroup] = {}
-        for job, ckey in todo:
-            if batch_eligible(job.config):
-                by_trace.setdefault(
-                    trace_fingerprint(job.trace), []
-                ).append((job, ckey))
-            else:
-                singles.append((job, ckey))
-        for cells in by_trace.values():
-            if len(cells) >= 2:
-                groups.append(cells)
-            else:
-                singles.extend(cells)
-        todo = singles
-
     remaining: list[tuple[SweepJob, str | None, str]]
-    inline_groups: list[tuple[BatchGroup, str]]
-    if workers > 1 and len(todo) + sum(len(g) for g in groups) > 1:
+    if workers > 1 and len(todo) > 1:
         owned: WorkerPool | None = None
         if pool is None or pool.closed:
             pool = owned = WorkerPool(workers)
         try:
-            remaining, inline_groups = _run_pool(
-                todo, pool, cache, progress, results,
-                groups=_split_groups(groups, pool.workers),
-            )
+            remaining = _run_pool(todo, pool, cache, progress, results)
         finally:
             if owned is not None:
                 owned.close()
     else:
         remaining = [(job, ckey, "done") for job, ckey in todo]
-        inline_groups = [(group, "batched") for group in groups]
-    for group, status in inline_groups:
-        try:
-            pairs = _execute_batch(
-                group[0][0].trace, [job.config for job, _ in group]
-            )
-        except Exception:
-            remaining.extend((job, ckey, "retried") for job, ckey in group)
-        else:
-            for (job, ckey), (result, elapsed) in zip(group, pairs):
-                results[job.key] = result
-                _write_through(cache, ckey, result, progress, job.key)
-                _emit(progress, CellEvent(job.key, status, elapsed))
     for job, ckey, status in remaining:
         result, elapsed = _execute(job.trace, job.config)
         results[job.key] = result

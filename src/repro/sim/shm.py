@@ -478,8 +478,8 @@ def cached_trace(
 
     ``build`` returns ``(trace, closer)``; the closer (may be ``None``)
     runs when the entry is evicted.  Because the same ``RunTrace``
-    object is returned for every cell, its ``TraceColumns`` and
-    occurrence caches persist across the cells a worker executes.
+    object is returned for every cell, its ``TraceColumns`` cache
+    persists across the cells a worker executes.
     """
     entry = _TRACE_LRU.get(key)
     if entry is not None:
@@ -490,9 +490,7 @@ def cached_trace(
     capacity = worker_cache_capacity()
     while len(_TRACE_LRU) > capacity:
         _, (old_trace, old_closer) = _TRACE_LRU.popitem(last=False)
-        # The derived caches (column lists, the batch TraceScan, prods
-        # vectors) dwarf the zero-copy run arrays — under the fused
-        # engine's fat units they are the per-worker footprint — so
+        # The derived column lists dwarf the zero-copy run arrays, so
         # drop them eagerly rather than waiting for every stray trace
         # reference to die.
         old_trace._cols.clear()

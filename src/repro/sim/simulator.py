@@ -15,9 +15,9 @@ data *more* valid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.fault import FaultKind, FaultRecord
 from repro.disk.presets import paper_disk
@@ -29,7 +29,6 @@ from repro.net.latency import CalibratedLatencyModel
 from repro.obs.instrument import Instrument, Recorder
 from repro.palcode.emulator import PalEmulator
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import drive_fast
 from repro.sim.replacement import make_policy
 from repro.sim.results import SimulationResult
 from repro.sim.tlb import TlbModel
@@ -118,21 +117,19 @@ class Simulator:
     def run(self, trace: RunTrace) -> SimulationResult:
         """Simulate ``trace`` and return the result."""
         state, cols, recorder = self._prepare(trace)
-        if self._use_fast(state):
-            clock = drive_fast(self, state, trace, cols)
-        else:
-            clock = self._drive_reference(state, cols)
+        clock, _ = self._drive_reference(state, cols.runs(), 0.0, -1)
         return self._finish(state, clock, recorder)
 
     def _prepare(
         self, trace: RunTrace
     ) -> tuple["_RunState", "TraceColumns", Recorder | None]:
-        """Build the per-run state every engine drives.
+        """Build the per-run state the drive loop advances.
 
-        Split out of :meth:`run` so the batch engine
-        (:mod:`repro.sim.batch`) can set up each of its cells exactly the
+        Split out of :meth:`run` so the multi-tenant scheduler
+        (:mod:`repro.sim.multitenant`) can set up each tenant exactly the
         way a standalone run would — same substrate objects, same reset
-        order — and drive them itself.  Pair with :meth:`_finish`.
+        order — and drive them in clock-bounded slices.  Pair with
+        :meth:`_finish`.
         """
         cfg = self.config
         if trace.page_bytes != cfg.page_bytes:
@@ -221,26 +218,6 @@ class Simulator:
         )
         return state, cols, recorder
 
-    def _use_fast(self, state: "_RunState") -> bool:
-        """Engine dispatch: the fast engine handles every configuration
-        except those demanding per-event hooks — an attached
-        instrument (including the observe= recorder), PALcode
-        emulation (charged per reference against in-flight pages),
-        subpage-distance tracking (inspects every hit), and adaptive
-        policies on the per-reference-run "events" feed.  The default
-        "faults" feed observes only at faults and incomplete-page
-        touches, which both engines visit identically.
-        """
-        cfg = self.config
-        controller = state.adaptive
-        return (
-            cfg.engine == "fast"
-            and state.ins is None
-            and state.pal is None
-            and not cfg.track_distances
-            and (controller is None or not controller.needs_reference_events)
-        )
-
     def _finish(
         self,
         state: "_RunState",
@@ -261,18 +238,33 @@ class Simulator:
     def _drive_reference(
         self,
         state: "_RunState",
-        cols,
-        start: int = 0,
-        clock: float = 0.0,
-        last_page: int = -1,
-    ) -> float:
-        """The per-run reference loop; handles every configuration.
+        runs: Iterator[tuple[int, int, int, int, bool]],
+        clock: float,
+        last_page: int,
+    ) -> tuple[float, int | None]:
+        """Drive one whole cell: :meth:`_drive` with no clock bound."""
+        return self._drive(state, runs, clock, last_page, math.inf)
 
-        ``start``/``clock``/``last_page`` let the fast engine hand a
-        partially-driven run over mid-trace (its bail-out path): the
-        shared ``state`` is exactly what this loop would have produced,
-        so resuming at run ``start`` is bit-identical to having driven
-        the whole trace here.
+    def _drive(
+        self,
+        state: "_RunState",
+        runs: Iterator[tuple[int, int, int, int, bool]],
+        clock: float,
+        last_page: int,
+        until: float,
+    ) -> tuple[float, int | None]:
+        """The drive loop: advance ``state`` over ``runs`` from ``clock``.
+
+        ``runs`` is an iterator of ``(page, subpage, block, count,
+        write)`` runs (:meth:`~repro.trace.compress.TraceColumns.runs`);
+        it is consumed in place, so a caller that stops early resumes by
+        passing the same iterator back.  After each run the loop checks
+        ``clock > until`` and, if so, returns ``(clock, last_page)`` —
+        at least one run executes per call.  Once ``runs`` is exhausted
+        it returns ``(clock, None)``.  A standalone run
+        (:meth:`_drive_reference`) passes ``until=inf`` and drives the
+        whole trace in one call; the multi-tenant scheduler passes the
+        next tenant's clock.
         """
         cfg = self.config
         frames = state.frames
@@ -289,12 +281,6 @@ class Simulator:
             and state.adaptive.needs_reference_events
         )
 
-        runs = zip(
-            cols.pages, cols.subpages, cols.blocks, cols.counts,
-            cols.writes,
-        )
-        if start:
-            runs = islice(runs, start, None)
         for page, sp, block, count, write in runs:
             frame = frames.get(page)
             if frame is None:
@@ -334,86 +320,9 @@ class Simulator:
                 if write and not frame.dirty:
                     frame.dirty = True
             clock += count * event_ms
-        return clock
-
-    def _step_runs(
-        self,
-        state: "_RunState",
-        cols,
-        start: int = 0,
-        clock: float = 0.0,
-        last_page: int = -1,
-    ):
-        """Generator twin of :meth:`_drive_reference`: yields the clock
-        after every compressed run.
-
-        The multi-tenant scheduler (:mod:`repro.sim.multitenant`)
-        advances N tenants in virtual-time order, which needs a
-        resumable per-run step.  The loop body is kept a line-for-line
-        mirror of :meth:`_drive_reference` rather than having the
-        reference loop drain this generator: the reference loop is on
-        the <5% disabled-instrumentation CI budget, and a per-run yield
-        costs more than that gate's remaining headroom.  Bit-identity
-        between the two is enforced by the one-tenant anchor test
-        (``tests/sim/test_multitenant.py``).
-        """
-        cfg = self.config
-        frames = state.frames
-        policy = state.policy
-        tlb = state.tlb
-        pal = state.pal
-        event_ms = state.event_ms
-        full_mask = state.full_mask
-        result = state.result
-
-        track_dist = cfg.track_distances
-        feed_hits = (
-            state.adaptive is not None
-            and state.adaptive.needs_reference_events
-        )
-
-        runs = zip(
-            cols.pages, cols.subpages, cols.blocks, cols.counts,
-            cols.writes,
-        )
-        if start:
-            runs = islice(runs, start, None)
-        for page, sp, block, count, write in runs:
-            frame = frames.get(page)
-            if frame is None:
-                clock = self._page_fault(
-                    state, clock, page, sp, block, write
-                )
-                frame = frames[page]
-                last_page = page
-                if tlb is not None and not tlb.access(page):
-                    clock += tlb.miss_ms
-                if pal is not None and frame.pending is not None:
-                    self._charge_emulation(
-                        state, clock, page, frame, count, write
-                    )
-            else:
-                if page != last_page:
-                    policy.touch(page)
-                    last_page = page
-                    if tlb is not None and not tlb.access(page):
-                        clock += tlb.miss_ms
-                if track_dist and frame.distance_from is not None:
-                    if sp != frame.distance_from:
-                        distance = sp - frame.distance_from
-                        hist = result.distance_histogram
-                        hist[distance] = hist.get(distance, 0) + 1
-                        frame.distance_from = None
-                if frame.pending is not None or frame.valid_bits != full_mask:
-                    clock = self._touch_incomplete(
-                        state, clock, page, frame, sp, block, write, count
-                    )
-                elif feed_hits:
-                    state.adaptive.observe(page, sp, "hit")
-                if write and not frame.dirty:
-                    frame.dirty = True
-            clock += count * event_ms
-            yield clock
+            if clock > until:
+                return clock, last_page
+        return clock, None
 
     # -- fault handling ------------------------------------------------------
 
@@ -689,7 +598,6 @@ class Simulator:
             )
 
         victim = state.policy.evict(prefer=transfers_done)
-        state.last_victim = victim
         frame = frames.pop(victim)
         state.result.evictions += 1
         cancelled = (
@@ -837,13 +745,9 @@ class _RunState:
     full_mask: int
     ins: Instrument | None = None
     #: The scheme's adaptive controller, if any; fed access
-    #: observations from the fault path (both engines) and — on the
-    #: ``"events"`` feed — per reference run (reference loop only).
+    #: observations from the fault path and — on the ``"events"`` feed
+    #: — per reference run.
     adaptive: "AdaptivePolicy | None" = None
-    #: The most recent eviction victim (set by ``_evict``); the fast
-    #: engine reads it after a fault to re-enter the page in its
-    #: interesting-event heap.
-    last_victim: int | None = None
 
     @property
     def stalls(self) -> list[tuple[float, float]]:

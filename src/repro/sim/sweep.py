@@ -149,7 +149,6 @@ def run_subpage_sweep(
     cache: ResultCache | None = None,
     progress: ProgressCallback | None = None,
     pool: WorkerPool | None = None,
-    batch: bool = False,
 ) -> SweepResult:
     """The Figure 3 grid: rows = memory configs, columns = schemes/sizes.
 
@@ -160,18 +159,15 @@ def run_subpage_sweep(
     Cells route through :func:`repro.sim.parallel.run_cells`:
     ``workers`` fans them out over processes (``None`` reads
     ``REPRO_WORKERS``), ``cache`` skips cells already computed,
-    ``progress`` receives per-cell events, ``pool`` reuses a
-    persistent :class:`~repro.sim.parallel.WorkerPool`, and ``batch``
-    routes eligible cells through the cross-cell batched engine
-    (:mod:`repro.sim.batch`).  Results are identical at any worker
-    count and ``batch`` setting.
+    ``progress`` receives per-cell events, and ``pool`` reuses a
+    persistent :class:`~repro.sim.parallel.WorkerPool`.  Results are
+    identical at any worker count.
     """
     jobs = subpage_sweep_jobs(
         trace, base, subpage_sizes, memory_fractions, include_baselines
     )
     results = run_cells(
-        jobs, workers=workers, cache=cache, progress=progress, pool=pool,
-        batch=batch,
+        jobs, workers=workers, cache=cache, progress=progress, pool=pool
     )
     sweep = SweepResult()
     for job in jobs:
@@ -269,11 +265,9 @@ def run_memory_sweep(
     cache: ResultCache | None = None,
     progress: ProgressCallback | None = None,
     pool: WorkerPool | None = None,
-    batch: bool = False,
 ) -> dict[str, SimulationResult]:
     """One configuration across several memory sizes."""
     jobs = memory_sweep_jobs(trace, base, memory_fractions)
     return run_cells(
-        jobs, workers=workers, cache=cache, progress=progress, pool=pool,
-        batch=batch,
+        jobs, workers=workers, cache=cache, progress=progress, pool=pool
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -26,36 +27,16 @@ from repro.errors import TraceError
 from repro.units import FULL_PAGE_BYTES, MIN_SUBPAGE_BYTES, is_power_of_two
 
 
-def index_dtype(count: int) -> type:
-    """Narrowest signed dtype that can index ``count`` items (plus the
-    sentinels the scan structures use: ``count`` itself and ``-1``)."""
-    return np.int32 if count < 2**31 else np.int64
-
-
 class TraceColumns:
-    """Precomputed per-run columns for the simulator engines.
+    """Per-run columns for the simulator's drive loop.
 
     One instance per (trace, subpage size), cached on the owning
     :class:`RunTrace` so sweeps that revisit a trace (or a subpage size)
-    pay the array→list conversion once.  Holds both the plain-Python
-    lists the per-run loops iterate fastest over and the NumPy views the
-    fast engine's bulk span processing slices.
+    pay the array→list conversion once.  Plain Python lists, because the
+    per-run loop iterates them fastest.
     """
 
-    __slots__ = (
-        "pages",
-        "subpages",
-        "blocks",
-        "counts",
-        "writes",
-        "pages_arr",
-        "counts_f64",
-        "writes_arr",
-        "switch_arr",
-        "switch_cum",
-        "writes_cum",
-        "_prods",
-    )
+    __slots__ = ("pages", "subpages", "blocks", "counts", "writes")
 
     def __init__(
         self, trace: "RunTrace", subpage_bytes: int,
@@ -69,62 +50,17 @@ class TraceColumns:
             self.blocks = base.blocks
             self.counts = base.counts
             self.writes = base.writes
-            self.pages_arr = base.pages_arr
-            self.counts_f64 = base.counts_f64
-            self.writes_arr = base.writes_arr
-            self.switch_arr = base.switch_arr
-            self.switch_cum = base.switch_cum
-            self.writes_cum = base.writes_cum
-            self._prods = base._prods
             return
         self.pages = trace.pages.tolist()
         self.blocks = trace.blocks.tolist()
         self.counts = trace.counts.tolist()
         self.writes = trace.writes.tolist()
-        self.pages_arr = trace.pages.astype(np.int64, copy=False)
-        # Exact (counts are far below 2**53): one float64 multiply per
-        # run matches the reference loop's scalar ``count * event_ms``.
-        self.counts_f64 = trace.counts.astype(np.float64)
-        self.writes_arr = np.asarray(trace.writes, dtype=bool)
-        n = len(self.pages)
-        # Page-switch structure: switch_arr[k] says run k references a
-        # different page than run k-1 (run 0 always "switches" — no
-        # page id is negative, so it also differs from the engines'
-        # initial last_page of -1).  The cumulative sums give any
-        # span's switch/write count in O(1).
-        self.switch_arr = np.empty(n, dtype=bool)
-        if n:
-            self.switch_arr[0] = True
-            np.not_equal(
-                self.pages_arr[1:], self.pages_arr[:-1],
-                out=self.switch_arr[1:],
-            )
-        # Derived index arrays use the narrowest dtype the run count
-        # permits: int32 halves the per-process cache (and the fast
-        # engines' slice traffic) for every real trace, int64 only past
-        # 2**31-1 runs.  Only *derived* caches downsize — the RunTrace
-        # run arrays themselves feed ``fingerprint()`` (raw bytes), so
-        # their dtype is part of the trace's content address.
-        idx = index_dtype(n)
-        self.switch_cum = np.zeros(n + 1, dtype=idx)
-        np.cumsum(self.switch_arr, dtype=idx, out=self.switch_cum[1:])
-        self.writes_cum = np.zeros(n + 1, dtype=idx)
-        np.cumsum(self.writes_arr, dtype=idx, out=self.writes_cum[1:])
-        #: event_ms -> counts * event_ms products, shared with every
-        #: subpage size's columns (``base._prods`` above) so a whole
-        #: grid of cells computes each clock-product vector once.
-        self._prods = {}
 
-    def prods(self, event_ms: float) -> np.ndarray:
-        """The per-run clock products at ``event_ms``, computed once.
-
-        Bitwise-identical to the reference loop's scalar
-        ``count * event_ms`` (one IEEE multiply per run, same operands).
-        """
-        arr = self._prods.get(event_ms)
-        if arr is None:
-            arr = self._prods[event_ms] = self.counts_f64 * event_ms
-        return arr
+    def runs(self) -> Iterator[tuple[int, int, int, int, bool]]:
+        """A fresh iterator over ``(page, subpage, block, count, write)``."""
+        return zip(
+            self.pages, self.subpages, self.blocks, self.counts, self.writes
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,7 +190,7 @@ class RunTrace:
     def columns(self, subpage_bytes: int) -> TraceColumns:
         """Cached :class:`TraceColumns` at ``subpage_bytes`` granularity.
 
-        The simulator engines iterate these instead of re-converting the
+        The drive loop iterates these instead of re-converting the
         arrays per run; size-independent columns are shared across the
         cached entries.
         """
@@ -292,36 +228,10 @@ class RunTrace:
             self._cols["fp"] = fp
         return fp
 
-    def occurrences(self) -> dict[int, list[int]]:
-        """Cached map of page -> ascending run indices touching it.
-
-        The fast engine's interesting-event heap walks these lists to
-        find each page's next occurrence.  Built with one stable argsort
-        of the page column.
-        """
-        occ = self._cols.get("occ")
-        if occ is None:
-            occ = {}
-            pages = self.pages
-            if len(pages):
-                order = np.argsort(pages, kind="stable")
-                sorted_pages = pages[order]
-                bounds = np.flatnonzero(
-                    sorted_pages[1:] != sorted_pages[:-1]
-                ) + 1
-                start = 0
-                for stop in (*bounds.tolist(), len(pages)):
-                    occ[int(sorted_pages[start])] = order[
-                        start:stop
-                    ].tolist()
-                    start = stop
-            self._cols["occ"] = occ
-        return occ
-
     def __getstate__(self):
-        # The column/occurrence caches can dwarf the arrays themselves;
-        # pickled traces (worker fan-out, result caches) ship without
-        # them and each process rebuilds lazily.
+        # The column caches can dwarf the arrays themselves; pickled
+        # traces (worker fan-out, result caches) ship without them and
+        # each process rebuilds lazily.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__

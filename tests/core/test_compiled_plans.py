@@ -5,9 +5,9 @@ Every built-in scheme answers faults from memoized
 the oracle in :mod:`tests.core.reference_planning`: a compiled plan is
 ``==`` to the reference plan (resume, every arrival, wire fields, CPU
 overhead), and a whole simulation planned through the reference is
-``==`` to one planned from rows.  The engine-equivalence matrix cannot
-catch a planning error, because both of its arms plan through the same
-rows.
+``==`` to one planned from rows.  The single-loop golden digests
+(``tests/sim/test_engine_equivalence.py``) pin whatever the rows
+produce; only this oracle says the rows are right.
 """
 
 from __future__ import annotations

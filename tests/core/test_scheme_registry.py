@@ -1,5 +1,5 @@
 """Registry round-trips: every scheme name builds, labels, fingerprints,
-and pickles identically under both execution engines.
+and pickles identically.
 
 The sweep/caching machinery assumes a scheme name (plus kwargs) is a
 complete, stable description of scheme behaviour: labels key sweep
@@ -27,13 +27,12 @@ SCHEME_KWARGS = {
 }
 
 
-def configs_for(name, engine):
+def configs_for(name):
     return SimulationConfig(
         memory_pages=16,
         scheme=name,
         scheme_kwargs=dict(SCHEME_KWARGS.get(name, {})),
         subpage_bytes=1024,
-        engine=engine,
     )
 
 
@@ -47,37 +46,31 @@ class TestEveryRegisteredName:
         assert scheme.name in (name, "pipelined")  # transparent adaptive
 
     @pytest.mark.parametrize("name", scheme_names())
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_builds_from_config(self, name, engine):
-        cfg = configs_for(name, engine)
+    def test_builds_from_config(self, name):
+        cfg = configs_for(name)
         cfg.validate()
         scheme = cfg.build_scheme()
         assert scheme.label(1024)
 
     @pytest.mark.parametrize("name", scheme_names())
-    def test_label_identical_across_engines(self, name):
-        fast = configs_for(name, "fast").scheme_label()
-        ref = configs_for(name, "reference").scheme_label()
-        assert fast == ref
-        assert isinstance(fast, str) and fast
+    def test_label_is_stable(self, name):
+        label = configs_for(name).scheme_label()
+        assert label == configs_for(name).scheme_label()
+        assert isinstance(label, str) and label
 
     @pytest.mark.parametrize("name", scheme_names())
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_fingerprint_stable_and_engine_aware(self, name, engine):
-        cfg = configs_for(name, engine)
+    def test_fingerprint_stable(self, name):
+        cfg = configs_for(name)
         fp = config_fingerprint(cfg)
         assert fp is not None
         # Deterministic: an identical config fingerprints identically.
-        assert fp == config_fingerprint(configs_for(name, engine))
-        # The engine field participates (results are bit-identical, but
-        # cache entries must not alias across code paths).
-        other = "reference" if engine == "fast" else "fast"
-        assert fp != config_fingerprint(configs_for(name, other))
+        assert fp == config_fingerprint(configs_for(name))
+        # Every field participates: a different seed is a different cell.
+        assert fp != config_fingerprint(cfg.with_overrides(seed=1))
 
     @pytest.mark.parametrize("name", scheme_names())
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_config_pickles_identically(self, name, engine):
-        cfg = configs_for(name, engine)
+    def test_config_pickles_identically(self, name):
+        cfg = configs_for(name)
         clone = pickle.loads(pickle.dumps(cfg))
         assert clone == cfg
         assert config_fingerprint(clone) == config_fingerprint(cfg)

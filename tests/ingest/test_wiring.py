@@ -1,7 +1,7 @@
 """Ingested traces flow through the standard sweep machinery.
 
 The acceptance path: a raw trace file converts through ``ingest_file``,
-rides ``run_cells(batch=True)`` with a :class:`ResultCache` exactly like
+rides ``run_cells`` with a :class:`ResultCache` exactly like
 a synthetic trace, and the ``ingest:<path>`` app-name syntax resolves
 through :func:`build_app_trace`.
 """
@@ -13,6 +13,7 @@ from repro.errors import ConfigError, IngestError
 from repro.ingest.convert import ingest_file
 from repro.sim.config import SimulationConfig
 from repro.sim.parallel import ResultCache, SweepJob, run_cells
+from repro.sim.simulator import simulate
 from repro.trace.encode import save_trace
 from repro.trace.synth.apps import INGEST_PREFIX, build_app_trace
 
@@ -36,9 +37,7 @@ def sweep_jobs(trace, sizes=(4096, 1024, 256)):
 
 
 class TestRunCellsOverIngestedTrace:
-    def test_batched_sweep_with_result_cache(
-        self, tmp_path, lackey_file
-    ):
+    def test_sweep_with_result_cache(self, tmp_path, lackey_file):
         trace = ingest_file(lackey_file, cache=tmp_path / "ingest-cache")
         cache = ResultCache(tmp_path / "result-cache")
         events = []
@@ -47,13 +46,11 @@ class TestRunCellsOverIngestedTrace:
             workers=1,
             cache=cache,
             progress=events.append,
-            batch=True,
         )
         assert set(results) == {"sp_4096", "sp_1024", "sp_256"}
         assert all(r.total_ms > 0 for r in results.values())
-        # Multi-cell same-fingerprint group goes through the batched
-        # engine; results land in the standard content-keyed cache.
-        assert {e.status for e in events} == {"batched"}
+        # Results land in the standard content-keyed cache.
+        assert {e.status for e in events} == {"done"}
         assert cache.puts_failed == 0
 
         rerun_events = []
@@ -62,26 +59,24 @@ class TestRunCellsOverIngestedTrace:
             workers=1,
             cache=cache,
             progress=rerun_events.append,
-            batch=True,
         )
         assert {e.status for e in rerun_events} == {"cached"}
         for key, result in results.items():
             assert rerun[key].total_ms == result.total_ms
             assert rerun[key].page_faults == result.page_faults
 
-    def test_batched_matches_unbatched(self, tmp_path, lackey_file):
+    def test_sweep_matches_direct_simulation(self, lackey_file):
         trace = ingest_file(lackey_file, cache=None)
-        batched = run_cells(sweep_jobs(trace), workers=1, batch=True)
-        plain = run_cells(sweep_jobs(trace), workers=1)
-        for key in batched:
-            assert batched[key].total_ms == plain[key].total_ms
-            assert batched[key].remote_faults == plain[key].remote_faults
+        jobs = sweep_jobs(trace)
+        swept = run_cells(jobs, workers=1)
+        for job in jobs:
+            assert swept[job.key] == simulate(trace, job.config)
 
     def test_subpages_help_the_ingested_trace(self, tmp_path, lackey_file):
         # The fabricated stream is scattered, so finer fetch wins: the
         # ingested trace behaves like a real workload, not a stub.
         trace = ingest_file(lackey_file, cache=None)
-        results = run_cells(sweep_jobs(trace), workers=1, batch=True)
+        results = run_cells(sweep_jobs(trace), workers=1)
         assert results["sp_1024"].total_ms < results["sp_4096"].total_ms
 
 

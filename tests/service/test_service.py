@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.service import JobManager, ServiceServer, SweepSpec
 from repro.sim.config import SimulationConfig
 from repro.sim.sweep import run_subpage_sweep
@@ -123,6 +124,7 @@ class TestEndToEnd:
         assert status == 200
         assert health["status"] == "ok"
         assert health["workers"] == 1
+        assert "batch" not in health
         assert health["store"].endswith("results.sqlite")
         status, stats = service.get_json("/store")
         assert status == 200
@@ -230,6 +232,11 @@ class TestErrorMapping:
             {"app": "modula3", "base": {"not_a_field": 1}},
             {"app": "modula3", "unknown_key": 1},
             {"app": "no-such-app"},
+            {"app": "modula3", "include_baselines": "false"},
+            {"app": "modula3", "seed": True},
+            {"app": "modula3", "subpage_sizes": [True]},
+            {"app": "modula3", "batch": "yes"},
+            {"app": "modula3", "base": {"engine": "fast"}},
             ["not", "an", "object"],
         ):
             status, body = service.submit(bad)
@@ -318,3 +325,34 @@ class TestSpecValidation:
         )
         assert [j.key for j in jobs] == [j.key for j in direct]
         assert [j.config for j in jobs] == [j.config for j in direct]
+
+    def test_string_include_baselines_is_rejected(self):
+        with pytest.raises(ConfigError, match="include_baselines"):
+            SweepSpec.from_dict({**SPEC, "include_baselines": "false"})
+
+    def test_bool_seed_is_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SweepSpec.from_dict({**SPEC, "seed": True})
+
+    def test_bool_subpage_size_is_rejected(self):
+        with pytest.raises(ConfigError, match="subpage_sizes"):
+            SweepSpec.from_dict({**SPEC, "subpage_sizes": [4096, True]})
+
+    def test_bool_scale_is_rejected(self):
+        with pytest.raises(ConfigError, match="scale"):
+            SweepSpec.from_dict({**SPEC, "scale": True})
+
+    def test_bool_memory_fraction_is_rejected(self):
+        with pytest.raises(ConfigError, match="memory_fractions"):
+            SweepSpec.from_dict({**SPEC, "memory_fractions": {"x": True}})
+
+    @pytest.mark.parametrize("value", ["true", 1, None])
+    def test_non_boolean_batch_is_rejected(self, value):
+        with pytest.raises(ConfigError, match="batch"):
+            SweepSpec.from_dict({**SPEC, "batch": value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_batch_is_accepted_and_ignored(self, value):
+        spec = SweepSpec.from_dict({**SPEC, "batch": value})
+        assert spec == SweepSpec.from_dict(SPEC)
+        assert "batch" not in spec.as_dict()

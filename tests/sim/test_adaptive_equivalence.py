@@ -29,8 +29,8 @@ from repro.trace.compress import compress_references
 
 @pytest.fixture(scope="module")
 def mixed_trace():
-    """Faults, stalls, folds, evictions — same recipe as the engine
-    equivalence suite but an independent draw."""
+    """Faults, stalls, folds, evictions — same recipe as the golden
+    single-loop suite but an independent draw."""
     rng = np.random.default_rng(1234)
     visits = rng.integers(0, 40, size=1_200)
     starts = rng.integers(0, 120, size=1_200)
@@ -40,8 +40,9 @@ def mixed_trace():
     return compress_references(addrs, writes, name="mixed-adaptive")
 
 
-def pair(trace, **overrides):
-    """The same cell under plain pipelining and transparent adaptive."""
+def pair(trace, adaptive_kwargs=None, **overrides):
+    """The same cell under plain pipelining and transparent adaptive
+    (static predictor plus any ``adaptive_kwargs``)."""
     base = dict(track_distances=False)
     base.update(overrides)
     plain = simulate(
@@ -51,7 +52,7 @@ def pair(trace, **overrides):
         trace,
         SimulationConfig(
             scheme="adaptive",
-            scheme_kwargs={"predictor": "static"},
+            scheme_kwargs={"predictor": "static", **(adaptive_kwargs or {})},
             **base,
         ),
     )
@@ -71,19 +72,20 @@ class TestMatrixIdentity:
         )
         assert adaptive == plain
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_both_engines(self, mixed_trace, engine):
+    def test_events_feed(self, mixed_trace):
+        """The per-run ``"events"`` feed adds a hit observation for
+        every resident run; the static predictor ignores them all."""
         plain, adaptive = pair(
             mixed_trace,
+            {"feed": "events"},
             memory_pages=memory_pages_for(mixed_trace, 0.5),
             subpage_bytes=1024,
-            engine=engine,
         )
         assert adaptive == plain
 
     def test_with_fault_records_and_distances(self, mixed_trace):
-        """The per-fault raw material matches too (forces the reference
-        loop, where the hit path diverges if observation leaks)."""
+        """The per-fault raw material and distance histogram match too
+        (the hit path diverges there if observation leaks)."""
         plain, adaptive = pair(
             mixed_trace,
             memory_pages=memory_pages_for(mixed_trace, 0.5),

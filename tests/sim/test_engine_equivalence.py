@@ -1,36 +1,53 @@
-"""Golden equivalence: the fast engine is bit-identical to the reference.
+"""Golden net for the single drive loop.
 
-Every cell of the integration matrix (scheme x subpage size x memory
-configuration x backing) is run through both engines and the complete
-:class:`~repro.sim.results.SimulationResult` dataclasses are compared
-with ``==`` — which covers timing components, fault/eviction counters,
-fault records, stall intervals, and substrate statistics, all to the
-last float bit.  No tolerances anywhere: the fast engine reorders no
-arithmetic (see ``repro/sim/engine.py``).
+Every cell below is simulated and digested — ``summary()`` plus the
+distance histogram, every fault record (time, latency, window, waits),
+the stall intervals and the TLB / cluster / emulation statistics,
+hashed as canonical JSON — and compared with the digest pinned in
+``tests/data/single_loop_golden.json``.  The pinned digests were
+computed while the simulator still carried a bulk "fast" engine next
+to the reference loop and both agreed with ``==`` on every one of these
+cells, so a digest mismatch means the loop's arithmetic changed, not
+merely its speed.
 
-Distance tracking is disabled in the matrix configs because it demands
-per-hit hooks: with it on, ``engine="fast"`` silently falls back to the
-reference loop and the comparison would be vacuous.  The fallback
-conditions themselves are covered at the bottom with a poisoned
-``drive_fast``.
+The cells are the old engine-equivalence matrix (scheme x subpage size
+x memory configuration x backing over ``mixed_trace``), the adaptive
+cells, replacement policies, TLB, no-congestion, the edge traces, and
+the configurations that used to force the reference loop (PALcode,
+observe, the adaptive ``"events"`` feed).  Distance tracking is on in
+every cell, so the histogram is pinned too.
+
+Regenerate (only when a change is *meant* to move the numbers)::
+
+    PYTHONPATH=src python -m tests.sim.test_engine_equivalence --write
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable
+
 import numpy as np
 import pytest
 
-from repro.sim.batch import batch_eligible, simulate_cells
+from repro.core.fault import FaultRecord
 from repro.sim.config import SimulationConfig, memory_pages_for
-from repro.sim.simulator import Simulator, simulate
-from repro.trace.compress import compress_references
+from repro.sim.results import SimulationResult
+from repro.sim.simulator import simulate
+from repro.trace.compress import RunTrace, compress_references
 from repro.trace.synth.apps import build_app_trace
 
 from tests.conftest import make_trace, page_addr
 
+GOLDEN_PATH = Path(__file__).parent.parent / "data" / "single_loop_golden.json"
 
-@pytest.fixture(scope="module")
-def mixed_trace():
+
+@lru_cache(maxsize=None)
+def build_mixed_trace() -> RunTrace:
     """A few thousand runs with faults, stalls, re-references, writes.
 
     Page visits sweep a handful of blocks (so subpage stalls and folds
@@ -46,12 +63,41 @@ def mixed_trace():
     return compress_references(addrs, writes, name="mixed")
 
 
-def both_engines(trace, **overrides):
-    base = dict(track_distances=False)
-    base.update(overrides)
-    ref = simulate(trace, SimulationConfig(engine="reference", **base))
-    fast = simulate(trace, SimulationConfig(engine="fast", **base))
-    return ref, fast
+@pytest.fixture(scope="module")
+def mixed_trace():
+    """Also imported by ``tests/core/test_compiled_plans.py``."""
+    return build_mixed_trace()
+
+
+def _fault_row(record: FaultRecord) -> tuple:
+    return (
+        record.page,
+        record.subpage,
+        record.kind.name,
+        record.time_ms,
+        record.sp_latency_ms,
+        record.window_start_ms,
+        record.window_end_ms,
+        record.page_wait_intervals,
+        record.cpu_overhead_ms,
+        record.overlapped_another,
+    )
+
+
+def cell_digest(result: SimulationResult) -> str:
+    """SHA-256 of a result's summary, distances, per-fault records,
+    stall intervals and substrate stats."""
+    payload = {
+        "summary": result.summary(),
+        "distances": sorted(result.distance_histogram.items()),
+        "faults": [_fault_row(record) for record in result.fault_records],
+        "stalls": result.stall_intervals,
+        "tlb": result.tlb_stats,
+        "cluster": result.cluster_stats,
+        "emulation": result.emulation_stats,
+    }
+    text = json.dumps(payload, sort_keys=True, default=float)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 SCHEME_CELLS = [
@@ -64,9 +110,6 @@ SCHEME_CELLS = [
     ("pipelined", 2048),
 ]
 
-#: Adaptive-policy cells: the fault-feed observation sites
-#: (``_page_fault`` / ``_touch_incomplete``) are shared by both engines,
-#: so even a live (non-transparent) predictor must stay bit-identical.
 ADAPTIVE_CELLS = [
     ({"predictor": "static"}, 1024),
     ({"predictor": "stride", "max_depth": 6}, 512),
@@ -75,347 +118,201 @@ ADAPTIVE_CELLS = [
     ({"predictor": "direction", "double_initial": True}, 1024),
 ]
 
+FRACTIONS = [1.0, 0.5, 0.25]
+BACKINGS = ["remote", "disk", "cluster"]
+REPLACEMENTS = ["lru", "fifo", "clock", "random"]
+
+
+def _mixed(fraction: float, **kwargs) -> Callable[[], tuple]:
+    def build():
+        trace = build_mixed_trace()
+        return trace, SimulationConfig(
+            memory_pages=memory_pages_for(trace, fraction), **kwargs
+        )
+
+    return build
+
+
+def _edge(addrs: list[int], writes=None, memory_pages: int = 4):
+    def build():
+        return make_trace(addrs, writes), SimulationConfig(
+            memory_pages=memory_pages
+        )
+
+    return build
+
+
+def _app(app: str, fraction: float):
+    def build():
+        trace = build_app_trace(app)
+        return trace, SimulationConfig(
+            memory_pages=memory_pages_for(trace, fraction),
+            scheme="eager",
+            subpage_bytes=1024,
+        )
+
+    return build
+
+
+def golden_cells() -> dict[str, Callable[[], tuple]]:
+    """Cell id -> a function building its ``(trace, config)``."""
+    cells: dict[str, Callable[[], tuple]] = {}
+    for backing in BACKINGS:
+        for fraction in FRACTIONS:
+            for scheme, subpage in SCHEME_CELLS:
+                cells[f"matrix/{backing}/{fraction}/{scheme}/{subpage}"] = (
+                    _mixed(fraction, scheme=scheme, subpage_bytes=subpage,
+                           backing=backing)
+                )
+    for index, (kwargs, subpage) in enumerate(ADAPTIVE_CELLS):
+        for fraction in (0.5, 0.25):
+            cells[f"adaptive/{fraction}/{index}/{subpage}"] = _mixed(
+                fraction, scheme="adaptive", scheme_kwargs=dict(kwargs),
+                subpage_bytes=subpage,
+            )
+    for fraction in (1.0, 0.25):
+        cells[f"app/gdb/{fraction}"] = _app("gdb", fraction)
+    for replacement in REPLACEMENTS:
+        cells[f"replacement/{replacement}"] = _mixed(
+            0.5, scheme="eager", subpage_bytes=1024,
+            replacement=replacement,
+        )
+    cells["tlb"] = _mixed(
+        0.5, scheme="eager", subpage_bytes=1024, tlb_entries=16
+    )
+    cells["no_congestion"] = _mixed(
+        0.5, scheme="pipelined", subpage_bytes=1024, congestion=False
+    )
+    cells["palcode"] = _mixed(
+        0.5, scheme="eager", subpage_bytes=1024, protection="palcode"
+    )
+    cells["palcode_tlb"] = _mixed(
+        0.25, scheme="pipelined", subpage_bytes=512, protection="palcode",
+        tlb_entries=16,
+    )
+    cells["observe"] = _mixed(
+        0.5, scheme="eager", subpage_bytes=1024, observe="metrics"
+    )
+    cells["adaptive_events_feed"] = _mixed(
+        0.5, scheme="adaptive",
+        scheme_kwargs={"predictor": "stride", "feed": "events"},
+        subpage_bytes=1024,
+    )
+    cells["edge/single_run"] = _edge([page_addr(0)])
+    cells["edge/single_page_hammer"] = _edge(
+        [page_addr(0, off) for off in (0, 4096, 0, 4096)] * 500
+    )
+    cells["edge/trailing_hits"] = _edge(
+        [page_addr(p) for p in range(8)]
+        + [page_addr(p % 8, 64 * (p % 100)) for p in range(3_000)],
+        memory_pages=16,
+    )
+    cells["edge/alternating_writes"] = _edge(
+        [page_addr(p % 4, 512 * (p % 16)) for p in range(2_000)],
+        [bool(i % 3 == 0) for i in range(2_000)],
+        memory_pages=8,
+    )
+    return cells
+
+
+CELLS = golden_cells()
+
+
+@lru_cache(maxsize=1)
+def pinned() -> dict[str, str]:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def run_cell(cell_id: str) -> SimulationResult:
+    trace, config = CELLS[cell_id]()
+    return simulate(trace, config)
+
+
+def assert_pinned(cell_id: str) -> SimulationResult:
+    result = run_cell(cell_id)
+    assert cell_digest(result) == pinned()[cell_id], cell_id
+    return result
+
+
+def test_golden_file_covers_every_cell():
+    assert set(pinned()) == set(CELLS)
+
 
 class TestMatrixEquivalence:
     @pytest.mark.parametrize("scheme,subpage", SCHEME_CELLS)
-    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.25])
-    @pytest.mark.parametrize("backing", ["remote", "disk", "cluster"])
-    def test_cell(self, mixed_trace, scheme, subpage, fraction, backing):
-        ref, fast = both_engines(
-            mixed_trace,
-            memory_pages=memory_pages_for(mixed_trace, fraction),
-            scheme=scheme,
-            subpage_bytes=subpage,
-            backing=backing,
-        )
-        assert ref == fast
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_cell(self, scheme, subpage, fraction, backing):
+        assert_pinned(f"matrix/{backing}/{fraction}/{scheme}/{subpage}")
 
     @pytest.mark.parametrize("kwargs,subpage", ADAPTIVE_CELLS)
     @pytest.mark.parametrize("fraction", [0.5, 0.25])
-    def test_adaptive_cell(self, mixed_trace, kwargs, subpage, fraction):
-        ref, fast = both_engines(
-            mixed_trace,
-            memory_pages=memory_pages_for(mixed_trace, fraction),
-            scheme="adaptive",
-            scheme_kwargs=dict(kwargs),
-            subpage_bytes=subpage,
-        )
-        assert ref == fast
+    def test_adaptive_cell(self, kwargs, subpage, fraction):
+        index = ADAPTIVE_CELLS.index((kwargs, subpage))
+        assert_pinned(f"adaptive/{fraction}/{index}/{subpage}")
 
     @pytest.mark.parametrize("app", ["gdb"])
     def test_real_app_trace(self, app):
         """One full-size synthetic application trace, both memory ends."""
-        trace = build_app_trace(app)
         for fraction in (1.0, 0.25):
-            ref, fast = both_engines(
-                trace,
-                memory_pages=memory_pages_for(trace, fraction),
-                scheme="eager",
-                subpage_bytes=1024,
-            )
-            assert ref == fast
+            assert_pinned(f"app/{app}/{fraction}")
 
 
 class TestSubstrateEquivalence:
-    @pytest.mark.parametrize(
-        "replacement", ["lru", "fifo", "clock", "random"]
-    )
-    def test_replacement_policies(self, mixed_trace, replacement):
-        ref, fast = both_engines(
-            mixed_trace,
-            memory_pages=memory_pages_for(mixed_trace, 0.5),
-            scheme="eager",
-            subpage_bytes=1024,
-            replacement=replacement,
-        )
-        assert ref == fast
+    @pytest.mark.parametrize("replacement", REPLACEMENTS)
+    def test_replacement_policies(self, replacement):
+        assert_pinned(f"replacement/{replacement}")
 
-    def test_tlb(self, mixed_trace):
-        """TLB misses interleave with the clock: forces the per-run
-        walk inside ``advance`` and must still match exactly."""
-        ref, fast = both_engines(
-            mixed_trace,
-            memory_pages=memory_pages_for(mixed_trace, 0.5),
-            scheme="eager",
-            subpage_bytes=1024,
-            tlb_entries=16,
-        )
-        assert ref == fast
+    def test_tlb(self):
+        result = assert_pinned("tlb")
+        assert result.tlb_stats["misses"] > 0
 
-    def test_no_congestion(self, mixed_trace):
-        ref, fast = both_engines(
-            mixed_trace,
-            memory_pages=memory_pages_for(mixed_trace, 0.5),
-            scheme="pipelined",
-            subpage_bytes=1024,
-            congestion=False,
-        )
-        assert ref == fast
+    def test_no_congestion(self):
+        assert_pinned("no_congestion")
+
+
+class TestPerEventHooks:
+    """Configurations that once forced the reference loop."""
+
+    def test_palcode(self):
+        result = assert_pinned("palcode")
+        assert result.emulation_stats["emulated_accesses"] > 0
+
+    def test_palcode_with_tlb(self):
+        assert_pinned("palcode_tlb")
+
+    def test_observe(self):
+        result = assert_pinned("observe")
+        assert result.metrics
+
+    def test_adaptive_events_feed(self):
+        assert_pinned("adaptive_events_feed")
 
 
 class TestEdgeTraces:
     def test_single_run(self):
-        trace = make_trace([page_addr(0)])
-        ref, fast = both_engines(trace, memory_pages=4)
-        assert ref == fast
+        assert_pinned("edge/single_run")
 
     def test_single_page_hammer(self):
-        """One page, many runs: the whole trace after the fault is one
-        bulk span ending at the tail ``advance``."""
-        addrs = [page_addr(0, off) for off in (0, 4096, 0, 4096)] * 500
-        ref, fast = both_engines(make_trace(addrs), memory_pages=4)
-        assert ref == fast
+        assert_pinned("edge/single_page_hammer")
 
     def test_trailing_hits(self):
-        """The last interesting event lands well before the end."""
-        addrs = [page_addr(p) for p in range(8)]
-        addrs += [page_addr(p % 8, 64 * (p % 100)) for p in range(3_000)]
-        ref, fast = both_engines(make_trace(addrs), memory_pages=16)
-        assert ref == fast
+        assert_pinned("edge/trailing_hits")
 
     def test_alternating_writes(self):
-        addrs = [page_addr(p % 4, 512 * (p % 16)) for p in range(2_000)]
-        writes = [bool(i % 3 == 0) for i in range(2_000)]
-        ref, fast = both_engines(
-            make_trace(addrs, writes), memory_pages=8
-        )
-        assert ref == fast
-        assert fast.dirty_evictions == ref.dirty_evictions
+        assert_pinned("edge/alternating_writes")
 
 
-def matrix_configs(trace):
-    """Every (scheme x subpage x memory x backing) cell as one batch."""
-    configs = []
-    for scheme, subpage in SCHEME_CELLS:
-        for fraction in (1.0, 0.5, 0.25):
-            for backing in ("remote", "disk", "cluster"):
-                configs.append(SimulationConfig(
-                    memory_pages=memory_pages_for(trace, fraction),
-                    scheme=scheme,
-                    subpage_bytes=subpage,
-                    backing=backing,
-                    engine="fast",
-                    track_distances=False,
-                ))
-    return configs
+def main(argv: list[str]) -> int:
+    """Print (or with ``--write``, store) every cell's digest."""
+    digests = {cell_id: cell_digest(run_cell(cell_id)) for cell_id in CELLS}
+    text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
+    if "--write" in argv:
+        GOLDEN_PATH.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
-class TestBatchEquivalence:
-    """The cross-cell batched engines against both per-cell engines.
-
-    ``simulate_cells`` runs the whole matrix through the *fused*
-    struct-of-arrays pass (``drive_fused``, one walk of the shared
-    :class:`~repro.sim.batch.TraceScan` heap for all cells at once);
-    every cell must equal the fast *and* reference engines with ``==``
-    — the full :class:`~repro.sim.results.SimulationResult`, its
-    ``summary()`` dict, and its link statistics, to the last float
-    bit.  ``fused=False`` keeps the per-cell ``drive_batch`` loop
-    covered against the same bar.
-    """
-
-    def test_full_matrix_bit_identical(self, mixed_trace):
-        configs = matrix_configs(mixed_trace)
-        assert all(batch_eligible(c) for c in configs)
-        batched = simulate_cells(mixed_trace, configs)
-        assert len(batched) == len(configs)
-        for config, got in zip(configs, batched):
-            fast = simulate(mixed_trace, config)
-            ref = simulate(
-                mixed_trace, config.with_overrides(engine="reference")
-            )
-            assert got == fast == ref
-            assert got.summary() == ref.summary()
-            assert got.link_stats == ref.link_stats
-
-    def test_legacy_batch_path_matches_fused(self, mixed_trace):
-        """The pre-fusion per-cell ``drive_batch`` loop stays alive
-        behind ``fused=False`` and must agree on every matrix cell."""
-        configs = matrix_configs(mixed_trace)
-        fused = simulate_cells(mixed_trace, configs)
-        legacy = simulate_cells(mixed_trace, configs, fused=False)
-        assert fused == legacy
-
-    @pytest.mark.parametrize(
-        "replacement", ["lru", "fifo", "clock", "random"]
-    )
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_replacement_policies(self, mixed_trace, replacement, fused):
-        config = SimulationConfig(
-            memory_pages=memory_pages_for(mixed_trace, 0.5),
-            scheme="eager",
-            subpage_bytes=1024,
-            replacement=replacement,
-            track_distances=False,
-        )
-        (got,) = simulate_cells(mixed_trace, [config], fused=fused)
-        assert got == simulate(
-            mixed_trace, config.with_overrides(engine="reference")
-        )
-
-    def test_replacement_mix_in_one_fused_pass(self, mixed_trace):
-        """All four policy adapters coexist in a single fused walk:
-        LRU/FIFO stamps, clock hands, and random draws of one cell
-        must not perturb any other's."""
-        configs = [
-            SimulationConfig(
-                memory_pages=memory_pages_for(mixed_trace, fraction),
-                scheme="pipelined",
-                subpage_bytes=1024,
-                replacement=replacement,
-                track_distances=False,
-            )
-            for replacement in ("lru", "fifo", "clock", "random")
-            for fraction in (0.5, 0.25)
-        ]
-        batched = simulate_cells(mixed_trace, configs)
-        for config, got in zip(configs, batched):
-            assert got == simulate(mixed_trace, config)
-
-    def test_mixed_eligibility_stays_positional(self, mixed_trace):
-        """Ineligible cells (TLB, adaptive) interleave with batched
-        ones and every result still lands at its config's index."""
-        memory = memory_pages_for(mixed_trace, 0.5)
-        configs = [
-            SimulationConfig(
-                memory_pages=memory, scheme="eager", subpage_bytes=512,
-                track_distances=False,
-            ),
-            SimulationConfig(
-                memory_pages=memory, scheme="adaptive",
-                scheme_kwargs={"predictor": "stride"},
-                subpage_bytes=1024, track_distances=False,
-            ),
-            SimulationConfig(
-                memory_pages=memory, scheme="eager", subpage_bytes=1024,
-                tlb_entries=16, track_distances=False,
-            ),
-            SimulationConfig(
-                memory_pages=memory, scheme="fullpage",
-                subpage_bytes=8192, track_distances=False,
-            ),
-        ]
-        assert [batch_eligible(c) for c in configs] == [
-            True, False, False, True
-        ]
-        batched = simulate_cells(mixed_trace, configs)
-        for config, got in zip(configs, batched):
-            assert got == simulate(mixed_trace, config)
-
-    def test_edge_traces(self):
-        for addrs in (
-            [page_addr(0)],
-            [page_addr(0, off) for off in (0, 4096, 0, 4096)] * 500,
-            [page_addr(p) for p in range(8)]
-            + [page_addr(p % 8, 64 * (p % 100)) for p in range(3_000)],
-        ):
-            trace = make_trace(addrs)
-            config = SimulationConfig(
-                memory_pages=4, track_distances=False
-            )
-            (got,) = simulate_cells(trace, [config])
-            assert got == simulate(
-                trace, config.with_overrides(engine="reference")
-            )
-
-    def test_thrash_bailout_matches(self, mixed_trace):
-        """Lazy at tiny memory never completes pages: the batched
-        drive must take the same reference bail-out as drive_fast."""
-        config = SimulationConfig(
-            memory_pages=memory_pages_for(mixed_trace, 0.25),
-            scheme="lazy",
-            subpage_bytes=512,
-            track_distances=False,
-        )
-        (got,) = simulate_cells(mixed_trace, [config])
-        assert got == simulate(mixed_trace, config)
-        assert got == simulate(
-            mixed_trace, config.with_overrides(engine="reference")
-        )
-
-
-class TestFallback:
-    """Configs demanding per-event hooks must bypass the fast engine."""
-
-    def _poison(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("fast engine used despite fallback")
-
-        monkeypatch.setattr("repro.sim.simulator.drive_fast", boom)
-
-    def test_track_distances_falls_back(self, mixed_trace, monkeypatch):
-        self._poison(monkeypatch)
-        cfg = SimulationConfig(
-            memory_pages=32, engine="fast", track_distances=True
-        )
-        simulate(mixed_trace, cfg)
-
-    def test_palcode_falls_back(self, mixed_trace, monkeypatch):
-        self._poison(monkeypatch)
-        cfg = SimulationConfig(
-            memory_pages=32,
-            engine="fast",
-            protection="palcode",
-            track_distances=False,
-        )
-        simulate(mixed_trace, cfg)
-
-    def test_observe_falls_back(self, mixed_trace, monkeypatch):
-        self._poison(monkeypatch)
-        cfg = SimulationConfig(
-            memory_pages=32,
-            engine="fast",
-            observe="metrics",
-            track_distances=False,
-        )
-        simulate(mixed_trace, cfg)
-
-    def test_instrument_falls_back(self, mixed_trace, monkeypatch):
-        from repro.obs.instrument import Instrument
-
-        self._poison(monkeypatch)
-        cfg = SimulationConfig(
-            memory_pages=32, engine="fast", track_distances=False
-        )
-        Simulator(cfg, instrument=Instrument()).run(mixed_trace)
-
-    def test_adaptive_events_feed_falls_back(
-        self, mixed_trace, monkeypatch
-    ):
-        """The ``"events"`` feed demands per-reference-run hits, which
-        only the reference loop visits."""
-        self._poison(monkeypatch)
-        cfg = SimulationConfig(
-            memory_pages=32,
-            engine="fast",
-            scheme="adaptive",
-            scheme_kwargs={"predictor": "stride", "feed": "events"},
-            track_distances=False,
-        )
-        simulate(mixed_trace, cfg)
-
-    def test_adaptive_fault_feed_uses_fast_engine(
-        self, mixed_trace, monkeypatch
-    ):
-        """The default ``"faults"`` feed must NOT force the fallback."""
-        self._poison(monkeypatch)
-        cfg = SimulationConfig(
-            memory_pages=32,
-            engine="fast",
-            scheme="adaptive",
-            scheme_kwargs={"predictor": "stride"},
-            track_distances=False,
-        )
-        with pytest.raises(AssertionError, match="fast engine used"):
-            simulate(mixed_trace, cfg)
-
-    def test_fast_path_taken_when_unobstructed(
-        self, mixed_trace, monkeypatch
-    ):
-        """Sanity for the poison technique: the default-engine config
-        with hooks disabled really does enter ``drive_fast``."""
-        self._poison(monkeypatch)
-        cfg = SimulationConfig(
-            memory_pages=32, engine="fast", track_distances=False
-        )
-        with pytest.raises(AssertionError, match="fast engine used"):
-            simulate(mixed_trace, cfg)
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

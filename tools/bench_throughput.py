@@ -1,53 +1,30 @@
 #!/usr/bin/env python3
-"""Engine + dispatch throughput gates, recording BENCH_throughput.json.
+"""Dispatch and adaptive-policy gates, recording BENCH_throughput.json.
 
 Two measurements, one trajectory file:
 
-* Engine: runs the hit-dominated benchmark workload (the same
-  construction as ``benchmarks/bench_simulator_throughput.py``'s
-  ``hit_trace`` fixture) through the fast and reference engines and
-  gates on the fast engine's speedup.
 * Dispatch: runs a 24-cell sweep over one shared trace through
   ``run_cells`` twice — the shared-memory arena path (persistent
   ``WorkerPool``, trace published once) and the legacy per-cell-pickle
   path (``REPRO_SHM=0``, transient pool) — and gates on the reduction
   in per-cell dispatch overhead (wall time beyond the ideal parallel
   compute time).
-* Batch: runs a Figure-9-style 24-cell grid (scheme x subpage size x
-  memory size, one shared trace) through the per-cell batched engine
-  (``simulate_cells(..., fused=False)``, the pre-fusion ``drive_batch``
-  loop) and through per-cell fast-engine dispatch, verifies the results
-  are identical, and gates on the batch path's wall-clock reduction.
-* Fused: runs the same grid through the fused struct-of-arrays pass
-  (``simulate_cells`` default: one ``drive_fused`` walk advancing all
-  cells together), verifies bit-identity against both other paths, and
-  gates on its speedup over the per-cell batch loop.  ``--profile``
-  additionally reports the per-stage split (scan build, bulk kernel
-  time, scalar fault-path time, active kernel tier, bail-outs).
 * Adaptive policy: times the transparent ``"adaptive"`` meta-scheme
   (static predictor — bit-identical plans, but every fault-path event
   flows through the per-page access history) against plain pipelining
-  on the same hit-dominated cell and gates its overhead at 5%, the
-  obs-layer guard's bar.  The scoreboard arm (static +
-  ``switch_schemes``, accounting live, schedule still identical) is
-  recorded for the trajectory only.
+  on a hit-dominated cell and gates its overhead at 5%, the obs-layer
+  guard's bar.  The scoreboard arm (static + ``switch_schemes``,
+  accounting live, schedule still identical) is recorded for the
+  trajectory only.
 
 Appends one entry to the ``BENCH_throughput.json`` perf trajectory at
 the repo root and exits non-zero if either gate fails.
 
-The engine CI gate (2x) is deliberately looser than the benchmark
-suite's assertion (3x): shared CI runners are noisy, and the job should
-catch "the fast path stopped being fast" regressions, not flake on
-scheduler jitter.  The dispatch gate (3x) compares two overheads
-measured back-to-back on the same machine, so it tolerates absolute
-noise by construction.
+The dispatch gate (3x) compares two overheads measured back-to-back on
+the same machine, so it tolerates absolute noise by construction.
 
-Usage:  python tools/bench_throughput.py [--min-speedup 2.0]
-                                         [--min-dispatch-speedup 3.0]
-                                         [--min-batch-speedup 3.0]
-                                         [--min-fused-speedup 1.5]
+Usage:  python tools/bench_throughput.py [--min-dispatch-speedup 3.0]
                                          [--max-policy-overhead 0.05]
-                                         [--profile]
                                          [--out BENCH_throughput.json]
 """
 
@@ -66,13 +43,7 @@ sys.path.insert(0, "src")
 
 import numpy as np
 
-from repro.sim.batch import (
-    _SCAN_KEY,
-    FusedProfile,
-    simulate_cells,
-    trace_scan,
-)
-from repro.sim.config import SimulationConfig, memory_pages_for
+from repro.sim.config import SimulationConfig
 from repro.sim.parallel import SweepJob, WorkerPool, run_cells
 from repro.sim.simulator import simulate
 from repro.trace.compress import compress_references
@@ -89,19 +60,10 @@ DISPATCH_ROUNDS = 3
 #: when the arena path's overhead disappears into timer noise.
 OVERHEAD_FLOOR_MS = 1.0
 
-#: (label, scheme, subpage_bytes) cells timed on both engines.  The
-#: fullpage cell is the gated one — after the fault the page is complete,
-#: so the trace is pure bulk spans; the eager cell also exercises
-#: subpage stalls and is reported for the trajectory only.
-CELLS = [
-    ("fullpage_8192", "fullpage", 8192),
-    ("eager_1024", "eager", 1024),
-]
-GATED_CELL = "fullpage_8192"
-
 
 def hit_trace():
-    """Hit-dominated workload; keep in sync with the bench fixture."""
+    """Hit-dominated workload; keep in sync with the fixture in
+    ``benchmarks/bench_abl_adaptive_policy.py``."""
     rng = np.random.default_rng(7)
     visits = rng.integers(0, 400, size=60_000)
     starts = rng.integers(0, 112, size=60_000)
@@ -111,34 +73,6 @@ def hit_trace():
         np.arange(4, dtype=np.int64) * 8, addrs.size
     )
     return compress_references(refs, name="hitstream")
-
-
-def best_of(trace, config, rounds=ROUNDS):
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        simulate(trace, config)
-        times.append(time.perf_counter() - started)
-    return min(times)
-
-
-def time_cell(trace, scheme, subpage):
-    timings = {}
-    for engine in ("fast", "reference"):
-        config = SimulationConfig(
-            memory_pages=512,
-            scheme=scheme,
-            subpage_bytes=subpage,
-            engine=engine,
-            track_distances=False,
-            record_faults=False,
-        )
-        timings[engine] = best_of(trace, config)
-    return {
-        "fast_ms": round(timings["fast"] * 1e3, 3),
-        "reference_ms": round(timings["reference"] * 1e3, 3),
-        "speedup": round(timings["reference"] / timings["fast"], 3),
-    }
 
 
 def time_policy_overhead(trace):
@@ -159,7 +93,6 @@ def time_policy_overhead(trace):
             scheme=scheme,
             scheme_kwargs=kwargs,
             subpage_bytes=1024,
-            engine="fast",
             track_distances=False,
             record_faults=False,
         )
@@ -197,139 +130,6 @@ def time_policy_overhead(trace):
     }
 
 
-#: Batch measurement shape: scheme x subpage x memory-fraction grid
-#: over one shared trace, best-of-this-many rounds per path.
-BATCH_SCHEMES = ("fullpage", "eager", "pipelined")
-BATCH_SUBPAGES = (512, 1024, 2048, 4096)
-BATCH_FRACTIONS = (1.0, 0.9)
-BATCH_ROUNDS = 5
-
-
-def batch_trace():
-    """A switch-dense, phase-shifting workload for the batch grid.
-
-    Every run switches pages (consecutive same-page references fold
-    into one run, so a repeat is bumped to the phase's next page),
-    which maximizes the per-span dedup work the shared scan hoists;
-    eight drifting phases keep a slow fault/eviction trickle alive so
-    no cell degenerates to a single bulk span.  The ``lazy`` scheme is
-    deliberately absent from the grid: single-block runs never complete
-    its pages, so lazy cells thrash into the scalar reference loop and
-    would measure that loop, not the engines under comparison.
-    """
-    rng = np.random.default_rng(7)
-    runs = 400_000
-    phases = 8
-    per_phase = runs // phases
-    parts = []
-    for phase in range(phases):
-        base = phase * 2
-        pages = base + rng.integers(0, 48, size=per_phase)
-        same = np.flatnonzero(pages[1:] == pages[:-1]) + 1
-        pages[same] = base + (pages[same] - base + 1) % 48
-        parts.append(pages)
-    pages = np.concatenate(parts)
-    writes = rng.random(runs) < 0.2
-    return compress_references(pages * 8192, writes, name="batchstream")
-
-
-def batch_grid(trace):
-    return [
-        SimulationConfig(
-            memory_pages=memory_pages_for(trace, fraction),
-            scheme=scheme,
-            subpage_bytes=subpage,
-            engine="fast",
-            track_distances=False,
-            event_ns=1000.0,
-        )
-        for scheme in BATCH_SCHEMES
-        for subpage in BATCH_SUBPAGES
-        for fraction in BATCH_FRACTIONS
-    ]
-
-
-def time_batch(trace):
-    """Batched engines vs per-cell fast dispatch, same grid.
-
-    Three arms: per-cell ``simulate``, the per-cell batch loop
-    (``fused=False``, PR 6's ``drive_batch``), and the fused
-    struct-of-arrays pass (the ``simulate_cells`` default).  The
-    warm-up pass doubles as the equivalence check: all three must be
-    exactly equal, or the measurement is comparing different
-    computations.
-    """
-    from repro.sim.kernels import kernel_name
-
-    configs = batch_grid(trace)
-    per_cell = [simulate(trace, config) for config in configs]
-    legacy = simulate_cells(trace, configs, fused=False)
-    fused = simulate_cells(trace, configs)
-    if legacy != per_cell:
-        raise AssertionError("batched results diverge from per-cell")
-    if fused != per_cell:
-        raise AssertionError("fused results diverge from per-cell")
-
-    per_cell_s = float("inf")
-    batch_s = float("inf")
-    fused_s = float("inf")
-    for _ in range(BATCH_ROUNDS):
-        started = time.perf_counter()
-        for config in configs:
-            simulate(trace, config)
-        per_cell_s = min(per_cell_s, time.perf_counter() - started)
-        started = time.perf_counter()
-        simulate_cells(trace, configs, fused=False)
-        batch_s = min(batch_s, time.perf_counter() - started)
-        started = time.perf_counter()
-        simulate_cells(trace, configs)
-        fused_s = min(fused_s, time.perf_counter() - started)
-    batch = {
-        "cells": len(configs),
-        "rounds": BATCH_ROUNDS,
-        "batch_per_cell_wall_ms": round(per_cell_s * 1e3, 1),
-        "batch_wall_ms": round(batch_s * 1e3, 1),
-        "batch_speedup": round(per_cell_s / batch_s, 3),
-    }
-    fused_entry = {
-        "cells": len(configs),
-        "rounds": BATCH_ROUNDS,
-        "legacy_batch_wall_ms": round(batch_s * 1e3, 1),
-        "fused_wall_ms": round(fused_s * 1e3, 1),
-        "fused_speedup": round(batch_s / fused_s, 3),
-        "kernel": kernel_name(),
-    }
-    return batch, fused_entry
-
-
-def profile_fused(trace):
-    """One profiled fused pass over the grid, per-stage split."""
-    from repro.sim.batch import simulate_cells_timed
-
-    configs = batch_grid(trace)
-    cols = trace.columns(BATCH_SUBPAGES[0])
-    trace._cols.pop(_SCAN_KEY, None)
-    started = time.perf_counter()
-    trace_scan(trace, cols)
-    scan_s = time.perf_counter() - started
-
-    profile = FusedProfile()
-    simulate_cells_timed(trace, configs, profile=profile)
-    total_s = scan_s + profile.bulk_s + profile.scalar_s
-    print(
-        f"profile         scan build {scan_s * 1e3:8.1f} ms   "
-        f"bulk {profile.bulk_s * 1e3:8.1f} ms   "
-        f"scalar {profile.scalar_s * 1e3:8.1f} ms   "
-        f"(scalar share {profile.scalar_s / total_s:.0%})"
-    )
-    print(
-        f"                kernel {profile.kernel}   "
-        f"{profile.cells} cells   {profile.events} heap events   "
-        f"{profile.scalar_events} scalar events   "
-        f"{profile.spans} spans   {len(profile.bailed)} bailed"
-    )
-
-
 def sweep_trace():
     """A multi-megabyte, hit-dominated trace.
 
@@ -352,7 +152,6 @@ def sweep_jobs(trace):
         memory_pages=64,
         scheme="fullpage",
         subpage_bytes=8192,
-        engine="fast",
         track_distances=False,
         record_faults=False,
         event_ns=1000.0,
@@ -427,30 +226,12 @@ def time_dispatch(trace):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--min-dispatch-speedup", type=float, default=3.0)
-    parser.add_argument("--min-batch-speedup", type=float, default=3.0)
-    parser.add_argument("--min-fused-speedup", type=float, default=1.5)
     parser.add_argument("--max-policy-overhead", type=float, default=0.05)
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="report the fused pass's per-stage timing split",
-    )
     parser.add_argument(
         "--out", type=Path, default=Path("BENCH_throughput.json")
     )
     args = parser.parse_args()
-
-    trace = hit_trace()
-    cells = {
-        label: time_cell(trace, scheme, subpage)
-        for label, scheme, subpage in CELLS
-    }
-    for label, cell in cells.items():
-        print(
-            f"{label:15s} reference {cell['reference_ms']:8.1f} ms   "
-            f"fast {cell['fast_ms']:8.1f} ms   {cell['speedup']:.2f}x"
-        )
 
     dispatch = time_dispatch(sweep_trace())
     print(
@@ -459,21 +240,7 @@ def main() -> int:
         f"ms/cell   {dispatch['dispatch_speedup']:.2f}x"
     )
 
-    grid_trace = batch_trace()
-    batch, fused = time_batch(grid_trace)
-    print(
-        f"batch           per-cell {batch['batch_per_cell_wall_ms']:8.1f} "
-        f"ms   batched {batch['batch_wall_ms']:8.1f} ms   "
-        f"{batch['batch_speedup']:.2f}x"
-    )
-    print(
-        f"fused           batched {fused['legacy_batch_wall_ms']:8.1f} "
-        f"ms   fused {fused['fused_wall_ms']:8.1f} ms   "
-        f"{fused['fused_speedup']:.2f}x  ({fused['kernel']} kernel)"
-    )
-    if args.profile:
-        profile_fused(grid_trace)
-
+    trace = hit_trace()
     policy = time_policy_overhead(trace)
     print(
         f"adaptive        history "
@@ -491,10 +258,7 @@ def main() -> int:
         "rounds": ROUNDS,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "cells": cells,
         "dispatch": dispatch,
-        "batch": batch,
-        "fused": fused,
         "adaptive_policy": policy,
     }
     history = []
@@ -505,16 +269,6 @@ def main() -> int:
     print(f"appended entry {len(history)} to {args.out}")
 
     failed = False
-    gated = cells[GATED_CELL]["speedup"]
-    if gated < args.min_speedup:
-        print(
-            f"FAIL: {GATED_CELL} speedup {gated:.2f}x is below the "
-            f"{args.min_speedup:.1f}x gate"
-        )
-        failed = True
-    else:
-        print(f"OK: {GATED_CELL} speedup {gated:.2f}x >= "
-              f"{args.min_speedup:.1f}x")
     dispatch_speedup = dispatch["dispatch_speedup"]
     if dispatch_speedup < args.min_dispatch_speedup:
         print(
@@ -526,30 +280,6 @@ def main() -> int:
         print(
             f"OK: dispatch-overhead reduction {dispatch_speedup:.2f}x "
             f">= {args.min_dispatch_speedup:.1f}x"
-        )
-    batch_speedup = batch["batch_speedup"]
-    if batch_speedup < args.min_batch_speedup:
-        print(
-            f"FAIL: batched-engine speedup {batch_speedup:.2f}x is "
-            f"below the {args.min_batch_speedup:.1f}x gate"
-        )
-        failed = True
-    else:
-        print(
-            f"OK: batched-engine speedup {batch_speedup:.2f}x >= "
-            f"{args.min_batch_speedup:.1f}x"
-        )
-    fused_speedup = fused["fused_speedup"]
-    if fused_speedup < args.min_fused_speedup:
-        print(
-            f"FAIL: fused-engine speedup {fused_speedup:.2f}x is "
-            f"below the {args.min_fused_speedup:.1f}x gate"
-        )
-        failed = True
-    else:
-        print(
-            f"OK: fused-engine speedup {fused_speedup:.2f}x >= "
-            f"{args.min_fused_speedup:.1f}x"
         )
     policy_overhead = policy["history_tracking_overhead"]
     if policy_overhead >= args.max_policy_overhead:

@@ -29,10 +29,6 @@ MODULES = [
     "repro.policy.adaptive",
     "repro.sim.config",
     "repro.sim.simulator",
-    "repro.sim.engine",
-    "repro.sim.batch",
-    "repro.sim.kernels",
-    "repro.sim.soa",
     "repro.sim.results",
     "repro.sim.replacement",
     "repro.sim.tlb",

@@ -7,8 +7,8 @@ Exercises the acceptance path end to end on the bundled lackey fixture:
    be byte-identical and match the pinned value (conversion stability
    across commits);
 2. share one ingest-cache entry between the two copies;
-3. run a small sweep over the ingested trace through
-   ``run_cells(batch=True)`` with a ``ResultCache``;
+3. run a small sweep over the ingested trace through ``run_cells``
+   with a ``ResultCache``;
 4. rerun it — every cell must be served from the result cache with
    identical numbers.
 
@@ -95,10 +95,10 @@ def main() -> None:
         events = []
         results = run_cells(
             sweep_jobs(trace), workers=1, cache=result_cache,
-            progress=events.append, batch=True,
+            progress=events.append,
         )
-        if sorted(e.status for e in events) != ["batched"] * 3:
-            fail(f"expected 3 batched cells, got "
+        if sorted(e.status for e in events) != ["done"] * 3:
+            fail(f"expected 3 computed cells, got "
                  f"{[e.status for e in events]}")
         for key, result in results.items():
             print(f"  {key}: total {result.total_ms:.2f} ms, "
@@ -107,7 +107,7 @@ def main() -> None:
         rerun_events = []
         rerun = run_cells(
             sweep_jobs(trace), workers=1, cache=result_cache,
-            progress=rerun_events.append, batch=True,
+            progress=rerun_events.append,
         )
         if sorted(e.status for e in rerun_events) != ["cached"] * 3:
             fail(f"rerun not served from cache: "

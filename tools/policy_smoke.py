@@ -5,7 +5,7 @@ The ``"adaptive"`` meta-scheme's regression anchor: with the static
 (±1 neighbor) predictor and no scheme switching it must reproduce plain
 :class:`~repro.core.schemes.SubpagePipelining` **bit for bit** — equal
 :class:`~repro.sim.results.SimulationResult` dataclasses, down to every
-float, on both engines.  This script checks that on a small
+float.  This script checks that on a small
 deterministic trace across a subpage-size x memory grid and exits
 non-zero on the first mismatch.
 
@@ -32,7 +32,6 @@ from repro.trace.compress import compress_references
 
 SUBPAGE_SIZES = (512, 1024, 2048)
 MEMORY_FRACTIONS = (1.0, 0.5, 0.25)
-ENGINES = ("fast", "reference")
 
 
 def smoke_trace():
@@ -64,40 +63,36 @@ def main(argv: list[str] | None = None) -> int:
     trace = smoke_trace()
     failures = 0
     cells = 0
-    for engine in ENGINES:
-        for subpage in SUBPAGE_SIZES:
-            for fraction in MEMORY_FRACTIONS:
-                base = dict(
-                    memory_pages=memory_pages_for(trace, fraction),
-                    subpage_bytes=subpage,
-                    engine=engine,
-                    track_distances=False,
-                )
-                pipelined = simulate(
-                    trace, SimulationConfig(scheme="pipelined", **base)
-                )
-                adaptive = simulate(
-                    trace,
-                    SimulationConfig(
-                        scheme="adaptive",
-                        scheme_kwargs={"predictor": "static"},
-                        **base,
-                    ),
-                )
-                cells += 1
-                label = (
-                    f"{engine}/sp{subpage}/mem{fraction:g}"
-                )
-                if pipelined == adaptive:
-                    if args.verbose:
-                        print(f"OK   {label}  "
-                              f"total {pipelined.total_ms:.3f} ms")
-                    continue
-                failures += 1
-                print(
-                    f"FAIL {label}: adaptive(static) != pipelined; "
-                    f"differing fields: {diff_fields(pipelined, adaptive)}"
-                )
+    for subpage in SUBPAGE_SIZES:
+        for fraction in MEMORY_FRACTIONS:
+            base = dict(
+                memory_pages=memory_pages_for(trace, fraction),
+                subpage_bytes=subpage,
+                track_distances=False,
+            )
+            pipelined = simulate(
+                trace, SimulationConfig(scheme="pipelined", **base)
+            )
+            adaptive = simulate(
+                trace,
+                SimulationConfig(
+                    scheme="adaptive",
+                    scheme_kwargs={"predictor": "static"},
+                    **base,
+                ),
+            )
+            cells += 1
+            label = f"sp{subpage}/mem{fraction:g}"
+            if pipelined == adaptive:
+                if args.verbose:
+                    print(f"OK   {label}  "
+                          f"total {pipelined.total_ms:.3f} ms")
+                continue
+            failures += 1
+            print(
+                f"FAIL {label}: adaptive(static) != pipelined; "
+                f"differing fields: {diff_fields(pipelined, adaptive)}"
+            )
 
     if failures:
         print(f"{failures}/{cells} cells diverged — the adaptive layer "
