@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table, percent
 from repro.experiments import common
 from repro.sim.config import SimulationConfig, memory_pages_for
-from repro.sim.parallel import SweepJob, TraceRef, run_cells
+from repro.sim.parallel import SweepJob, run_cells
 from repro.trace.synth.apps import classic_app_names
 
 SUBPAGE_BYTES = 1024
@@ -98,7 +98,7 @@ def run() -> FigAXResult:
             ):
                 jobs.append(SweepJob(
                     key=(app, memory, arm),
-                    trace=TraceRef(app, seed=common.TRACE_SEED),
+                    trace=trace,
                     config=_config(pages, kwargs),
                 ))
     results = run_cells(

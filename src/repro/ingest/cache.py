@@ -11,34 +11,27 @@ the same content-keying discipline as
 one stream share a single cache entry and any change to the input or
 the options misses automatically.
 
-The cache follows the never-fail rules of the result cache: writes are
-atomic (``os.replace`` of a per-PID temp file), a put that cannot
+The cache never fails a conversion, under the one contract every cache
+shares (:mod:`repro.atomicfile`): writes are atomic, a put that cannot
 complete is counted on ``puts_failed`` and never raises, unreadable
-entries read as misses, and temp files stranded by crashed writers are
-reaped on construction.
+entries are counted misses, and temp files stranded by crashed writers
+are reaped on construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
 from pathlib import Path
 
+from repro import atomicfile
 from repro.trace.compress import RunTrace
-from repro.trace.encode import TraceFormatError, load_trace, save_trace
+from repro.trace.encode import load_trace, save_trace
 
 __all__ = ["INGEST_VERSION", "IngestCache", "ingest_key"]
 
 #: Bump when the conversion semantics change (what a reader emits for a
 #: given input, run-compression rules, ...) to invalidate old entries.
 INGEST_VERSION = 1
-
-#: Temp files older than this are reaped regardless of writer PID.
-STALE_TMP_AGE_S = 3600.0
-
-#: Failures a put absorbs instead of raising.
-PUT_FAILURES = (OSError, ValueError)
 
 
 def ingest_key(
@@ -83,31 +76,7 @@ class IngestCache:
         self.hits = 0
         self.misses = 0
         self.puts_failed = 0
-        self._reap_stale_tmp()
-
-    def _reap_stale_tmp(self) -> None:
-        """Remove aged ``*.tmp.<pid>`` strandings of crashed writers."""
-        if not self.root.is_dir():
-            return
-        try:
-            candidates = list(self.root.glob("*/*.tmp.*.npz"))
-        except OSError:
-            return
-        now = time.time()
-        for tmp in candidates:
-            try:
-                int(tmp.name.split(".")[-2])
-            except (IndexError, ValueError):
-                continue
-            try:
-                if now - tmp.stat().st_mtime < STALE_TMP_AGE_S:
-                    continue
-            except OSError:
-                continue
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+        atomicfile.reap_stale_tmp(self.root)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.npz"
@@ -115,15 +84,11 @@ class IngestCache:
     def get(self, key: str) -> RunTrace | None:
         """The cached trace for ``key``, or ``None`` on a miss."""
         path = self._path(key)
-        if not path.exists():
+        trace = atomicfile.read_entry(lambda: load_trace(path), RunTrace)
+        if trace is None:
             self.misses += 1
-            return None
-        try:
-            trace = load_trace(path)
-        except (OSError, TraceFormatError, ValueError, KeyError):
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return trace
 
     def put(self, key: str, trace: RunTrace) -> bool:
@@ -133,19 +98,10 @@ class IngestCache:
         could not complete — a full disk must cost a cache entry, not
         the conversion.
         """
-        path = self._path(key)
-        # ``save_trace`` insists on a ``.npz`` suffix, so the PID marker
-        # sits inside the name: <key>.tmp.<pid>.npz.
-        tmp = path.with_name(f"{key}.tmp.{os.getpid()}.npz")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_trace(trace, tmp)
-            os.replace(tmp, path)
-        except PUT_FAILURES:
-            self.puts_failed += 1
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        return True
+        # ``save_trace`` insists on a ``.npz`` suffix, temp file too.
+        if atomicfile.write_atomic(
+            self._path(key), lambda tmp: save_trace(trace, tmp), ".npz"
+        ):
+            return True
+        self.puts_failed += 1
+        return False

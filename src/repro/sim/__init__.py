@@ -15,7 +15,6 @@ from repro.sim.parallel import (
     ExecutionOptions,
     ResultCache,
     SweepJob,
-    TraceRef,
     WorkerPool,
     run_cells,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "TlbModel",
     "TlbStats",
     "TraceHandle",
-    "TraceRef",
     "WorkerPool",
     "make_policy",
     "memory_pages_for",

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro import atomicfile
 from repro.envknobs import env_int, env_str
 from repro.errors import ConfigError
 from repro.sim import shm
@@ -88,53 +89,9 @@ ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 #: every pre-v5 key is unreachable by construction.
 CACHE_VERSION = 5
 
-#: A ``*.tmp.<pid>`` file older than this is reaped regardless of
-#: whether its PID is alive: writers hold temp files for milliseconds,
-#: and a dead writer's PID can be recycled by an unrelated live
-#: process, so liveness alone would strand the file forever.
-STALE_TMP_AGE_S = 3600.0
-
-#: Exceptions a cache/store ``put`` swallows (counting ``puts_failed``)
-#: instead of failing the sweep.  I/O failures (``OSError``: disk full,
-#: read-only root) and serialization failures (``pickle.PicklingError``
-#: and the ``TypeError``/``AttributeError``/``ValueError`` pickle also
-#: raises for unpicklable objects, plus ``RecursionError`` and
-#: ``MemoryError`` on pathological payloads) all land here: the
-#: never-fail contract is about the *sweep*, not the entry.
-PUT_FAILURES = (
-    OSError,
-    pickle.PickleError,
-    TypeError,
-    AttributeError,
-    ValueError,
-    RecursionError,
-    MemoryError,
-)
-
-
-@dataclass(frozen=True, slots=True)
-class TraceRef:
-    """A by-name reference to a deterministic synthetic app trace.
-
-    Jobs carrying a ``TraceRef`` instead of a materialized
-    :class:`RunTrace` pickle in a few bytes; each worker rebuilds the
-    trace locally (generation is deterministic per seed, so results are
-    unchanged).
-    """
-
-    app: str
-    seed: int = 0
-    scale: float | None = None
-
-    def materialize(self) -> RunTrace:
-        from repro.trace.synth.apps import build_app_trace
-
-        return build_app_trace(self.app, seed=self.seed, scale=self.scale)
-
-
 @dataclass(frozen=True, slots=True)
 class SweepJob:
-    """One sweep cell: a trace (or reference/handle) plus a configuration.
+    """One sweep cell: a trace (or handle) plus a configuration.
 
     ``key`` identifies the cell in :func:`run_cells`'s result mapping and
     in progress events; it must be unique within a batch and hashable.
@@ -143,7 +100,7 @@ class SweepJob:
     """
 
     key: Any
-    trace: RunTrace | TraceRef | TraceHandle
+    trace: RunTrace | TraceHandle
     config: SimulationConfig
 
 
@@ -202,18 +159,14 @@ def default_cache() -> "ResultCache | None":
 # -- content fingerprints ---------------------------------------------------
 
 
-def trace_fingerprint(trace: RunTrace | TraceRef | TraceHandle) -> str:
-    """A stable content fingerprint for a trace, reference, or handle.
+def trace_fingerprint(trace: RunTrace | TraceHandle) -> str:
+    """A stable content fingerprint for a trace or handle.
 
-    References fingerprint by name/seed/scale (generation is
-    deterministic); materialized traces hash their run arrays and
-    granularities (cached on the trace — see
-    :meth:`RunTrace.fingerprint`); handles carry the fingerprint of the
-    trace they were published from, so a cell keys the same whether it
-    ships arrays or a handle.
+    Materialized traces hash their run arrays and granularities (cached
+    on the trace — see :meth:`RunTrace.fingerprint`); handles carry the
+    fingerprint of the trace they were published from, so a cell keys
+    the same whether it ships arrays or a handle.
     """
-    if isinstance(trace, TraceRef):
-        return f"ref:{trace.app}:{trace.seed}:{trace.scale}"
     if isinstance(trace, TraceHandle):
         return trace.fingerprint
     return trace.fingerprint()
@@ -287,7 +240,7 @@ def config_fingerprint(config: SimulationConfig) -> str | None:
 
 
 def cell_cache_parts(
-    trace: RunTrace | TraceRef | TraceHandle, config: SimulationConfig
+    trace: RunTrace | TraceHandle, config: SimulationConfig
 ) -> "tuple[str, str, str] | None":
     """``(key, trace_fingerprint, config_fingerprint)`` for one cell.
 
@@ -304,7 +257,7 @@ def cell_cache_parts(
 
 
 def cell_cache_key(
-    trace: RunTrace | TraceRef | TraceHandle, config: SimulationConfig
+    trace: RunTrace | TraceHandle, config: SimulationConfig
 ) -> str | None:
     """Content key for one cell, or ``None`` when uncacheable."""
     parts = cell_cache_parts(trace, config)
@@ -320,19 +273,14 @@ class ResultCache:
     Entries live under ``root/<key[:2]>/<key>.pkl``.  Keys hash the full
     cell content (see :func:`cell_cache_key`), so invalidation is
     automatic on any trace or config change; delete the directory to
-    clear it wholesale.  Unreadable entries are treated as misses.
+    clear it wholesale.
 
-    Writes are atomic (``os.replace`` of a per-PID temp file) and never
-    fail a sweep: a put that cannot complete — whether the *write*
-    failed (disk full, read-only cache dir) or the *serialization* did
-    (an unpicklable payload, a ``RecursionError`` or ``MemoryError``
-    deep inside ``pickle``) — is counted on ``puts_failed``, leaves no
-    temp file behind, and is surfaced to the progress stream as a
-    ``"cache-error"`` :class:`CellEvent`.  Temp files a crashed writer
-    left behind (``kill -9`` mid-write) are reaped on construction once
-    their writing PID is dead, or unconditionally once they are older
-    than :data:`STALE_TMP_AGE_S` — a PID number can be recycled by an
-    unrelated live process, which must not strand the file forever.
+    The cache never fails a sweep (:mod:`repro.atomicfile`): writes are
+    atomic, an unreadable entry is a counted miss, a put that cannot
+    complete — a failed write or a failed serialization — is counted on
+    ``puts_failed`` and surfaced to the progress stream as a
+    ``"cache-error"`` :class:`CellEvent`, and temp files stranded by
+    crashed writers are reaped on construction.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -340,43 +288,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.puts_failed = 0
-        self._reap_stale_tmp()
-
-    def _reap_stale_tmp(self) -> None:
-        """Remove ``*.tmp.<pid>`` strandings of dead writer processes.
-
-        A temp file lives for the milliseconds one ``pickle.dump`` +
-        ``os.replace`` takes, so anything older than
-        :data:`STALE_TMP_AGE_S` is stranded whatever its PID says —
-        PID liveness alone keeps a file forever when the dead writer's
-        PID has been recycled by an unrelated live process.
-        """
-        if not self.root.is_dir():
-            return
-        try:
-            candidates = list(self.root.glob("*/*.tmp.*"))
-        except OSError:
-            return
-        now = time.time()
-        for tmp in candidates:
-            try:
-                pid = int(tmp.name.rsplit(".", 1)[-1])
-            except ValueError:
-                continue
-            try:
-                fresh = now - tmp.stat().st_mtime < STALE_TMP_AGE_S
-            except OSError:
-                continue
-            if fresh:
-                try:
-                    if pid == os.getpid() or shm._pid_alive(pid):
-                        continue
-                except OverflowError:
-                    continue
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+        atomicfile.reap_stale_tmp(self.root)
 
     def key_for(self, job: SweepJob) -> str | None:
         return cell_cache_key(job.trace, job.config)
@@ -386,42 +298,25 @@ class ResultCache:
 
     def get(self, key: str) -> SimulationResult | None:
         path = self._path(key)
-        try:
-            with path.open("rb") as fh:
-                result = pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ImportError, IndexError):
+        result = atomicfile.read_entry(
+            lambda: atomicfile.decode(path.read_bytes()), SimulationResult
+        )
+        if result is None:
             self.misses += 1
-            return None
-        if not isinstance(result, SimulationResult):
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
 
     def put(self, key: str, result: SimulationResult) -> bool:
         """Write ``result`` through; ``False`` (and a ``puts_failed``
-        bump) when the write could not complete.
-
-        Catches serialization failures as well as I/O ones
-        (:data:`PUT_FAILURES`): a result that cannot pickle must cost
-        the sweep a cache entry, never the sweep.
-        """
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except PUT_FAILURES:
-            self.puts_failed += 1
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        return True
+        bump) when the write could not complete."""
+        if atomicfile.write_atomic(
+            self._path(key),
+            lambda tmp: tmp.write_bytes(atomicfile.encode(result)),
+        ):
+            return True
+        self.puts_failed += 1
+        return False
 
 
 # -- execution --------------------------------------------------------------
@@ -485,15 +380,15 @@ class WorkerPool:
                 pass
 
     def prepare(
-        self, trace: RunTrace | TraceRef | TraceHandle
-    ) -> RunTrace | TraceRef | TraceHandle:
+        self, trace: RunTrace | TraceHandle
+    ) -> RunTrace | TraceHandle:
         """The payload a job should ship: a handle when the arena can.
 
-        References and handles already pickle in a few bytes;
-        materialized traces are published to the arena (once per unique
-        content) and replaced by their handle.  When the arena is
-        disabled or unavailable the original trace is returned and the
-        cell falls back to per-cell pickling.
+        Handles already pickle in a few bytes; materialized traces are
+        published to the arena (once per unique content) and replaced by
+        their handle.  When the arena is disabled or unavailable the
+        original trace is returned and the cell falls back to per-cell
+        pickling.
         """
         if isinstance(trace, RunTrace):
             handle = self.arena.publish(trace)
@@ -547,26 +442,21 @@ class ExecutionOptions:
         )
 
 
-def _materialize(trace: RunTrace | TraceRef | TraceHandle) -> RunTrace:
+def _materialize(trace: RunTrace | TraceHandle) -> RunTrace:
     """A concrete :class:`RunTrace` for any job payload.
 
-    References and handles materialize through the process-local LRU
+    Handles materialize through the process-local LRU
     (:func:`repro.sim.shm.cached_trace`), so a worker that sees the same
-    trace again — the common case in a sweep — reuses the already-built
+    trace again — the common case in a sweep — reuses the already-attached
     ``RunTrace`` along with its warm column caches.
     """
-    if isinstance(trace, TraceRef):
-        ref = trace
-        return shm.cached_trace(
-            trace_fingerprint(ref), lambda: (ref.materialize(), None)
-        )
     if isinstance(trace, TraceHandle):
         return shm.cached_trace(trace.fingerprint, trace.attach)
     return trace
 
 
 def _execute(
-    trace: RunTrace | TraceRef | TraceHandle, config: SimulationConfig
+    trace: RunTrace | TraceHandle, config: SimulationConfig
 ) -> tuple[SimulationResult, float]:
     """Worker entry point: simulate one cell, timing the compute."""
     started = time.perf_counter()
@@ -601,7 +491,7 @@ def _try_pickle(obj: Any) -> bool:
 
 
 def _payload_picklable(
-    trace: RunTrace | TraceRef | TraceHandle,
+    trace: RunTrace | TraceHandle,
     config: SimulationConfig,
     memo: dict,
 ) -> bool:
@@ -609,11 +499,11 @@ def _payload_picklable(
 
     ``memo`` is a per-batch cache keyed by object identity: a sweep
     whose 50 cells share one trace pickles it for the check once, not
-    50 times (and handles/references skip the check entirely — they are
-    plain dataclasses of primitives).  Identity keying is safe because
+    50 times (and handles skip the check entirely — they are plain
+    dataclasses of primitives).  Identity keying is safe because
     the batch's job list keeps every payload alive for the duration.
     """
-    if isinstance(trace, (TraceRef, TraceHandle)):
+    if isinstance(trace, TraceHandle):
         trace_ok = True
     else:
         key = ("trace", id(trace))

@@ -27,10 +27,9 @@ also registered with :mod:`atexit`.  Segment names embed the publishing
 PID, so :func:`reap_orphans` can clean up after a crashed process
 (``kill -9`` never runs ``atexit``).
 
-Environment knobs: ``REPRO_SHM=0`` disables the arena entirely (jobs
-fall back to per-cell pickling), ``REPRO_SHM=spill`` forces the
-mmap-spill path, and ``REPRO_SHM_WORKER_CACHE`` sizes the per-worker
-materialized-trace LRU (default 8).
+Environment knob: ``REPRO_SHM=0`` disables the arena entirely (jobs
+fall back to per-cell pickling) and ``REPRO_SHM=spill`` forces the
+mmap-spill path.
 """
 
 from __future__ import annotations
@@ -48,14 +47,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.atomicfile import pid_alive
 from repro.trace.compress import RunTrace
 
 #: Environment variable controlling the arena ("0"/"off" disables,
 #: "spill" forces the mmap-backed file path, anything else enables shm).
 ENV_SHM = "REPRO_SHM"
-
-#: Environment variable sizing the per-worker materialized-trace LRU.
-ENV_WORKER_CACHE = "REPRO_SHM_WORKER_CACHE"
 
 #: Prefix of every segment / spill file the arena creates.  Names are
 #: ``<prefix>_<pid>_<seq>`` so orphan reaping can tell whether the
@@ -68,8 +65,8 @@ _ARRAY_FIELDS = ("pages", "blocks", "counts", "writes")
 #: Per-array alignment inside a segment.
 _ALIGN = 64
 
-#: Default capacity of the worker-side materialized-trace LRU.
-DEFAULT_WORKER_CACHE = 8
+#: Capacity of the worker-side materialized-trace LRU.
+WORKER_CACHE_CAPACITY = 8
 
 #: Key under which an attached segment rides in ``RunTrace._cols`` so
 #: the mapping lives exactly as long as the trace built over it.
@@ -135,18 +132,6 @@ def arena_mode() -> str:
 def default_spill_dir() -> Path:
     """Where spill files live when shared memory is unavailable."""
     return Path(tempfile.gettempdir()) / "repro-trace-spill"
-
-
-def worker_cache_capacity() -> int:
-    """LRU capacity from ``REPRO_SHM_WORKER_CACHE`` (default 8).
-
-    Malformed or non-positive values degrade to the default with a
-    warning (:mod:`repro.envknobs`): a capacity of ``-1`` is nonsense
-    for this knob, not a request for the minimum.
-    """
-    from repro.envknobs import env_int
-
-    return env_int(ENV_WORKER_CACHE, DEFAULT_WORKER_CACHE, minimum=1)
 
 
 # -- handles ----------------------------------------------------------------
@@ -407,16 +392,6 @@ class SharedTraceArena:
 # -- orphan reaping ---------------------------------------------------------
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
 def _reap_file(path: Path) -> bool:
     parts = path.name.split("_")
     if len(parts) < 3:
@@ -425,7 +400,7 @@ def _reap_file(path: Path) -> bool:
         pid = int(parts[2].split(".")[0] if len(parts) == 3 else parts[2])
     except ValueError:
         return False
-    if _pid_alive(pid):
+    if pid_alive(pid):
         return False
     try:
         path.unlink(missing_ok=True)
@@ -441,6 +416,12 @@ def reap_orphans(spill_dir: str | os.PathLike | None = None) -> int:
     ``atexit`` hook); this catches publishers that died without running
     either.  Called on every arena construction; safe to call any time.
     Returns the number of files removed.
+
+    The rule is PID-only, unlike the caches' temp-file reaping
+    (:func:`repro.atomicfile.reap_stale_tmp`), which also removes any
+    temp file past an age limit: a cache temp file lives for one write,
+    but a live publisher's segments stay mapped as long as their pool lives,
+    often hours, so age says nothing about whether they are orphaned.
     """
     removed = 0
     shm_root = Path("/dev/shm")
@@ -487,8 +468,7 @@ def cached_trace(
         return entry[0]
     trace, closer = build()
     _TRACE_LRU[key] = (trace, closer)
-    capacity = worker_cache_capacity()
-    while len(_TRACE_LRU) > capacity:
+    while len(_TRACE_LRU) > WORKER_CACHE_CAPACITY:
         _, (old_trace, old_closer) = _TRACE_LRU.popitem(last=False)
         # The derived column lists dwarf the zero-copy run arrays, so
         # drop them eagerly rather than waiting for every stray trace

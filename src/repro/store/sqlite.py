@@ -19,13 +19,16 @@ durable database:
   single transactions (``BEGIN IMMEDIATE`` ... ``COMMIT``), so a reader
   observes either the full old row or the full new row for a key —
   never a torn one.
-* **Never-fail puts.**  Like the flat-file cache, a put that cannot
-  complete — serialization failure, locked or read-only database, disk
-  full — bumps ``puts_failed`` and returns ``False`` instead of
-  raising; :func:`repro.sim.parallel.run_cells` surfaces that as a
-  ``"cache-error"`` event.  Even *opening* the store degrades: an
-  unusable path yields a disabled store whose gets miss and whose puts
-  fail counted, not a crashed sweep.
+* **Never fails a sweep.**  The store keeps the contract every cache
+  shares (:mod:`repro.atomicfile`), with the same payload codec as the
+  flat-file cache: a put that cannot complete — serialization failure,
+  locked or read-only database, disk full — bumps ``puts_failed`` and
+  returns ``False`` instead of raising
+  (:func:`repro.sim.parallel.run_cells` surfaces that as a
+  ``"cache-error"`` event), and a row that cannot be decoded is a
+  counted miss.  Even *opening* the store degrades: an unusable path
+  yields a disabled store whose gets miss and whose puts fail counted,
+  not a crashed sweep.
 
 ``REPRO_STORE=/path/results.sqlite`` makes
 :func:`repro.sim.parallel.default_cache` hand this store to every
@@ -36,7 +39,6 @@ same rows.
 from __future__ import annotations
 
 import os
-import pickle
 import sqlite3
 import threading
 import time
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro import atomicfile
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -206,18 +209,13 @@ class SqliteResultStore:
             except sqlite3.Error:
                 self.misses += 1
                 return None
-        if row is None:
+        result = None if row is None else atomicfile.read_entry(
+            lambda: atomicfile.decode(row[0]), SimulationResult
+        )
+        if result is None:
             self.misses += 1
-            return None
-        try:
-            result = pickle.loads(row[0])
-        except Exception:
-            self.misses += 1
-            return None
-        if not isinstance(result, SimulationResult):
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
 
     def put(self, key: str, result: SimulationResult) -> bool:
@@ -228,13 +226,9 @@ class SqliteResultStore:
         including other processes — observe the old payload or the new
         one, never a torn mix.
         """
-        from repro.sim.parallel import PUT_FAILURES
-
         try:
-            payload = pickle.dumps(
-                result, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except PUT_FAILURES:
+            payload = atomicfile.encode(result)
+        except atomicfile.PUT_FAILURES:
             self.puts_failed += 1
             return False
         with self._lock:

@@ -6,12 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.ingest.cache import (
-    INGEST_VERSION,
-    IngestCache,
-    STALE_TMP_AGE_S,
-    ingest_key,
-)
+from repro.atomicfile import STALE_TMP_AGE_S
+from repro.ingest.cache import INGEST_VERSION, IngestCache, ingest_key
 from repro.ingest.convert import ingest_file
 from repro.trace.compress import compress_references
 
@@ -79,9 +75,15 @@ class TestIngestCache:
         cache = IngestCache(tmp_path)
         key = ingest_key(**BASE_KEY_OPTS)
         cache.put(key, small_trace())
-        (tmp_path / key[:2] / f"{key}.npz").write_bytes(b"garbage")
-        assert cache.get(key) is None
-        assert cache.misses == 1
+        entry = tmp_path / key[:2] / f"{key}.npz"
+        # Garbage, a zip header over garbage (BadZipFile), and an empty
+        # file (EOFError).
+        for corrupt in (b"garbage", b"PK\x03\x04garbage", b""):
+            entry.write_bytes(corrupt)
+            misses = cache.misses
+            assert cache.get(key) is None
+            assert cache.misses == misses + 1
+        assert cache.hits == 0
 
     def test_put_never_fails(self):
         cache = IngestCache("/proc/nonexistent/repro-ingest")
@@ -97,7 +99,7 @@ class TestIngestCache:
         stale.write_bytes(b"stranded")
         old = time.time() - STALE_TMP_AGE_S - 60
         os.utime(stale, (old, old))
-        fresh = shard / f"{'cd' * 32}.tmp.88888.npz"
+        fresh = shard / f"{'cd' * 32}.tmp.{os.getpid()}.npz"
         fresh.write_bytes(b"in flight")
         IngestCache(tmp_path)
         assert not stale.exists()

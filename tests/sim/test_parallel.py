@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.atomicfile import STALE_TMP_AGE_S
 from repro.envknobs import EnvKnobWarning
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry
@@ -27,7 +28,6 @@ from repro.sim.parallel import (
     ExecutionOptions,
     ResultCache,
     SweepJob,
-    TraceRef,
     WorkerPool,
     cell_cache_key,
     config_fingerprint,
@@ -115,23 +115,6 @@ class TestEquivalence:
         out = run_cells(jobs, workers=4)
         direct = simulate(trace, jobs[0].config)
         assert out["sp_1024"].total_ms == direct.total_ms
-
-    def test_traceref_jobs_materialize_in_worker(self):
-        ref = TraceRef("ld", seed=0, scale=0.05)
-        config = SimulationConfig(memory_pages=32)
-        jobs = [SweepJob(key="ref", trace=ref, config=config)]
-        serial = run_cells(jobs, workers=1)
-        parallel = run_cells(jobs, workers=2)
-        # A single job runs inline even with workers>1; force the pool
-        # path with two distinct keys over the same payload.
-        jobs2 = [
-            SweepJob(key="a", trace=ref, config=config),
-            SweepJob(key="b", trace=ref, config=config),
-        ]
-        pooled = run_cells(jobs2, workers=2)
-        assert serial["ref"].total_ms == parallel["ref"].total_ms
-        assert pooled["a"].total_ms == serial["ref"].total_ms
-        assert pooled["b"].total_ms == serial["ref"].total_ms
 
     def test_duplicate_keys_rejected(self, trace):
         jobs = make_jobs(trace, sizes=(1024,)) * 2
@@ -244,10 +227,20 @@ class TestCache:
         jobs = make_jobs(trace, sizes=(1024,))
         baseline = run_cells(jobs, workers=1, cache=cache)
         (entry,) = tmp_path.rglob("*.pkl")
-        entry.write_bytes(b"not a pickle")
-        again = run_cells(jobs, workers=1, cache=cache)
+        # Garbage, and a pickle header naming protocol 99, which
+        # ``pickle`` rejects with ValueError, not UnpicklingError.
+        for corrupt in (b"not a pickle", b"\x80\x63garbage"):
+            entry.write_bytes(corrupt)
+            misses = cache.misses
+            events: list[CellEvent] = []
+            again = run_cells(jobs, workers=1, cache=cache,
+                              progress=events.append)
+            assert cache.misses == misses + 1
+            assert [e.status for e in events] == ["done"]
+            assert (
+                again["sp_1024"].total_ms == baseline["sp_1024"].total_ms
+            )
         assert cache.hits == 0
-        assert again["sp_1024"].total_ms == baseline["sp_1024"].total_ms
 
     def test_unwritable_root_degrades_to_no_cache(self, trace):
         cache = ResultCache("/proc/nonexistent/repro-cache")
@@ -255,14 +248,6 @@ class TestCache:
         out = run_cells(jobs, workers=1, cache=cache)
         assert out["sp_1024"].total_faults > 0
         assert cache.hits == 0
-
-    def test_traceref_key_is_stable(self):
-        ref = TraceRef("gdb", seed=1)
-        config = SimulationConfig(memory_pages=16)
-        assert cell_cache_key(ref, config) == cell_cache_key(ref, config)
-        assert cell_cache_key(ref, config) != cell_cache_key(
-            TraceRef("gdb", seed=2), config
-        )
 
 
 class TestEnvKnobs:
@@ -289,27 +274,6 @@ class TestEnvKnobs:
     def test_default_workers_negative_clamps(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "-3")
         assert default_workers() == 1
-
-    def test_worker_cache_invalid_degrades_with_warning(
-        self, monkeypatch
-    ):
-        from repro.sim.shm import (
-            DEFAULT_WORKER_CACHE,
-            worker_cache_capacity,
-        )
-
-        monkeypatch.setenv("REPRO_SHM_WORKER_CACHE", "abc")
-        with pytest.warns(
-            EnvKnobWarning, match="REPRO_SHM_WORKER_CACHE"
-        ):
-            assert worker_cache_capacity() == DEFAULT_WORKER_CACHE
-        monkeypatch.setenv("REPRO_SHM_WORKER_CACHE", "-1")
-        with pytest.warns(
-            EnvKnobWarning, match="REPRO_SHM_WORKER_CACHE"
-        ):
-            assert worker_cache_capacity() == DEFAULT_WORKER_CACHE
-        monkeypatch.setenv("REPRO_SHM_WORKER_CACHE", "3")
-        assert worker_cache_capacity() == 3
 
     def test_cache_dir_from_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -720,7 +684,7 @@ class TestCacheFailureSurface:
         fresh_tmp = sub / f"inflight.tmp.{os.getpid()}"
         for path in (old_tmp, fresh_tmp):
             path.write_bytes(b"x")
-        stale = time.time() - parallel.STALE_TMP_AGE_S - 60
+        stale = time.time() - STALE_TMP_AGE_S - 60
         os.utime(old_tmp, (stale, stale))
         ResultCache(tmp_path)
         assert not old_tmp.exists()

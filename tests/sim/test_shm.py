@@ -24,7 +24,6 @@ from repro.sim.shm import (
     cached_trace,
     clear_trace_cache,
     reap_orphans,
-    worker_cache_capacity,
 )
 from repro.sim.simulator import simulate
 from repro.trace.compress import compress_references
@@ -161,22 +160,6 @@ class TestEnvKnobs:
         monkeypatch.setenv(shm.ENV_SHM, "spill")
         assert arena_mode() == "spill"
 
-    def test_worker_cache_capacity(self, monkeypatch):
-        monkeypatch.delenv(shm.ENV_WORKER_CACHE, raising=False)
-        assert worker_cache_capacity() == shm.DEFAULT_WORKER_CACHE
-        monkeypatch.setenv(shm.ENV_WORKER_CACHE, "3")
-        assert worker_cache_capacity() == 3
-        # Out-of-range and unparsable values degrade to the documented
-        # default with a warning (see repro.envknobs).
-        from repro.envknobs import EnvKnobWarning
-
-        monkeypatch.setenv(shm.ENV_WORKER_CACHE, "0")
-        with pytest.warns(EnvKnobWarning):
-            assert worker_cache_capacity() == shm.DEFAULT_WORKER_CACHE
-        monkeypatch.setenv(shm.ENV_WORKER_CACHE, "lots")
-        with pytest.warns(EnvKnobWarning):
-            assert worker_cache_capacity() == shm.DEFAULT_WORKER_CACHE
-
 
 @pytest.mark.skipif(not HAVE_DEV_SHM, reason="needs /dev/shm")
 class TestLifecycle:
@@ -253,7 +236,7 @@ class TestWorkerCache:
         assert len(calls) == 1
 
     def test_lru_evicts_and_runs_closer(self, trace, monkeypatch):
-        monkeypatch.setenv(shm.ENV_WORKER_CACHE, "2")
+        monkeypatch.setattr(shm, "WORKER_CACHE_CAPACITY", 2)
         closed = []
         for i in range(3):
             cached_trace(

@@ -36,6 +36,7 @@ MODULES = [
     "repro.sim.parallel",
     "repro.sim.shm",
     "repro.envknobs",
+    "repro.atomicfile",
     "repro.store.sqlite",
     "repro.service.jobs",
     "repro.service.server",
