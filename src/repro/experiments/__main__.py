@@ -136,7 +136,7 @@ def build_options(args: argparse.Namespace) -> ExecutionOptions:
 
     When workers are requested, a persistent :class:`WorkerPool` is
     installed so every experiment of the invocation shares one set of
-    worker processes and one shared-memory trace arena; ``main`` closes
+    worker processes and one trace arena; ``main`` closes
     it on the way out.
     """
     options = ExecutionOptions.from_env()

@@ -86,10 +86,10 @@ def execution_scope(options: ExecutionOptions) -> Iterator[ExecutionOptions]:
     When the options ask for workers but carry no
     :class:`~repro.sim.parallel.WorkerPool`, the scope creates one and
     owns it: every ``run_cells`` batch inside the scope reuses the same
-    worker processes and shared-memory trace arena, and the pool (and
-    its arena's segments) is torn down on scope exit.  A pool installed
-    by the caller — e.g. the CLI, which keeps one pool alive across all
-    the experiments of an invocation — is left untouched.
+    worker processes and trace arena, and the pool (and its arena's
+    trace files) is torn down on scope exit.  A pool installed by the
+    caller — e.g. the CLI, which keeps one pool alive across all the
+    experiments of an invocation — is left untouched.
     """
     global _OPTIONS
     previous = _OPTIONS

@@ -15,11 +15,11 @@ on:
   cells).
 * :class:`WorkerPool` is the persistent execution substrate: a
   long-lived process pool plus a
-  :class:`~repro.sim.shm.SharedTraceArena` that publishes each unique
-  trace's arrays into shared memory once, so jobs ship a tiny
-  :class:`~repro.sim.shm.TraceHandle` instead of pickling the arrays
-  per cell.  ``experiments.common.execution_scope`` creates one pool
-  and reuses it across every ``run_cells`` batch in the scope.
+  :class:`~repro.sim.shm.SharedTraceArena` that writes each unique
+  trace's arrays once to a file the workers map zero-copy, so jobs ship
+  a tiny :class:`~repro.sim.shm.TraceHandle` instead of pickling the
+  arrays per cell.  ``experiments.common.execution_scope`` creates one
+  pool and reuses it across every ``run_cells`` batch in the scope.
 * :class:`ResultCache` is a content-keyed on-disk cache: a cell's key
   hashes the trace fingerprint (array contents + granularities) together
   with every configuration field, so re-running an experiment skips
@@ -33,10 +33,8 @@ Environment knobs: ``REPRO_WORKERS`` sets the default worker count,
 ``REPRO_CACHE_DIR`` enables (and locates) the default flat-file result
 cache, ``REPRO_STORE`` selects the sqlite-backed
 :class:`repro.store.SqliteResultStore` instead (same keys, same
-protocol — see :mod:`repro.store`), and ``REPRO_SHM`` controls the
-shared-memory arena (see :mod:`repro.sim.shm`).  Malformed knob values
-degrade to the documented defaults with a warning
-(:mod:`repro.envknobs`).
+protocol — see :mod:`repro.store`).  Malformed knob values degrade to
+the documented defaults with a warning (:mod:`repro.envknobs`).
 """
 
 from __future__ import annotations
@@ -323,7 +321,7 @@ class ResultCache:
 
 
 class WorkerPool:
-    """A persistent process pool plus a shared-memory trace arena.
+    """A persistent process pool plus a shared trace arena.
 
     Create one per sweep session (``experiments.common.execution_scope``
     does this when the ambient options ask for workers) and pass it to
@@ -336,8 +334,8 @@ class WorkerPool:
 
     The pool transparently replaces an executor that a worker crash has
     broken, so a failed batch does not poison subsequent ones.
-    :meth:`close` shuts the executor down and unlinks the arena's
-    segments; the pool is also a context manager.
+    :meth:`close` shuts the executor down and removes the arena's
+    files; the pool is also a context manager.
     """
 
     def __init__(
@@ -386,9 +384,9 @@ class WorkerPool:
 
         Handles already pickle in a few bytes; materialized traces are
         published to the arena (once per unique content) and replaced by
-        their handle.  When the arena is disabled or unavailable the
-        original trace is returned and the cell falls back to per-cell
-        pickling.
+        their handle.  When the arena has turned itself off (a write
+        failed) the original trace is returned and the cell falls back
+        to per-cell pickling.
         """
         if isinstance(trace, RunTrace):
             handle = self.arena.publish(trace)
@@ -451,7 +449,7 @@ def _materialize(trace: RunTrace | TraceHandle) -> RunTrace:
     ``RunTrace`` along with its warm column caches.
     """
     if isinstance(trace, TraceHandle):
-        return shm.cached_trace(trace.fingerprint, trace.attach)
+        return shm.cached_trace(trace.fingerprint, trace.materialize)
     return trace
 
 
@@ -533,9 +531,11 @@ def _run_pool(
     order.  Returns the cells that still need inline execution as
     ``(job, cache_key, status)`` triples — ``"fallback"`` for payloads
     that could not pickle, ``"retried"`` for worker or pool failures.
-    When the pool itself dies mid-batch, futures that already completed
-    are harvested first (their results and cache write-through are
-    kept) and only the genuinely unfinished cells re-run inline.
+    When the pool itself dies mid-batch, results workers already
+    produced are kept (cache write-through included) and only the
+    unfinished cells re-run inline.  An exception raised by ``progress``
+    is not a pool failure: it cancels the batch's pending futures and
+    propagates.
     """
     inline: list[tuple[SweepJob, str | None, str]] = []
     shippable: list[tuple[SweepJob, str | None, Any]] = []
@@ -554,48 +554,36 @@ def _run_pool(
         _write_through(cache, ckey, result, progress, job.key)
         _emit(progress, CellEvent(job.key, "done", elapsed))
 
-    futures: dict[Any, Any] = {}
-    handled: set[Any] = set()
+    futures: dict[Any, tuple[SweepJob, str | None]] = {}
     try:
         executor = pool.executor()
-        fut_to_cell: dict[Any, tuple[SweepJob, str | None]] = {}
         for job, ckey, payload in shippable:
             future = executor.submit(_execute, payload, job.config)
-            futures[job.key] = future
-            fut_to_cell[future] = (job, ckey)
-        for future in as_completed(fut_to_cell):
-            job, ckey = fut_to_cell[future]
-            handled.add(job.key)
+            futures[future] = (job, ckey)
+    except Exception:
+        # The pool itself failed (fork unavailable, broken executor,
+        # ...).  Cells it never took run inline; cells it took finish
+        # or fail below like any other.
+        pool.discard_executor()
+        inline.extend(
+            (job, ckey, "retried")
+            for job, ckey, _ in shippable[len(futures):]
+        )
+    # Only executor and future failures are pool failures: an exception
+    # from ``progress`` propagates here exactly as it does inline.
+    try:
+        for future in as_completed(futures):
+            job, ckey = futures[future]
             try:
                 result, elapsed = future.result()
             except Exception:
                 inline.append((job, ckey, "retried"))
             else:
                 record(job, ckey, result, elapsed)
-    except Exception:
-        # The pool itself failed (fork unavailable, broken worker
-        # teardown, ...).  Keep every result a worker already produced —
-        # including its cache write-through — and run the rest inline.
-        pool.discard_executor()
-        for job, ckey, _ in shippable:
-            if job.key in handled:
-                continue
-            future = futures.get(job.key)
-            if (
-                future is not None
-                and future.done()
-                and not future.cancelled()
-            ):
-                try:
-                    result, elapsed = future.result()
-                except Exception:
-                    pass
-                else:
-                    record(job, ckey, result, elapsed)
-                    continue
-            if future is not None:
-                future.cancel()
-            inline.append((job, ckey, "retried"))
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
     return inline
 
 
@@ -622,9 +610,9 @@ def run_cells(
     ``pool`` is a persistent :class:`WorkerPool` to execute on; without
     one, a transient pool (own arena, own worker processes) is built for
     the batch and closed afterwards.  Either way, traces are published
-    to the pool's shared-memory arena and jobs ship
-    :class:`~repro.sim.shm.TraceHandle` payloads when the platform
-    allows, falling back to per-cell pickling when it does not.
+    to the pool's arena and jobs ship
+    :class:`~repro.sim.shm.TraceHandle` payloads, falling back to
+    per-cell pickling when the arena cannot write its files.
 
     Results are identical to running :func:`simulate` serially on each
     cell in job order, whatever the worker count or shipping path; the

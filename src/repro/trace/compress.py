@@ -210,7 +210,7 @@ class RunTrace:
 
         Hashes the run arrays together with the granularities, dilation,
         and name.  The parallel executor keys its result cache on this,
-        and the shared-memory arena uses it to publish each unique trace
+        and the trace arena uses it to publish each unique trace
         exactly once — caching it here means a 50-cell sweep over one
         trace hashes the arrays once, not 50 times.
         """

@@ -2,7 +2,7 @@
 
 The contract under test is the one ``docs/PARALLEL.md`` documents:
 whatever the worker count or trace-shipping path (inline, per-cell
-pickle, shared-memory arena), ``run_cells`` returns results
+pickle, mapped-file arena), ``run_cells`` returns results
 bit-identical to serial execution, in job order, with exactly one
 progress event per cell; the on-disk cache serves completed cells back
 and misses on any input change; unpicklable payloads fall back to
@@ -151,6 +151,36 @@ class TestFallback:
         assert [e.key for e in events] == ["sp_1024", "sp_512"]
         assert all(e.status == "done" for e in events)
         assert all(e.elapsed_s > 0 for e in events)
+
+
+def _raise_on_first_event(events):
+    def progress(event):
+        events.append(event)
+        if len(events) == 1:
+            raise RuntimeError("progress callback failed")
+
+    return progress
+
+
+class TestProgressCallbackErrors:
+    """A raising callback is the caller's error, not a pool failure."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_callback_exception_propagates(self, trace, workers):
+        events: list[CellEvent] = []
+        with pytest.raises(RuntimeError, match="progress callback failed"):
+            run_cells(make_jobs(trace), workers=workers,
+                      progress=_raise_on_first_event(events))
+        assert [e.status for e in events] == ["done"]
+
+    def test_pool_survives_callback_exception(self, trace):
+        expected = run_cells(make_jobs(trace), workers=1)
+        with WorkerPool(2) as pool:
+            with pytest.raises(RuntimeError):
+                run_cells(make_jobs(trace), pool=pool,
+                          progress=_raise_on_first_event([]))
+            out = run_cells(make_jobs(trace), pool=pool)
+        assert_results_identical(out, expected)
 
 
 class TestCache:
@@ -328,7 +358,7 @@ def assert_results_identical(actual, expected):
 
 
 class TestShippingPaths:
-    """Inline, per-cell pickle, and shared-arena runs are bit-identical."""
+    """Inline, per-cell pickle, and arena runs are bit-identical."""
 
     @pytest.fixture(scope="class")
     def expected(self, trace):
@@ -341,19 +371,23 @@ class TestShippingPaths:
         assert_results_identical(out, expected)
 
     def test_per_cell_pickle_matches_inline(self, trace, expected,
-                                            monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        with WorkerPool(4) as pool:
-            assert pool.arena.mode == "off"
+                                            tmp_path):
+        # A directory under a regular file cannot be created, so the
+        # arena turns itself off and every cell pickles its trace.
+        (tmp_path / "file").write_bytes(b"not a directory")
+        arena = SharedTraceArena(spill_dir=tmp_path / "file" / "spill")
+        with WorkerPool(4, arena=arena) as pool:
             out = run_cells(matrix_jobs(trace), pool=pool)
             assert pool.arena.published_count == 0
         assert_results_identical(out, expected)
 
     def test_spill_arena_matches_inline(self, trace, expected, tmp_path):
-        arena = SharedTraceArena(mode="spill", spill_dir=tmp_path)
+        arena = SharedTraceArena(spill_dir=tmp_path)
         with WorkerPool(4, arena=arena) as pool:
             out = run_cells(matrix_jobs(trace), pool=pool)
             assert pool.arena.published_count == 1
+            assert len(list(tmp_path.iterdir())) == 1
+        assert not any(tmp_path.iterdir())
         assert_results_identical(out, expected)
 
     def test_handle_jobs_match_trace_jobs(self, trace, expected):

@@ -1,13 +1,14 @@
-"""The shared-memory trace arena: publishing, handles, lifecycle.
+"""The shared trace arena: publishing, handles, lifecycle.
 
 The contract under test is the one ``docs/PARALLEL.md`` §5 documents:
-each unique trace is published at most once; a ``TraceHandle``
-materializes a trace whose arrays are equal to the original (so
-simulation results are bit-identical); the arena degrades gracefully
-(shm → mmap spill → disabled); segments are unlinked on close and
-orphans of dead processes are reaped.
+each unique trace is published at most once, to one mapped file; a
+``TraceHandle`` materializes a trace whose arrays are equal to the
+original (so simulation results are bit-identical); a failed write
+turns the arena off and leaves no file behind; files are removed on
+close and orphans of dead processes are reaped.
 """
 
+import errno
 import os
 import subprocess
 from pathlib import Path
@@ -18,17 +19,14 @@ import pytest
 from repro.sim import shm
 from repro.sim.config import SimulationConfig
 from repro.sim.shm import (
-    SEGMENT_PREFIX,
+    FILE_PREFIX,
     SharedTraceArena,
-    arena_mode,
     cached_trace,
     clear_trace_cache,
     reap_orphans,
 )
 from repro.sim.simulator import simulate
 from repro.trace.compress import compress_references
-
-HAVE_DEV_SHM = Path("/dev/shm").is_dir()
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +58,7 @@ class TestPublish:
             first = arena.publish(trace)
             again = arena.publish(trace)
             assert first is again
-            # An equal-content but distinct object shares the segment.
+            # An equal-content but distinct object shares the file.
             clone = trace.slice(0, len(trace))
             assert arena.publish(clone) is first
             assert arena.published_count == 1
@@ -104,89 +102,74 @@ class TestPublish:
 
 
 class TestSpill:
-    def test_spill_mode_uses_files(self, trace, tmp_path):
-        with SharedTraceArena(mode="spill", spill_dir=tmp_path) as arena:
-            handle = arena.publish(trace)
-            assert handle.segment is None
-            assert handle.spill_path is not None
-            assert Path(handle.spill_path).parent == tmp_path
-            assert Path(handle.spill_path).stat().st_size == handle.nbytes
-            assert_traces_equal(trace, handle.materialize())
-        assert not any(tmp_path.iterdir())
+    """A failed write turns the arena off; callers pickle per cell."""
 
-    def test_shm_failure_degrades_to_spill(self, trace, tmp_path,
-                                           monkeypatch):
-        def broken(*args, **kwargs):
-            raise OSError("no shared memory on this platform")
-
-        monkeypatch.setattr(shm.shared_memory, "SharedMemory", broken)
-        with SharedTraceArena(mode="shm", spill_dir=tmp_path) as arena:
-            handle = arena.publish(trace)
-            assert arena.mode == "spill"
-            assert handle is not None and handle.spill_path is not None
-            assert_traces_equal(trace, handle.materialize())
-
-    def test_spill_failure_disables_arena(self, trace, monkeypatch):
-        def broken(*args, **kwargs):
-            raise OSError("no shared memory on this platform")
-
-        monkeypatch.setattr(shm.shared_memory, "SharedMemory", broken)
-        arena = SharedTraceArena(
-            mode="shm", spill_dir="/proc/nonexistent/spill"
-        )
+    def test_spill_failure_disables_arena(self, trace, tmp_path):
+        (tmp_path / "file").write_bytes(b"not a directory")
+        arena = SharedTraceArena(spill_dir=tmp_path / "file" / "spill")
         try:
             assert arena.publish(trace) is None
-            assert arena.mode == "off"
+            assert arena.published_count == 0
         finally:
             arena.close()
 
-    def test_off_mode_publishes_nothing(self, trace):
-        with SharedTraceArena(mode="off") as arena:
+    def test_off_mode_publishes_nothing(self, trace, tmp_path):
+        """Once off, the arena stays off for its whole life, even when
+        the directory becomes writable again."""
+        blocker = tmp_path / "spill"
+        blocker.write_bytes(b"not a directory")
+        with SharedTraceArena(spill_dir=blocker) as arena:
+            assert arena.publish(trace) is None
+            blocker.unlink()
             assert arena.publish(trace) is None
             assert arena.published_count == 0
+        assert not blocker.exists()
 
+    def test_failed_write_leaves_no_partial_file(self, trace, tmp_path,
+                                                 monkeypatch):
+        real_write_bytes = Path.write_bytes
 
-class TestEnvKnobs:
-    def test_mode_default(self, monkeypatch):
-        monkeypatch.delenv(shm.ENV_SHM, raising=False)
-        assert arena_mode() == "shm"
+        def half_then_enospc(path, data):
+            real_write_bytes(path, bytes(data[: len(data) // 2]))
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-    @pytest.mark.parametrize("raw", ["0", "off", "no", "false", " 0 "])
-    def test_mode_disabled(self, monkeypatch, raw):
-        monkeypatch.setenv(shm.ENV_SHM, raw)
-        assert arena_mode() == "off"
-
-    def test_mode_spill(self, monkeypatch):
-        monkeypatch.setenv(shm.ENV_SHM, "spill")
-        assert arena_mode() == "spill"
-
-
-@pytest.mark.skipif(not HAVE_DEV_SHM, reason="needs /dev/shm")
-class TestLifecycle:
-    def test_close_unlinks_segments(self, trace):
-        arena = SharedTraceArena(mode="shm")
-        handle = arena.publish(trace)
-        assert Path("/dev/shm", handle.segment).exists()
+        monkeypatch.setattr(Path, "write_bytes", half_then_enospc)
+        arena = SharedTraceArena(spill_dir=tmp_path)
+        assert arena.publish(trace) is None
+        assert list(tmp_path.iterdir()) == []
         arena.close()
-        assert not Path("/dev/shm", handle.segment).exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLifecycle:
+    def test_close_removes_files(self, trace, tmp_path):
+        arena = SharedTraceArena(spill_dir=tmp_path)
+        handle = arena.publish(trace)
+        path = Path(handle.path)
+        assert path.parent == tmp_path
+        assert path.stat().st_size == handle.nbytes
+        arena.close()
+        assert not any(tmp_path.iterdir())
         with pytest.raises(FileNotFoundError):
             handle.materialize()
 
-    def test_close_is_idempotent(self, trace):
-        arena = SharedTraceArena(mode="shm")
+    def test_close_is_idempotent(self, trace, tmp_path):
+        arena = SharedTraceArena(spill_dir=tmp_path)
         arena.publish(trace)
         arena.close()
         arena.close()
         assert arena.publish(trace) is None
+        assert not any(tmp_path.iterdir())
 
-    def test_live_mapping_survives_unlink(self, trace):
+    def test_live_mapping_survives_unlink(self, trace, tmp_path):
         config = SimulationConfig(
             memory_pages=6, scheme="eager", subpage_bytes=1024,
             event_ns=1000.0, use_trace_dilation=False,
         )
-        arena = SharedTraceArena(mode="shm")
+        arena = SharedTraceArena(spill_dir=tmp_path)
         rebuilt = arena.publish(trace).materialize()
         arena.close()
+        assert not any(tmp_path.iterdir())
         # POSIX: unlink removes the name, not the live mapping.
         result = simulate(rebuilt, config)
         assert result.total_ms == simulate(trace, config).total_ms
@@ -195,23 +178,19 @@ class TestLifecycle:
         proc = subprocess.Popen(["/bin/true"])
         proc.wait()
         dead_pid = proc.pid
-        orphan = Path("/dev/shm") / f"{SEGMENT_PREFIX}_{dead_pid}_0"
+        orphan = tmp_path / f"{FILE_PREFIX}_{dead_pid}_1.bin"
         orphan.write_bytes(b"orphaned")
-        spill_orphan = tmp_path / f"{SEGMENT_PREFIX}_{dead_pid}_1.bin"
-        spill_orphan.write_bytes(b"orphaned")
-        live = tmp_path / f"{SEGMENT_PREFIX}_{os.getpid()}_0.bin"
+        orphan_tmp = tmp_path / f"{FILE_PREFIX}_{dead_pid}_2.tmp.{dead_pid}"
+        orphan_tmp.write_bytes(b"orphaned mid-write")
+        live = tmp_path / f"{FILE_PREFIX}_{os.getpid()}_0.bin"
         live.write_bytes(b"live")
-        try:
-            assert reap_orphans(tmp_path) >= 2
-            assert not orphan.exists()
-            assert not spill_orphan.exists()
-            assert live.exists()
-        finally:
-            orphan.unlink(missing_ok=True)
-            live.unlink(missing_ok=True)
+        assert reap_orphans(tmp_path) == 2
+        assert not orphan.exists()
+        assert not orphan_tmp.exists()
+        assert live.exists()
 
     def test_reap_ignores_malformed_names(self, tmp_path):
-        weird = tmp_path / f"{SEGMENT_PREFIX}_notapid_0.bin"
+        weird = tmp_path / f"{FILE_PREFIX}_notapid_0.bin"
         weird.write_bytes(b"?")
         assert reap_orphans(tmp_path) == 0
         assert weird.exists()
@@ -229,79 +208,26 @@ class TestWorkerCache:
 
         def build():
             calls.append(1)
-            return trace, None
+            return trace
 
         assert cached_trace("k", build) is trace
         assert cached_trace("k", build) is trace
         assert len(calls) == 1
 
-    def test_lru_evicts_and_runs_closer(self, trace, monkeypatch):
+    def test_lru_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(shm, "WORKER_CACHE_CAPACITY", 2)
-        closed = []
-        for i in range(3):
-            cached_trace(
-                f"k{i}",
-                lambda i=i: (trace, lambda i=i: closed.append(i)),
-            )
-        assert closed == [0]
-        rebuilt = []
-        cached_trace("k0", lambda: (rebuilt.append(1) or trace, None))
-        assert rebuilt == [1]
-        assert closed == [0, 1]
-
-
-class TestUntrackedAttach:
-    """The process-global register patch: reentrant, exception-safe."""
-
-    def _register(self):
-        from multiprocessing import resource_tracker
-
-        return resource_tracker.register
-
-    def test_nested_blocks_restore_once(self):
-        original = self._register()
-        with shm._untracked_attach():
-            patched = self._register()
-            assert patched is not original
-            with shm._untracked_attach():
-                # The inner block must NOT save the no-op as "the
-                # original": same patched function, deeper count.
-                assert self._register() is patched
-            assert self._register() is patched
-        assert self._register() is original
-
-    def test_exception_inside_block_restores(self):
-        original = self._register()
-        with pytest.raises(RuntimeError, match="attach failed"):
-            with shm._untracked_attach():
-                assert self._register() is not original
-                raise RuntimeError("attach failed")
-        assert self._register() is original
-
-    def test_concurrent_threads_never_lose_the_original(self):
-        import threading
-
-        original = self._register()
-        barrier = threading.Barrier(8)
-        errors = []
-
-        def attach_loop():
-            try:
-                barrier.wait(timeout=10)
-                for _ in range(200):
-                    with shm._untracked_attach():
-                        assert self._register() is not original
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=attach_loop) for _ in range(8)
+        traces = [
+            compress_references(np.arange(8) * 8192, name=f"t{i}")
+            for i in range(3)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert self._register() is original
-        assert shm._untracked_attach._depth == 0
-        assert shm._untracked_attach._saved is None
+        for i, t in enumerate(traces):
+            cached_trace(f"k{i}", lambda t=t: t)
+            t.fingerprint()  # populate the column cache
+        # k0 was evicted: its column caches are dropped, and asking for
+        # it again builds afresh.
+        assert traces[0]._cols == {}
+        assert traces[2]._cols != {}
+        rebuilt = []
+        cached_trace("k0", lambda: rebuilt.append(1) or traces[0])
+        assert rebuilt == [1]
+        assert traces[1]._cols == {}

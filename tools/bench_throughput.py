@@ -4,11 +4,11 @@
 Two measurements, one trajectory file:
 
 * Dispatch: runs a 24-cell sweep over one shared trace through
-  ``run_cells`` twice — the shared-memory arena path (persistent
-  ``WorkerPool``, trace published once) and the legacy per-cell-pickle
-  path (``REPRO_SHM=0``, transient pool) — and gates on the reduction
-  in per-cell dispatch overhead (wall time beyond the ideal parallel
-  compute time).
+  ``run_cells`` twice — the arena path (persistent ``WorkerPool``,
+  trace written once to a file the workers map) and the per-cell-pickle
+  path (a transient pool whose arena publishes nothing) — and gates on
+  the reduction in per-cell dispatch overhead (wall time beyond the
+  ideal parallel compute time).
 * Adaptive policy: times the transparent ``"adaptive"`` meta-scheme
   (static predictor — bit-identical plans, but every fault-path event
   flows through the per-page access history) against plain pipelining
@@ -172,6 +172,21 @@ def _best_wall(run, rounds=DISPATCH_ROUNDS):
     return min(times)
 
 
+class _NoArena:
+    """An arena that publishes nothing: every cell pickles its trace."""
+
+    def publish(self, trace):
+        return None
+
+    def close(self):
+        pass
+
+
+def _run_pickled(jobs):
+    with WorkerPool(DISPATCH_WORKERS, arena=_NoArena()) as pool:
+        run_cells(jobs, pool=pool)
+
+
 def time_dispatch(trace):
     """Per-cell dispatch overhead: shared arena vs per-cell pickling.
 
@@ -184,17 +199,7 @@ def time_dispatch(trace):
     effective = min(DISPATCH_WORKERS, os.cpu_count() or 1)
     ideal_s = serial_s / effective
 
-    saved = os.environ.get("REPRO_SHM")
-    os.environ["REPRO_SHM"] = "0"
-    try:
-        pickle_s = _best_wall(
-            lambda: run_cells(jobs, workers=DISPATCH_WORKERS)
-        )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SHM", None)
-        else:
-            os.environ["REPRO_SHM"] = saved
+    pickle_s = _best_wall(lambda: _run_pickled(jobs))
 
     with WorkerPool(DISPATCH_WORKERS) as pool:
         run_cells(jobs, pool=pool)  # warm workers + arena + worker LRUs
