@@ -55,7 +55,6 @@ def run() -> dict[str, dict[str, object]]:
                 scheme=scheme,
                 scheme_kwargs=dict(kwargs),
                 subpage_bytes=SUBPAGE,
-                track_distances=False,
             ))
         out[app] = {"results": results}
     return out
@@ -147,7 +146,6 @@ def test_history_tracking_overhead(benchmark):
             scheme=scheme,
             scheme_kwargs=kwargs,
             subpage_bytes=SUBPAGE,
-            track_distances=False,
             record_faults=False,
         )
 

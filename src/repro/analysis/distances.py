@@ -69,8 +69,7 @@ def distance_distribution(
 ) -> DistanceDistribution:
     """Extract Figure 7's distribution from a simulation result.
 
-    Requires the run to have been configured with
-    ``track_distances=True`` (the default).
+    Every run keeps the distance histogram, whatever its configuration.
     """
     return DistanceDistribution(
         label=(

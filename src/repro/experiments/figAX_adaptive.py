@@ -78,7 +78,6 @@ def _config(trace_pages: int, scheme_kwargs: dict) -> SimulationConfig:
         # The per-fault raw material is not used here; keep the cells
         # lean.
         record_faults=False,
-        track_distances=False,
     )
 
 

@@ -39,8 +39,8 @@ class PendingArrivals:
     have been folded into the resident page, or a transfer may carry no
     subpage deadlines at all): :meth:`shift_after` and the
     :class:`LinkModel` then only track ``wire_end_ms``.  Only
-    :meth:`earliest`/:meth:`latest` require a non-empty schedule; call
-    sites must check ``arrival_ms`` first.
+    :meth:`latest` requires a non-empty schedule; call sites must check
+    ``arrival_ms`` first.
 
     The latest arrival is cached: the shifts move it exactly as they
     move the arrival it came from (float addition rounds monotonically,
@@ -90,11 +90,6 @@ class PendingArrivals:
         self.arrival_ms.update(other.arrival_ms)
         self._latest_ms = max(self.arrival_ms.values(), default=0.0)
         self.wire_end_ms = max(self.wire_end_ms, other.wire_end_ms)
-
-    def earliest(self) -> float:
-        if not self.arrival_ms:
-            raise SimulationError("no pending arrivals")
-        return min(self.arrival_ms.values())
 
     def latest(self) -> float:
         if not self.arrival_ms:

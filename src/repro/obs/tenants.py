@@ -7,8 +7,9 @@ by how evenly the pain is spread.  This module turns a set of per-tenant
 :class:`~repro.sim.results.SimulationResult` objects into:
 
 * a per-tenant fault-latency :class:`~repro.obs.metrics.Histogram` plus
-  exact p50/p99 quantiles (computed from the raw per-fault waiting
-  times when ``record_faults`` kept them, else from stall intervals);
+  exact p50/p99 quantiles, computed from the raw per-fault waiting
+  times (a run that faulted with ``record_faults=False`` has none, and
+  raises :class:`~repro.errors.ConfigError`);
 * a per-tenant *slowdown* against a caller-supplied solo baseline;
 * a cluster-wide **fairness** gauge — max/min slowdown (1.0 = perfectly
   fair), the figMT experiment's headline contention metric.
@@ -32,24 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Schema tag written into tenant-metrics JSON files.
 TENANT_METRICS_SCHEMA = "repro.obs.tenants/v1"
-
-
-def _latency_samples(result: "SimulationResult") -> np.ndarray:
-    """Per-fault waiting times, falling back to stall durations.
-
-    ``record_faults=False`` runs keep no :class:`FaultRecord` list; the
-    stall intervals (always kept) measure the same blocked time, just
-    without per-fault page-wait merging.
-    """
-    samples = result.waiting_times_ms()
-    if samples.size:
-        return samples
-    if result.stall_intervals:
-        return np.array(
-            [end - start for start, end in result.stall_intervals],
-            dtype=float,
-        )
-    return np.empty(0, dtype=float)
 
 
 @dataclass(slots=True)
@@ -97,11 +80,13 @@ class TenantLatencyReport:
 
         ``baselines`` maps tenant name to its *solo* run's ``total_ms``;
         tenants present there get a slowdown (and the fairness gauge
-        prefers slowdowns over raw latencies).
+        prefers slowdowns over raw latencies).  Raises
+        :class:`~repro.errors.ConfigError` for a tenant whose run
+        faulted but kept no fault records (``record_faults=False``).
         """
         tenants: list[TenantLatency] = []
         for name, result in results.items():
-            samples = _latency_samples(result)
+            samples = result.waiting_times_ms()
             histogram = Histogram(DEFAULT_MS_BOUNDS)
             for value in samples:
                 histogram.add(float(value))

@@ -68,9 +68,13 @@ class SimulationConfig:
     cluster_nodes / cluster_idle_frames:
         GMS cluster geometry when ``backing="cluster"``; idle frames
         default to twice the trace footprint (a warm cache that fits).
-    record_faults / track_distances:
-        Per-fault records (Figures 5-6) and the next-subpage distance
-        histogram (Figure 7); cheap, on by default.
+    record_faults:
+        Keep the per-fault raw material: the fault records and, derived
+        from them, the stall intervals (Figure 5's waiting times,
+        Figures 6 and 10, the Section 4.4 overlap attribution, the
+        tenant latency report).  On by default; with it off, reading
+        those views of a run that faulted raises :class:`ConfigError`.
+        The next-subpage distance histogram (Figure 7) is always kept.
     observe:
         Comma-separated observability spec (``""`` disables — the
         default; ``"trace"``, ``"metrics"``, or ``"trace,metrics"``).
@@ -110,7 +114,6 @@ class SimulationConfig:
     #: served by a copy another active node already has.
     shared_from_page: int | None = None
     record_faults: bool = True
-    track_distances: bool = True
     observe: str = ""
     seed: int = 0
     name: str = ""

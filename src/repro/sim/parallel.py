@@ -84,8 +84,10 @@ ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 #: ``"adaptive"`` meta-scheme joins the registry (repro.policy).  v5:
 #: config fingerprints switch from per-field ``repr()`` to the
 #: canonical recursive encoding (see :func:`config_fingerprint`), so
-#: every pre-v5 key is unreachable by construction.
-CACHE_VERSION = 5
+#: every pre-v5 key is unreachable by construction.  v6: results derive
+#: ``stall_intervals`` from their fault records instead of storing them,
+#: and the ``track_distances`` config field is gone.
+CACHE_VERSION = 6
 
 @dataclass(frozen=True, slots=True)
 class SweepJob:

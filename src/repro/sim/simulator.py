@@ -29,7 +29,7 @@ from repro.net.latency import CalibratedLatencyModel
 from repro.obs.instrument import Instrument, Recorder
 from repro.palcode.emulator import PalEmulator
 from repro.sim.config import SimulationConfig
-from repro.sim.replacement import make_policy
+from repro.sim.replacement import ReplacementPolicy, make_policy
 from repro.sim.results import SimulationResult
 from repro.sim.tlb import TlbModel
 from repro.trace.compress import RunTrace
@@ -56,7 +56,7 @@ class _Frame:
         valid_bits: int,
         pending: PendingArrivals | None,
         dirty: bool,
-        record: FaultRecord | None,
+        record: FaultRecord,
         distance_from: int | None,
     ) -> None:
         self.valid_bits = valid_bits
@@ -266,7 +266,6 @@ class Simulator:
         whole trace in one call; the multi-tenant scheduler passes the
         next tenant's clock.
         """
-        cfg = self.config
         frames = state.frames
         policy = state.policy
         tlb = state.tlb
@@ -275,7 +274,6 @@ class Simulator:
         full_mask = state.full_mask
         result = state.result
 
-        track_dist = cfg.track_distances
         feed_hits = (
             state.adaptive is not None
             and state.adaptive.needs_reference_events
@@ -305,7 +303,7 @@ class Simulator:
                     last_page = page
                     if tlb is not None and not tlb.access(page):
                         clock += tlb.miss_ms
-                if track_dist and frame.distance_from is not None:
+                if frame.distance_from is not None:
                     if sp != frame.distance_from:
                         distance = sp - frame.distance_from
                         hist = result.distance_histogram
@@ -372,7 +370,7 @@ class Simulator:
                 pending=None,
                 dirty=is_write,
                 record=record,
-                distance_from=sp if cfg.track_distances else None,
+                distance_from=sp,
             )
         else:
             (
@@ -418,10 +416,9 @@ class Simulator:
                 pending=pending,
                 dirty=is_write,
                 record=record,
-                distance_from=sp if cfg.track_distances else None,
+                distance_from=sp,
             )
 
-        state.stalls.append((clock, resume))
         if cfg.record_faults:
             result.fault_records.append(record)
         if state.ins is not None:
@@ -460,9 +457,7 @@ class Simulator:
                     state, clock, page, frame, sp, block
                 )
             elif arrival > clock:
-                state.stalls.append((clock, arrival))
-                if frame.record is not None:
-                    frame.record.add_page_wait(clock, arrival)
+                frame.record.add_page_wait(clock, arrival)
                 if state.ins is not None:
                     state.ins.on_stall(clock, arrival, "page_wait", page)
                 result.components.page_wait_ms += arrival - clock
@@ -477,22 +472,18 @@ class Simulator:
         # immediately rather than tripping PendingArrivals.latest().
         pending = frame.pending
         if pending is not None:
-            if not pending.arrival_ms:
-                frame.valid_bits = state.full_mask
-                frame.pending = None
-                if state.policy is not None:
-                    state.policy.note_settled(page)
-            elif clock >= (latest := pending.latest()):
-                frame.valid_bits = state.full_mask
-                frame.pending = None
-                if state.policy is not None:
-                    state.policy.note_settled(page)
-                if frame.record is not None:
-                    frame.record.window_end_ms = latest
-            elif state.pal is not None:
-                self._charge_emulation(
-                    state, clock, page, frame, count, is_write
-                )
+            if pending.arrival_ms:
+                latest = pending.latest()
+                if clock < latest:
+                    if state.pal is not None:
+                        self._charge_emulation(
+                            state, clock, page, frame, count, is_write
+                        )
+                    return clock
+                frame.record.window_end_ms = latest
+            frame.valid_bits = state.full_mask
+            frame.pending = None
+            state.policy.note_settled(page)
         return clock
 
     def _charge_emulation(
@@ -576,7 +567,6 @@ class Simulator:
             window_end_ms=window_end,
             cpu_overhead_ms=cpu_overhead_ms,
         )
-        state.stalls.append((clock, resume))
         if cfg.record_faults:
             state.result.fault_records.append(record)
         if state.ins is not None:
@@ -734,7 +724,7 @@ class _RunState:
     """Mutable per-run plumbing shared by the simulator's helpers."""
 
     frames: dict[int, _Frame]
-    policy: object
+    policy: ReplacementPolicy
     link: LinkModel
     disk: object
     tlb: TlbModel | None
@@ -748,10 +738,6 @@ class _RunState:
     #: observations from the fault path and — on the ``"events"`` feed
     #: — per reference run.
     adaptive: "AdaptivePolicy | None" = None
-
-    @property
-    def stalls(self) -> list[tuple[float, float]]:
-        return self.result.stall_intervals
 
 
 def simulate(trace: RunTrace, config: SimulationConfig) -> SimulationResult:

@@ -13,21 +13,26 @@ from repro.sim.results import SimulationResult
 import numpy as np
 
 
-def make_result(records, stalls) -> SimulationResult:
+def make_result(records) -> SimulationResult:
+    """A result whose stall intervals derive from ``records``."""
     return SimulationResult(
         trace_name="t", scheme_label="sp_1024", scheme_name="eager",
         subpage_bytes=1024, page_bytes=8192, memory_pages=4,
         backing="remote", num_references=10, num_runs=5,
         event_cost_ms=1e-3, fault_records=records,
-        stall_intervals=stalls,
     )
 
 
-def remote(time, sp, window):
-    rec = FaultRecord(page=0, subpage=0, kind=FaultKind.REMOTE,
+def remote(time, sp, window, page=0):
+    rec = FaultRecord(page=page, subpage=0, kind=FaultKind.REMOTE,
                       time_ms=time, sp_latency_ms=sp,
                       window_start_ms=window[0], window_end_ms=window[1])
     return rec
+
+
+def other_fault(start, end):
+    """Another page's fullpage fault: one stall, no in-flight window."""
+    return remote(start, end - start, (end, end), page=1)
 
 
 class TestIntervalOverlap:
@@ -61,7 +66,8 @@ class TestAttribution:
     def test_pure_computation_overlap(self):
         # One fault; nothing stalls during its window -> all comp.
         rec = remote(0.0, 0.5, (0.5, 1.5))
-        res = make_result([rec], [(0.0, 0.5)])
+        res = make_result([rec])
+        assert res.stall_intervals == [(0.0, 0.5)]
         att = attribute_overlap(res)
         assert att.comp_overlap_ms == pytest.approx(1.0)
         assert att.io_overlap_ms == 0.0
@@ -70,8 +76,8 @@ class TestAttribution:
     def test_pure_io_overlap(self):
         # A second fault's stall fully covers the first one's window.
         rec1 = remote(0.0, 0.5, (0.5, 1.5))
-        stalls = [(0.0, 0.5), (0.5, 1.5)]  # second stall: another fault
-        res = make_result([rec1], stalls)
+        res = make_result([rec1, other_fault(0.5, 1.5)])
+        assert res.stall_intervals == [(0.0, 0.5), (0.5, 1.5)]
         att = attribute_overlap(res)
         assert att.io_overlap_ms == pytest.approx(1.0)
         assert att.io_share == pytest.approx(1.0)
@@ -79,8 +85,9 @@ class TestAttribution:
     def test_own_wait_not_counted_as_io(self):
         rec = remote(0.0, 0.5, (0.5, 1.5))
         rec.add_page_wait(1.0, 1.5)
-        stalls = [(0.0, 0.5), (1.0, 1.5)]  # the page_wait is a stall too
-        res = make_result([rec], stalls)
+        res = make_result([rec])
+        # The page wait is a stall too.
+        assert res.stall_intervals == [(0.0, 0.5), (1.0, 1.5)]
         att = attribute_overlap(res)
         assert att.own_wait_ms == pytest.approx(0.5)
         assert att.io_overlap_ms == 0.0
@@ -91,14 +98,17 @@ class TestAttribution:
         rec = FaultRecord(page=0, subpage=0, kind=FaultKind.DISK,
                           time_ms=0.0, sp_latency_ms=8.0,
                           window_start_ms=8.0, window_end_ms=8.0)
-        att = attribute_overlap(make_result([rec], [(0.0, 8.0)]))
+        res = make_result([rec])
+        assert res.stall_intervals == [(0.0, 8.0)]
+        att = attribute_overlap(res)
         assert att.num_windows == 0
 
     def test_total_window_decomposition(self):
         rec = remote(0.0, 0.5, (0.5, 1.5))
         rec.add_page_wait(1.2, 1.5)
-        stalls = [(0.0, 0.5), (0.6, 0.8), (1.2, 1.5)]
-        att = attribute_overlap(make_result([rec], stalls))
+        res = make_result([rec, other_fault(0.6, 0.8)])
+        assert res.stall_intervals == [(0.0, 0.5), (0.6, 0.8), (1.2, 1.5)]
+        att = attribute_overlap(res)
         assert att.total_window_ms == pytest.approx(1.0)
         assert att.io_overlap_ms == pytest.approx(0.2)
         assert att.own_wait_ms == pytest.approx(0.3)

@@ -236,7 +236,6 @@ class TestSimulationMatchesReference:
             scheme=scheme,
             subpage_bytes=subpage,
             backing=backing,
-            track_distances=False,
         )
         reference = config.with_overrides(
             scheme=ReferencePlanning(config.build_scheme())
@@ -257,7 +256,6 @@ class TestSimulationMatchesReference:
             scheme="pipelined",
             scheme_kwargs=kwargs,
             subpage_bytes=512,
-            track_distances=False,
         )
         reference = config.with_overrides(
             scheme=ReferencePlanning(config.build_scheme()),

@@ -29,7 +29,6 @@ def sweep_jobs(trace, sizes=(4096, 1024, 256)):
                 subpage_bytes=size,
                 event_ns=1000.0,
                 use_trace_dilation=False,
-                track_distances=False,
             ),
         )
         for size in sizes

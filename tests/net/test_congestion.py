@@ -24,14 +24,13 @@ class TestPendingArrivals:
         p.shift_after(2.0, 1.0)
         assert p.wire_end_ms == 1.0
 
-    def test_earliest_latest(self):
+    def test_latest(self):
         p = pending({0: 1.0, 5: 4.0}, wire_end=4.0)
-        assert p.earliest() == 1.0
         assert p.latest() == 4.0
 
     def test_empty_raises(self):
         with pytest.raises(SimulationError):
-            PendingArrivals().earliest()
+            PendingArrivals().latest()
 
     def test_negative_shift_rejected(self):
         with pytest.raises(SimulationError):

@@ -13,9 +13,8 @@ from repro.obs.tenants import (
 class FakeResult:
     """The slice of SimulationResult the report reads."""
 
-    def __init__(self, samples, total_ms, stalls=()):
+    def __init__(self, samples, total_ms):
         self._samples = np.asarray(samples, dtype=float)
-        self.stall_intervals = list(stalls)
         self.total_ms = total_ms
 
     def waiting_times_ms(self):
@@ -35,14 +34,6 @@ class TestReport:
         assert tenant.mean_ms == pytest.approx(22.0)
         assert tenant.max_ms == pytest.approx(100.0)
         assert tenant.histogram.count == 5
-
-    def test_falls_back_to_stall_intervals(self):
-        result = FakeResult([], total_ms=10.0,
-                            stalls=[(0.0, 2.0), (5.0, 6.0)])
-        report = TenantLatencyReport.from_results({"t0": result})
-        tenant = report.tenants["t0"]
-        assert tenant.faults == 2
-        assert tenant.mean_ms == pytest.approx(1.5)
 
     def test_no_samples_at_all(self):
         report = TenantLatencyReport.from_results(

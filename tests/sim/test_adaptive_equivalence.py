@@ -43,8 +43,7 @@ def mixed_trace():
 def pair(trace, adaptive_kwargs=None, **overrides):
     """The same cell under plain pipelining and transparent adaptive
     (static predictor plus any ``adaptive_kwargs``)."""
-    base = dict(track_distances=False)
-    base.update(overrides)
+    base = dict(overrides)
     plain = simulate(
         trace, SimulationConfig(scheme="pipelined", **base)
     )
@@ -90,7 +89,6 @@ class TestMatrixIdentity:
             mixed_trace,
             memory_pages=memory_pages_for(mixed_trace, 0.5),
             subpage_bytes=1024,
-            track_distances=True,
             record_faults=True,
         )
         assert adaptive == plain
@@ -110,7 +108,6 @@ class TestMatrixIdentity:
         base = dict(
             memory_pages=memory_pages_for(mixed_trace, 0.5),
             subpage_bytes=1024,
-            track_distances=False,
         )
         plain = simulate(
             mixed_trace,
@@ -141,7 +138,6 @@ class TestSweepIdentity:
             SimulationConfig(
                 memory_pages=1,
                 scheme="pipelined",
-                track_distances=False,
             ),
             subpage_sizes=[2048, 1024, 512],
             memory_fractions={"1/2-mem": 0.5, "1/4-mem": 0.25},
@@ -152,7 +148,6 @@ class TestSweepIdentity:
                 memory_pages=1,
                 scheme="adaptive",
                 scheme_kwargs={"predictor": "static"},
-                track_distances=False,
             ),
             subpage_sizes=[2048, 1024, 512],
             memory_fractions={"1/2-mem": 0.5, "1/4-mem": 0.25},
@@ -171,7 +166,6 @@ class TestDivergenceIsDetectable:
             scheme="adaptive",
             scheme_kwargs={"predictor": "stride", "max_depth": 6},
             subpage_bytes=1024,
-            track_distances=False,
         )
         adaptive = simulate(mixed_trace, cfg)
         plain, _ = pair(

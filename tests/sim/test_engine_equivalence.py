@@ -14,8 +14,8 @@ The cells are the old engine-equivalence matrix (scheme x subpage size
 x memory configuration x backing over ``mixed_trace``), the adaptive
 cells, replacement policies, TLB, no-congestion, the edge traces, and
 the configurations that used to force the reference loop (PALcode,
-observe, the adaptive ``"events"`` feed).  Distance tracking is on in
-every cell, so the histogram is pinned too.
+observe, the adaptive ``"events"`` feed).  Every cell keeps its
+distance histogram, so the histogram is pinned too.
 
 Regenerate (only when a change is *meant* to move the numbers)::
 

@@ -245,7 +245,7 @@ def slice_trace():
 
 
 SLICE_CONFIGS = [
-    {"scheme": "eager", "track_distances": True},
+    {"scheme": "eager"},
     {"scheme": "pipelined", "tlb_entries": 4},
     {"scheme": "eager", "protection": "palcode"},
     {"scheme": "lazy", "subpage_bytes": 2048, "protection": "palcode",

@@ -589,7 +589,8 @@ class TestCanonicalFingerprint:
     """The v5 cache key: canonical, type-tagged, order-insensitive."""
 
     def test_cache_version_bumped_for_canonical_keys(self):
-        assert parallel.CACHE_VERSION == 5
+        # v5 introduced the canonical keys; later layout changes bump on.
+        assert parallel.CACHE_VERSION >= 5
 
     def test_scalar_type_tags_never_collide(self):
         values = [1, 1.0, True, "1", None]

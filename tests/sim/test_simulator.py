@@ -251,12 +251,6 @@ class TestDistanceTracking:
         result = run(base_config, addrs)
         assert result.distance_histogram == {1: 1}
 
-    def test_disabled(self, base_config):
-        config = base_config.with_overrides(track_distances=False)
-        addrs = [page_addr(0, 2048)] * 1500 + [page_addr(0, 4096)]
-        result = run(config, addrs)
-        assert result.distance_histogram == {}
-
 
 class TestTlbIntegration:
     def test_tlb_miss_time_in_components(self, base_config):
@@ -416,6 +410,7 @@ class TestEmptyPendingSchedule:
     """Regression: an empty arrival schedule folds instead of raising."""
 
     def _make_state(self, config, frame):
+        from repro.sim.replacement import make_policy
         from repro.sim.results import SimulationResult
         from repro.sim.simulator import _RunState
 
@@ -432,9 +427,12 @@ class TestEmptyPendingSchedule:
             event_cost_ms=0.001,
         )
         full_mask = (1 << (config.page_bytes // config.subpage_bytes)) - 1
+        policy = make_policy(config.replacement)
+        policy.insert(0)
+        policy.note_pending(0)
         return _RunState(
             frames={0: frame},
-            policy=None,
+            policy=policy,
             link=None,
             disk=None,
             tlb=None,
@@ -446,6 +444,7 @@ class TestEmptyPendingSchedule:
         )
 
     def test_touch_incomplete_folds_empty_schedule(self, base_config):
+        from repro.core.fault import FaultKind, FaultRecord
         from repro.net.congestion import PendingArrivals
         from repro.sim.simulator import Simulator, _Frame
 
@@ -457,7 +456,10 @@ class TestEmptyPendingSchedule:
             valid_bits=full_mask,
             pending=PendingArrivals(),
             dirty=False,
-            record=None,
+            record=FaultRecord(
+                page=0, subpage=0, kind=FaultKind.REMOTE, time_ms=0.0,
+                sp_latency_ms=0.5, window_start_ms=0.5, window_end_ms=0.5,
+            ),
             distance_from=None,
         )
         state = self._make_state(base_config, frame)

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.fault import FaultKind, FaultRecord
 from repro.sim.config import SimulationConfig
 from repro.sim.parallel import (
     CACHE_VERSION,
@@ -61,7 +62,21 @@ def make_jobs(trace, sizes=(4096, 2048, 1024, 512)):
 
 def synthetic_result(marker: float, spans: int = 4000) -> SimulationResult:
     """A large-ish result whose every value carries ``marker``, so a
-    torn read (bytes from two different writers) is detectable."""
+    torn read (bytes from two different writers) is detectable: its
+    ``spans`` fault records each stall over ``(marker, marker)``.
+
+    The records are disk faults: ``FaultKind.REMOTE``'s value is the
+    same interned string as ``backing="remote"``, a sharing pickle's memo
+    would encode and an unpickled copy does not reproduce."""
+    record = FaultRecord(
+        page=0,
+        subpage=0,
+        kind=FaultKind.DISK,
+        time_ms=marker,
+        sp_latency_ms=0.0,
+        window_start_ms=marker,
+        window_end_ms=marker,
+    )
     return SimulationResult(
         trace_name=f"writer-{marker}",
         scheme_label=f"sp_{int(marker)}",
@@ -74,7 +89,7 @@ def synthetic_result(marker: float, spans: int = 4000) -> SimulationResult:
         num_runs=1,
         event_cost_ms=0.0,
         components=TimeComponents(exec_ms=marker),
-        stall_intervals=[(marker, marker)] * spans,
+        fault_records=[record] * spans,
     )
 
 

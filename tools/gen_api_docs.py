@@ -3,17 +3,26 @@
 
 Walks the public modules of ``repro``, extracting each module's summary
 and the first docstring line of every public class/function.  Re-run
-after API changes:  python tools/gen_api_docs.py
+after API changes::
+
+    python tools/gen_api_docs.py          # rewrite docs/API.md
+    python tools/gen_api_docs.py --check  # exit 1 and print the diff
+                                          # when docs/API.md is stale
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
 import sys
 from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parents[1]
+API_MD = ROOT / "docs" / "API.md"
+
+sys.path.insert(0, str(ROOT / "src"))
 
 MODULES = [
     "repro",
@@ -150,12 +159,37 @@ def render() -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
-    out = Path("docs/API.md")
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(render())
-    print(f"wrote {out} ({len(out.read_text().splitlines())} lines)")
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Generate docs/API.md from the package's docstrings."
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 and print the diff when docs/API.md "
+        "differs from what would be generated",
+    )
+    args = parser.parse_args(argv)
+    text = render()
+    rel = API_MD.relative_to(ROOT)
+    if args.check:
+        current = API_MD.read_text() if API_MD.exists() else ""
+        if current == text:
+            print(f"{rel} is up to date")
+            return 0
+        sys.stdout.writelines(difflib.unified_diff(
+            current.splitlines(keepends=True),
+            text.splitlines(keepends=True),
+            fromfile=f"{rel} (committed)",
+            tofile=f"{rel} (generated)",
+        ))
+        print(f"{rel} is stale: run python tools/gen_api_docs.py")
+        return 1
+    API_MD.parent.mkdir(exist_ok=True)
+    API_MD.write_text(text)
+    print(f"wrote {rel} ({len(text.splitlines())} lines)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -55,7 +55,6 @@ def sweep_jobs(trace):
                 subpage_bytes=size,
                 event_ns=1000.0,
                 use_trace_dilation=False,
-                track_distances=False,
             ),
         )
         for size in (4096, 1024, 256)

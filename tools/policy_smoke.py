@@ -68,7 +68,6 @@ def main(argv: list[str] | None = None) -> int:
             base = dict(
                 memory_pages=memory_pages_for(trace, fraction),
                 subpage_bytes=subpage,
-                track_distances=False,
             )
             pipelined = simulate(
                 trace, SimulationConfig(scheme="pipelined", **base)
