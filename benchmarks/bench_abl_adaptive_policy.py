@@ -146,7 +146,6 @@ def test_history_tracking_overhead(benchmark):
             scheme=scheme,
             scheme_kwargs=kwargs,
             subpage_bytes=SUBPAGE,
-            record_faults=False,
         )
 
     arms = [

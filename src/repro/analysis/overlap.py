@@ -13,7 +13,8 @@ arrival]:
 
 The paper reports the share of speedup due to overlapped I/O as 53%
 (Atom) to 83% (gdb).  This module computes the same attribution from a
-run's fault windows and its global stall-interval record.
+run's fault log: its window columns, its page-wait columns and the
+stalls derived from them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.fault import FaultKind
+from repro.core.fault import KIND_CODES, FaultKind
 from repro.sim.results import SimulationResult
 
 
@@ -85,9 +86,8 @@ def attribute_overlap(
     result: SimulationResult, label: str | None = None
 ) -> OverlapAttribution:
     """Attribute every remote fault's in-flight window (see module doc)."""
-    stalls = result.stall_intervals
-    starts = np.array([s for s, _ in stalls], dtype=float)
-    ends = np.array([e for _, e in stalls], dtype=float)
+    faults = result.faults
+    starts, ends = faults.stalls()
     durations = ends - starts
     cumulative = np.concatenate([[0.0], np.cumsum(durations)])
 
@@ -95,16 +95,19 @@ def attribute_overlap(
     comp_ms = 0.0
     own_ms = 0.0
     windows = 0
-    for record in result.fault_records:
-        if record.kind is not FaultKind.REMOTE:
-            continue
-        lo, hi = record.window_start_ms, record.window_end_ms
-        if hi <= lo:
+    remote = KIND_CODES[FaultKind.REMOTE]
+    for kind, lo, hi, page_waits in zip(
+        faults.array("kind").tolist(),
+        faults.array("window_start_ms").tolist(),
+        faults.array("window_end_ms").tolist(),
+        faults.page_waits(),
+    ):
+        if kind != remote or hi <= lo:
             continue
         windows += 1
         stalled = _interval_overlap_ms(starts, ends, cumulative, lo, hi)
         own = 0.0
-        for s, e in record.page_wait_intervals:
+        for s, e in page_waits:
             own += max(0.0, min(e, hi) - max(s, lo))
         own_ms += own
         io = max(0.0, stalled - own)

@@ -75,9 +75,6 @@ def _config(trace_pages: int, scheme_kwargs: dict) -> SimulationConfig:
         scheme="adaptive",
         scheme_kwargs=dict(scheme_kwargs),
         subpage_bytes=SUBPAGE_BYTES,
-        # The per-fault raw material is not used here; keep the cells
-        # lean.
-        record_faults=False,
     )
 
 

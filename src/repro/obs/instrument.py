@@ -71,8 +71,13 @@ class Instrument:
     """
 
     def on_fault(self, record: "FaultRecord") -> None:
-        """A fault was serviced (record fields are final except
-        page-wait intervals, which accrue afterwards)."""
+        """A fault was serviced.
+
+        ``record`` is a snapshot taken at service time, built only for
+        this hook.  Two of its fields are not final: page-wait intervals
+        accrue afterwards, and ``window_end_ms`` moves to the last
+        arrival when the page's transfers fold and is capped at the end
+        of the run.  The result's fault log holds the final values."""
 
     def on_stall(
         self, start_ms: float, end_ms: float, kind: str, page: int
@@ -242,8 +247,8 @@ class Recorder(Instrument):
             return
         metrics.set_gauge("sim_total_ms", result.total_ms)
         metrics.set_gauge("sim_references", result.num_references)
-        for record in result.fault_records:
-            metrics.observe("fault_waiting_ms", record.waiting_ms)
+        for waiting_ms in result.faults.waiting_ms().tolist():
+            metrics.observe("fault_waiting_ms", waiting_ms)
         for distance, count in result.distance_histogram.items():
             metrics.observe(
                 "next_subpage_distance", distance, count=count,

@@ -8,8 +8,7 @@ by how evenly the pain is spread.  This module turns a set of per-tenant
 
 * a per-tenant fault-latency :class:`~repro.obs.metrics.Histogram` plus
   exact p50/p99 quantiles, computed from the raw per-fault waiting
-  times (a run that faulted with ``record_faults=False`` has none, and
-  raises :class:`~repro.errors.ConfigError`);
+  times in the run's fault log;
 * a per-tenant *slowdown* against a caller-supplied solo baseline;
 * a cluster-wide **fairness** gauge — max/min slowdown (1.0 = perfectly
   fair), the figMT experiment's headline contention metric.
@@ -80,9 +79,7 @@ class TenantLatencyReport:
 
         ``baselines`` maps tenant name to its *solo* run's ``total_ms``;
         tenants present there get a slowdown (and the fairness gauge
-        prefers slowdowns over raw latencies).  Raises
-        :class:`~repro.errors.ConfigError` for a tenant whose run
-        faulted but kept no fault records (``record_faults=False``).
+        prefers slowdowns over raw latencies).
         """
         tenants: list[TenantLatency] = []
         for name, result in results.items():

@@ -68,13 +68,6 @@ class SimulationConfig:
     cluster_nodes / cluster_idle_frames:
         GMS cluster geometry when ``backing="cluster"``; idle frames
         default to twice the trace footprint (a warm cache that fits).
-    record_faults:
-        Keep the per-fault raw material: the fault records and, derived
-        from them, the stall intervals (Figure 5's waiting times,
-        Figures 6 and 10, the Section 4.4 overlap attribution, the
-        tenant latency report).  On by default; with it off, reading
-        those views of a run that faulted raises :class:`ConfigError`.
-        The next-subpage distance histogram (Figure 7) is always kept.
     observe:
         Comma-separated observability spec (``""`` disables — the
         default; ``"trace"``, ``"metrics"``, or ``"trace,metrics"``).
@@ -113,7 +106,6 @@ class SimulationConfig:
     #: a common namespace instead of this node's, so a fault can be
     #: served by a copy another active node already has.
     shared_from_page: int | None = None
-    record_faults: bool = True
     observe: str = ""
     seed: int = 0
     name: str = ""

@@ -86,8 +86,11 @@ ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 #: canonical recursive encoding (see :func:`config_fingerprint`), so
 #: every pre-v5 key is unreachable by construction.  v6: results derive
 #: ``stall_intervals`` from their fault records instead of storing them,
-#: and the ``track_distances`` config field is gone.
-CACHE_VERSION = 6
+#: and the ``track_distances`` config field is gone.  v7: results keep
+#: their faults as a columnar ``FaultLog`` of NumPy arrays in place of a
+#: list of ``FaultRecord`` objects, and the ``record_faults`` config
+#: field is gone.
+CACHE_VERSION = 7
 
 @dataclass(frozen=True, slots=True)
 class SweepJob:

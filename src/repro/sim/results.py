@@ -15,8 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.fault import FaultKind, FaultRecord
-from repro.errors import ConfigError
+from repro.core.fault import FaultKind, FaultLog, FaultRecord
 
 
 @dataclass(slots=True)
@@ -86,10 +85,9 @@ class SimulationResult:
     #: remaining arrivals were wasted network work).
     cancelled_transfers: int = 0
 
-    # Raw material for the analysis figures.  ``fault_records`` is empty
-    # when ``SimulationConfig.record_faults`` was off; the per-fault views
-    # below then raise rather than answer from nothing.
-    fault_records: list[FaultRecord] = field(default_factory=list)
+    # Raw material for the analysis figures: one row per fault, as
+    # NumPy columns once the run has finished.
+    faults: FaultLog = field(default_factory=FaultLog)
     distance_histogram: dict[int, int] = field(default_factory=dict)
 
     # Substrate statistics (shapes depend on configuration).
@@ -139,46 +137,36 @@ class SimulationResult:
 
     # -- per-fault views ---------------------------------------------------
 
-    def _records(self) -> list[FaultRecord]:
-        """The fault records; :class:`ConfigError` if the run dropped them."""
-        if self.total_faults and not self.fault_records:
-            raise ConfigError(
-                f"{self.trace_name}/{self.scheme_label}: per-fault data "
-                f"needs record_faults=True (this run had "
-                f"{self.total_faults} faults and kept no records)"
-            )
-        return self.fault_records
+    @property
+    def fault_records(self) -> list[FaultRecord]:
+        """The faults as :class:`FaultRecord` objects, built on demand
+        from the log (changing them does not change the result)."""
+        return self.faults.records()
 
     @property
     def stall_intervals(self) -> list[tuple[float, float]]:
         """Every stall as ``(start_ms, end_ms)``, in start order.
 
-        Derived from the fault records: each fault's service stall
+        Derived from the fault log: each fault's service stall
         ``(time_ms, window_start_ms)`` (the program resumes at
         ``window_start_ms`` on every fault path) merged with every
         page-wait interval.  Stall starts strictly increase — at most
         one stall per reference run, and every run advances the clock —
         so the intervals are disjoint and the sort is exact.
         """
-        records = self._records()
-        stalls = [(r.time_ms, r.window_start_ms) for r in records]
-        for record in records:
-            stalls.extend(record.page_wait_intervals)
-        stalls.sort()
-        return stalls
+        starts, ends = self.faults.stalls()
+        return list(zip(starts.tolist(), ends.tolist()))
 
     def fault_times_ms(self) -> np.ndarray:
         """Fault occurrence times, in trace order (Figures 6/10)."""
-        return np.array([r.time_ms for r in self._records()], dtype=float)
+        return self.faults.array("time_ms").copy()
 
     def waiting_times_ms(self) -> np.ndarray:
         """Per-fault total waiting time (Figure 5's Y values)."""
-        return np.array(
-            [r.waiting_ms for r in self._records()], dtype=float
-        )
+        return self.faults.waiting_ms()
 
     def records_of_kind(self, kind: FaultKind) -> list[FaultRecord]:
-        return [r for r in self._records() if r.kind is kind]
+        return self.faults.records(kind)
 
     # -- serialization -----------------------------------------------------
 

@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.fault import FaultKind, FaultRecord
+import numpy as np
+
+from repro.core.fault import FAULT_KINDS, KIND_CODES, FaultKind, FaultRecord
 from repro.disk.presets import paper_disk
 from repro.errors import SimulationError
 from repro.gms.cluster import Cluster, PageLocation
@@ -41,13 +43,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Default node id of the active (trace-running) node in cluster mode.
 ACTIVE_NODE = 0
 
+#: Fault-log kind codes of the three fault paths.
+_REMOTE = KIND_CODES[FaultKind.REMOTE]
+_DISK = KIND_CODES[FaultKind.DISK]
+_SUBPAGE = KIND_CODES[FaultKind.SUBPAGE]
+
 #: UID namespace for pages shared across workloads (shared library code
 #: and the like); disjoint from any real node id.
 SHARED_ORIGIN = 1 << 30
 
 
 class _Frame:
-    """Residency state of one local page."""
+    """Residency state of one local page (``record`` is the index of the
+    fault that brought it in, in the result's fault log)."""
 
     __slots__ = ("valid_bits", "pending", "dirty", "record", "distance_from")
 
@@ -56,7 +64,7 @@ class _Frame:
         valid_bits: int,
         pending: PendingArrivals | None,
         dirty: bool,
-        record: FaultRecord,
+        record: int,
         distance_from: int | None,
     ) -> None:
         self.valid_bits = valid_bits
@@ -355,23 +363,14 @@ class Simulator:
         if service == "disk":
             latency = state.disk.read_page(page)
             resume = clock + latency
-            record = FaultRecord(
-                page=page,
-                subpage=sp,
-                kind=FaultKind.DISK,
-                time_ms=clock,
-                sp_latency_ms=latency,
-                window_start_ms=resume,
-                window_end_ms=resume,
-            )
+            kind = _DISK
+            sp_latency_ms = latency
+            valid_bits = state.full_mask
+            pending = None
+            window_end_ms = resume
+            cpu_overhead_ms = 0.0
+            overlapped = False
             result.disk_faults += 1
-            frame = _Frame(
-                valid_bits=state.full_mask,
-                pending=None,
-                dirty=is_write,
-                record=record,
-                distance_from=sp,
-            )
         else:
             (
                 resume, valid_bits, follow, demand_wire_ms,
@@ -397,39 +396,36 @@ class Simulator:
                         pending,
                         page=page,
                     )
-            record = FaultRecord(
-                page=page,
-                subpage=sp,
-                kind=FaultKind.REMOTE,
-                time_ms=clock,
-                sp_latency_ms=resume - clock,
-                window_start_ms=resume,
-                window_end_ms=pending.latest() if pending else resume,
-                cpu_overhead_ms=cpu_overhead_ms,
-                overlapped_another=overlapped,
-            )
+            kind = _REMOTE
+            sp_latency_ms = resume - clock
+            window_end_ms = pending.latest() if pending else resume
             result.remote_faults += 1
             if overlapped:
                 result.overlapped_faults += 1
-            frame = _Frame(
-                valid_bits=valid_bits,
-                pending=pending,
-                dirty=is_write,
-                record=record,
-                distance_from=sp,
-            )
 
-        if cfg.record_faults:
-            result.fault_records.append(record)
+        index = result.faults.append(
+            page, sp, kind, clock, sp_latency_ms, resume,
+            window_end_ms, cpu_overhead_ms, overlapped,
+        )
         if state.ins is not None:
-            state.ins.on_fault(record)
-        result.components.sp_latency_ms += record.sp_latency_ms
-        result.components.cpu_overhead_ms += record.cpu_overhead_ms
-        frames[page] = frame
+            state.ins.on_fault(FaultRecord(
+                page, sp, FAULT_KINDS[kind], clock, sp_latency_ms, resume,
+                window_end_ms, cpu_overhead_ms=cpu_overhead_ms,
+                overlapped_another=overlapped,
+            ))
+        result.components.sp_latency_ms += sp_latency_ms
+        result.components.cpu_overhead_ms += cpu_overhead_ms
+        frame = frames[page] = _Frame(
+            valid_bits=valid_bits,
+            pending=pending,
+            dirty=is_write,
+            record=index,
+            distance_from=sp,
+        )
         state.policy.insert(page)
         if frame.pending is not None:
             state.policy.note_pending(page)
-        return resume + record.cpu_overhead_ms
+        return resume + cpu_overhead_ms
 
     def _touch_incomplete(
         self,
@@ -457,7 +453,7 @@ class Simulator:
                     state, clock, page, frame, sp, block
                 )
             elif arrival > clock:
-                frame.record.add_page_wait(clock, arrival)
+                result.faults.add_page_wait(frame.record, clock, arrival)
                 if state.ins is not None:
                     state.ins.on_stall(clock, arrival, "page_wait", page)
                 result.components.page_wait_ms += arrival - clock
@@ -480,7 +476,7 @@ class Simulator:
                             state, clock, page, frame, count, is_write
                         )
                     return clock
-                frame.record.window_end_ms = latest
+                result.faults.window_end_ms[frame.record] = latest
             frame.valid_bits = state.full_mask
             frame.pending = None
             state.policy.note_settled(page)
@@ -557,24 +553,21 @@ class Simulator:
                 # only a subset of the page, i.e. no pending schedule).
                 frame.pending.merge(pending)
             state.policy.note_pending(page)
-        record = FaultRecord(
-            page=page,
-            subpage=sp,
-            kind=FaultKind.SUBPAGE,
-            time_ms=clock,
-            sp_latency_ms=resume - clock,
-            window_start_ms=resume,
-            window_end_ms=window_end,
-            cpu_overhead_ms=cpu_overhead_ms,
+        result = state.result
+        sp_latency_ms = resume - clock
+        result.faults.append(
+            page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
+            window_end, cpu_overhead_ms, False,
         )
-        if cfg.record_faults:
-            state.result.fault_records.append(record)
         if state.ins is not None:
-            state.ins.on_fault(record)
-        state.result.subpage_faults += 1
-        state.result.components.sp_latency_ms += record.sp_latency_ms
-        state.result.components.cpu_overhead_ms += record.cpu_overhead_ms
-        return resume + record.cpu_overhead_ms
+            state.ins.on_fault(FaultRecord(
+                page, sp, FaultKind.SUBPAGE, clock, sp_latency_ms, resume,
+                window_end, cpu_overhead_ms=cpu_overhead_ms,
+            ))
+        result.subpage_faults += 1
+        result.components.sp_latency_ms += sp_latency_ms
+        result.components.cpu_overhead_ms += cpu_overhead_ms
+        return resume + cpu_overhead_ms
 
     def _evict(self, state: "_RunState", clock: float) -> None:
         frames = state.frames
@@ -646,8 +639,6 @@ class Simulator:
         if cfg.cluster_warm:
             # Warm cache: every page of the workload starts in remote
             # memory (as many as fit; the rest will be disk fills).
-            import numpy as np
-
             vpns = np.unique(trace.pages).tolist()
             # Clamp at zero: with scarce idle frames the subtraction can
             # go negative, and a negative slice would silently drop pages
@@ -702,9 +693,9 @@ class Simulator:
             if stats is not None:
                 result.policy_stats = stats
         # Close any still-open fault windows at the end of the run.
-        for record in result.fault_records:
-            if record.window_end_ms > clock:
-                record.window_end_ms = clock
+        faults = result.faults
+        faults.freeze()
+        faults.window_end_ms = np.minimum(faults.window_end_ms, clock)
         if state.ins is not None:
             ins = state.ins
             ins.publish("link", result.link_stats)

@@ -9,7 +9,7 @@ from repro.analysis.clustering import (
     clustering_curve,
     fraction_in_bursts,
 )
-from repro.core.fault import FaultKind, FaultRecord
+from repro.core.fault import FaultKind, FaultLog, FaultRecord
 from repro.errors import ConfigError
 from repro.sim.results import SimulationResult
 
@@ -24,7 +24,7 @@ def result_with_times(times) -> SimulationResult:
         trace_name="t", scheme_label="x", scheme_name="eager",
         subpage_bytes=1024, page_bytes=8192, memory_pages=4,
         backing="remote", num_references=10, num_runs=5,
-        event_cost_ms=1e-3, fault_records=records,
+        event_cost_ms=1e-3, faults=FaultLog.from_records(records),
     )
 
 

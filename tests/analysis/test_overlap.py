@@ -7,7 +7,7 @@ from repro.analysis.overlap import (
     _interval_overlap_ms,
     attribute_overlap,
 )
-from repro.core.fault import FaultKind, FaultRecord
+from repro.core.fault import FaultKind, FaultLog, FaultRecord
 from repro.sim.results import SimulationResult
 
 import numpy as np
@@ -19,7 +19,7 @@ def make_result(records) -> SimulationResult:
         trace_name="t", scheme_label="sp_1024", scheme_name="eager",
         subpage_bytes=1024, page_bytes=8192, memory_pages=4,
         backing="remote", num_references=10, num_runs=5,
-        event_cost_ms=1e-3, fault_records=records,
+        event_cost_ms=1e-3, faults=FaultLog.from_records(records),
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.waiting import WaitingCurve, waiting_curve
-from repro.core.fault import FaultKind, FaultRecord
+from repro.core.fault import FaultKind, FaultLog, FaultRecord
 from repro.sim.results import SimulationResult
 
 
@@ -21,7 +21,7 @@ def result_with(records) -> SimulationResult:
         trace_name="t", scheme_label="sp_1024", scheme_name="eager",
         subpage_bytes=1024, page_bytes=8192, memory_pages=4,
         backing="remote", num_references=10, num_runs=5,
-        event_cost_ms=1e-3, fault_records=list(records),
+        event_cost_ms=1e-3, faults=FaultLog.from_records(records),
     )
 
 

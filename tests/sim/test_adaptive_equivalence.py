@@ -89,7 +89,6 @@ class TestMatrixIdentity:
             mixed_trace,
             memory_pages=memory_pages_for(mixed_trace, 0.5),
             subpage_bytes=1024,
-            record_faults=True,
         )
         assert adaptive == plain
 

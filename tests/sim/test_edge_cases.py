@@ -1,12 +1,7 @@
 """Simulator edge cases: degenerate traces and unusual configurations."""
 
-import dataclasses
-
 import pytest
 
-from repro.core.fault import FaultKind
-from repro.errors import ConfigError
-from repro.obs.tenants import TenantLatencyReport
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import simulate
 
@@ -62,35 +57,6 @@ class TestUnusualConfigurations:
         # 31 later subpages touched while the rest is in flight: one
         # stall, then everything is resident.
         assert result.components.page_wait_ms > 0
-
-    def test_record_faults_disabled(self, base_config):
-        # Five page faults, then a touch of page 4's in-flight rest.
-        addrs = [page_addr(p) for p in range(5)] + [page_addr(4, 4096)]
-        recorded = simulate(make_trace(addrs), base_config)
-        result = simulate(
-            make_trace(addrs), base_config.with_overrides(record_faults=False)
-        )
-        assert result.fault_records == []
-        # Aggregate accounting is the recording run's, field for field.
-        assert result.page_faults == 5
-        assert result.components.sp_latency_ms == pytest.approx(2.5)
-        assert result.components.page_wait_ms > 0
-        assert result == dataclasses.replace(recorded, fault_records=[])
-        # Per-fault views refuse to answer from nothing, naming the knob.
-        with pytest.raises(ConfigError, match="record_faults"):
-            result.stall_intervals
-        with pytest.raises(ConfigError, match="record_faults"):
-            result.waiting_times_ms()
-        with pytest.raises(ConfigError, match="record_faults"):
-            result.fault_times_ms()
-        with pytest.raises(ConfigError, match="record_faults"):
-            result.records_of_kind(FaultKind.REMOTE)
-        with pytest.raises(ConfigError, match="record_faults"):
-            TenantLatencyReport.from_results({"t0": result})
-        assert len(recorded.stall_intervals) == 6
-        assert TenantLatencyReport.from_results(
-            {"t0": recorded}
-        ).tenants["t0"].faults == 5
 
     def test_lazy_with_congestion(self, fixed_latency):
         config = SimulationConfig(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fault import FaultKind, FaultRecord
+from repro.core.fault import FaultKind, FaultLog, FaultRecord
 from repro.sim.results import SimulationResult, TimeComponents
 
 
@@ -65,7 +65,7 @@ class TestDerivedMetrics:
             FaultRecord(page=2, subpage=0, kind=FaultKind.DISK,
                         time_ms=1.0, sp_latency_ms=8.0),
         ]
-        r = result(fault_records=records)
+        r = result(faults=FaultLog.from_records(records))
         assert list(r.fault_times_ms()) == [2.0, 1.0]
         assert list(r.waiting_times_ms()) == [0.5, 8.0]
         assert len(r.records_of_kind(FaultKind.DISK)) == 1

@@ -426,6 +426,8 @@ class TestEmptyPendingSchedule:
             num_runs=1,
             event_cost_ms=0.001,
         )
+        # Fault 0 brought page 0 in (the frame's ``record``).
+        result.faults.append(0, 0, 0, 0.0, 0.5, 0.5, 0.5, 0.0, False)
         full_mask = (1 << (config.page_bytes // config.subpage_bytes)) - 1
         policy = make_policy(config.replacement)
         policy.insert(0)
@@ -444,7 +446,6 @@ class TestEmptyPendingSchedule:
         )
 
     def test_touch_incomplete_folds_empty_schedule(self, base_config):
-        from repro.core.fault import FaultKind, FaultRecord
         from repro.net.congestion import PendingArrivals
         from repro.sim.simulator import Simulator, _Frame
 
@@ -456,10 +457,7 @@ class TestEmptyPendingSchedule:
             valid_bits=full_mask,
             pending=PendingArrivals(),
             dirty=False,
-            record=FaultRecord(
-                page=0, subpage=0, kind=FaultKind.REMOTE, time_ms=0.0,
-                sp_latency_ms=0.5, window_start_ms=0.5, window_end_ms=0.5,
-            ),
+            record=0,
             distance_from=None,
         )
         state = self._make_state(base_config, frame)
@@ -470,3 +468,4 @@ class TestEmptyPendingSchedule:
         assert frame.pending is None
         assert frame.valid_bits == full_mask
         assert state.result.components.page_wait_ms == 0.0
+        assert state.result.faults.window_end_ms == [0.5]

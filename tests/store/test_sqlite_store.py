@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.fault import FaultKind, FaultRecord
+from repro.core.fault import FaultKind, FaultLog, FaultRecord
 from repro.sim.config import SimulationConfig
 from repro.sim.parallel import (
     CACHE_VERSION,
@@ -60,14 +60,11 @@ def make_jobs(trace, sizes=(4096, 2048, 1024, 512)):
     ]
 
 
-def synthetic_result(marker: float, spans: int = 4000) -> SimulationResult:
-    """A large-ish result whose every value carries ``marker``, so a
-    torn read (bytes from two different writers) is detectable: its
-    ``spans`` fault records each stall over ``(marker, marker)``.
-
-    The records are disk faults: ``FaultKind.REMOTE``'s value is the
-    same interned string as ``backing="remote"``, a sharing pickle's memo
-    would encode and an unpickled copy does not reproduce."""
+def synthetic_result(marker: float, spans: int = 130) -> SimulationResult:
+    """A result whose every value carries ``marker``, so a torn read
+    (bytes from two different writers) is detectable: its ``spans``
+    faults each stall over ``(marker, marker)``.  Its payload is about
+    9 KB, a few sqlite pages."""
     record = FaultRecord(
         page=0,
         subpage=0,
@@ -89,7 +86,7 @@ def synthetic_result(marker: float, spans: int = 4000) -> SimulationResult:
         num_runs=1,
         event_cost_ms=0.0,
         components=TimeComponents(exec_ms=marker),
-        fault_records=[record] * spans,
+        faults=FaultLog.from_records([record] * spans),
     )
 
 

@@ -93,7 +93,6 @@ def time_policy_overhead(trace):
             scheme=scheme,
             scheme_kwargs=kwargs,
             subpage_bytes=1024,
-            record_faults=False,
         )
 
     arms = [
@@ -151,7 +150,6 @@ def sweep_jobs(trace):
         memory_pages=64,
         scheme="fullpage",
         subpage_bytes=8192,
-        record_faults=False,
         event_ns=1000.0,
         use_trace_dilation=False,
     )
