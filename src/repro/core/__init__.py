@@ -13,15 +13,17 @@ what to transfer and when the program resumes:
   further subpages in predicted access order (+1/-1 neighbors first),
   then the remainder.
 
-Schemes turn a :class:`FaultContext` into a :class:`TransferPlan` — resume
-time plus per-subpage arrival times plus wire occupancy — which the
-simulator executes against its residency, replacement, and congestion
-state.  The built-in schemes compile each distinct plan once into a
-:class:`PlanRow` and shift it to every later fault's time.
+A scheme's one contract is :meth:`FetchScheme.planner`: per run, it
+returns a planner that turns each fault into a placement — resume time,
+the subpages valid by then, later arrival times, and wire occupancy —
+which the simulator executes against its residency, replacement, and
+congestion state.  The built-in schemes compile each distinct plan once
+into a :class:`PlanRow`, kept in the planner's :class:`PlanTable`, and
+shift it to every later fault's time.
 """
 
 from repro.core.fault import FaultKind, FaultRecord
-from repro.core.plans import FaultContext, PlanRow, PlanTable, TransferPlan
+from repro.core.plans import PlanRow, PlanTable
 from repro.core.schemes import (
     EagerFullPageFetch,
     FetchScheme,
@@ -38,13 +40,11 @@ from repro.core.sequencers import (
     Sequencer,
     make_sequencer,
 )
-from repro.core.validbits import SubpageBitmap
 
 __all__ = [
     "AscendingSequencer",
     "DistanceSequencer",
     "EagerFullPageFetch",
-    "FaultContext",
     "FaultKind",
     "FaultRecord",
     "FetchScheme",
@@ -54,9 +54,7 @@ __all__ = [
     "PlanRow",
     "PlanTable",
     "Sequencer",
-    "SubpageBitmap",
     "SubpagePipelining",
-    "TransferPlan",
     "make_scheme",
     "make_sequencer",
     "scheme_names",

@@ -1,119 +1,24 @@
-"""Fault contexts and transfer plans: the scheme <-> simulator contract.
+"""Compiled fault plans: the scheme <-> simulator contract.
 
-A scheme plans a fault described by a :class:`FaultContext` as a
-:class:`TransferPlan`.  The plan is expressed in *idle-network* times;
-the simulator then applies congestion (demand priority, background
-queueing) via :class:`repro.net.congestion.LinkModel`, which may slide
-the background arrivals.
+A scheme's :meth:`~repro.core.schemes.FetchScheme.planner` returns the
+per-run :data:`Planner` the simulator calls on every fault.  It answers
+with a :data:`Placement` in *idle-network* absolute times; the simulator
+then applies congestion (demand priority, background queueing) via
+:class:`repro.net.congestion.LinkModel`, which may slide the background
+arrivals.
 
-On the simulator's fault path the plan arrives as a :data:`Placement`
-from the scheme's per-run :data:`Planner`.  The built-in schemes answer
-from compiled :class:`PlanRow` objects, one per distinct plan, kept in a
-:class:`PlanTable` per latency model and subpage size; a scheme that
-only implements ``plan_fault`` is asked with a fresh context per fault.
+The built-in schemes are fixed policies, so each distinct plan is
+compiled once into a :class:`PlanRow` and shifted to every later fault's
+time.  A planner keeps its rows in its own :class:`PlanTable`, built for
+the run's latency model, subpage size and page size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import SchemeError
 from repro.net.latency import LatencyModel
-
-
-@dataclass(frozen=True, slots=True)
-class FaultContext:
-    """Everything a scheme may consult when planning a fault."""
-
-    now_ms: float
-    page: int
-    faulted_subpage: int
-    #: Block index (finest granularity) within the page, for schemes that
-    #: care where inside the subpage the faulted word lies.
-    faulted_block: int
-    subpage_bytes: int
-    page_bytes: int
-    latency: LatencyModel
-
-    @property
-    def subpages_per_page(self) -> int:
-        return self.page_bytes // self.subpage_bytes
-
-    def subpage_exists(self, index: int) -> bool:
-        return 0 <= index < self.subpages_per_page
-
-
-@dataclass(slots=True)
-class TransferPlan:
-    """What a scheme decided to transfer for one fault.
-
-    Attributes
-    ----------
-    resume_ms:
-        Absolute time at which the faulted program resumes (the faulted
-        subpage — or full page — has arrived).
-    arrivals_ms:
-        Absolute idle-network arrival time per subpage index.  Must cover
-        the faulted subpage (at ``resume_ms``); may cover any subset of
-        the rest (lazy fetch covers only the faulted one).
-    demand_wire_ms:
-        Wire occupancy of the demand (blocking) part of the transfer.
-    background_ready_ms / background_wire_ms:
-        When the background (follow-on) part is ready to use the wire and
-        how long it occupies it; zero wire time means no background part.
-    cpu_overhead_ms:
-        Requester-CPU cost charged when the transfer completes (e.g.
-        receiver interrupts for pipelined messages on real controllers).
-    """
-
-    resume_ms: float
-    arrivals_ms: dict[int, float]
-    demand_wire_ms: float
-    background_ready_ms: float = 0.0
-    background_wire_ms: float = 0.0
-    cpu_overhead_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.arrivals_ms:
-            raise SchemeError("a transfer plan must deliver something")
-        if self.demand_wire_ms < 0 or self.background_wire_ms < 0:
-            raise SchemeError("wire times cannot be negative")
-        if self.cpu_overhead_ms < 0:
-            raise SchemeError("cpu overhead cannot be negative")
-
-    @property
-    def has_background(self) -> bool:
-        return self.background_wire_ms > 0
-
-    @property
-    def covered_subpages(self) -> set[int]:
-        return set(self.arrivals_ms)
-
-    @property
-    def last_arrival_ms(self) -> float:
-        return max(self.arrivals_ms.values())
-
-    def placement(self) -> "Placement":
-        """This plan in the form the simulator executes (see
-        :data:`Placement`)."""
-        resume = self.resume_ms
-        valid_bits = 0
-        follow: dict[int, float] = {}
-        for index, arrival in self.arrivals_ms.items():
-            if arrival <= resume:
-                valid_bits |= 1 << index
-            else:
-                follow[index] = arrival
-        return (
-            resume,
-            valid_bits,
-            follow,
-            self.demand_wire_ms,
-            self.background_ready_ms,
-            self.background_wire_ms,
-            self.cpu_overhead_ms,
-        )
 
 
 #: A planned fault as the simulator executes it, in absolute times:
@@ -149,8 +54,9 @@ class PlanRow:
     valid-bit partition (:meth:`place`) compares absolute times, since
     at a large ``now`` rounding can collapse a step to zero.
 
-    Building a row checks the :class:`TransferPlan` invariants once, so
-    a malformed row is never cached.
+    Building a row checks that it delivers something and that no wire
+    time or CPU overhead is negative (latency models are user-supplied),
+    so a malformed row raises :class:`SchemeError` and is never cached.
     """
 
     __slots__ = (
@@ -185,6 +91,12 @@ class PlanRow:
         background_wire_ms: float = 0.0,
         cpu_overhead_ms: float = 0.0,
     ) -> None:
+        if not initial:
+            raise SchemeError("a transfer plan must deliver something")
+        if demand_wire_ms < 0 or background_wire_ms < 0:
+            raise SchemeError("wire times cannot be negative")
+        if cpu_overhead_ms < 0:
+            raise SchemeError("cpu overhead cannot be negative")
         self.initial = initial
         self.initial_mask = _mask(initial)
         parts = list(groups)
@@ -206,7 +118,6 @@ class PlanRow:
         self.request_fixed_ms = request_fixed_ms or 0.0
         self.background_wire_ms = background_wire_ms
         self.cpu_overhead_ms = cpu_overhead_ms
-        self.plan(0.0)  # TransferPlan invariants, once
 
     def times(self, now_ms: float) -> tuple[float, list[float], float]:
         """``(resume, arrival per part, background ready)`` at ``now_ms``."""
@@ -250,22 +161,6 @@ class PlanRow:
             self.cpu_overhead_ms,
         )
 
-    def plan(self, now_ms: float) -> TransferPlan:
-        """The fault at ``now_ms`` as a :class:`TransferPlan`."""
-        resume, arrivals, ready = self.times(now_ms)
-        arrivals_ms = dict.fromkeys(self.initial, resume)
-        for (_, subpages), arrival in zip(self.parts, arrivals):
-            for index in subpages:
-                arrivals_ms[index] = arrival
-        return TransferPlan(
-            resume_ms=resume,
-            arrivals_ms=arrivals_ms,
-            demand_wire_ms=self.demand_wire_ms,
-            background_ready_ms=ready,
-            background_wire_ms=self.background_wire_ms,
-            cpu_overhead_ms=self.cpu_overhead_ms,
-        )
-
 
 def _mask(subpages: tuple[int, ...]) -> int:
     mask = 0
@@ -275,8 +170,8 @@ def _mask(subpages: tuple[int, ...]) -> int:
 
 
 class PlanTable:
-    """One scheme's compiled rows for one (latency model, subpage size,
-    page size).
+    """One planner's compiled rows for its run's (latency model, subpage
+    size, page size).
 
     ``rows`` maps a scheme-defined key — for pipelining (initial
     subpages, the faulted one first; follow-on order; pipeline depth) —

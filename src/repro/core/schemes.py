@@ -1,15 +1,19 @@
 """The subpage fetch schemes (paper Section 2.1).
 
-Every scheme answers a fault with a :class:`TransferPlan` expressed in
-idle-network absolute times; the simulator afterwards applies link
-congestion.  All latency numbers come from the context's
-:class:`~repro.net.latency.LatencyModel`, i.e. from the prototype's
-calibrated measurements by default.
+A scheme's one contract is :meth:`FetchScheme.planner`: for a run's
+latency model, subpage size and page size it returns the
+:data:`~repro.core.plans.Planner` that answers every fault with a
+:data:`~repro.core.plans.Placement` in idle-network absolute times; the
+simulator afterwards applies link congestion.  All latency numbers come
+from the run's :class:`~repro.net.latency.LatencyModel`, i.e. from the
+prototype's calibrated measurements by default.
 
 The built-in schemes are fixed policies, so a plan is a pure function of
-the fault's position in the page, shifted by the fault time.  They
-compile each distinct plan once into a :class:`~repro.core.plans.PlanRow`
-memoized on the scheme, and answer every later fault from it.
+the fault's position in the page, shifted by the fault time.  Each
+planner compiles every distinct plan once into a
+:class:`~repro.core.plans.PlanRow` in its own
+:class:`~repro.core.plans.PlanTable`, and answers every later fault from
+it.
 """
 
 from __future__ import annotations
@@ -17,20 +21,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigError, SchemeError, UnknownSchemeError
-from repro.core.plans import (
-    FaultContext,
-    PlanRow,
-    PlanTable,
-    Planner,
-    TransferPlan,
-)
+from repro.core.plans import PlanRow, PlanTable, Planner
 from repro.core.sequencers import Sequencer, check_follow_on, make_sequencer
 from repro.net.latency import LatencyModel
 from repro.units import MIN_SUBPAGE_BYTES
-
-#: Plan tables a scheme keeps (one per latency model and subpage size it
-#: has planned with); the oldest is dropped beyond this.
-_MAX_TABLES = 16
 
 
 class FetchScheme(ABC):
@@ -46,59 +40,12 @@ class FetchScheme(ABC):
     controller = None
 
     @abstractmethod
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        """Plan the transfers for a fault described by ``ctx``."""
-
     def planner(
         self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
     ) -> Planner:
-        """The per-run fault planner the simulator calls on every fault.
-
-        The default builds a :class:`FaultContext` and asks
-        :meth:`plan_fault`, so a scheme that defines only
-        :meth:`plan_fault` works unchanged; the built-in schemes answer
-        from their compiled rows instead.
+        """The per-run fault planner the simulator calls on every fault:
+        ``(now_ms, page, faulted_subpage, faulted_block) -> Placement``.
         """
-
-        def plan(now_ms: float, page: int, faulted: int, block: int):
-            return self.plan_fault(
-                FaultContext(
-                    now_ms=now_ms,
-                    page=page,
-                    faulted_subpage=faulted,
-                    faulted_block=block,
-                    subpage_bytes=subpage_bytes,
-                    page_bytes=page_bytes,
-                    latency=latency,
-                )
-            ).placement()
-
-        return plan
-
-    def plan_table(
-        self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
-    ) -> PlanTable:
-        """This scheme's memoized rows for one latency model and size."""
-        tables = self.__dict__.setdefault("_plan_tables", {})
-        key = (id(latency), subpage_bytes, page_bytes)
-        table = tables.get(key)
-        if table is None:
-            if len(tables) >= _MAX_TABLES:
-                del tables[next(iter(tables))]
-            table = tables[key] = PlanTable(
-                latency, subpage_bytes, page_bytes
-            )
-        return table
-
-    def _ctx_table(self, ctx: FaultContext) -> PlanTable:
-        return self.plan_table(ctx.latency, ctx.subpage_bytes, ctx.page_bytes)
-
-    def __getstate__(self) -> dict:
-        # The tables are keyed by the latency model's id(), which an
-        # unpickled copy does not keep; rebuild them where the copy runs.
-        state = dict(self.__dict__)
-        state.pop("_plan_tables", None)
-        return state
 
     def label(self, subpage_bytes: int) -> str:
         """Short label used in result tables (e.g. ``sp_1024``)."""
@@ -144,15 +91,10 @@ class _SubpageKeyedScheme(FetchScheme):
     def row(self, table: PlanTable, faulted: int) -> PlanRow:
         """The compiled plan for a fault on subpage ``faulted``."""
 
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        return self.row(self._ctx_table(ctx), ctx.faulted_subpage).plan(
-            ctx.now_ms
-        )
-
     def planner(
         self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
     ) -> Planner:
-        table = self.plan_table(latency, subpage_bytes, page_bytes)
+        table = PlanTable(latency, subpage_bytes, page_bytes)
         return _by_subpage_planner(
             {}, lambda faulted: self.row(table, faulted)
         )
@@ -287,45 +229,6 @@ class SubpagePipelining(FetchScheme):
         self.interrupt_ms = interrupt_ms
         self.double_initial = double_initial
 
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        table = self._ctx_table(ctx)
-        if table.whole_page:
-            return fullpage_row(table).plan(ctx.now_ms)
-        order = self.sequencer.order(
-            ctx.faulted_subpage, table.subpages_per_page
-        )
-        return self.plan_with_order(ctx, order)
-
-    def plan_with_order(
-        self,
-        ctx: FaultContext,
-        order: list[int] | tuple[int, ...],
-        pipeline_count: int | None = None,
-        direction: int = 0,
-    ) -> TransferPlan:
-        """Plan a fault with an externally supplied follow-on order.
-
-        The adaptive policy layer's entry point: ``order`` is the
-        predicted access order for the page's other subpages (validated
-        against the sequencer contract — see
-        :func:`repro.core.sequencers.check_follow_on`), ``pipeline_count``
-        overrides the configured depth for this one fault, and a nonzero
-        ``direction`` steers the doubled initial fetch's neighbor choice
-        (Section 4.3) instead of the faulted-block-offset heuristic.
-        :meth:`plan_fault` routes through here with the sequencer's
-        order and the configured depth.
-        """
-        if pipeline_count is None:
-            pipeline_count = self.pipeline_count
-        return self.row(
-            self._ctx_table(ctx),
-            ctx.faulted_subpage,
-            ctx.faulted_block,
-            tuple(order),
-            pipeline_count,
-            direction,
-        ).plan(ctx.now_ms)
-
     def row(
         self,
         table: PlanTable,
@@ -335,7 +238,16 @@ class SubpagePipelining(FetchScheme):
         depth: int,
         direction: int = 0,
     ) -> PlanRow:
-        """The compiled plan for one fault (see :meth:`plan_with_order`).
+        """The compiled plan for one fault.
+
+        ``order`` is the predicted access order for the page's other
+        subpages (validated against the sequencer contract — see
+        :func:`repro.core.sequencers.check_follow_on`), ``depth`` the
+        number of individually pipelined messages, and a nonzero
+        ``direction`` steers the doubled initial fetch's neighbor choice
+        (Section 4.3) instead of the faulted-block-offset heuristic.
+        :meth:`planner` passes the sequencer's order and the configured
+        depth; the adaptive policy layer passes its predictions.
 
         Keyed by (initial subpages, the faulted one first; follow-on
         order; depth).  The order is validated when its row is built; an
@@ -399,7 +311,7 @@ class SubpagePipelining(FetchScheme):
     def planner(
         self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
     ) -> Planner:
-        table = self.plan_table(latency, subpage_bytes, page_bytes)
+        table = PlanTable(latency, subpage_bytes, page_bytes)
         if table.whole_page:
             return _by_subpage_planner({}, lambda _: fullpage_row(table))
         spp = table.subpages_per_page

@@ -68,6 +68,21 @@ class ClusterStats:
             return 0.0
         return (self.remote_hits + self.local_global_hits) / self.getpages
 
+    def as_dict(self) -> dict[str, float]:
+        """These statistics as a plain dict (results, metrics)."""
+        return {
+            "getpages": self.getpages,
+            "remote_hits": self.remote_hits,
+            "local_global_hits": self.local_global_hits,
+            "shared_copies": self.shared_copies,
+            "disk_fills": self.disk_fills,
+            "putpages": self.putpages,
+            "discards": self.discards,
+            "disk_writebacks": self.disk_writebacks,
+            "messages": self.messages,
+            "global_hit_ratio": self.global_hit_ratio,
+        }
+
 
 class Cluster:
     """A set of GMS nodes sharing their memory.

@@ -22,13 +22,7 @@ regression anchor (see ``tests/sim/test_adaptive_equivalence.py``).
 
 from __future__ import annotations
 
-from repro.core.plans import (
-    FaultContext,
-    PlanRow,
-    PlanTable,
-    Planner,
-    TransferPlan,
-)
+from repro.core.plans import PlanRow, PlanTable, Planner
 from repro.core.schemes import (
     FetchScheme,
     LazySubpageFetch,
@@ -122,36 +116,37 @@ class AdaptivePolicy:
                         self._pred_misses += 1
         self._record(page, subpage, kind)
 
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        table = self.scheme.inner.plan_table(
-            ctx.latency, ctx.subpage_bytes, ctx.page_bytes
-        )
-        return self.row(
-            table, ctx.page, ctx.faulted_subpage, ctx.faulted_block
-        ).plan(ctx.now_ms)
-
     def planner(
         self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
     ) -> Planner:
-        """Per-run fault planner (see :meth:`FetchScheme.planner`)."""
-        table = self.scheme.inner.plan_table(
-            latency, subpage_bytes, page_bytes
-        )
+        """Per-run fault planner (see :meth:`FetchScheme.planner`).
+
+        Builds the wrapped pipelined scheme's table and the lazy
+        fallback's table once, for the whole run.
+        """
+        table = PlanTable(latency, subpage_bytes, page_bytes)
+        lazy_table = PlanTable(latency, subpage_bytes, page_bytes)
         row = self.row
 
         def plan(now_ms: float, page: int, faulted: int, block: int):
-            return row(table, page, faulted, block).place(now_ms)
+            return row(table, lazy_table, page, faulted, block).place(now_ms)
 
         return plan
 
     def row(
-        self, table: PlanTable, page: int, faulted: int, block: int
+        self,
+        table: PlanTable,
+        lazy_table: PlanTable,
+        page: int,
+        faulted: int,
+        block: int,
     ) -> PlanRow:
         """The compiled plan for this fault's prediction.
 
-        Predictions index the wrapped pipelined scheme's rows, so a
-        repeated prediction (every one, under the static predictor)
-        reuses its row instead of planning again.
+        Predictions index the wrapped pipelined scheme's rows in
+        ``table``, so a repeated prediction (every one, under the static
+        predictor) reuses its row instead of planning again; a lazy
+        fallback takes its row from ``lazy_table``.
         """
         if table.whole_page:
             return fullpage_row(table)
@@ -174,13 +169,7 @@ class AdaptivePolicy:
             and prediction.confidence < scheme.min_confidence
         ):
             self._lazy_fallbacks += 1
-            lazy = scheme.lazy
-            return lazy.row(
-                lazy.plan_table(
-                    table.latency, table.subpage_bytes, table.page_bytes
-                ),
-                faulted,
-            )
+            return scheme.lazy.row(lazy_table, faulted)
 
         depth = self._depth_for(prediction.confidence)
         row = self._inner_row(
@@ -346,9 +335,6 @@ class AdaptiveScheme(FetchScheme):
             return cap
         fraction = (confidence - self.min_confidence) / span
         return max(1, min(cap, 1 + int(fraction * (cap - 1))))
-
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        return self.controller.plan_fault(ctx)
 
     def planner(
         self, latency: LatencyModel, subpage_bytes: int, page_bytes: int

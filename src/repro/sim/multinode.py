@@ -136,23 +136,6 @@ def workload_config(
     )
 
 
-def cluster_stats_dict(cluster: Cluster) -> dict[str, float]:
-    """The cluster's protocol statistics as a plain dict."""
-    stats = cluster.stats
-    return {
-        "getpages": stats.getpages,
-        "remote_hits": stats.remote_hits,
-        "local_global_hits": stats.local_global_hits,
-        "shared_copies": stats.shared_copies,
-        "disk_fills": stats.disk_fills,
-        "putpages": stats.putpages,
-        "discards": stats.discards,
-        "disk_writebacks": stats.disk_writebacks,
-        "messages": stats.messages,
-        "global_hit_ratio": stats.global_hit_ratio,
-    }
-
-
 def run_multi_workload(
     workloads: list[NodeWorkload],
     idle_nodes: int = 2,
@@ -175,5 +158,5 @@ def run_multi_workload(
         config = workload_config(workload, node_id, seed=seed)
         simulator = Simulator(config, cluster=cluster)
         result.per_node[workload.name] = simulator.run(workload.trace)
-    result.cluster_stats = cluster_stats_dict(cluster)
+    result.cluster_stats = cluster.stats.as_dict()
     return result

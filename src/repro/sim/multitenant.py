@@ -42,7 +42,6 @@ from repro.net.congestion import CrossTraffic
 from repro.sim.multinode import (
     NodeWorkload,
     build_shared_cluster,
-    cluster_stats_dict,
     workload_config,
 )
 from repro.sim.results import SimulationResult
@@ -154,7 +153,7 @@ def run_multi_tenant(
         )
         if fabric is not None:
             result.cross_stats[workload.name] = state.link.cross_stats()
-    result.cluster_stats = cluster_stats_dict(cluster)
+    result.cluster_stats = cluster.stats.as_dict()
     if fabric is not None:
         result.injected_ms = dict(fabric.injected_ms)
     return result

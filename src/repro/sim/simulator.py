@@ -675,19 +675,7 @@ class Simulator:
             "preemption_delay_ms": state.link.total_preemption_delay_ms,
         }
         if state.cluster is not None:
-            cstats = state.cluster.stats
-            result.cluster_stats = {
-                "getpages": cstats.getpages,
-                "remote_hits": cstats.remote_hits,
-                "local_global_hits": cstats.local_global_hits,
-                "shared_copies": cstats.shared_copies,
-                "disk_fills": cstats.disk_fills,
-                "putpages": cstats.putpages,
-                "discards": cstats.discards,
-                "disk_writebacks": cstats.disk_writebacks,
-                "messages": cstats.messages,
-                "global_hit_ratio": cstats.global_hit_ratio,
-            }
+            result.cluster_stats = state.cluster.stats.as_dict()
         if state.adaptive is not None:
             stats = state.adaptive.finish()
             if stats is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,53 @@ class FixedLatencyModel:
 
     def wire_time_ms(self, size_bytes: int) -> float:
         return size_bytes / self.page_bytes
+
+
+class PlacedFault(NamedTuple):
+    """A :data:`~repro.core.plans.Placement` with named fields, so tests
+    can assert on it."""
+
+    resume_ms: float
+    valid_bits: int
+    follow: dict[int, float]
+    demand_wire_ms: float
+    background_ready_ms: float
+    background_wire_ms: float
+    cpu_overhead_ms: float
+
+    @property
+    def arrivals_ms(self) -> dict[int, float]:
+        """Per-subpage arrival: every valid subpage at resume, every
+        follow-on at its own time."""
+        arrivals = {
+            index: self.resume_ms
+            for index in range(self.valid_bits.bit_length())
+            if self.valid_bits >> index & 1
+        }
+        arrivals.update(self.follow)
+        return arrivals
+
+
+def place(
+    scheme,
+    subpage: int = 2,
+    block: int | None = None,
+    subpage_bytes: int = 1024,
+    now: float = 10.0,
+    page: int = 5,
+    latency=None,
+) -> PlacedFault:
+    """One fault planned through ``scheme``'s planner on an 8K page (the
+    fixed latency model by default; the faulted block defaults to the
+    subpage's first)."""
+    if block is None:
+        block = subpage * (subpage_bytes // 256)
+    plan = scheme.planner(
+        latency if latency is not None else FixedLatencyModel(),
+        subpage_bytes,
+        8192,
+    )
+    return PlacedFault(*plan(now, page, subpage, block))
 
 
 @pytest.fixture()

@@ -2,8 +2,13 @@
 
 This is the per-fault arithmetic the schemes used before plans were
 compiled into memoized rows (:class:`repro.core.plans.PlanRow`), kept
-verbatim as an oracle: a compiled plan must be ``==`` to the plan built
-here for the same fault, float for float.
+verbatim as an oracle: a compiled placement must be ``==`` to the
+placement built here for the same fault, float for float.
+
+Every function takes the run's geometry (latency model, subpage size,
+page size) and then the fault as a planner sees it (time, faulted
+subpage, faulted block), and returns a
+:data:`~repro.core.plans.Placement`.
 
 :class:`ReferencePlanning` wraps a built-in scheme and plans every fault
 through these functions, so a whole simulation can be run against the
@@ -12,7 +17,7 @@ oracle too.
 
 from __future__ import annotations
 
-from repro.core.plans import FaultContext, TransferPlan
+from repro.core.plans import Placement
 from repro.core.schemes import (
     EagerFullPageFetch,
     FetchScheme,
@@ -25,73 +30,110 @@ from repro.errors import SchemeError
 from repro.units import MIN_SUBPAGE_BYTES
 
 
-def fullpage(ctx: FaultContext) -> TransferPlan:
-    resume = ctx.now_ms + ctx.latency.fullpage_latency_ms()
-    arrivals = {i: resume for i in range(ctx.subpages_per_page)}
-    return TransferPlan(
+def placement(
+    resume_ms: float,
+    arrivals_ms: dict[int, float],
+    demand_wire_ms: float,
+    background_ready_ms: float = 0.0,
+    background_wire_ms: float = 0.0,
+    cpu_overhead_ms: float = 0.0,
+) -> Placement:
+    """Partition per-subpage arrivals into the simulator's placement:
+    what has arrived by resume is valid, the rest follows."""
+    valid_bits = 0
+    follow: dict[int, float] = {}
+    for index, arrival in arrivals_ms.items():
+        if arrival <= resume_ms:
+            valid_bits |= 1 << index
+        else:
+            follow[index] = arrival
+    return (
+        resume_ms,
+        valid_bits,
+        follow,
+        demand_wire_ms,
+        background_ready_ms,
+        background_wire_ms,
+        cpu_overhead_ms,
+    )
+
+
+def fullpage(latency, subpage_bytes, page_bytes, now_ms, faulted, block):
+    resume = now_ms + latency.fullpage_latency_ms()
+    arrivals = {i: resume for i in range(page_bytes // subpage_bytes)}
+    return placement(
         resume_ms=resume,
         arrivals_ms=arrivals,
-        demand_wire_ms=ctx.latency.wire_time_ms(ctx.page_bytes),
+        demand_wire_ms=latency.wire_time_ms(page_bytes),
     )
 
 
-def lazy(ctx: FaultContext) -> TransferPlan:
-    resume = ctx.now_ms + ctx.latency.subpage_latency_ms(ctx.subpage_bytes)
-    return TransferPlan(
+def lazy(latency, subpage_bytes, page_bytes, now_ms, faulted, block):
+    resume = now_ms + latency.subpage_latency_ms(subpage_bytes)
+    return placement(
         resume_ms=resume,
-        arrivals_ms={ctx.faulted_subpage: resume},
-        demand_wire_ms=ctx.latency.wire_time_ms(ctx.subpage_bytes),
+        arrivals_ms={faulted: resume},
+        demand_wire_ms=latency.wire_time_ms(subpage_bytes),
     )
 
 
-def eager(ctx: FaultContext) -> TransferPlan:
-    s = ctx.subpage_bytes
-    if s >= ctx.page_bytes:
-        return fullpage(ctx)
-    resume = ctx.now_ms + ctx.latency.subpage_latency_ms(s)
-    rest = ctx.now_ms + ctx.latency.rest_of_page_ms(s)
-    arrivals = {i: rest for i in range(ctx.subpages_per_page)}
-    arrivals[ctx.faulted_subpage] = resume
-    demand_wire = ctx.latency.wire_time_ms(s)
-    return TransferPlan(
+def eager(latency, subpage_bytes, page_bytes, now_ms, faulted, block):
+    s = subpage_bytes
+    if s >= page_bytes:
+        return fullpage(
+            latency, subpage_bytes, page_bytes, now_ms, faulted, block
+        )
+    resume = now_ms + latency.subpage_latency_ms(s)
+    rest = now_ms + latency.rest_of_page_ms(s)
+    arrivals = {i: rest for i in range(page_bytes // s)}
+    arrivals[faulted] = resume
+    demand_wire = latency.wire_time_ms(s)
+    return placement(
         resume_ms=resume,
         arrivals_ms=arrivals,
         demand_wire_ms=demand_wire,
-        background_ready_ms=ctx.now_ms
-        + ctx.latency.request_fixed_ms
-        + demand_wire,
-        background_wire_ms=ctx.latency.wire_time_ms(ctx.page_bytes - s),
+        background_ready_ms=now_ms + latency.request_fixed_ms + demand_wire,
+        background_wire_ms=latency.wire_time_ms(page_bytes - s),
     )
 
 
 def pipelined(
     scheme: SubpagePipelining,
-    ctx: FaultContext,
+    latency,
+    subpage_bytes: int,
+    page_bytes: int,
+    now_ms: float,
+    faulted: int,
+    block: int,
     order: list[int] | None = None,
     pipeline_count: int | None = None,
     direction: int = 0,
-) -> TransferPlan:
+) -> Placement:
     """``scheme``'s plan; ``order`` defaults to its sequencer's."""
-    s = ctx.subpage_bytes
-    spp = ctx.subpages_per_page
-    if s >= ctx.page_bytes or spp == 1:
-        return fullpage(ctx)
+    s = subpage_bytes
+    spp = page_bytes // subpage_bytes
+    if s >= page_bytes or spp == 1:
+        return fullpage(
+            latency, subpage_bytes, page_bytes, now_ms, faulted, block
+        )
     if order is None:
-        order = scheme.sequencer.order(ctx.faulted_subpage, spp)
+        order = scheme.sequencer.order(faulted, spp)
     order = list(order)
     if pipeline_count is None:
         pipeline_count = scheme.pipeline_count
-    check_follow_on(ctx.faulted_subpage, order, spp)
+    check_follow_on(faulted, order, spp)
 
-    initial = [ctx.faulted_subpage]
+    initial = [faulted]
     if scheme.double_initial and spp >= 2:
-        initial.append(_initial_partner(ctx, direction))
+        initial.append(
+            _initial_partner(subpage_bytes, spp, faulted, block, direction)
+        )
     initial_bytes = s * len(initial)
-    resume = ctx.now_ms + ctx.latency.subpage_latency_ms(initial_bytes)
+    resume = now_ms + latency.subpage_latency_ms(initial_bytes)
     arrivals = {index: resume for index in initial}
 
     order = [index for index in order if index not in arrivals]
-    wire_step = ctx.latency.wire_time_ms(s * scheme.segment_subpages)
+    wire_step = latency.wire_time_ms(s * scheme.segment_subpages)
     messages = 0
     t = resume
     while messages < pipeline_count and order:
@@ -106,74 +148,87 @@ def pipelined(
     last_pipelined = t
 
     if order:
-        rest_base = ctx.now_ms + ctx.latency.rest_of_page_ms(s)
+        rest_base = now_ms + latency.rest_of_page_ms(s)
         trailing = max(
             rest_base + messages * scheme.interrupt_ms, last_pipelined
         )
         for index in order:
             arrivals[index] = trailing
 
-    demand_wire = ctx.latency.wire_time_ms(initial_bytes)
-    return TransferPlan(
+    demand_wire = latency.wire_time_ms(initial_bytes)
+    return placement(
         resume_ms=resume,
         arrivals_ms=arrivals,
         demand_wire_ms=demand_wire,
-        background_ready_ms=ctx.now_ms
-        + ctx.latency.request_fixed_ms
-        + demand_wire,
-        background_wire_ms=ctx.latency.wire_time_ms(
-            ctx.page_bytes - initial_bytes
-        ),
+        background_ready_ms=now_ms + latency.request_fixed_ms + demand_wire,
+        background_wire_ms=latency.wire_time_ms(page_bytes - initial_bytes),
         cpu_overhead_ms=messages * scheme.interrupt_ms,
     )
 
 
-def _initial_partner(ctx: FaultContext, direction: int) -> int:
+def _initial_partner(
+    subpage_bytes: int, spp: int, faulted: int, block: int, direction: int
+) -> int:
     if direction:
         prefer_next = direction > 0
     else:
-        blocks_per_subpage = max(1, ctx.subpage_bytes // MIN_SUBPAGE_BYTES)
-        offset = ctx.faulted_block % blocks_per_subpage
+        blocks_per_subpage = max(1, subpage_bytes // MIN_SUBPAGE_BYTES)
+        offset = block % blocks_per_subpage
         prefer_next = offset >= blocks_per_subpage / 2
     candidates = (
-        (ctx.faulted_subpage + 1, ctx.faulted_subpage - 1)
+        (faulted + 1, faulted - 1)
         if prefer_next
-        else (ctx.faulted_subpage - 1, ctx.faulted_subpage + 1)
+        else (faulted - 1, faulted + 1)
     )
     for candidate in candidates:
-        if ctx.subpage_exists(candidate):
+        if 0 <= candidate < spp:
             return candidate
     raise SchemeError("page has no neighbor subpage")
 
 
-def reference_plan(scheme: FetchScheme, ctx: FaultContext) -> TransferPlan:
-    """The plan the built-in ``scheme`` must produce for ``ctx``."""
+def reference_placement(
+    scheme: FetchScheme,
+    latency,
+    subpage_bytes: int,
+    page_bytes: int,
+    now_ms: float,
+    faulted: int,
+    block: int,
+) -> Placement:
+    """The placement the built-in ``scheme`` must produce for a fault."""
+    fault = (latency, subpage_bytes, page_bytes, now_ms, faulted, block)
     if isinstance(scheme, SubpagePipelining):
-        return pipelined(scheme, ctx)
+        return pipelined(scheme, *fault)
     if isinstance(scheme, EagerFullPageFetch):
-        return eager(ctx)
+        return eager(*fault)
     if isinstance(scheme, LazySubpageFetch):
-        return lazy(ctx)
+        return lazy(*fault)
     if isinstance(scheme, FullPageFetch):
-        return fullpage(ctx)
+        return fullpage(*fault)
     raise TypeError(f"no reference planning for {scheme!r}")
 
 
 class ReferencePlanning(FetchScheme):
     """A built-in scheme, planned from scratch on every fault.
 
-    Defines only :meth:`plan_fault`, so the simulator reaches it through
-    the base class's context-building planner.  Reports the wrapped
-    scheme's name and label, so its results compare ``==`` with the
-    built-in scheme's.
+    Reports the wrapped scheme's name and label, so its results compare
+    ``==`` with the built-in scheme's.
     """
 
     def __init__(self, builtin: FetchScheme) -> None:
         self.builtin = builtin
         self.name = builtin.name
 
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        return reference_plan(self.builtin, ctx)
+    def planner(self, latency, subpage_bytes, page_bytes):
+        builtin = self.builtin
+
+        def plan(now_ms, page, faulted, block):
+            return reference_placement(
+                builtin, latency, subpage_bytes, page_bytes,
+                now_ms, faulted, block,
+            )
+
+        return plan
 
     def label(self, subpage_bytes: int) -> str:
         return self.builtin.label(subpage_bytes)

@@ -1,25 +1,24 @@
 """Compiled plan rows against the from-scratch reference planning.
 
-Every built-in scheme answers faults from memoized
+Every built-in scheme's planner answers faults from memoized
 :class:`~repro.core.plans.PlanRow` objects.  These tests hold them to
-the oracle in :mod:`tests.core.reference_planning`: a compiled plan is
-``==`` to the reference plan (resume, every arrival, wire fields, CPU
-overhead), and a whole simulation planned through the reference is
-``==`` to one planned from rows.  The single-loop golden digests
-(``tests/sim/test_engine_equivalence.py``) pin whatever the rows
-produce; only this oracle says the rows are right.
+the oracle in :mod:`tests.core.reference_planning`: a compiled placement
+is ``==`` to the reference placement (resume, valid bits, every later
+arrival, wire fields, CPU overhead), and a whole simulation planned
+through the reference is ``==`` to one planned from rows.  The
+single-loop golden digests (``tests/sim/test_engine_equivalence.py``)
+pin whatever the rows produce; only this oracle says the rows are
+right.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.plans import FaultContext
-from repro.core.schemes import make_scheme
+from repro.core.plans import PlanTable
+from repro.core.schemes import SubpagePipelining, make_scheme
 from repro.core.sequencers import DistanceSequencer
 from repro.errors import SchemeError
 from repro.net.calibration import PAPER_PIPELINE_INTERRUPT_MS
@@ -38,7 +37,7 @@ from repro.units import MIN_SUBPAGE_BYTES
 from tests.core.reference_planning import (
     ReferencePlanning,
     pipelined,
-    reference_plan,
+    reference_placement,
 )
 from tests.sim.test_engine_equivalence import (  # noqa: F401  (fixture)
     SCHEME_CELLS,
@@ -71,6 +70,9 @@ NOW = st.one_of(
 
 @st.composite
 def faults(draw):
+    """``(latency, subpage_bytes, page_bytes, events)``: one run's
+    geometry and one to three faults on the same subpage and block, each
+    ``(now_ms, page, faulted, block)`` as a planner is called."""
     page_bytes = draw(st.sampled_from([4096, 8192]))
     subpage_bytes = draw(
         st.sampled_from([s for s in (256, 512, 1024, 2048, 4096, 8192)
@@ -81,18 +83,16 @@ def faults(draw):
     blocks = subpage_bytes // MIN_SUBPAGE_BYTES
     block = faulted * blocks + draw(st.integers(0, blocks - 1))
     latency = draw(latency_models(page_bytes))
-    return [
-        FaultContext(
-            now_ms=now,
-            page=draw(st.integers(min_value=0, max_value=1 << 20)),
-            faulted_subpage=faulted,
-            faulted_block=block,
-            subpage_bytes=subpage_bytes,
-            page_bytes=page_bytes,
-            latency=latency,
+    events = [
+        (
+            now,
+            draw(st.integers(min_value=0, max_value=1 << 20)),
+            faulted,
+            block,
         )
         for now in draw(st.lists(NOW, min_size=1, max_size=3))
     ]
+    return latency, subpage_bytes, page_bytes, events
 
 
 @st.composite
@@ -125,80 +125,96 @@ def schemes(draw):
 
 
 class TestRowsMatchReference:
-    @given(scheme=schemes(), contexts=faults())
+    @given(scheme=schemes(), fault=faults())
     @settings(max_examples=400, deadline=None)
-    def test_plan_fault(self, scheme, contexts):
-        # Several fault times per row: the later ones reuse the row.
-        for ctx in contexts:
-            assert scheme.plan_fault(ctx) == reference_plan(scheme, ctx)
+    def test_plan_fault(self, scheme, fault):
+        """The row a scheme compiles for one fault, placed at each fault
+        time, without a planner's memo in between."""
+        latency, subpage_bytes, page_bytes, events = fault
+        table = PlanTable(latency, subpage_bytes, page_bytes)
+        for now, _, faulted, block in events:
+            if isinstance(scheme, SubpagePipelining):
+                order = tuple(
+                    scheme.sequencer.order(faulted, table.subpages_per_page)
+                )
+                row = scheme.row(
+                    table, faulted, block, order, scheme.pipeline_count
+                )
+            else:
+                row = scheme.row(table, faulted)
+            assert row.place(now) == reference_placement(
+                scheme, latency, subpage_bytes, page_bytes,
+                now, faulted, block,
+            )
 
-    @given(scheme=schemes(), contexts=faults())
+    @given(scheme=schemes(), fault=faults())
     @settings(max_examples=400, deadline=None)
-    def test_planner_placement(self, scheme, contexts):
-        ctx = contexts[0]
-        plan = scheme.planner(ctx.latency, ctx.subpage_bytes, ctx.page_bytes)
-        for ctx in contexts:
-            assert plan(
-                ctx.now_ms, ctx.page, ctx.faulted_subpage, ctx.faulted_block
-            ) == reference_plan(scheme, ctx).placement()
+    def test_planner_placement(self, scheme, fault):
+        latency, subpage_bytes, page_bytes, events = fault
+        plan = scheme.planner(latency, subpage_bytes, page_bytes)
+        # Several fault times per row: the later ones reuse the row.
+        for now, page, faulted, block in events:
+            assert plan(now, page, faulted, block) == reference_placement(
+                scheme, latency, subpage_bytes, page_bytes,
+                now, faulted, block,
+            )
 
     @given(
-        contexts=faults(),
+        fault=faults(),
         data=st.data(),
         segment=st.integers(1, 3),
         interrupt=st.sampled_from(INTERRUPTS),
         double=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_plan_with_order(
-        self, contexts, data, segment, interrupt, double
-    ):
+    def test_plan_with_order(self, fault, data, segment, interrupt, double):
         """Externally supplied orders, depths and directions (the
-        adaptive layer's entry point)."""
+        adaptive layer's entry point, :meth:`SubpagePipelining.row`)."""
         scheme = make_scheme(
             "pipelined",
             segment_subpages=segment,
             interrupt_ms=interrupt,
             double_initial=double,
         )
-        ctx = contexts[0]
+        latency, subpage_bytes, page_bytes, events = fault
+        table = PlanTable(latency, subpage_bytes, page_bytes)
+        faulted = events[0][2]
         others = [
-            i for i in range(ctx.subpages_per_page)
-            if i != ctx.faulted_subpage
+            i for i in range(page_bytes // subpage_bytes) if i != faulted
         ]
         order = data.draw(st.permutations(others))
         depth = data.draw(st.integers(0, 4))
         direction = data.draw(st.sampled_from([-1, 0, 1]))
-        for ctx in contexts:
-            assert scheme.plan_with_order(
-                ctx, order, pipeline_count=depth, direction=direction
-            ) == pipelined(
-                scheme, ctx, order, pipeline_count=depth,
-                direction=direction,
+        for now, _, faulted, block in events:
+            row = scheme.row(
+                table, faulted, block, tuple(order), depth, direction
             )
+            assert row.place(now) == pipelined(
+                scheme, latency, subpage_bytes, page_bytes,
+                now, faulted, block, order,
+                pipeline_count=depth, direction=direction,
+            )
+
+
+class _CountingLatency(CalibratedLatencyModel):
+    """Counts rest-of-page lookups: one per pipelined row built."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rest_calls = 0
+
+    def rest_of_page_ms(self, subpage_bytes: int) -> float:
+        self.rest_calls += 1
+        return super().rest_of_page_ms(subpage_bytes)
 
 
 class TestMemo:
     def test_rows_are_built_once(self):
-        scheme = make_scheme("pipelined")
-        latency = CalibratedLatencyModel()
-        plan = scheme.planner(latency, 1024, 8192)
+        latency = _CountingLatency()
+        plan = make_scheme("pipelined").planner(latency, 1024, 8192)
         for now in (0.0, 1.0, 2.0):
             plan(now, 5, 3, 12)
-        table = scheme.plan_table(latency, 1024, 8192)
-        assert len(table.rows) == 1
-
-    def test_pickle_drops_the_memo(self):
-        scheme = make_scheme("eager")
-        latency = CalibratedLatencyModel()
-        ctx = FaultContext(
-            now_ms=1.0, page=0, faulted_subpage=2, faulted_block=8,
-            subpage_bytes=1024, page_bytes=8192, latency=latency,
-        )
-        before = scheme.plan_fault(ctx)
-        clone = pickle.loads(pickle.dumps(scheme))
-        assert "_plan_tables" not in vars(clone)
-        assert clone.plan_fault(ctx) == before
+        assert latency.rest_calls == 1
 
 
 class TestCollapsedSteps:
@@ -210,15 +226,13 @@ class TestCollapsedSteps:
     def test_partition_at_absolute_times(self, now):
         scheme = make_scheme("pipelined", pipeline_count=2)
         latency = CalibratedLatencyModel()
-        ctx = FaultContext(
-            now_ms=now, page=0, faulted_subpage=3, faulted_block=12,
-            subpage_bytes=1024, page_bytes=8192, latency=latency,
-        )
-        reference = pipelined(scheme, ctx)
+        reference = pipelined(scheme, latency, 1024, 8192, now, 3, 12)
         placement = scheme.planner(latency, 1024, 8192)(now, 0, 3, 12)
-        assert placement == reference.placement()
+        assert placement == reference
         resume, valid_bits, follow = placement[:3]
-        collapsed = reference.arrivals_ms[4] == resume
+        # Subpage 4 rides the first pipelined message, one step after
+        # resume.
+        collapsed = resume + latency.wire_time_ms(1024) == resume
         assert collapsed is (now > 0.0)
         assert bool(valid_bits >> 4 & 1) is collapsed
         assert (4 in follow) is not collapsed
@@ -295,22 +309,17 @@ class TestAdaptiveMemoSafety:
             predictor=_FixedPredictor(order), switch_schemes=scored
         )
         assert scheme.transparent is not scored
-        latency = CalibratedLatencyModel()
-        plan = scheme.planner(latency, 1024, 8192)
-        ctx = FaultContext(
-            now_ms=1.0, page=3, faulted_subpage=0, faulted_block=0,
-            subpage_bytes=1024, page_bytes=8192, latency=latency,
-        )
+        plan = scheme.planner(CalibratedLatencyModel(), 1024, 8192)
         for _ in range(3):
             with pytest.raises(SchemeError):
                 plan(1.0, 3, 0, 0)
-            with pytest.raises(SchemeError):
-                scheme.plan_fault(ctx)
 
     def test_repeated_prediction_reuses_its_row(self):
         scheme = AdaptiveScheme()
         latency = CalibratedLatencyModel()
-        table = scheme.inner.plan_table(latency, 1024, 8192)
-        first = scheme.controller.row(table, 7, 3, 12)
-        assert scheme.controller.row(table, 9, 3, 13) is first
+        table = PlanTable(latency, 1024, 8192)
+        lazy_table = PlanTable(latency, 1024, 8192)
+        first = scheme.controller.row(table, lazy_table, 7, 3, 12)
+        assert scheme.controller.row(table, lazy_table, 9, 3, 13) is first
         assert len(table.rows) == 1
+        assert not lazy_table.rows

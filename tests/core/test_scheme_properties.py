@@ -1,17 +1,21 @@
-"""Property-based invariants every fetch scheme's plans must satisfy."""
+"""Property-based invariants every fetch scheme's placements must
+satisfy."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.plans import FaultContext
 from repro.core.schemes import make_scheme
 
-from tests.conftest import FixedLatencyModel
+from tests.conftest import FixedLatencyModel, place
+
+LATENCY = FixedLatencyModel()
 
 
 @st.composite
-def fault_contexts(draw):
+def faults(draw):
+    """Keyword arguments for :func:`tests.conftest.place` on an 8K page
+    under the fixed latency model."""
     subpage_bytes = draw(st.sampled_from([256, 512, 1024, 2048, 4096,
                                           8192]))
     spp = 8192 // subpage_bytes
@@ -22,14 +26,13 @@ def fault_contexts(draw):
     )
     now = draw(st.floats(min_value=0.0, max_value=1e4,
                          allow_nan=False, allow_infinity=False))
-    return FaultContext(
-        now_ms=now,
+    return dict(
+        now=now,
         page=draw(st.integers(min_value=0, max_value=1 << 20)),
-        faulted_subpage=subpage,
-        faulted_block=block,
+        subpage=subpage,
+        block=block,
         subpage_bytes=subpage_bytes,
-        page_bytes=8192,
-        latency=FixedLatencyModel(),
+        latency=LATENCY,
     )
 
 
@@ -51,58 +54,61 @@ def schemes(draw):
 
 
 class TestPlanInvariants:
-    @given(ctx=fault_contexts(), scheme=schemes())
+    @given(fault=faults(), scheme=schemes())
     @settings(max_examples=200)
-    def test_plan_is_consistent(self, ctx, scheme):
-        plan = scheme.plan_fault(ctx)
+    def test_plan_is_consistent(self, fault, scheme):
+        now = fault["now"]
+        plan = place(scheme, **fault)
         # The program resumes after the fault occurred.
-        assert plan.resume_ms > ctx.now_ms
+        assert plan.resume_ms > now
         # The faulted subpage is delivered exactly at resume.
-        assert plan.arrivals_ms[ctx.faulted_subpage] == pytest.approx(
-            plan.resume_ms
-        )
+        assert plan.valid_bits >> fault["subpage"] & 1
+        # Valid subpages have arrived by resume; the rest follow later.
+        for index, arrival in plan.follow.items():
+            assert not plan.valid_bits >> index & 1
+            assert arrival > plan.resume_ms
         # Nothing arrives before resume or in the past.
         for index, arrival in plan.arrivals_ms.items():
-            assert ctx.subpage_exists(index)
+            assert 0 <= index < 8192 // fault["subpage_bytes"]
             assert arrival >= plan.resume_ms - 1e-9
-            assert arrival > ctx.now_ms
+            assert arrival > now
         # Wire occupancy and overheads are sane.
         assert plan.demand_wire_ms >= 0
         assert plan.background_wire_ms >= 0
         assert plan.cpu_overhead_ms >= 0
-        if plan.has_background:
-            assert plan.background_ready_ms >= ctx.now_ms
+        if plan.background_wire_ms > 0:
+            assert plan.background_ready_ms >= now
 
-    @given(ctx=fault_contexts())
+    @given(fault=faults())
     @settings(max_examples=100)
-    def test_eager_and_pipelined_cover_the_page(self, ctx):
+    def test_eager_and_pipelined_cover_the_page(self, fault):
         for name in ("eager", "pipelined", "fullpage"):
-            plan = make_scheme(name).plan_fault(ctx)
-            assert plan.covered_subpages == set(
-                range(ctx.subpages_per_page)
+            plan = place(make_scheme(name), **fault)
+            assert set(plan.arrivals_ms) == set(
+                range(8192 // fault["subpage_bytes"])
             )
 
-    @given(ctx=fault_contexts())
+    @given(fault=faults())
     @settings(max_examples=100)
-    def test_lazy_covers_only_the_faulted_subpage(self, ctx):
-        plan = make_scheme("lazy").plan_fault(ctx)
-        assert plan.covered_subpages == {ctx.faulted_subpage}
+    def test_lazy_covers_only_the_faulted_subpage(self, fault):
+        plan = place(make_scheme("lazy"), **fault)
+        assert set(plan.arrivals_ms) == {fault["subpage"]}
 
-    @given(ctx=fault_contexts(), scheme=schemes())
+    @given(fault=faults(), scheme=schemes())
     @settings(max_examples=100)
-    def test_total_wire_bounded_by_page(self, ctx, scheme):
-        plan = scheme.plan_fault(ctx)
-        page_wire = ctx.latency.wire_time_ms(ctx.page_bytes)
+    def test_total_wire_bounded_by_page(self, fault, scheme):
+        plan = place(scheme, **fault)
+        page_wire = LATENCY.wire_time_ms(8192)
         total = plan.demand_wire_ms + plan.background_wire_ms
         assert total <= page_wire + 1e-9
 
-    @given(ctx=fault_contexts())
+    @given(fault=faults())
     @settings(max_examples=100)
-    def test_resume_never_later_than_fullpage(self, ctx):
+    def test_resume_never_later_than_fullpage(self, fault):
         # Subpage schemes must never make the *initial* wait worse than
         # simply fetching the whole page.
-        fullpage = make_scheme("fullpage").plan_fault(ctx).resume_ms
+        fullpage = place(make_scheme("fullpage"), **fault).resume_ms
         for name in ("eager", "pipelined", "lazy"):
-            assert make_scheme(name).plan_fault(ctx).resume_ms <= (
+            assert place(make_scheme(name), **fault).resume_ms <= (
                 fullpage + 1e-9
             )

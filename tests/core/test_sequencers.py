@@ -87,7 +87,7 @@ class TestFollowOnGuard:
         ``SubpagePipelining`` (this failed before the guard: the plan
         quietly carried the faulted subpage in a pipelined slot)."""
         from repro.core.schemes import SubpagePipelining
-        from tests.core.test_schemes import ctx
+        from tests.conftest import place
 
         class Buggy(NeighborSequencer):
             def order(self, faulted, subpages_per_page):
@@ -97,7 +97,7 @@ class TestFollowOnGuard:
 
         scheme = SubpagePipelining(sequencer=Buggy())
         with pytest.raises(SchemeError, match="double transfer"):
-            scheme.plan_fault(ctx(subpage=2))
+            place(scheme, subpage=2)
 
 
 class TestRegistry:

@@ -2,25 +2,12 @@
 
 import pytest
 
-from repro.core.plans import FaultContext
 from repro.core.schemes import SubpagePipelining, make_scheme
 from repro.errors import ConfigError
 from repro.policy.adaptive import AdaptiveScheme
 from repro.policy.predictors import StrideMajorityPredictor
 
-from tests.conftest import FixedLatencyModel
-
-
-def ctx(subpage=2, page=5, subpage_bytes=1024, now=10.0) -> FaultContext:
-    return FaultContext(
-        now_ms=now,
-        page=page,
-        faulted_subpage=subpage,
-        faulted_block=subpage * (subpage_bytes // 256),
-        subpage_bytes=subpage_bytes,
-        page_bytes=8192,
-        latency=FixedLatencyModel(),
-    )
+from tests.conftest import place
 
 
 class TestTransparentMode:
@@ -35,14 +22,12 @@ class TestTransparentMode:
         plain = SubpagePipelining()
         adaptive.controller.begin_run(subpage_bytes=1024)
         for sp in (0, 2, 7):
-            assert adaptive.plan_fault(ctx(subpage=sp)) == plain.plan_fault(
-                ctx(subpage=sp)
-            )
+            assert place(adaptive, subpage=sp) == place(plain, subpage=sp)
 
     def test_finish_suppresses_stats(self):
         scheme = AdaptiveScheme()
         scheme.controller.begin_run(subpage_bytes=1024)
-        scheme.plan_fault(ctx())
+        place(scheme)
         assert scheme.controller.finish() is None
 
     @pytest.mark.parametrize(
@@ -96,7 +81,7 @@ class TestPlanning:
         scheme.controller.begin_run(subpage_bytes=1024)
         for sp in (0, 2):
             scheme.controller.observe(5, sp, "touch")
-        plan = scheme.plan_fault(ctx(subpage=2, page=5))
+        plan = place(scheme, subpage=2, page=5)
         wire = 1024 / 8192
         assert plan.arrivals_ms[4] == pytest.approx(10.5 + wire)
         assert plan.arrivals_ms[6] == pytest.approx(10.5 + 2 * wire)
@@ -111,7 +96,7 @@ class TestPlanning:
             max_depth=6,
         )
         scheme.controller.begin_run(subpage_bytes=1024)
-        plan = scheme.plan_fault(ctx(subpage=2))
+        plan = place(scheme, subpage=2)
         others = {a for i, a in plan.arrivals_ms.items() if i != 2}
         assert len(others) == 1  # one trailing arrival time
 
@@ -122,7 +107,7 @@ class TestPlanning:
             switch_schemes=True,
         )
         scheme.controller.begin_run(subpage_bytes=1024)
-        plan = scheme.plan_fault(ctx(subpage=3))
+        plan = place(scheme, subpage=3)
         assert set(plan.arrivals_ms) == {3}
         stats = scheme.controller.finish()
         assert stats["lazy_fallbacks"] == 1
@@ -130,7 +115,7 @@ class TestPlanning:
     def test_fullpage_guard(self):
         scheme = AdaptiveScheme(predictor="stride")
         scheme.controller.begin_run(subpage_bytes=8192)
-        plan = scheme.plan_fault(ctx(subpage=0, subpage_bytes=8192))
+        plan = place(scheme, subpage=0, subpage_bytes=8192)
         assert plan.resume_ms == pytest.approx(12.0)
 
 
@@ -147,7 +132,7 @@ class TestScoreboard:
         c = scheme.controller
         for sp in (0, 2):
             c.observe(5, sp, "touch")
-        scheme.plan_fault(ctx(subpage=2, page=5))  # predicts 4, 6
+        place(scheme, subpage=2, page=5)  # predicts 4, 6
         c.observe(5, 4, "touch")  # hit
         c.observe(5, 1, "touch")  # miss
         stats = c.finish()
@@ -160,7 +145,7 @@ class TestScoreboard:
         c = scheme.controller
         for sp in (0, 2):
             c.observe(5, sp, "touch")
-        scheme.plan_fault(ctx(subpage=2, page=5))  # speculates on 4, 6
+        place(scheme, subpage=2, page=5)  # speculates on 4, 6
         c.observe(5, 4, "touch")  # 6 never touched
         stats = c.finish()
         assert stats["wasted_prefetch_bytes"] == 1024.0
@@ -168,7 +153,7 @@ class TestScoreboard:
     def test_faulted_subpage_not_scored(self):
         scheme = self.make()
         c = scheme.controller
-        scheme.plan_fault(ctx(subpage=2, page=5))
+        place(scheme, subpage=2, page=5)
         c.observe(5, 2, "touch")  # the initially shipped subpage
         stats = c.finish()
         assert stats["pred_hits"] == 0
@@ -176,8 +161,8 @@ class TestScoreboard:
 
     def test_coverage(self):
         scheme = self.make()
-        scheme.plan_fault(ctx(subpage=2, page=5))
-        scheme.plan_fault(ctx(subpage=0, page=6))
+        place(scheme, subpage=2, page=5)
+        place(scheme, subpage=0, page=6)
         stats = scheme.controller.finish()
         assert stats["faults"] == 2
         assert stats["coverage"] == 1.0
@@ -185,7 +170,7 @@ class TestScoreboard:
     def test_begin_run_resets_everything(self):
         scheme = self.make()
         c = scheme.controller
-        scheme.plan_fault(ctx(subpage=2, page=5))
+        place(scheme, subpage=2, page=5)
         c.begin_run(subpage_bytes=1024)
         stats = c.finish()
         assert stats["faults"] == 0

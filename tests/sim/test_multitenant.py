@@ -13,7 +13,6 @@ from repro.sim.config import SimulationConfig
 from repro.sim.multinode import (
     NodeWorkload,
     build_shared_cluster,
-    cluster_stats_dict,
     run_multi_workload,
     workload_config,
 )
@@ -183,7 +182,7 @@ def run_multi_tenant_per_run(
         )
         if fabric is not None:
             result.cross_stats[workload.name] = state.link.cross_stats()
-    result.cluster_stats = cluster_stats_dict(cluster)
+    result.cluster_stats = cluster.stats.as_dict()
     if fabric is not None:
         result.injected_ms = dict(fabric.injected_ms)
     return result, ties

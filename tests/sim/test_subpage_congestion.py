@@ -17,7 +17,6 @@ rest-of-page latency), on page faults and subpage faults alike.
 
 import pytest
 
-from repro.core.plans import FaultContext, TransferPlan
 from repro.core.schemes import FetchScheme
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import simulate
@@ -39,22 +38,29 @@ class LazyPairFetch(FetchScheme):
 
     name = "lazypair"
 
-    def plan_fault(self, ctx: FaultContext) -> TransferPlan:
-        s = ctx.subpage_bytes
-        resume = ctx.now_ms + ctx.latency.subpage_latency_ms(s)
-        arrivals = {ctx.faulted_subpage: resume}
-        background_wire = 0.0
-        follower = ctx.faulted_subpage + 1
-        if ctx.subpage_exists(follower):
-            arrivals[follower] = ctx.now_ms + ctx.latency.rest_of_page_ms(s)
-            background_wire = ctx.latency.wire_time_ms(s)
-        return TransferPlan(
-            resume_ms=resume,
-            arrivals_ms=arrivals,
-            demand_wire_ms=ctx.latency.wire_time_ms(s),
-            background_ready_ms=ctx.now_ms + ctx.latency.request_fixed_ms,
-            background_wire_ms=background_wire,
-        )
+    def planner(self, latency, subpage_bytes, page_bytes):
+        s = subpage_bytes
+        subpages = page_bytes // s
+
+        def plan(now_ms, page, faulted, block):
+            # The follower arrives at the rest-of-page latency, after
+            # the program resumes, so it always rides in ``follow``.
+            follow = {}
+            background_wire = 0.0
+            if faulted + 1 < subpages:
+                follow[faulted + 1] = now_ms + latency.rest_of_page_ms(s)
+                background_wire = latency.wire_time_ms(s)
+            return (
+                now_ms + latency.subpage_latency_ms(s),
+                1 << faulted,
+                follow,
+                latency.wire_time_ms(s),
+                now_ms + latency.request_fixed_ms,
+                background_wire,
+                0.0,
+            )
+
+        return plan
 
 
 def lazypair_config(congestion: bool, memory_pages: int = 8,

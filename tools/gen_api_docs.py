@@ -28,7 +28,6 @@ MODULES = [
     "repro",
     "repro.units",
     "repro.errors",
-    "repro.core.validbits",
     "repro.core.fault",
     "repro.core.plans",
     "repro.core.schemes",
