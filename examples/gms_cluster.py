@@ -25,7 +25,10 @@ def drive_protocol() -> None:
     cluster.add_node(capacity=32)
     cluster.add_node(capacity=32)
 
-    placed = cluster.warm_fill(busy.node_id, vpns=list(range(24)))
+    placed = cluster.warm_fill_uids(
+        [PageUid(busy.node_id, vpn) for vpn in range(24)],
+        exclude=(busy.node_id,),
+    )
     print(f"warm-filled {placed} pages into idle nodes' global memory")
 
     # Fault in 8 pages (fills local memory), then 4 more with evictions.

@@ -5,10 +5,11 @@ Section 2.1: "A fault on node A may be satisfied by node B, either
 because B has stored A's page in its 'global memory', or because A has
 faulted a page actively in use by B (e.g., a shared code page)."
 
-Two compiler-like workloads run on separate cluster nodes.  Each has a
-private heap/source region plus a common shared-library region (the same
-cluster-wide UIDs).  The second workload's faults on the library are
-served by *copying* pages the first workload still holds locally.
+Two compiler-like workloads run interleaved on separate cluster nodes.
+Each has a private heap/source region plus a common shared-library
+region (the same cluster-wide UIDs).  Whichever workload faults a
+library page second is served by *copying* the page the other still
+holds locally.
 
 Run:  python examples/shared_pages.py
 """
@@ -16,7 +17,8 @@ Run:  python examples/shared_pages.py
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.sim.multinode import NodeWorkload, run_multi_workload
+from repro.sim.multinode import NodeWorkload
+from repro.sim.multitenant import run_multi_tenant
 from repro.trace.compress import compress_references
 from repro.trace.synth import (
     HotCold,
@@ -83,10 +85,10 @@ def main() -> None:
         )
         for i in range(2)
     ]
-    result = run_multi_workload(workloads, idle_nodes=2)
+    result = run_multi_tenant(workloads, idle_nodes=2)
 
     rows = []
-    for name, res in result.per_node.items():
+    for name, res in result.per_tenant.items():
         rows.append(
             [
                 name,
@@ -106,8 +108,8 @@ def main() -> None:
         f"{stats['messages']:.0f} protocol messages"
     )
     print(
-        "shared library pages faulted by the second workload were "
-        "copied from the first workload's memory — the paper's "
+        "a shared library page faulted while the other workload held "
+        "it was copied from that workload's memory — the paper's "
         "shared-code-page case."
     )
 

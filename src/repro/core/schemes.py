@@ -47,8 +47,9 @@ class FetchScheme(ABC):
         ``(now_ms, page, faulted_subpage, faulted_block) -> Placement``.
         """
 
-    def label(self, subpage_bytes: int) -> str:
-        """Short label used in result tables (e.g. ``sp_1024``)."""
+    def label(self, subpage_bytes: int, page_bytes: int) -> str:
+        """Short label used in result tables (e.g. ``sp_1024``) for a
+        run with these subpage and page sizes."""
         return f"{self.name}_{subpage_bytes}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -108,8 +109,8 @@ class FullPageFetch(_SubpageKeyedScheme):
     def row(self, table: PlanTable, faulted: int) -> PlanRow:
         return fullpage_row(table)
 
-    def label(self, subpage_bytes: int) -> str:
-        return "p_8192" if subpage_bytes else "p"
+    def label(self, subpage_bytes: int, page_bytes: int) -> str:
+        return f"p_{page_bytes}"
 
 
 class LazySubpageFetch(_SubpageKeyedScheme):
@@ -173,7 +174,7 @@ class EagerFullPageFetch(_SubpageKeyedScheme):
             )
         return row
 
-    def label(self, subpage_bytes: int) -> str:
+    def label(self, subpage_bytes: int, page_bytes: int) -> str:
         return f"sp_{subpage_bytes}"
 
 
@@ -366,7 +367,7 @@ class SubpagePipelining(FetchScheme):
                 return candidate
         raise SchemeError("page has no neighbor subpage")  # pragma: no cover
 
-    def label(self, subpage_bytes: int) -> str:
+    def label(self, subpage_bytes: int, page_bytes: int) -> str:
         return f"pl_{subpage_bytes}"
 
 

@@ -14,20 +14,29 @@ package implements that substrate:
   weights steer evictions toward the nodes holding the globally oldest
   pages;
 * :mod:`repro.gms.cluster` — the cluster facade with ``getpage`` /
-  ``putpage`` and message accounting.
+  ``putpage`` and message accounting, and :func:`build_cluster`, the one
+  builder every simulation's cluster comes from.
 
 The paper's simulations assume a *warm* global cache (every faulted page
 is in some idle node's memory).  With this substrate that is a
 configuration — a cluster with enough idle memory — rather than a stub.
 """
 
-from repro.gms.cluster import Cluster, GetPageResult, PageLocation
+from repro.gms.cluster import (
+    ActiveNode,
+    Cluster,
+    GetPageResult,
+    PageLocation,
+    build_cluster,
+)
 from repro.gms.directory import GlobalCacheDirectory, PageOwnershipDirectory
 from repro.gms.epoch import EpochManager, EpochParams
-from repro.gms.ids import NodeId, PageUid
+from repro.gms.ids import SHARED_ORIGIN, NodeId, PageUid, page_uid
 from repro.gms.node import Node, NodeMemoryStats
 
 __all__ = [
+    "SHARED_ORIGIN",
+    "ActiveNode",
     "Cluster",
     "EpochManager",
     "EpochParams",
@@ -39,4 +48,6 @@ __all__ = [
     "PageLocation",
     "PageOwnershipDirectory",
     "PageUid",
+    "build_cluster",
+    "page_uid",
 ]

@@ -10,18 +10,23 @@ Message counting follows the GMS protocol shape: a getpage costs a request
 to the page's directory manager, a forward to the storing node, and the
 data transfer back; a putpage costs the data transfer plus a directory
 update.  Messages to oneself are free.
+
+:func:`build_cluster` sizes and warm-fills the cluster every simulation
+runs against, one workload or several.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from repro.errors import CapacityError, GmsError
+import numpy as np
+
+from repro.errors import CapacityError, ConfigError, GmsError
 from repro.gms.directory import GlobalCacheDirectory, PageOwnershipDirectory
 from repro.gms.epoch import EpochManager, EpochParams
-from repro.gms.ids import NodeId, PageUid
+from repro.gms.ids import NodeId, PageUid, page_uid
 from repro.gms.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -172,58 +177,22 @@ class Cluster:
 
     # -- warm-cache setup ----------------------------------------------------
 
-    def warm_fill(
-        self, origin: NodeId, vpns: list[int], age: float = 0.0
-    ) -> int:
-        """Preload ``origin``'s pages into other nodes' global memory.
-
-        Models the paper's warm-cache starting condition: "all pages are
-        assumed to initially reside in remote memory" (Section 4.1).
-        Pages are spread round-robin over the other nodes' free frames.
-        Returns the number of pages placed; raises if they do not fit.
-        """
-        hosts = [n for nid, n in self._nodes.items() if nid != origin]
-        if not hosts:
-            raise GmsError("warm_fill needs at least one other node")
-        free = sum(h.free_frames for h in hosts)
-        if free < len(vpns):
-            raise CapacityError(
-                f"warm_fill needs {len(vpns)} free frames, cluster of "
-                f"{len(hosts)} idle nodes has {free}"
-            )
-        # True round-robin: interleave hosts until each runs out of room.
-        slots: list[Node] = []
-        remaining = {h.node_id: h.free_frames for h in hosts}
-        while len(slots) < len(vpns):
-            progressed = False
-            for host in hosts:
-                if remaining[host.node_id] > 0:
-                    slots.append(host)
-                    remaining[host.node_id] -= 1
-                    progressed = True
-            if not progressed:  # pragma: no cover - guarded above
-                break
-        placed = 0
-        for vpn, host in zip(vpns, slots):
-            uid = PageUid(origin, vpn)
-            host.add_global(uid, age)
-            self.directory.update(uid, host.node_id)
-            placed += 1
-        return placed
-
     def warm_fill_uids(
         self,
         uids: list[PageUid],
         age: float = 0.0,
         exclude: tuple[NodeId, ...] = (),
     ) -> int:
-        """Preload explicit UIDs into global memory, round-robin.
+        """Preload ``uids`` into other nodes' global memory, round-robin.
 
-        Like :meth:`warm_fill` but with caller-chosen UID namespaces
-        (needed when some pages are shared across workloads).  UIDs
-        already in the directory are skipped, so several workloads can
-        warm-fill a common shared region without duplicates.  Nodes in
-        ``exclude`` (typically the active nodes) receive nothing.
+        Models the paper's warm-cache starting condition: "all pages are
+        assumed to initially reside in remote memory" (Section 4.1).
+        Pages are spread over the hosts' free frames in turn, skipping
+        full hosts.  UIDs already in the directory are skipped, so
+        several workloads can warm-fill a common shared region without
+        duplicates.  Nodes in ``exclude`` (typically the active nodes)
+        receive nothing.  Returns the number of pages placed; raises
+        :class:`CapacityError` if they do not fit.
         """
         hosts = [
             n for nid, n in self._nodes.items() if nid not in exclude
@@ -480,3 +449,62 @@ class Cluster:
         if self._gcd is None or not self.directory.contains(uid):
             return None
         return self.directory.lookup(uid)
+
+
+class ActiveNode(NamedTuple):
+    """One trace-running node of :func:`build_cluster`."""
+
+    memory_pages: int
+    #: The virtual pages its workload touches (repeats allowed).
+    pages: np.ndarray
+    #: Pages at or above this VPN are shared (see :func:`page_uid`).
+    shared_from_page: int | None = None
+
+
+def build_cluster(
+    active: Sequence[ActiveNode],
+    idle_nodes: int,
+    idle_frames: int | None = None,
+    seed: int = 0,
+    warm: bool = True,
+    instrument: "Instrument | None" = None,
+) -> Cluster:
+    """The GMS cluster a simulation runs against.
+
+    Node ``i`` is ``active[i]``, sized to its local memory.  The
+    ``idle_nodes`` nodes after them split ``idle_frames`` frames between
+    them (default: twice the active nodes' combined footprint, a warm
+    cache that fits).  With ``warm`` the active nodes' pages start in
+    the idle nodes' global memory (the paper's warm cache): node by
+    node, each node's distinct pages in ascending order, shared pages
+    once, as many as fit; the rest fill from disk on first touch.
+    """
+    if not active:
+        raise ConfigError("need at least one active node")
+    if idle_nodes < 1:
+        raise ConfigError("need at least one idle node")
+    vpns = [np.unique(node.pages).tolist() for node in active]
+    if idle_frames is None:
+        idle_frames = 2 * sum(map(len, vpns))
+    per_idle = max(1, -(-idle_frames // idle_nodes))
+    cluster = Cluster(seed=seed, instrument=instrument)
+    cluster.add_nodes(
+        [node.memory_pages for node in active] + [per_idle] * idle_nodes
+    )
+    if warm:
+        uids = dict.fromkeys(
+            page_uid(node_id, vpn, node.shared_from_page)
+            for node_id, node in enumerate(active)
+            for vpn in vpns[node_id]
+        )
+        # Clamp at zero: a negative room would slice pages off the
+        # tail instead of warm-filling none.
+        room = max(
+            0,
+            cluster.total_free_frames()
+            - sum(node.memory_pages for node in active),
+        )
+        cluster.warm_fill_uids(
+            list(uids)[:room], exclude=tuple(range(len(active)))
+        )
+    return cluster

@@ -25,7 +25,6 @@ from repro.ingest.convert import (
     DEFAULT_CHUNK_REFS,
     default_cache_dir,
     default_trace_name,
-    ingest_chunk_refs,
     ingest_file,
     ingest_stream,
     stream_content_sha,
@@ -46,7 +45,6 @@ __all__ = [
     "READERS",
     "default_cache_dir",
     "default_trace_name",
-    "ingest_chunk_refs",
     "ingest_file",
     "ingest_key",
     "ingest_stream",

@@ -22,8 +22,8 @@ import sys
 from repro.errors import IngestError
 from repro.ingest.cache import IngestCache
 from repro.ingest.convert import (
+    DEFAULT_CHUNK_REFS,
     default_cache_dir,
-    ingest_chunk_refs,
     ingest_file,
 )
 from repro.ingest.readers import READERS, open_stream, reader_names, sniff_format
@@ -124,7 +124,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     refs = writes = chunks = 0
     pages: set[int] = set()
     with open_stream(args.path) as fh:
-        for addresses, write_flags in reader(fh, ingest_chunk_refs()):
+        for addresses, write_flags in reader(fh, DEFAULT_CHUNK_REFS):
             chunks += 1
             refs += addresses.size
             writes += int(write_flags.sum())
@@ -133,7 +133,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"references:  {refs}")
     print(f"writes:      {writes}")
     print(f"pages (8K):  {len(pages)}")
-    print(f"chunks:      {chunks} (chunk size {ingest_chunk_refs()})")
+    print(f"chunks:      {chunks} (chunk size {DEFAULT_CHUNK_REFS})")
     return 0
 
 

@@ -10,13 +10,11 @@ whole stream at once.  Peak memory is therefore bounded by one raw
 chunk plus the (much smaller) compressed output, never the full
 reference list.
 
-Environment knobs (both parse through :mod:`repro.envknobs`, degrading
-to the documented default with an :class:`~repro.envknobs.EnvKnobWarning`
-on malformed values):
+Chunks hold :data:`DEFAULT_CHUNK_REFS` references unless
+:func:`ingest_file` is given ``chunk_refs``; chunk size changes memory
+and speed, never output bits.
 
-``REPRO_INGEST_CHUNK``
-    References per chunk (default :data:`DEFAULT_CHUNK_REFS` =
-    262144).  Chunk size changes memory and speed, never output bits.
+Environment knob (parsed through :mod:`repro.envknobs`):
 
 ``REPRO_INGEST_CACHE``
     Directory of the converted-trace cache (default
@@ -30,7 +28,7 @@ import os
 from pathlib import Path
 from typing import Iterable
 
-from repro.envknobs import env_int, env_str
+from repro.envknobs import env_str
 from repro.errors import IngestError
 from repro.ingest.cache import IngestCache, ingest_key
 from repro.ingest.readers import (
@@ -52,7 +50,6 @@ __all__ = [
     "DEFAULT_CHUNK_REFS",
     "default_cache_dir",
     "default_trace_name",
-    "ingest_chunk_refs",
     "ingest_file",
     "ingest_stream",
     "stream_content_sha",
@@ -65,11 +62,6 @@ DEFAULT_CHUNK_REFS = 262_144
 #: the piece list (and the final concatenate) small without quadratic
 #: re-merging.
 _MERGE_EVERY = 64
-
-
-def ingest_chunk_refs() -> int:
-    """The configured chunk size (``REPRO_INGEST_CHUNK``)."""
-    return env_int("REPRO_INGEST_CHUNK", DEFAULT_CHUNK_REFS, minimum=1)
 
 
 def default_cache_dir() -> Path:
@@ -186,7 +178,7 @@ def ingest_file(
     if name is None:
         name = default_trace_name(path)
     if chunk_refs is None:
-        chunk_refs = ingest_chunk_refs()
+        chunk_refs = DEFAULT_CHUNK_REFS
 
     if cache is not None and not isinstance(cache, IngestCache):
         cache = IngestCache(cache)

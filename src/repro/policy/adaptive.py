@@ -341,7 +341,7 @@ class AdaptiveScheme(FetchScheme):
     ) -> Planner:
         return self.controller.planner(latency, subpage_bytes, page_bytes)
 
-    def label(self, subpage_bytes: int) -> str:
+    def label(self, subpage_bytes: int, page_bytes: int) -> str:
         if self.transparent:
-            return self.inner.label(subpage_bytes)
+            return self.inner.label(subpage_bytes, page_bytes)
         return f"ad_{subpage_bytes}"

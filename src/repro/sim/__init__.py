@@ -27,11 +27,7 @@ from repro.sim.replacement import (
     ReplacementPolicy,
     make_policy,
 )
-from repro.sim.multinode import (
-    MultiNodeResult,
-    NodeWorkload,
-    run_multi_workload,
-)
+from repro.sim.multinode import NodeWorkload
 from repro.sim.results import SimulationResult, TimeComponents
 from repro.sim.simulator import Simulator, simulate
 from repro.sim.sweep import (
@@ -51,7 +47,6 @@ __all__ = [
     "ExecutionOptions",
     "FifoPolicy",
     "LruPolicy",
-    "MultiNodeResult",
     "NodeWorkload",
     "RandomPolicy",
     "ReplacementPolicy",
@@ -73,7 +68,6 @@ __all__ = [
     "memory_sweep_jobs",
     "run_cells",
     "run_memory_sweep",
-    "run_multi_workload",
     "run_seed_study",
     "run_subpage_sweep",
     "simulate",

@@ -66,8 +66,10 @@ class SimulationConfig:
         Optional TLB model (``tlb_entries=0`` disables it); used by the
         small-page ablation.
     cluster_nodes / cluster_idle_frames:
-        GMS cluster geometry when ``backing="cluster"``; idle frames
-        default to twice the trace footprint (a warm cache that fits).
+        GMS cluster geometry when ``backing="cluster"``: the active node
+        plus ``cluster_nodes - 1`` idle nodes sharing
+        ``cluster_idle_frames`` frames in total (default: twice the
+        trace footprint, a warm cache that fits).
     observe:
         Comma-separated observability spec (``""`` disables — the
         default; ``"trace"``, ``"metrics"``, or ``"trace,metrics"``).
@@ -97,9 +99,10 @@ class SimulationConfig:
     #: global cache, Section 4.1).  ``False`` models a cold start: first
     #: touches fill from disk and only re-faults hit global memory.
     cluster_warm: bool = True
-    #: Which cluster node this workload runs on (multi-workload scenarios
-    #: pass a prebuilt cluster to the Simulator and give each workload a
-    #: distinct node id).
+    #: Which cluster node this workload runs on.  A simulator that
+    #: builds its own cluster runs it on node 0; multi-workload
+    #: scenarios pass a shared cluster and give each workload a
+    #: distinct node id.
     cluster_node_id: int = 0
     #: Pages at or above this virtual page number are *shared* across
     #: workloads (e.g. shared library code): their cluster-wide UIDs use
@@ -167,7 +170,9 @@ class SimulationConfig:
         """Display label in the paper's style (p_8192 / sp_1024 / ...)."""
         if self.backing == "disk":
             return f"disk_{self.page_bytes}"
-        return self.build_scheme().label(self.subpage_bytes)
+        return self.build_scheme().label(
+            self.subpage_bytes, self.page_bytes
+        )
 
 
 def memory_pages_for(trace: RunTrace, fraction: float) -> int:

@@ -1,15 +1,15 @@
 """Interleaved multi-tenant simulation against one shared GMS cluster.
 
-:func:`repro.sim.multinode.run_multi_workload` composes workloads
-*sequentially*: tenant B only starts faulting after tenant A has fully
-finished, so the two never contend for frames, directory entries, or the
-wire at the same virtual time.  This module replaces that composition
-with a virtual-time interleaved scheduler:
+Several workloads (:class:`~repro.sim.multinode.NodeWorkload`) run at
+once on their own nodes of one cluster, so they contend for frames,
+directory entries and the wire at the same virtual time.  A
+virtual-time scheduler interleaves them:
 
 * every tenant gets its own :class:`~repro.sim.simulator.Simulator`
   (own node, own link, own replacement state) against one shared
   :class:`~repro.gms.cluster.Cluster` built by
-  :func:`~repro.sim.multinode.build_shared_cluster`;
+  :func:`~repro.gms.cluster.build_cluster`, the builder a single
+  simulation uses too;
 * a min-heap keyed on ``(virtual clock, tenant index)`` always advances
   the tenant that is earliest in virtual time, so getpage/putpage
   traffic from different tenants hits the cluster in global time order
@@ -27,8 +27,9 @@ Scheduling granularity is one compressed run: events *inside* the run a
 tenant is currently executing are applied to shared state when that run
 executes, which can be slightly after a later-clocked neighbour's —
 bounded by one run's span.  With a single tenant the scheduler degrades
-to exactly the sequential path (the regression anchor asserted in
-``tests/sim/test_multitenant.py``).
+to exactly a plain :func:`~repro.sim.simulator.simulate` of the same
+configuration with ``cluster_nodes = 1 + idle_nodes`` (the regression
+anchor asserted in ``tests/sim/test_multitenant.py``).
 """
 
 from __future__ import annotations
@@ -38,12 +39,10 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro.errors import ConfigError
+from repro.gms.cluster import ActiveNode, build_cluster
 from repro.net.congestion import CrossTraffic
-from repro.sim.multinode import (
-    NodeWorkload,
-    build_shared_cluster,
-    workload_config,
-)
+from repro.sim.multinode import NodeWorkload, workload_config
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
 
@@ -94,15 +93,29 @@ def run_multi_tenant(
 ) -> MultiTenantResult:
     """Run several workloads interleaved against one shared cluster.
 
-    Same signature and cluster layout as
-    :func:`~repro.sim.multinode.run_multi_workload`, plus
-    ``cross_traffic`` to couple the tenants' links through a shared
-    fabric.  With one workload the result is bit-identical to the
-    sequential path (the fabric is inert with a single link).
+    Workload ``i`` runs on node ``i`` of
+    :func:`~repro.gms.cluster.build_cluster`'s cluster; ``idle_nodes``
+    idle nodes share ``idle_frames`` frames (default: twice the
+    workloads' combined footprint), and ``warm`` starts every
+    workload's pages in their global memory, as many as fit.
+    ``cross_traffic`` couples the tenants' links through a shared
+    fabric.  With one workload the result is bit-identical to a plain
+    simulation of its :func:`~repro.sim.multinode.workload_config` with
+    ``cluster_nodes = 1 + idle_nodes`` (the fabric is inert with a
+    single link).
     """
-    cluster = build_shared_cluster(
-        workloads, idle_nodes=idle_nodes, idle_frames=idle_frames,
-        seed=seed, warm=warm,
+    names = [w.name for w in workloads]
+    if len(set(names)) != len(names):
+        raise ConfigError("workload names must be unique")
+    cluster = build_cluster(
+        [
+            ActiveNode(w.memory_pages, w.trace.pages, w.shared_from_page)
+            for w in workloads
+        ],
+        idle_nodes=idle_nodes,
+        idle_frames=idle_frames,
+        seed=seed,
+        warm=warm,
     )
     fabric = CrossTraffic() if cross_traffic else None
 

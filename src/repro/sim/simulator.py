@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.core.fault import FAULT_KINDS, KIND_CODES, FaultKind, FaultRecord
 from repro.disk.presets import paper_disk
-from repro.errors import SimulationError
-from repro.gms.cluster import Cluster, PageLocation
-from repro.gms.ids import PageUid
+from repro.errors import ConfigError, SimulationError
+from repro.gms.cluster import ActiveNode, Cluster, PageLocation, build_cluster
+from repro.gms.ids import PageUid, page_uid
 from repro.net.congestion import CrossTraffic, LinkModel, PendingArrivals
 from repro.net.latency import CalibratedLatencyModel
 from repro.obs.instrument import Instrument, Recorder
@@ -40,17 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.policy.adaptive import AdaptivePolicy
     from repro.trace.compress import TraceColumns
 
-#: Default node id of the active (trace-running) node in cluster mode.
-ACTIVE_NODE = 0
-
 #: Fault-log kind codes of the three fault paths.
 _REMOTE = KIND_CODES[FaultKind.REMOTE]
 _DISK = KIND_CODES[FaultKind.DISK]
 _SUBPAGE = KIND_CODES[FaultKind.SUBPAGE]
-
-#: UID namespace for pages shared across workloads (shared library code
-#: and the like); disjoint from any real node id.
-SHARED_ORIGIN = 1 << 30
 
 
 class _Frame:
@@ -78,9 +71,10 @@ class Simulator:
     """Runs one :class:`SimulationConfig` over traces.
 
     ``cluster`` may supply a prebuilt (and possibly shared) GMS cluster
-    for ``backing="cluster"`` runs; the caller is then responsible for
-    node layout and warm-filling.  Without it, the simulator builds a
-    private warm cluster per run.
+    for ``backing="cluster"`` runs, built by
+    :func:`~repro.gms.cluster.build_cluster`.  Without it, each run
+    builds its own through the same function: the workload on node 0
+    and ``cluster_nodes - 1`` idle nodes.
 
     ``instrument`` optionally receives fault-path observability hooks
     (see :mod:`repro.obs.instrument`).  When it is ``None`` but
@@ -98,6 +92,16 @@ class Simulator:
         link_label: str | None = None,
     ) -> None:
         config.validate()
+        if (
+            cluster is None
+            and config.backing == "cluster"
+            and config.cluster_node_id != 0
+        ):
+            raise ConfigError(
+                f"cluster_node_id {config.cluster_node_id} needs a shared "
+                f"cluster; a simulator's own cluster runs its workload "
+                f"on node 0"
+            )
         self.config = config
         self._external_cluster = cluster
         self._instrument = instrument
@@ -185,11 +189,19 @@ class Simulator:
         pal = PalEmulator() if cfg.protection == "palcode" else None
         cluster = None
         if cfg.backing == "cluster":
-            cluster = (
-                self._external_cluster
-                if self._external_cluster is not None
-                else self._build_cluster(trace, ins)
-            )
+            cluster = self._external_cluster
+            if cluster is None:
+                active = ActiveNode(
+                    cfg.memory_pages, trace.pages, cfg.shared_from_page
+                )
+                cluster = build_cluster(
+                    [active],
+                    idle_nodes=cfg.cluster_nodes - 1,
+                    idle_frames=cfg.cluster_idle_frames,
+                    seed=cfg.seed,
+                    warm=cfg.cluster_warm,
+                    instrument=ins,
+                )
 
         # Adaptive schemes carry a per-run controller; reset it and feed
         # it fault-path observations for the whole run.
@@ -607,46 +619,10 @@ class Simulator:
     # -- setup / teardown --------------------------------------------------
 
     def _uid(self, page: int) -> PageUid:
-        """Cluster-wide UID for a local virtual page.
-
-        Pages at/above the shared threshold live in a common namespace so
-        several workloads name (and can reuse) the same physical copy.
-        """
+        """Cluster-wide UID for a local virtual page (see
+        :func:`~repro.gms.ids.page_uid`)."""
         cfg = self.config
-        if (
-            cfg.shared_from_page is not None
-            and page >= cfg.shared_from_page
-        ):
-            return PageUid(SHARED_ORIGIN, page)
-        return PageUid(cfg.cluster_node_id, page)
-
-    def _build_cluster(
-        self, trace: RunTrace, instrument: Instrument | None = None
-    ) -> Cluster:
-        cfg = self.config
-        cluster = Cluster(seed=cfg.seed, instrument=instrument)
-        footprint = trace.footprint_pages()
-        idle_total = (
-            cfg.cluster_idle_frames
-            if cfg.cluster_idle_frames is not None
-            else 2 * footprint
-        )
-        idle_nodes = cfg.cluster_nodes - 1
-        per_idle = max(1, -(-idle_total // idle_nodes))
-        cluster.add_node(cfg.memory_pages)  # the active node
-        for _ in range(idle_nodes):
-            cluster.add_node(per_idle)
-        if cfg.cluster_warm:
-            # Warm cache: every page of the workload starts in remote
-            # memory (as many as fit; the rest will be disk fills).
-            vpns = np.unique(trace.pages).tolist()
-            # Clamp at zero: with scarce idle frames the subtraction can
-            # go negative, and a negative slice would silently drop pages
-            # from the tail instead of warm-filling none.
-            placeable = max(0, min(len(vpns), cluster.total_free_frames()
-                                   - cfg.memory_pages))
-            cluster.warm_fill(cfg.cluster_node_id, vpns[:placeable])
-        return cluster
+        return page_uid(cfg.cluster_node_id, page, cfg.shared_from_page)
 
     def _finalize(self, state: "_RunState", clock: float) -> None:
         result = state.result

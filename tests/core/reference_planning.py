@@ -230,5 +230,5 @@ class ReferencePlanning(FetchScheme):
 
         return plan
 
-    def label(self, subpage_bytes: int) -> str:
-        return self.builtin.label(subpage_bytes)
+    def label(self, subpage_bytes: int, page_bytes: int) -> str:
+        return self.builtin.label(subpage_bytes, page_bytes)

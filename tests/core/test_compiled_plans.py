@@ -14,7 +14,7 @@ right.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.plans import PlanTable
@@ -149,6 +149,18 @@ class TestRowsMatchReference:
 
     @given(scheme=schemes(), fault=faults())
     @settings(max_examples=400, deadline=None)
+    @example(
+        # A nonzero interrupt and a fault time where the trailing sum's
+        # association changes the last bit: (now + rest) + interrupts
+        # != now + (rest + interrupts) at now = 1e8.
+        scheme=make_scheme(
+            "pipelined", interrupt_ms=PAPER_PIPELINE_INTERRUPT_MS[1024]
+        ),
+        fault=(
+            CalibratedLatencyModel(page_bytes=8192), 1024, 8192,
+            [(1e8, 0, 0, 0)],
+        ),
+    )
     def test_planner_placement(self, scheme, fault):
         latency, subpage_bytes, page_bytes, events = fault
         plan = scheme.planner(latency, subpage_bytes, page_bytes)

@@ -50,7 +50,7 @@ class TestEveryRegisteredName:
         cfg = configs_for(name)
         cfg.validate()
         scheme = cfg.build_scheme()
-        assert scheme.label(1024)
+        assert scheme.label(1024, 8192)
 
     @pytest.mark.parametrize("name", scheme_names())
     def test_label_is_stable(self, name):
@@ -81,7 +81,7 @@ class TestEveryRegisteredName:
         scheme = make_scheme(name, **SCHEME_KWARGS.get(name, {}))
         clone = pickle.loads(pickle.dumps(scheme))
         assert clone.name == scheme.name
-        assert clone.label(1024) == scheme.label(1024)
+        assert clone.label(1024, 8192) == scheme.label(1024, 8192)
 
 
 class TestUnknownSchemeErrors:

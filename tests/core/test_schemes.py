@@ -29,7 +29,7 @@ class TestFullPage:
         assert plan.demand_wire_ms == pytest.approx(1.0)
 
     def test_label(self):
-        assert FullPageFetch().label(8192) == "p_8192"
+        assert FullPageFetch().label(8192, 8192) == "p_8192"
 
 
 class TestLazy:
@@ -73,7 +73,7 @@ class TestEager:
         assert plan.background_wire_ms == 0
 
     def test_label(self):
-        assert EagerFullPageFetch().label(1024) == "sp_1024"
+        assert EagerFullPageFetch().label(1024, 8192) == "sp_1024"
 
 
 class TestPipelined:
@@ -145,7 +145,7 @@ class TestPipelined:
             SubpagePipelining(interrupt_ms=-1)
 
     def test_label(self):
-        assert SubpagePipelining().label(1024) == "pl_1024"
+        assert SubpagePipelining().label(1024, 8192) == "pl_1024"
 
 
 class TestRegistry:

@@ -1,10 +1,19 @@
-"""GMS cluster: getpage/putpage protocol and warm-cache setup."""
+"""GMS cluster: getpage/putpage protocol, warm-cache setup and the
+cluster builder."""
 
+import numpy as np
 import pytest
 
-from repro.errors import CapacityError, GmsError
-from repro.gms.cluster import Cluster, PageLocation
-from repro.gms.ids import PageUid
+from repro.errors import CapacityError, ConfigError, GmsError
+from repro.gms.cluster import ActiveNode, Cluster, PageLocation, build_cluster
+from repro.gms.ids import SHARED_ORIGIN, PageUid, page_uid
+
+
+def warm(cluster: Cluster, origin: int, vpns: list[int]) -> int:
+    """Warm-fill ``origin``'s pages into every other node."""
+    return cluster.warm_fill_uids(
+        [PageUid(origin, vpn) for vpn in vpns], exclude=(origin,)
+    )
 
 
 def two_node_cluster(active=8, idle=16) -> Cluster:
@@ -17,7 +26,7 @@ def two_node_cluster(active=8, idle=16) -> Cluster:
 class TestWarmFill:
     def test_places_pages_on_idle_nodes(self):
         cluster = two_node_cluster()
-        placed = cluster.warm_fill(0, [1, 2, 3])
+        placed = warm(cluster, 0, [1, 2, 3])
         assert placed == 3
         assert cluster.nodes[1].global_count == 3
         for vpn in (1, 2, 3):
@@ -26,20 +35,20 @@ class TestWarmFill:
     def test_rejects_overflow(self):
         cluster = two_node_cluster(idle=2)
         with pytest.raises(CapacityError):
-            cluster.warm_fill(0, [1, 2, 3])
+            warm(cluster, 0, [1, 2, 3])
 
     def test_needs_other_node(self):
         cluster = Cluster()
         cluster.add_node(8)
         with pytest.raises(GmsError):
-            cluster.warm_fill(0, [1])
+            warm(cluster, 0, [1])
 
     def test_spreads_over_multiple_idle_nodes(self):
         cluster = Cluster()
         cluster.add_node(4)
         cluster.add_node(2)
         cluster.add_node(2)
-        cluster.warm_fill(0, [1, 2, 3, 4])
+        warm(cluster, 0, [1, 2, 3, 4])
         assert cluster.nodes[1].global_count == 2
         assert cluster.nodes[2].global_count == 2
 
@@ -47,7 +56,7 @@ class TestWarmFill:
 class TestGetpage:
     def test_remote_hit_moves_page(self):
         cluster = two_node_cluster()
-        cluster.warm_fill(0, [7])
+        warm(cluster, 0, [7])
         result = cluster.getpage(0, PageUid(0, 7), now=1.0)
         assert result.location is PageLocation.REMOTE_MEMORY
         assert result.serving_node == 1
@@ -72,14 +81,14 @@ class TestGetpage:
 
     def test_messages_counted(self):
         cluster = two_node_cluster()
-        cluster.warm_fill(0, [7])
+        warm(cluster, 0, [7])
         before = cluster.stats.messages
         cluster.getpage(0, PageUid(0, 7), 0.0)
         assert cluster.stats.messages > before
 
     def test_hit_ratio(self):
         cluster = two_node_cluster()
-        cluster.warm_fill(0, [1])
+        warm(cluster, 0, [1])
         cluster.getpage(0, PageUid(0, 1), 0.0)  # hit
         cluster.getpage(0, PageUid(0, 2), 0.0)  # disk
         assert cluster.stats.global_hit_ratio == pytest.approx(0.5)
@@ -102,7 +111,7 @@ class TestPutpage:
 
     def test_full_target_pushes_oldest_to_disk(self):
         cluster = two_node_cluster(idle=1)
-        cluster.warm_fill(0, [1])  # idle node now full
+        warm(cluster, 0, [1])  # idle node now full
         cluster.nodes[0].add_local(PageUid(0, 2), now=0.0)
         cluster.directory.update(PageUid(0, 2), 0)
         cluster.putpage(0, PageUid(0, 2), age=50.0)
@@ -112,7 +121,7 @@ class TestPutpage:
 
     def test_dirty_page_writeback_counted(self):
         cluster = two_node_cluster(idle=1)
-        cluster.warm_fill(0, [1])
+        warm(cluster, 0, [1])
         cluster.nodes[0].add_local(PageUid(0, 2), now=0.0)
         cluster.directory.update(PageUid(0, 2), 0)
         cluster.putpage(0, PageUid(0, 2), age=50.0, dirty=True)
@@ -126,7 +135,7 @@ class TestPutpage:
 
     def test_roundtrip_fault_evict_fault(self):
         cluster = two_node_cluster()
-        cluster.warm_fill(0, [7])
+        warm(cluster, 0, [7])
         uid = PageUid(0, 7)
         cluster.getpage(0, uid, 0.0)
         cluster.putpage(0, uid, age=10.0)
@@ -145,7 +154,7 @@ class TestClusterShape:
         cluster = Cluster()
         cluster.add_node(4)
         cluster.add_node(8)
-        cluster.warm_fill(0, [1, 2])
+        warm(cluster, 0, [1, 2])
         cluster.add_node(8)  # triggers directory rebuild
         assert cluster.where_is(PageUid(0, 1)) == 1
 
@@ -284,7 +293,7 @@ class TestDiskDropAccounting:
         message totals."""
         cluster = two_node_cluster(idle=1)
         victim = uid_managed_by(cluster, 0, manager=0)
-        cluster.warm_fill(0, [victim.vpn])  # node 1 now full
+        warm(cluster, 0, [victim.vpn])  # node 1 now full
         incoming = PageUid(0, victim.vpn + 300)
         cluster.nodes[0].add_local(incoming, now=0.0)
         cluster.directory.update(incoming, 0)
@@ -320,10 +329,10 @@ class TestBatchedConstruction:
         sequential = Cluster()
         for cap in (4, 8, 16):
             sequential.add_node(cap)
-        sequential.warm_fill(0, [1, 2])
+        warm(sequential, 0, [1, 2])
         batched = Cluster()
         batched.add_nodes([4, 8, 16])
-        batched.warm_fill(0, [1, 2])
+        warm(batched, 0, [1, 2])
         caps = [n.capacity for n in batched.nodes.values()]
         assert caps == [4, 8, 16]
         for vpn in (1, 2):
@@ -413,3 +422,66 @@ class TestWarmFillUids:
         uids = [PageUid(9, v) for v in range(3)]
         with pytest.raises(CapacityError):
             cluster.warm_fill_uids(uids, exclude=(0,))
+
+
+class TestBuildCluster:
+    """``build_cluster``: the one builder every simulation's cluster
+    comes from."""
+
+    def test_sizes_active_then_idle_nodes(self):
+        cluster = build_cluster(
+            [ActiveNode(4, np.arange(10)), ActiveNode(6, np.arange(3))],
+            idle_nodes=3,
+            idle_frames=10,
+        )
+        caps = [n.capacity for n in cluster.nodes.values()]
+        # idle_frames is the total over the idle nodes, rounded up.
+        assert caps == [4, 6, 4, 4, 4]
+
+    def test_default_idle_frames_twice_the_footprint(self):
+        pages = np.array([3, 1, 3, 2, 1])  # footprint 3
+        cluster = build_cluster([ActiveNode(2, pages)], idle_nodes=2)
+        assert [n.capacity for n in cluster.nodes.values()] == [2, 3, 3]
+
+    def test_warm_fills_distinct_pages_in_order(self):
+        cluster = build_cluster(
+            [ActiveNode(2, np.array([5, 1, 5, 3]))], idle_nodes=2
+        )
+        # Round-robin over the idle nodes in ascending page order.
+        assert [cluster.where_is(PageUid(0, v)) for v in (1, 3, 5)] == [
+            1, 2, 1,
+        ]
+        assert cluster.nodes[0].global_count == 0
+
+    def test_scarce_idle_frames_fill_what_fits(self):
+        cluster = build_cluster(
+            [ActiveNode(2, np.arange(6))], idle_nodes=1, idle_frames=2
+        )
+        placed = [v for v in range(6) if cluster.where_is(PageUid(0, v))]
+        assert placed == [0, 1]
+
+    def test_shared_pages_filled_once(self):
+        pages = np.array([0, 1, 8, 9])
+        cluster = build_cluster(
+            [ActiveNode(4, pages, 8), ActiveNode(4, pages, 8)],
+            idle_nodes=1,
+        )
+        for vpn in (8, 9):
+            assert cluster.where_is(PageUid(SHARED_ORIGIN, vpn)) == 2
+            assert cluster.where_is(PageUid(0, vpn)) is None
+        assert cluster.nodes[2].global_count == 6
+
+    def test_validation(self):
+        with pytest.raises(ConfigError):
+            build_cluster([], idle_nodes=1)
+        with pytest.raises(ConfigError):
+            build_cluster([ActiveNode(2, np.arange(4))], idle_nodes=0)
+
+
+class TestPageUid:
+    def test_private_and_shared_namespaces(self):
+        assert page_uid(3, 7) == PageUid(3, 7)
+        assert page_uid(3, 7, shared_from_page=8) == PageUid(3, 7)
+        assert page_uid(3, 8, shared_from_page=8) == PageUid(
+            SHARED_ORIGIN, 8
+        )

@@ -1,17 +1,13 @@
 """Streaming conversion: fingerprints, chunk invariance, env knobs."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.envknobs import EnvKnobWarning
 from repro.errors import IngestError
 from repro.ingest.convert import (
     DEFAULT_CHUNK_REFS,
     default_cache_dir,
     default_trace_name,
-    ingest_chunk_refs,
     ingest_file,
     ingest_stream,
 )
@@ -123,24 +119,6 @@ class TestIngestFile:
 
 
 class TestEnvKnobs:
-    def test_chunk_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INGEST_CHUNK", raising=False)
-        assert ingest_chunk_refs() == DEFAULT_CHUNK_REFS
-
-    def test_chunk_configured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_CHUNK", "4096")
-        assert ingest_chunk_refs() == 4096
-
-    def test_chunk_malformed_warns_and_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_CHUNK", "lots")
-        with pytest.warns(EnvKnobWarning, match="REPRO_INGEST_CHUNK"):
-            assert ingest_chunk_refs() == DEFAULT_CHUNK_REFS
-
-    def test_chunk_below_minimum_warns_and_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INGEST_CHUNK", "0")
-        with pytest.warns(EnvKnobWarning):
-            assert ingest_chunk_refs() == DEFAULT_CHUNK_REFS
-
     def test_cache_dir_configured(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_INGEST_CACHE", str(tmp_path / "ic"))
         assert default_cache_dir() == tmp_path / "ic"
@@ -158,12 +136,12 @@ class TestEnvKnobs:
         path = default_cache_dir()
         assert path.parts[-2:] == ("repro", "ingest")
 
-    def test_chunk_knob_feeds_ingest_file(
-        self, monkeypatch, lackey_file
-    ):
-        baseline = ingest_file(lackey_file, cache=None)
-        monkeypatch.setenv("REPRO_INGEST_CHUNK", "97")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # knob must parse cleanly
-            knobbed = ingest_file(lackey_file, cache=None)
-        assert knobbed.fingerprint() == baseline.fingerprint()
+
+
+class TestChunkSize:
+    def test_info_reports_the_default_chunk(self, lackey_file, capsys):
+        from repro.ingest.__main__ import main
+
+        assert main(["info", str(lackey_file)]) == 0
+        out = capsys.readouterr().out
+        assert f"(chunk size {DEFAULT_CHUNK_REFS})" in out

@@ -15,7 +15,7 @@ class TestTransparentMode:
         scheme = AdaptiveScheme()
         assert scheme.transparent
         assert scheme.name == "pipelined"
-        assert scheme.label(1024) == "pl_1024"
+        assert scheme.label(1024, 8192) == "pl_1024"
 
     def test_plans_match_pipelined_exactly(self):
         adaptive = AdaptiveScheme(predictor="static")
@@ -42,7 +42,7 @@ class TestTransparentMode:
         scheme = AdaptiveScheme(**kwargs)
         assert not scheme.transparent
         assert scheme.name == "adaptive"
-        assert scheme.label(1024) == "ad_1024"
+        assert scheme.label(1024, 8192) == "ad_1024"
 
     def test_max_depth_equal_to_pipeline_count_stays_transparent(self):
         assert AdaptiveScheme(pipeline_count=3, max_depth=3).transparent

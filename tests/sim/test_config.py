@@ -79,6 +79,15 @@ class TestLabels:
             scheme="fullpage", subpage_bytes=8192
         ).scheme_label() == "p_8192"
 
+    def test_fullpage_label_with_4k_pages(self):
+        small = config(
+            scheme="fullpage", subpage_bytes=4096, page_bytes=4096
+        )
+        assert small.scheme_label() == "p_4096"
+        assert small.with_overrides(
+            backing="disk"
+        ).scheme_label() == "disk_4096"
+
 
 class TestOverrides:
     def test_with_overrides_copies(self):

@@ -1,14 +1,15 @@
-"""Multi-workload cluster scenarios and shared pages."""
+"""Multi-workload cluster scenarios and shared pages.
+
+Every scenario runs through :func:`run_multi_tenant`, the one
+multi-workload runner.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.multinode import (
-    MultiNodeResult,
-    NodeWorkload,
-    run_multi_workload,
-)
+from repro.sim.multinode import NodeWorkload
+from repro.sim.multitenant import run_multi_tenant
 from repro.trace.compress import compress_references
 
 
@@ -25,25 +26,25 @@ class TestBasics:
                          memory_pages=4)
         b = NodeWorkload("b", trace_for(list(range(10)), "b"),
                          memory_pages=4)
-        result = run_multi_workload([a, b])
-        assert set(result.per_node) == {"a", "b"}
+        result = run_multi_tenant([a, b])
+        assert set(result.per_tenant) == {"a", "b"}
         # Private namespaces: no sharing between identical VPNs.
         assert result.shared_copies == 0
         # Warm cache: everything served from remote memory.
         assert result.cluster_stats["disk_fills"] == 0
-        for res in result.per_node.values():
+        for res in result.per_tenant.values():
             assert res.remote_faults == res.page_faults
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            run_multi_workload([])
+            run_multi_tenant([])
         trace = trace_for([0], "x")
         with pytest.raises(ConfigError):
-            run_multi_workload(
+            run_multi_tenant(
                 [NodeWorkload("x", trace, 2)], idle_nodes=0
             )
         with pytest.raises(ConfigError):
-            run_multi_workload(
+            run_multi_tenant(
                 [NodeWorkload("x", trace, 2), NodeWorkload("x", trace, 2)]
             )
         with pytest.raises(ConfigError):
@@ -62,9 +63,10 @@ class TestSharedPages:
             "b", trace_for(list(range(4)) + shared, "b"),
             memory_pages=16, shared_from_page=100,
         )
-        result = run_multi_workload([a, b])
-        # Workload b faults the shared pages while a still holds them
-        # locally: served as copies, counted as remote hits.
+        result = run_multi_tenant([a, b])
+        # Each shared page is faulted by one workload and then by the
+        # other while the first still holds it locally: the second
+        # fault is served as a copy, counted as a remote hit.
         assert result.shared_copies == len(shared)
         assert result.cluster_stats["disk_fills"] == 0
 
@@ -74,8 +76,8 @@ class TestSharedPages:
                          shared_from_page=100)
         b = NodeWorkload("b", trace_for(shared, "b"), memory_pages=16,
                          shared_from_page=100)
-        result = run_multi_workload([a, b], idle_nodes=1,
-                                    idle_frames=len(shared))
+        result = run_multi_tenant([a, b], idle_nodes=1,
+                                  idle_frames=len(shared))
         # 10 frames suffice for both workloads' warm fill: one copy each.
         assert result.cluster_stats["disk_fills"] == 0
 
@@ -83,7 +85,7 @@ class TestSharedPages:
         shared = list(range(100, 108))
         a = NodeWorkload("a", trace_for(shared, "a"), memory_pages=16)
         b = NodeWorkload("b", trace_for(shared, "b"), memory_pages=16)
-        result = run_multi_workload([a, b])
+        result = run_multi_tenant([a, b])
         assert result.shared_copies == 0
 
 
@@ -91,8 +93,8 @@ class TestCapacityInteraction:
     def test_evictions_flow_to_global_memory_and_back(self):
         pages = list(range(12)) * 2  # revisit after eviction
         a = NodeWorkload("a", trace_for(pages, "a"), memory_pages=4)
-        result = run_multi_workload([a], idle_nodes=2)
-        res = result.per_node["a"]
+        result = run_multi_tenant([a], idle_nodes=2)
+        res = result.per_tenant["a"]
         assert res.evictions > 0
         # Refaults after eviction are still remote hits (pages went to
         # global memory, not disk).
@@ -102,10 +104,10 @@ class TestCapacityInteraction:
     def test_total_faults_aggregates(self):
         a = NodeWorkload("a", trace_for(list(range(5)), "a"), 8)
         b = NodeWorkload("b", trace_for(list(range(7)), "b"), 8)
-        result = run_multi_workload([a, b])
+        result = run_multi_tenant([a, b])
         assert result.total_faults == (
-            result.per_node["a"].page_faults
-            + result.per_node["b"].page_faults
+            result.per_tenant["a"].page_faults
+            + result.per_tenant["b"].page_faults
         )
 
 
@@ -126,11 +128,11 @@ class TestSharedEvictions:
             "b", trace_for(shared * 4, "b"),
             memory_pages=3, shared_from_page=8,
         )
-        result = run_multi_workload([a, b])
+        result = run_multi_tenant([a, b])
         assert result.shared_copies > 0
         # Redundant copies are discarded, never forwarded or written
         # back: each of b's shared evictions counts a discard.
-        evictions = result.per_node["b"].evictions
+        evictions = result.per_tenant["b"].evictions
         assert evictions > 0
         assert result.cluster_stats["discards"] >= evictions
         assert result.cluster_stats["disk_writebacks"] == 0

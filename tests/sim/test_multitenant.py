@@ -8,16 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gms.cluster import ActiveNode, build_cluster
 from repro.net.congestion import CrossTraffic
 from repro.sim.config import SimulationConfig
-from repro.sim.multinode import (
-    NodeWorkload,
-    build_shared_cluster,
-    run_multi_workload,
-    workload_config,
-)
+from repro.sim.multinode import NodeWorkload, workload_config
 from repro.sim.multitenant import MultiTenantResult, run_multi_tenant
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, simulate
 from repro.trace.compress import compress_references
 
 
@@ -36,25 +32,32 @@ def busy_workload(name: str, scheme: str = "eager",
 
 
 class TestOneTenantAnchor:
-    """One-tenant interleaved must be *bit-identical* to sequential.
+    """One-tenant interleaved must be *bit-identical* to a plain,
+    sequential simulation.
 
-    ``run_multi_tenant`` with a single workload exercises the same
-    cluster build, the same drive loop, and an inert cross-traffic
-    fabric — any drift from ``run_multi_workload`` here means the
-    interleaved scheduler changed single-tenant semantics.
+    ``run_multi_tenant`` with a single workload and ``idle_nodes`` idle
+    nodes must equal ``simulate`` of the same configuration with
+    ``cluster_nodes = 1 + idle_nodes``: the same cluster builder, the
+    same drive loop, and an inert cross-traffic fabric.  Any drift here
+    means the interleaved scheduler changed single-tenant semantics.
     """
 
     @pytest.mark.parametrize("scheme", ["eager", "pipelined"])
     @pytest.mark.parametrize("subpage_bytes", [4096, 1024])
     def test_bit_identical_to_sequential(self, scheme, subpage_bytes):
-        workloads = [busy_workload("a", scheme, subpage_bytes)]
-        sequential = run_multi_workload(workloads)
-        interleaved = run_multi_tenant(workloads)
-        seq = sequential.per_node["a"]
-        par = interleaved.per_tenant["a"]
-        assert seq == par
-        assert seq.summary() == par.summary()
-        assert sequential.cluster_stats == interleaved.cluster_stats
+        workload = busy_workload("a", scheme, subpage_bytes)
+        idle_nodes = 2
+        plain = simulate(
+            workload.trace,
+            workload_config(workload, 0).with_overrides(
+                cluster_nodes=1 + idle_nodes
+            ),
+        )
+        interleaved = run_multi_tenant([workload], idle_nodes=idle_nodes)
+        tenant = interleaved.per_tenant["a"]
+        assert plain == tenant
+        assert plain.summary() == tenant.summary()
+        assert plain.cluster_stats == interleaved.cluster_stats
 
     def test_single_link_fabric_is_inert(self):
         result = run_multi_tenant([busy_workload("a")])
@@ -146,7 +149,13 @@ def run_multi_tenant_per_run(
     ``(clock, tenant index)`` by construction.  Also returns how many
     pops found another tenant at exactly the same clock.
     """
-    cluster = build_shared_cluster(workloads)
+    cluster = build_cluster(
+        [
+            ActiveNode(w.memory_pages, w.trace.pages, w.shared_from_page)
+            for w in workloads
+        ],
+        idle_nodes=2,
+    )
     fabric = CrossTraffic() if cross_traffic else None
     tenants = []
     for node_id, workload in enumerate(workloads):

@@ -8,8 +8,9 @@ expected totals can be computed by hand.
 import pytest
 
 from repro.core.fault import FaultKind
+from repro.errors import ConfigError
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import simulate
+from repro.sim.simulator import Simulator, simulate
 
 from tests.conftest import make_trace, page_addr
 
@@ -369,7 +370,8 @@ class TestInvariants:
 
 
 class TestWarmFillClamping:
-    """Regressions for the negative-slice bug in ``_build_cluster``."""
+    """Regressions for the negative-slice bug in the warm fill of the
+    simulator's own cluster (:func:`repro.gms.cluster.build_cluster`)."""
 
     def test_scarce_idle_frames_fill_what_fits(self, base_config):
         # One idle node with a single frame: exactly one of the six
@@ -404,6 +406,30 @@ class TestWarmFillClamping:
         result = run(config, addrs)
         assert result.remote_faults == 0
         assert result.disk_faults == 6
+
+
+class TestOwnCluster:
+    """The cluster a simulator builds when it is given none."""
+
+    def test_shared_pages_start_warm(self, base_config):
+        # The shared namespace must be warm-filled under the UIDs the
+        # faults ask for, or every shared page is a cold disk fill.
+        config = base_config.with_overrides(
+            backing="cluster", memory_pages=4, shared_from_page=3
+        )
+        addrs = [page_addr(p) for p in range(6)]
+        result = run(config, addrs)
+        assert result.disk_faults == 0
+        assert result.remote_faults == 6
+
+    def test_other_node_needs_a_shared_cluster(self, base_config):
+        config = base_config.with_overrides(
+            backing="cluster", cluster_node_id=1
+        )
+        with pytest.raises(ConfigError, match="cluster_node_id"):
+            Simulator(config)
+        # The node id is irrelevant without a cluster.
+        Simulator(config.with_overrides(backing="remote"))
 
 
 class TestEmptyPendingSchedule:

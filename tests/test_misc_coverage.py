@@ -125,9 +125,9 @@ class TestWorkloadChaining:
 
 class TestMultiNodeAggregates:
     def test_result_defaults(self):
-        from repro.sim.multinode import MultiNodeResult
+        from repro.sim.multitenant import MultiTenantResult
 
-        result = MultiNodeResult()
+        result = MultiTenantResult()
         assert result.shared_copies == 0
         assert result.total_faults == 0
 
@@ -136,7 +136,7 @@ class TestSchedulerLabels:
     def test_lazy_label(self):
         from repro.core.schemes import LazySubpageFetch
 
-        assert LazySubpageFetch().label(512) == "lazy_512"
+        assert LazySubpageFetch().label(512, 8192) == "lazy_512"
 
     def test_fullpage_label_via_config(self):
         config = SimulationConfig(

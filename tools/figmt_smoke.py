@@ -7,8 +7,10 @@ promises:
 
 * the exported ``figMT_multitenant.csv`` is rectangular, covers the
   full grid, and carries real per-tenant ``p99_ms`` values;
-* the one-tenant interleaved cells are bit-identical to the sequential
-  ``run_multi_workload`` composition (the regression anchor);
+* a one-tenant interleaved run is bit-identical to a plain
+  ``simulate`` of the same configuration with
+  ``cluster_nodes = 1 + IDLE_NODES`` (the regression anchor), on every
+  scheme and subpage size of the grid;
 * the tenant-metrics JSON for the most contended cell validates against
   the ``repro.obs.tenants/v1`` schema (also re-checked by
   ``tools/validate_obs.py --tenant-metrics`` in CI).
@@ -32,8 +34,9 @@ sys.path.insert(0, "src")
 from repro.experiments import fig11_multitenant as figmt
 from repro.experiments.export import export_csv
 from repro.obs.tenants import validate_tenant_metrics
-from repro.sim.multinode import run_multi_workload
+from repro.sim.multinode import workload_config
 from repro.sim.multitenant import run_multi_tenant
+from repro.sim.simulator import simulate
 
 
 def fail(message: str) -> None:
@@ -42,20 +45,24 @@ def fail(message: str) -> None:
 
 
 def check_anchor() -> None:
-    """One-tenant interleaved == sequential, both schemes."""
+    """One-tenant interleaved == plain simulate, every grid cell."""
     for scheme in figmt.SCHEMES:
-        workloads = [figmt._workload(0, scheme, 1024)]
-        sequential = run_multi_workload(
-            workloads, idle_nodes=figmt.IDLE_NODES
-        )
-        interleaved = run_multi_tenant(
-            workloads, idle_nodes=figmt.IDLE_NODES
-        )
-        if sequential.per_node["t0"] != interleaved.per_tenant["t0"]:
-            fail(f"one-tenant anchor broken for scheme {scheme!r}")
-        if sequential.cluster_stats != interleaved.cluster_stats:
-            fail(f"cluster stats diverge for scheme {scheme!r}")
-    print("ok   one-tenant interleaved == sequential")
+        for size in figmt.SUBPAGE_SIZES:
+            workload = figmt._workload(0, scheme, size)
+            config = workload_config(workload, 0, seed=figmt._SEED)
+            plain = simulate(
+                workload.trace,
+                config.with_overrides(cluster_nodes=1 + figmt.IDLE_NODES),
+            )
+            interleaved = run_multi_tenant(
+                [workload], idle_nodes=figmt.IDLE_NODES, seed=figmt._SEED
+            )
+            cell = f"scheme {scheme!r}, subpage {size}"
+            if plain != interleaved.per_tenant[workload.name]:
+                fail(f"one-tenant anchor broken for {cell}")
+            if plain.cluster_stats != interleaved.cluster_stats:
+                fail(f"cluster stats diverge for {cell}")
+    print("ok   one-tenant interleaved == plain simulate")
 
 
 def check_csv(text: str) -> None:
