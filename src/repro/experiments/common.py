@@ -1,9 +1,12 @@
 """Shared experiment plumbing: cached traces and cached simulation runs.
 
 Several figures reuse the same runs (Figures 4, 5, 6 all view the
-Modula-3 1/2-mem sweep); caching keyed on the run parameters keeps the
-whole experiment suite fast and the benches honest (each bench still
-*computes* its figure; it just shares substrate runs).
+Modula-3 1/2-mem sweep); caching them keeps the whole experiment suite
+fast and the benches honest (each bench still *computes* its figure; it
+just shares substrate runs).  A run is named by a spec -- ``app``,
+``memory_fraction`` and any :class:`~repro.sim.config.SimulationConfig`
+fields -- and keyed by its cell's content key, the same key the on-disk
+result stores use.
 
 The in-process run cache is seedable: :func:`warm_runs` fans missing
 cells out through :func:`repro.sim.parallel.run_cells`, so grid figures
@@ -19,11 +22,13 @@ from contextlib import contextmanager
 from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
+from repro.errors import ConfigError
 from repro.sim.config import SimulationConfig, memory_pages_for
 from repro.sim.parallel import (
     ExecutionOptions,
     SweepJob,
     WorkerPool,
+    cell_cache_key,
     run_cells,
 )
 from repro.sim.results import SimulationResult
@@ -44,23 +49,10 @@ SUBPAGE_SIZES: tuple[int, ...] = (4096, 2048, 1024, 512, 256)
 #: The trace seed used by all experiments (results are deterministic).
 TRACE_SEED = 0
 
-#: Defaults for every run parameter, in cache-key order.
-_RUN_DEFAULTS: dict[str, Any] = {
-    "scheme": "eager",
-    "subpage_bytes": 1024,
-    "backing": "remote",
-    "pipeline_count": 2,
-    "segment_subpages": 1,
-    "interrupt_ms": 0.0,
-    "double_initial": False,
-    "congestion": True,
-    "replacement": "lru",
-    "protection": "tlb",
-    "tlb_entries": 0,
-}
-
-#: In-process result cache, keyed by normalized run spec.
-_RUN_CACHE: dict[tuple, SimulationResult] = {}
+#: In-process run cache, keyed by each cell's content key
+#: (:func:`repro.sim.parallel.cell_cache_key`, the key the on-disk
+#: result stores use).
+_RUN_CACHE: dict[str, SimulationResult] = {}
 
 #: Ambient execution options (lazily initialized from the environment).
 _OPTIONS: ExecutionOptions | None = None
@@ -113,50 +105,31 @@ def get_trace(app: str, seed: int = TRACE_SEED) -> RunTrace:
     return build_app_trace(app, seed=seed)
 
 
-def _spec_key(app: str, memory_fraction: float, **kwargs: Any) -> tuple:
-    merged = {**_RUN_DEFAULTS, **kwargs}
-    unknown = set(merged) - set(_RUN_DEFAULTS)
-    if unknown:
-        raise TypeError(f"unknown run parameters: {sorted(unknown)}")
-    # The ambient observe spec is part of the key: results computed with
-    # observability payloads must not shadow (or be shadowed by) plain
-    # runs of the same spec.
-    return (app, memory_fraction, execution_options().observe) + tuple(
-        merged[name] for name in _RUN_DEFAULTS
-    )
+def _cell(spec: dict[str, Any]) -> SweepJob:
+    """One run spec as a sweep cell keyed by its content key.
 
-
-def _spec_config(
-    trace: RunTrace, memory_fraction: float, **kwargs: Any
-) -> SimulationConfig:
-    merged = {**_RUN_DEFAULTS, **kwargs}
-    scheme_kwargs = {}
-    if merged["scheme"] == "pipelined":
-        scheme_kwargs = {
-            "pipeline_count": merged["pipeline_count"],
-            "segment_subpages": merged["segment_subpages"],
-            "interrupt_ms": merged["interrupt_ms"],
-            "double_initial": merged["double_initial"],
-        }
-    return SimulationConfig(
-        memory_pages=memory_pages_for(trace, memory_fraction),
-        scheme=merged["scheme"],
-        scheme_kwargs=scheme_kwargs,
-        subpage_bytes=merged["subpage_bytes"],
-        backing=merged["backing"],
-        congestion=merged["congestion"],
-        replacement=merged["replacement"],
-        protection=merged["protection"],
-        tlb_entries=merged["tlb_entries"],
+    A spec is ``app`` and ``memory_fraction`` plus any
+    :class:`SimulationConfig` fields (an unknown field raises
+    ``TypeError``).  The ambient observe spec joins the config, so a run
+    with observability payloads never shadows, or is shadowed by, a
+    plain run of the same spec.
+    """
+    fields = dict(spec)
+    trace = get_trace(fields.pop("app"))
+    config = SimulationConfig(
+        memory_pages=memory_pages_for(trace, fields.pop("memory_fraction")),
         observe=execution_options().observe,
+        **fields,
     )
+    key = cell_cache_key(trace, config)
+    if key is None:
+        raise ConfigError(
+            "run specs must be content-addressable (no model instances)"
+        )
+    return SweepJob(key=key, trace=trace, config=config)
 
 
-def warm_runs(
-    specs: Iterable[dict[str, Any]],
-    workers: int | None = None,
-    progress: Any = None,
-) -> None:
+def warm_runs(specs: Iterable[dict[str, Any]]) -> None:
     """Ensure every spec is in the run cache, fanning missing cells out.
 
     Each spec is a dict of :func:`run_cached` keyword arguments (``app``
@@ -166,33 +139,18 @@ def warm_runs(
     callback), so a grid figure can compute all its cells in one
     parallel batch before reading them back serially.
     """
-    options = execution_options()
-    if workers is None:
-        workers = options.workers
-    if progress is None:
-        progress = options.progress
-    jobs: list[SweepJob] = []
-    queued: set[tuple] = set()
+    jobs: dict[str, SweepJob] = {}
     for spec in specs:
-        spec = dict(spec)
-        app = spec.pop("app")
-        memory_fraction = spec.pop("memory_fraction")
-        key = _spec_key(app, memory_fraction, **spec)
-        if key in _RUN_CACHE or key in queued:
-            continue
-        queued.add(key)
-        trace = get_trace(app)
-        jobs.append(SweepJob(
-            key=key,
-            trace=trace,
-            config=_spec_config(trace, memory_fraction, **spec),
-        ))
+        job = _cell(spec)
+        if job.key not in _RUN_CACHE:
+            jobs.setdefault(job.key, job)
     if jobs:
+        options = execution_options()
         _RUN_CACHE.update(run_cells(
-            jobs,
-            workers=workers,
+            jobs.values(),
+            workers=options.workers,
             cache=options.cache,
-            progress=progress,
+            progress=options.progress,
             pool=options.pool,
         ))
 
@@ -205,7 +163,7 @@ def clear_run_cache() -> None:
 def harvest_observed_runs(
     seen: set[int] | None = None,
 ) -> list[SimulationResult]:
-    """Runs in the cache carrying observability payloads, in key order.
+    """Runs in the cache carrying observability payloads, in run order.
 
     ``seen`` (ids of already-harvested results, updated in place) lets
     the CLI collect per-experiment deltas when several experiments run
@@ -224,44 +182,15 @@ def harvest_observed_runs(
 
 
 def run_cached(
-    app: str,
-    memory_fraction: float,
-    scheme: str = "eager",
-    subpage_bytes: int = 1024,
-    backing: str = "remote",
-    pipeline_count: int = 2,
-    segment_subpages: int = 1,
-    interrupt_ms: float = 0.0,
-    double_initial: bool = False,
-    congestion: bool = True,
-    replacement: str = "lru",
-    protection: str = "tlb",
-    tlb_entries: int = 0,
+    app: str, memory_fraction: float, **fields: Any
 ) -> SimulationResult:
-    """Run (or fetch) one simulation with the standard configuration.
-
-    Scheme keyword arguments are flattened into the signature so the
-    cache key stays stable and hashable.
-    """
-    spec = {
-        "scheme": scheme,
-        "subpage_bytes": subpage_bytes,
-        "backing": backing,
-        "pipeline_count": pipeline_count,
-        "segment_subpages": segment_subpages,
-        "interrupt_ms": interrupt_ms,
-        "double_initial": double_initial,
-        "congestion": congestion,
-        "replacement": replacement,
-        "protection": protection,
-        "tlb_entries": tlb_entries,
-    }
-    key = _spec_key(app, memory_fraction, **spec)
-    result = _RUN_CACHE.get(key)
-    if result is None:
-        warm_runs([{"app": app, "memory_fraction": memory_fraction, **spec}])
-        result = _RUN_CACHE[key]
-    return result
+    """Run (or fetch) one simulation: ``app`` at ``memory_fraction`` of
+    its footprint, with any other :class:`SimulationConfig` fields."""
+    spec = {"app": app, "memory_fraction": memory_fraction, **fields}
+    key = _cell(spec).key
+    if key not in _RUN_CACHE:
+        warm_runs([spec])
+    return _RUN_CACHE[key]
 
 
 def fullpage_run(
@@ -281,6 +210,3 @@ def disk_run(app: str, memory_fraction: float) -> SimulationResult:
     """The disk-backed (no network memory) baseline."""
     return fullpage_run(app, memory_fraction, backing="disk")
 
-
-def memory_label_fraction(label: str) -> float:
-    return MEMORY_FRACTIONS[label]

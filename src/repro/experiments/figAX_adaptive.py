@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 from repro.analysis.report import format_table, percent
 from repro.experiments import common
-from repro.sim.config import SimulationConfig, memory_pages_for
-from repro.sim.parallel import SweepJob, run_cells
 from repro.trace.synth.apps import classic_app_names
 
 SUBPAGE_BYTES = 1024
@@ -69,47 +67,36 @@ class FigAXResult:
         return max(r.improvement for r in self.rows)
 
 
-def _config(trace_pages: int, scheme_kwargs: dict) -> SimulationConfig:
-    return SimulationConfig(
-        memory_pages=trace_pages,
-        scheme="adaptive",
-        scheme_kwargs=dict(scheme_kwargs),
-        subpage_bytes=SUBPAGE_BYTES,
-    )
+def _spec(app: str, fraction: float, scheme_kwargs: dict) -> dict:
+    return {
+        "app": app,
+        "memory_fraction": fraction,
+        "scheme": "adaptive",
+        "scheme_kwargs": dict(scheme_kwargs),
+        "subpage_bytes": SUBPAGE_BYTES,
+    }
+
+
+def grid_specs() -> list[dict]:
+    """Both arms of every (app, memory) cell as :func:`common.warm_runs`
+    specs."""
+    return [
+        _spec(app, fraction, kwargs)
+        for app in classic_app_names()
+        for fraction in MEMORY_LABELS.values()
+        for kwargs in (STATIC_KWARGS, ADAPTIVE_KWARGS)
+    ]
 
 
 def run() -> FigAXResult:
-    # Both arms of every (app, memory) cell in one parallel batch; cells
-    # bypass common.run_cached because its flattened signature cannot
-    # name predictor arguments.
-    options = common.execution_options()
-    jobs: list[SweepJob] = []
-    for app in classic_app_names():
-        trace = common.get_trace(app)
-        for memory, fraction in MEMORY_LABELS.items():
-            pages = memory_pages_for(trace, fraction)
-            for arm, kwargs in (
-                ("static", STATIC_KWARGS),
-                ("adaptive", ADAPTIVE_KWARGS),
-            ):
-                jobs.append(SweepJob(
-                    key=(app, memory, arm),
-                    trace=trace,
-                    config=_config(pages, kwargs),
-                ))
-    results = run_cells(
-        jobs,
-        workers=options.workers,
-        cache=options.cache,
-        progress=options.progress,
-        pool=options.pool,
-    )
-
+    common.warm_runs(grid_specs())
     rows = []
     for app in classic_app_names():
-        for memory in MEMORY_LABELS:
-            static = results[(app, memory, "static")]
-            adaptive = results[(app, memory, "adaptive")]
+        for memory, fraction in MEMORY_LABELS.items():
+            static = common.run_cached(**_spec(app, fraction, STATIC_KWARGS))
+            adaptive = common.run_cached(
+                **_spec(app, fraction, ADAPTIVE_KWARGS)
+            )
             stats = adaptive.policy_stats
             rows.append(FigAXRow(
                 app=app,

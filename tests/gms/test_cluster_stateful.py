@@ -143,9 +143,13 @@ class SharedClusterMachine(RuleBasedStateMachine):
         active = self.cluster.node(node)
         if active.free_frames <= 0:
             victim = active.oldest_local()
-            assert victim is not None
-            self.cluster.putpage(node, victim, age=self._tick())
-            self.resident[node].discard(victim.vpn)
+            if victim is None:
+                # The other node's putpages filled every frame with
+                # hosted global pages: getpage displaces one of those.
+                assert active.oldest_global() is not None
+            else:
+                self.cluster.putpage(node, victim, age=self._tick())
+                self.resident[node].discard(victim.vpn)
         self.cluster.getpage(
             node, PageUid(SHARED_ORIGIN, vpn), self._tick()
         )

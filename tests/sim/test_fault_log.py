@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,9 +193,28 @@ def _growth_on_decode(faults: int) -> int:
 
 def test_decoding_creates_no_per_fault_objects():
     """A decoded result costs the collector a constant number of
-    objects, however many faults it carries."""
-    small = _growth_on_decode(10)
-    large = _growth_on_decode(10_000)
+    objects, however many faults it carries.
+
+    The count runs in a fresh interpreter: in the full suite, objects
+    freed by other live threads would disturb ``gc.get_objects()``.
+    """
+    root = Path(__file__).resolve().parents[2]
+    child = subprocess.run(
+        [
+            sys.executable, "-c",
+            "from tests.sim.test_fault_log import _growth_on_decode; "
+            "print(_growth_on_decode(10), _growth_on_decode(10_000))",
+        ],
+        cwd=root,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+        },
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    small, large = map(int, child.stdout.split())
     assert large == small
     assert large < 50
 

@@ -1,10 +1,9 @@
-"""Sweep and comparison helpers on a small synthetic workload."""
+"""Sweep helpers on a small synthetic workload."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.compare import compare_schemes, disk_speedup
 from repro.sim.config import SimulationConfig
 from repro.sim.sweep import (
     SweepResult,
@@ -83,36 +82,6 @@ class TestMemorySweep:
         )
         assert out["quarter"].total_ms > out["full"].total_ms
         assert out["quarter"].memory_pages < out["full"].memory_pages
-
-
-class TestCompare:
-    def test_eager_beats_fullpage(self, small_trace, cfg):
-        comparison = compare_schemes(small_trace, cfg)
-        assert comparison.speedup > 1.0
-        assert 0.0 < comparison.improvement < 1.0
-
-    def test_pipelined_page_wait_reduction(self, small_trace, cfg):
-        comparison = compare_schemes(
-            small_trace, cfg,
-            baseline_scheme="eager", candidate_scheme="pipelined",
-        )
-        assert comparison.page_wait_reduction > 0.0
-
-    def test_component_deltas(self, small_trace, cfg):
-        comparison = compare_schemes(small_trace, cfg)
-        deltas = comparison.component_deltas_ms()
-        assert deltas["exec_ms"] == pytest.approx(0.0, abs=1e-9)
-        assert deltas["sp_latency_ms"] < 0  # subpages cut fault latency
-
-    def test_rejects_disk_backing(self, small_trace, cfg):
-        with pytest.raises(ConfigError):
-            compare_schemes(
-                small_trace, cfg.with_overrides(backing="disk")
-            )
-
-    def test_disk_speedup(self, small_trace, cfg):
-        comparison = disk_speedup(small_trace, cfg)
-        assert comparison.speedup > 1.0
 
 
 class TestDuplicateCells:

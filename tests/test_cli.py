@@ -156,6 +156,26 @@ class TestObservabilityFlags:
         assert "fault_waiting_ms" in metrics["histograms"]
         common.clear_run_cache()
 
+    def test_figax_runs_feed_metrics_out(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.experiments import common, figAX_adaptive
+        from repro.obs.validate import validate_metrics
+
+        monkeypatch.setattr(
+            figAX_adaptive, "classic_app_names", lambda: ("gdb",)
+        )
+        common.clear_run_cache()
+        metrics_path = tmp_path / "metrics.json"
+        assert main(["figAX", "--metrics-out", str(metrics_path)]) == 0
+        capsys.readouterr()
+        metrics = json.loads(metrics_path.read_text())
+        assert validate_metrics(metrics) == []
+        assert metrics["counters"]["faults_remote"] > 0
+        common.clear_run_cache()
+
     def test_trace_dir_env_writes_per_experiment_files(
         self, capsys, tmp_path, monkeypatch
     ):

@@ -533,3 +533,85 @@ class TestParallelPlumbing:
         for a, b in zip(plain.rows, parallel.rows):
             assert b.eager_improvement == a.eager_improvement
             assert b.pipelined_improvement == a.pipelined_improvement
+
+
+class TestRunCache:
+    """One spec names a run; its cell's content key keys every cache."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_run_cache(self):
+        from repro.experiments import common
+
+        common.clear_run_cache()
+        yield
+        common.clear_run_cache()
+
+    def test_run_cache_and_result_cache_share_one_key(self, tmp_path):
+        from repro.experiments import common
+        from repro.sim.config import SimulationConfig, memory_pages_for
+        from repro.sim.parallel import (
+            ExecutionOptions,
+            ResultCache,
+            cell_cache_key,
+        )
+
+        events = []
+        options = ExecutionOptions(
+            cache=ResultCache(tmp_path), progress=events.append
+        )
+        with common.execution_scope(options):
+            result = common.run_cached("gdb", 0.5)
+        stored = [path.stem for path in tmp_path.rglob("*.pkl")]
+        trace = common.get_trace("gdb")
+        config = SimulationConfig(memory_pages=memory_pages_for(trace, 0.5))
+        assert stored == [cell_cache_key(trace, config)]
+        # The run cache keyed the cell by that same content key.
+        assert [event.key for event in events] == stored
+        assert ResultCache(tmp_path).get(stored[0]) == result
+
+    def test_observed_and_plain_runs_do_not_shadow(self):
+        from repro.experiments import common
+        from repro.sim.parallel import ExecutionOptions
+
+        with common.execution_scope(ExecutionOptions()):
+            plain = common.run_cached("gdb", 0.5)
+        with common.execution_scope(ExecutionOptions(observe="metrics")):
+            observed = common.run_cached("gdb", 0.5)
+        assert plain.metrics is None
+        assert observed.metrics
+        assert observed.total_ms == plain.total_ms
+        with common.execution_scope(ExecutionOptions()):
+            assert common.run_cached("gdb", 0.5) is plain
+
+    def test_any_config_field_names_a_run(self):
+        from repro.experiments import common
+
+        piped = common.run_cached(
+            "gdb", 0.5, scheme="pipelined", subpage_bytes=1024
+        )
+        spelled = common.run_cached(
+            "gdb", 0.5, scheme="pipelined", subpage_bytes=1024,
+            scheme_kwargs={
+                "pipeline_count": 2,
+                "segment_subpages": 1,
+                "interrupt_ms": 0.0,
+                "double_initial": False,
+            },
+        )
+        assert spelled == piped
+
+    def test_unknown_field_raises_type_error(self):
+        from repro.experiments import common
+
+        with pytest.raises(TypeError):
+            common.run_cached("gdb", 0.5, bogus=1)
+
+    def test_model_instance_spec_is_rejected(self):
+        from repro.errors import ConfigError
+        from repro.experiments import common
+        from repro.net.latency import CalibratedLatencyModel
+
+        with pytest.raises(ConfigError, match="content-addressable"):
+            common.run_cached(
+                "gdb", 0.5, latency_model=CalibratedLatencyModel()
+            )

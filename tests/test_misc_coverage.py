@@ -9,15 +9,6 @@ from tests.conftest import make_trace, page_addr
 
 
 class TestExperimentsCommon:
-    def test_memory_label_fraction(self):
-        from repro.experiments.common import (
-            MEMORY_FRACTIONS,
-            memory_label_fraction,
-        )
-
-        for label, fraction in MEMORY_FRACTIONS.items():
-            assert memory_label_fraction(label) == fraction
-
     def test_get_trace_cached(self):
         from repro.experiments.common import get_trace
 

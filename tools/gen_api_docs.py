@@ -48,7 +48,6 @@ MODULES = [
     "repro.store.sqlite",
     "repro.service.jobs",
     "repro.service.server",
-    "repro.sim.compare",
     "repro.sim.validate",
     "repro.sim.multinode",
     "repro.sim.multitenant",
