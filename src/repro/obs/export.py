@@ -6,7 +6,9 @@ metrics are harvested from each ``SimulationResult`` (see
 produce other timing artifacts — Figure 2's :class:`FetchTimeline` span
 model chief among them — and this module converts those into the same
 normalized event stream, so ``--trace-out`` works uniformly across
-experiment ids.
+experiment ids.  Figure MT runs its tenants through
+:func:`~repro.sim.multitenant.run_multi_tenant`, outside the run cache,
+so its exporter publishes the per-tenant figures as gauges instead.
 
 :func:`experiment_observability` is the single entry point: given an
 experiment id and its result object, it returns ``(groups, gauges)``
@@ -86,3 +88,19 @@ def _fig02_exporter(
         gauges[f"fig02_resume_ms[{label}]"] = timeline.resume_ms
         gauges[f"fig02_completion_ms[{label}]"] = timeline.completion_ms
     return groups, gauges
+
+
+@register_exporter("figMT")
+def _figmt_exporter(
+    result: Any,
+) -> tuple[list[tuple[str, list[dict[str, Any]]]], dict[str, float]]:
+    """Each tenant's tail latency and slowdown, each cell's fairness."""
+    gauges: dict[str, float] = {}
+    for row in result.rows:
+        cell = f"{row.tenants}/{row.scheme}/{row.subpage_bytes}"
+        tenant = f"{cell}/{row.tenant}"
+        gauges[f"figMT_p50_ms[{tenant}]"] = row.p50_ms
+        gauges[f"figMT_p99_ms[{tenant}]"] = row.p99_ms
+        gauges[f"figMT_slowdown[{tenant}]"] = row.slowdown
+        gauges[f"figMT_fairness[{cell}]"] = row.fairness
+    return [], gauges

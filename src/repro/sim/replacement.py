@@ -1,209 +1,140 @@
 """Page replacement policies.
 
 "Paging policy is determined by a configurable memory management module;
-an LRU policy is used by default" (paper Section 3.2).  The policies here
-share one interface so the simulator — and the replacement ablation — can
-swap them freely.  Eviction takes a predicate so the simulator can prefer
-evicting *complete* pages over pages with subpage transfers still in
-flight.
+an LRU policy is used by default" (paper Section 3.2).  A policy owns a
+run's resident set: :attr:`ReplacementPolicy.frames`, the one
+``page -> frame`` map the simulator reads and writes, kept in the
+policy's own eviction order.  A frame is any object with a ``pending``
+attribute (``None`` or a
+:class:`~repro.net.congestion.PendingArrivals`).  Eviction prefers pages
+whose transfers have all arrived over pages with subpage transfers still
+in flight, taking them in the policy's order.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Callable
+from typing import Any
 
 import numpy as np
 
 from repro.errors import SimulationError, UnknownSchemeError
 
 
+def in_flight(frame: Any, now: float) -> bool:
+    """True while some of ``frame``'s transfers arrive after ``now``."""
+    pending = frame.pending
+    return (
+        pending is not None
+        and bool(pending.arrival_ms)
+        and pending.latest() > now
+    )
+
+
+def _pop_oldest_settled(
+    frames: dict[int, Any], now: float
+) -> tuple[int, Any]:
+    """Remove and return the first ``(page, frame)`` in ``frames``'
+    order with nothing in flight at ``now``, else the first one."""
+    if not frames:
+        raise SimulationError("nothing to evict")
+    for page, frame in frames.items():
+        if not in_flight(frame, now):
+            break
+    else:
+        page = next(iter(frames))
+    return page, frames.pop(page)
+
+
 class ReplacementPolicy(ABC):
-    """Tracks resident pages and chooses eviction victims."""
+    """Holds the resident set and chooses eviction victims."""
 
     name: str = "base"
 
-    @abstractmethod
-    def insert(self, page: int) -> None:
-        """A page became resident."""
+    def __init__(self) -> None:
+        #: Resident pages -> frames, in this policy's eviction order.
+        self.frames: dict[int, Any] = OrderedDict()
+
+    def insert(self, page: int, frame: Any) -> None:
+        """``page`` became resident in ``frame``."""
+        if page in self.frames:
+            raise SimulationError(f"page {page} already resident")
+        self.frames[page] = frame
 
     @abstractmethod
     def touch(self, page: int) -> None:
         """A resident page was referenced."""
 
     @abstractmethod
-    def remove(self, page: int) -> None:
-        """A page left memory by some path other than :meth:`evict`."""
+    def evict(self, now: float) -> tuple[int, Any]:
+        """Remove and return ``(page, frame)`` of a victim.
 
-    @abstractmethod
-    def evict(
-        self, prefer: Callable[[int], bool] | None = None
-    ) -> int:
-        """Remove and return a victim page.
-
-        ``prefer`` marks pages that are cheap to evict; the policy picks
-        its normal victim among preferred pages when any exists, falling
-        back to its unconstrained choice otherwise.
+        The victim is the policy's normal choice among the pages with
+        nothing in flight at ``now`` when any exists, and its
+        unconstrained choice otherwise.
         """
-
-    def note_pending(self, page: int) -> None:
-        """Hint: ``page`` has in-flight transfers (may fail ``prefer``).
-
-        Policies may use these hints to skip the ``prefer`` probe for
-        pages that were never marked.  Callers that mark pages promise
-        that every *unmarked* resident page satisfies ``prefer`` —
-        the simulator upholds this by marking exactly the pages whose
-        frames carry a pending arrival schedule.  The default is a
-        no-op, so policies (and callers) that ignore hints keep the
-        scan-with-predicate behaviour.
-        """
-
-    def note_settled(self, page: int) -> None:
-        """Hint: ``page``'s in-flight transfers have been folded."""
-
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    @abstractmethod
-    def __contains__(self, page: int) -> bool: ...
 
 
 class LruPolicy(ReplacementPolicy):
-    """Least-recently-used (the paper's default).
-
-    When the caller supplies :meth:`note_pending`/:meth:`note_settled`
-    hints, preferred eviction is O(1) in the common case: the LRU scan
-    probes ``prefer`` only for marked pages, and the first unmarked page
-    (usually the LRU head — long-settled pages) wins immediately.  This
-    selects the *same* victim as the plain predicate scan whenever the
-    hint contract holds (unmarked pages satisfy ``prefer``).  Without
-    hints the original full scan is used, so direct callers that pass
-    ad-hoc predicates are unaffected.
-    """
+    """Least-recently-used (the paper's default): ``frames`` runs from
+    the least to the most recently referenced page."""
 
     name = "lru"
 
-    def __init__(self) -> None:
-        self._order: OrderedDict[int, None] = OrderedDict()
-        self._maybe_pending: set[int] = set()
-        self._hinted = False
-
-    def insert(self, page: int) -> None:
-        if page in self._order:
-            raise SimulationError(f"page {page} already resident")
-        self._order[page] = None
-
     def touch(self, page: int) -> None:
-        self._order.move_to_end(page)
+        self.frames.move_to_end(page)
 
-    def remove(self, page: int) -> None:
-        del self._order[page]
-        self._maybe_pending.discard(page)
-
-    def note_pending(self, page: int) -> None:
-        self._maybe_pending.add(page)
-        self._hinted = True
-
-    def note_settled(self, page: int) -> None:
-        self._maybe_pending.discard(page)
-
-    def _evict_hinted(self, prefer: Callable[[int], bool]) -> int | None:
-        # Marked pages are probed (and lazily unmarked when their
-        # transfers turn out to be done); the first unmarked page is
-        # preferred by the hint contract, no probe needed.
-        for page in self._order:
-            if page not in self._maybe_pending:
-                return page
-            if prefer(page):
-                self._maybe_pending.discard(page)
-                return page
-        return None
-
-    def evict(self, prefer: Callable[[int], bool] | None = None) -> int:
-        if not self._order:
-            raise SimulationError("nothing to evict")
-        victim = None
-        if prefer is not None:
-            if self._hinted:
-                victim = self._evict_hinted(prefer)
-            else:
-                victim = next(
-                    (page for page in self._order if prefer(page)), None
-                )
-        if victim is None:
-            victim = next(iter(self._order))
-        del self._order[victim]
-        self._maybe_pending.discard(victim)
-        return victim
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._order
+    def evict(self, now: float) -> tuple[int, Any]:
+        return _pop_oldest_settled(self.frames, now)
 
 
-class FifoPolicy(LruPolicy):
-    """First-in-first-out: like LRU but references do not reorder."""
+class FifoPolicy(ReplacementPolicy):
+    """First-in-first-out: ``frames`` stays in insertion order."""
 
     name = "fifo"
 
     def touch(self, page: int) -> None:
         pass
 
+    def evict(self, now: float) -> tuple[int, Any]:
+        return _pop_oldest_settled(self.frames, now)
+
 
 class ClockPolicy(ReplacementPolicy):
-    """Second-chance clock: cheap LRU approximation."""
+    """Second-chance clock: cheap LRU approximation.  ``frames`` is in
+    clock-hand order, the hand at its head."""
 
     name = "clock"
 
     def __init__(self) -> None:
-        self._ref: OrderedDict[int, bool] = OrderedDict()
+        super().__init__()
+        self._referenced: set[int] = set()
 
-    def insert(self, page: int) -> None:
-        if page in self._ref:
-            raise SimulationError(f"page {page} already resident")
-        self._ref[page] = True
+    def insert(self, page: int, frame: Any) -> None:
+        super().insert(page, frame)
+        self._referenced.add(page)
 
     def touch(self, page: int) -> None:
-        self._ref[page] = True
+        self._referenced.add(page)
 
-    def remove(self, page: int) -> None:
-        del self._ref[page]
-
-    def _sweep(self, candidates_ok: Callable[[int], bool]) -> int | None:
-        # Up to two full laps: the first clears reference bits.
-        for _ in range(2 * len(self._ref)):
-            page, referenced = next(iter(self._ref.items()))
-            if referenced:
-                self._ref[page] = False
-                self._ref.move_to_end(page)
-            elif candidates_ok(page):
-                del self._ref[page]
-                return page
-            else:
-                self._ref.move_to_end(page)
-        return None
-
-    def evict(self, prefer: Callable[[int], bool] | None = None) -> int:
-        if not self._ref:
+    def evict(self, now: float) -> tuple[int, Any]:
+        frames = self.frames
+        if not frames:
             raise SimulationError("nothing to evict")
-        if prefer is not None:
-            victim = self._sweep(prefer)
-            if victim is not None:
-                return victim
-        victim = self._sweep(lambda _page: True)
-        if victim is None:  # pragma: no cover - defensive
-            victim = next(iter(self._ref))
-            del self._ref[victim]
-        return victim
-
-    def __len__(self) -> int:
-        return len(self._ref)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._ref
+        referenced = self._referenced
+        # Up to two full laps: the first clears reference bits.
+        for _ in range(2 * len(frames)):
+            page, frame = next(iter(frames.items()))
+            if page in referenced:
+                referenced.discard(page)
+            elif not in_flight(frame, now):
+                return page, frames.pop(page)
+            frames.move_to_end(page)
+        # Every page is in flight: two laps cleared every bit and
+        # brought the hand back to where it started.
+        page = next(iter(frames))
+        return page, frames.pop(page)
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -212,37 +143,23 @@ class RandomPolicy(ReplacementPolicy):
     name = "random"
 
     def __init__(self, seed: int = 0) -> None:
-        self._pages: dict[int, None] = {}
+        super().__init__()
+        self.frames = {}  # eviction ignores order: a plain dict
         self._rng = np.random.default_rng(seed)
-
-    def insert(self, page: int) -> None:
-        if page in self._pages:
-            raise SimulationError(f"page {page} already resident")
-        self._pages[page] = None
 
     def touch(self, page: int) -> None:
         pass
 
-    def remove(self, page: int) -> None:
-        del self._pages[page]
-
-    def evict(self, prefer: Callable[[int], bool] | None = None) -> int:
-        if not self._pages:
+    def evict(self, now: float) -> tuple[int, Any]:
+        frames = self.frames
+        if not frames:
             raise SimulationError("nothing to evict")
-        pool = list(self._pages)
-        if prefer is not None:
-            preferred = [page for page in pool if prefer(page)]
-            if preferred:
-                pool = preferred
-        victim = pool[int(self._rng.integers(len(pool)))]
-        del self._pages[victim]
-        return victim
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._pages
+        pool = [
+            page for page, frame in frames.items()
+            if not in_flight(frame, now)
+        ] or list(frames)
+        page = pool[int(self._rng.integers(len(pool)))]
+        return page, frames.pop(page)
 
 
 _POLICIES: dict[str, type[ReplacementPolicy]] = {

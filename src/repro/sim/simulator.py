@@ -31,7 +31,7 @@ from repro.net.latency import CalibratedLatencyModel
 from repro.obs.instrument import Instrument, Recorder
 from repro.palcode.emulator import PalEmulator
 from repro.sim.config import SimulationConfig
-from repro.sim.replacement import ReplacementPolicy, make_policy
+from repro.sim.replacement import ReplacementPolicy, in_flight, make_policy
 from repro.sim.results import SimulationResult
 from repro.sim.tlb import TlbModel
 from repro.trace.compress import RunTrace
@@ -209,7 +209,6 @@ class Simulator:
         if controller is not None:
             controller.begin_run(subpage_bytes=cfg.subpage_bytes)
 
-        frames: dict[int, _Frame] = {}
         result = SimulationResult(
             trace_name=trace.name,
             scheme_label=cfg.scheme_label(),
@@ -223,7 +222,6 @@ class Simulator:
             event_cost_ms=event_ms,
         )
         state = _RunState(
-            frames=frames,
             policy=policy,
             link=link,
             disk=disk,
@@ -286,8 +284,11 @@ class Simulator:
         whole trace in one call; the multi-tenant scheduler passes the
         next tenant's clock.
         """
-        frames = state.frames
         policy = state.policy
+        frames = policy.frames
+        # Bound once: calling ``.get`` through an OrderedDict each run
+        # costs about twice a plain dict lookup; the bound method does not.
+        resident = frames.get
         tlb = state.tlb
         pal = state.pal
         event_ms = state.event_ms
@@ -300,7 +301,7 @@ class Simulator:
         )
 
         for page, sp, block, count, write in runs:
-            frame = frames.get(page)
+            frame = resident(page)
             if frame is None:
                 clock = self._page_fault(
                     state, clock, page, sp, block, write
@@ -355,9 +356,8 @@ class Simulator:
     ) -> float:
         cfg = self.config
         result = state.result
-        frames = state.frames
 
-        if len(frames) >= cfg.memory_pages:
+        if len(state.policy.frames) >= cfg.memory_pages:
             self._evict(state, clock)
 
         if state.adaptive is not None:
@@ -427,16 +427,13 @@ class Simulator:
             ))
         result.components.sp_latency_ms += sp_latency_ms
         result.components.cpu_overhead_ms += cpu_overhead_ms
-        frame = frames[page] = _Frame(
+        state.policy.insert(page, _Frame(
             valid_bits=valid_bits,
             pending=pending,
             dirty=is_write,
             record=index,
             distance_from=sp,
-        )
-        state.policy.insert(page)
-        if frame.pending is not None:
-            state.policy.note_pending(page)
+        ))
         return resume + cpu_overhead_ms
 
     def _touch_incomplete(
@@ -491,7 +488,6 @@ class Simulator:
                 result.faults.window_end_ms[frame.record] = latest
             frame.valid_bits = state.full_mask
             frame.pending = None
-            state.policy.note_settled(page)
         return clock
 
     def _charge_emulation(
@@ -564,7 +560,6 @@ class Simulator:
                 # (a subpage fault implies the earlier plan requested
                 # only a subset of the page, i.e. no pending schedule).
                 frame.pending.merge(pending)
-            state.policy.note_pending(page)
         result = state.result
         sp_latency_ms = resume - clock
         result.faults.append(
@@ -582,24 +577,9 @@ class Simulator:
         return resume + cpu_overhead_ms
 
     def _evict(self, state: "_RunState", clock: float) -> None:
-        frames = state.frames
-
-        def transfers_done(page: int) -> bool:
-            pending = frames[page].pending
-            return (
-                pending is None
-                or not pending.arrival_ms
-                or pending.latest() <= clock
-            )
-
-        victim = state.policy.evict(prefer=transfers_done)
-        frame = frames.pop(victim)
+        victim, frame = state.policy.evict(clock)
         state.result.evictions += 1
-        cancelled = (
-            frame.pending is not None
-            and bool(frame.pending.arrival_ms)
-            and frame.pending.latest() > clock
-        )
+        cancelled = in_flight(frame, clock)
         if cancelled:
             state.result.cancelled_transfers += 1
         if frame.dirty:
@@ -678,7 +658,7 @@ class Simulator:
 class _RunState:
     """Mutable per-run plumbing shared by the simulator's helpers."""
 
-    frames: dict[int, _Frame]
+    #: Owns the resident set: ``policy.frames`` maps page -> _Frame.
     policy: ReplacementPolicy
     link: LinkModel
     disk: object

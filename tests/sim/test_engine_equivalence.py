@@ -12,9 +12,10 @@ merely its speed.
 
 The cells are the old engine-equivalence matrix (scheme x subpage size
 x memory configuration x backing over ``mixed_trace``), the adaptive
-cells, replacement policies, TLB, no-congestion, the edge traces, and
-the configurations that used to force the reference loop (PALcode,
-observe, the adaptive ``"events"`` feed).  Every cell keeps its
+cells, replacement policies (also in 3 frames, where evictions meet
+pages whose transfers are still in flight), TLB, no-congestion, the
+edge traces, and the configurations that used to force the reference
+loop (PALcode, observe, the adaptive ``"events"`` feed).  Every cell keeps its
 distance histogram, so the histogram is pinned too.
 
 Regenerate (only when a change is *meant* to move the numbers)::
@@ -35,7 +36,9 @@ import numpy as np
 import pytest
 
 from repro.core.fault import FaultRecord
+from repro.sim import simulator
 from repro.sim.config import SimulationConfig, memory_pages_for
+from repro.sim.replacement import in_flight, make_policy
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import simulate
 from repro.trace.compress import RunTrace, compress_references
@@ -133,6 +136,16 @@ def _mixed(fraction: float, **kwargs) -> Callable[[], tuple]:
     return build
 
 
+def _tiny(**kwargs) -> Callable[[], tuple]:
+    """``mixed_trace`` in 3 frames: evictions often meet pages whose
+    transfers are still in flight."""
+
+    def build():
+        return build_mixed_trace(), SimulationConfig(memory_pages=3, **kwargs)
+
+    return build
+
+
 def _edge(addrs: list[int], writes=None, memory_pages: int = 4):
     def build():
         return make_trace(addrs, writes), SimulationConfig(
@@ -176,6 +189,9 @@ def golden_cells() -> dict[str, Callable[[], tuple]]:
         cells[f"replacement/{replacement}"] = _mixed(
             0.5, scheme="eager", subpage_bytes=1024,
             replacement=replacement,
+        )
+        cells[f"replacement/{replacement}/inflight"] = _tiny(
+            scheme="pipelined", subpage_bytes=1024, replacement=replacement,
         )
     cells["tlb"] = _mixed(
         0.5, scheme="eager", subpage_bytes=1024, tlb_entries=16
@@ -262,6 +278,42 @@ class TestSubstrateEquivalence:
     @pytest.mark.parametrize("replacement", REPLACEMENTS)
     def test_replacement_policies(self, replacement):
         assert_pinned(f"replacement/{replacement}")
+
+    @pytest.mark.parametrize("replacement", REPLACEMENTS)
+    def test_replacement_in_flight(self, replacement):
+        assert_pinned(f"replacement/{replacement}/inflight")
+
+    @pytest.mark.parametrize("replacement", ["lru", "clock"])
+    def test_in_flight_victims_are_skipped(self, replacement, monkeypatch):
+        """Witness that the inflight cells reach the preferred-victim
+        rule: some eviction passes over the page the policy takes when
+        nothing is in flight (the LRU page, or the first unreferenced
+        page from the clock hand) because its transfers still are."""
+        skipped = []
+
+        def watched_policy(name, seed=0):
+            policy = make_policy(name, seed)
+            evict = policy.evict
+
+            def evict_and_check(now):
+                pages = list(policy.frames)
+                referenced = getattr(policy, "_referenced", ())
+                plain = next(
+                    (page for page in pages if page not in referenced),
+                    pages[0],
+                )
+                busy = in_flight(policy.frames[plain], now)
+                victim, frame = evict(now)
+                if busy and victim != plain:
+                    skipped.append(victim)
+                return victim, frame
+
+            policy.evict = evict_and_check
+            return policy
+
+        monkeypatch.setattr(simulator, "make_policy", watched_policy)
+        assert_pinned(f"replacement/{replacement}/inflight")
+        assert skipped, "no eviction skipped an in-flight page"
 
     def test_tlb(self):
         result = assert_pinned("tlb")

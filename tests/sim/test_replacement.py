@@ -1,118 +1,116 @@
 """Replacement policies."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError, UnknownSchemeError
+from repro.net.congestion import PendingArrivals
+from repro.sim.config import SimulationConfig, memory_pages_for
 from repro.sim.replacement import (
-    ClockPolicy,
-    FifoPolicy,
-    LruPolicy,
     RandomPolicy,
     make_policy,
     policy_names,
 )
+from repro.sim.simulator import simulate
+from repro.trace.synth.apps import build_app_trace
 
 ALL = ["lru", "fifo", "clock", "random"]
+
+
+class Frame:
+    """A resident frame whose transfers arrive at ``until`` (``None``:
+    nothing was ever in flight; ``-1``: an empty arrival schedule)."""
+
+    def __init__(self, until: int | None = None) -> None:
+        if until is None:
+            self.pending = None
+        elif until < 0:
+            self.pending = PendingArrivals()
+        else:
+            self.pending = PendingArrivals(arrival_ms={0: float(until)})
+
+
+def filled(name, pages, busy=()):
+    """A policy holding ``pages``; those in ``busy`` are in flight
+    until t=10."""
+    policy = make_policy(name)
+    for page in pages:
+        policy.insert(page, Frame(10 if page in busy else None))
+    return policy
 
 
 class TestCommonBehaviour:
     @pytest.mark.parametrize("name", ALL)
     def test_insert_contains_len(self, name):
-        policy = make_policy(name)
-        policy.insert(1)
-        policy.insert(2)
-        assert 1 in policy and 2 in policy
-        assert len(policy) == 2
+        policy = filled(name, (1, 2))
+        assert 1 in policy.frames and 2 in policy.frames
+        assert len(policy.frames) == 2
 
     @pytest.mark.parametrize("name", ALL)
     def test_duplicate_insert_rejected(self, name):
-        policy = make_policy(name)
-        policy.insert(1)
+        policy = filled(name, (1,))
         with pytest.raises(SimulationError):
-            policy.insert(1)
+            policy.insert(1, Frame())
 
     @pytest.mark.parametrize("name", ALL)
     def test_evict_removes(self, name):
+        frame = Frame()
         policy = make_policy(name)
-        policy.insert(1)
-        victim = policy.evict()
-        assert victim == 1
-        assert len(policy) == 0
+        policy.insert(1, frame)
+        assert policy.evict(0.0) == (1, frame)
+        assert not policy.frames
 
     @pytest.mark.parametrize("name", ALL)
     def test_evict_empty_raises(self, name):
         with pytest.raises(SimulationError):
-            make_policy(name).evict()
-
-    @pytest.mark.parametrize("name", ALL)
-    def test_remove(self, name):
-        policy = make_policy(name)
-        policy.insert(1)
-        policy.remove(1)
-        assert 1 not in policy
+            make_policy(name).evict(0.0)
 
     @pytest.mark.parametrize("name", ALL)
     def test_prefer_filter_respected(self, name):
-        policy = make_policy(name)
-        for page in (1, 2, 3):
-            policy.insert(page)
-        victim = policy.evict(prefer=lambda p: p == 2)
-        assert victim == 2
+        """Pages still in flight are passed over."""
+        policy = filled(name, (1, 2, 3), busy=(1, 3))
+        assert policy.evict(0.0)[0] == 2
 
     @pytest.mark.parametrize("name", ALL)
     def test_prefer_nothing_falls_back(self, name):
-        policy = make_policy(name)
-        policy.insert(1)
-        victim = policy.evict(prefer=lambda p: False)
-        assert victim == 1
+        policy = filled(name, (1,), busy=(1,))
+        assert policy.evict(0.0)[0] == 1
 
 
 class TestLru:
     def test_evicts_least_recent(self):
-        policy = LruPolicy()
-        for page in (1, 2, 3):
-            policy.insert(page)
+        policy = filled("lru", (1, 2, 3))
         policy.touch(1)
-        assert policy.evict() == 2
+        assert policy.evict(0.0)[0] == 2
 
     def test_touch_order_chain(self):
-        policy = LruPolicy()
-        for page in (1, 2, 3):
-            policy.insert(page)
+        policy = filled("lru", (1, 2, 3))
         policy.touch(1)
         policy.touch(2)
-        assert policy.evict() == 3
-        assert policy.evict() == 1
-        assert policy.evict() == 2
+        assert [policy.evict(0.0)[0] for _ in range(3)] == [3, 1, 2]
 
 
 class TestFifo:
     def test_touch_does_not_reorder(self):
-        policy = FifoPolicy()
-        for page in (1, 2, 3):
-            policy.insert(page)
+        policy = filled("fifo", (1, 2, 3))
         policy.touch(1)
-        assert policy.evict() == 1
+        assert policy.evict(0.0)[0] == 1
 
 
 class TestClock:
     def test_second_chance(self):
-        policy = ClockPolicy()
-        for page in (1, 2, 3):
-            policy.insert(page)
+        policy = filled("clock", (1, 2, 3))
         # All referenced; first sweep clears bits, then evicts 1.
-        assert policy.evict() == 1
+        assert policy.evict(0.0)[0] == 1
 
     def test_touched_page_survives_when_bits_differ(self):
-        policy = ClockPolicy()
-        for page in (1, 2, 3):
-            policy.insert(page)
-        policy.evict()  # clears every bit, evicts 1; 2 and 3 unreferenced
+        policy = filled("clock", (1, 2, 3))
+        policy.evict(0.0)  # clears every bit, evicts 1; 2, 3 unreferenced
         policy.touch(3)
         # 2 (bit clear) goes before 3 (bit set by the touch).
-        assert policy.evict() == 2
+        assert policy.evict(0.0)[0] == 2
 
 
 class TestRandom:
@@ -120,10 +118,10 @@ class TestRandom:
         a = RandomPolicy(seed=42)
         b = RandomPolicy(seed=42)
         for page in range(10):
-            a.insert(page)
-            b.insert(page)
-        assert [a.evict() for _ in range(5)] == [
-            b.evict() for _ in range(5)
+            a.insert(page, Frame())
+            b.insert(page, Frame())
+        assert [a.evict(0.0)[0] for _ in range(5)] == [
+            b.evict(0.0)[0] for _ in range(5)
         ]
 
 
@@ -136,86 +134,115 @@ class TestRegistry:
             make_policy("optimal")
 
 
+class ReferenceModel:
+    """A list-based model of each policy's preferred-victim rule."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.order: list[int] = []  # eviction order, head first
+        self.referenced: set[int] = set()  # clock bits
+        self.until: dict[int, int | None] = {}
+        self.rng = np.random.default_rng(0)  # make_policy's seed
+
+    def insert(self, page: int, until: int | None) -> None:
+        self.order.append(page)
+        self.referenced.add(page)
+        self.until[page] = until
+
+    def touch(self, page: int) -> None:
+        if self.name == "lru":
+            self.order.remove(page)
+            self.order.append(page)
+        self.referenced.add(page)
+
+    def _settled(self, page: int, now: int) -> bool:
+        until = self.until[page]
+        return until is None or until < 0 or until <= now
+
+    def evict(self, now: int) -> int:
+        order = self.order
+        if self.name == "clock":
+            # The hand gives referenced pages a second chance and passes
+            # in-flight ones; after two fruitless laps it takes its page.
+            for _ in range(2 * len(order)):
+                page = order.pop(0)
+                if page in self.referenced:
+                    self.referenced.discard(page)
+                elif self._settled(page, now):
+                    return page
+                order.append(page)
+            return order.pop(0)
+        settled = [page for page in order if self._settled(page, now)]
+        if self.name == "random":
+            pool = settled or list(order)
+            victim = pool[int(self.rng.integers(len(pool)))]
+        else:
+            victim = (settled or order)[0]
+        order.remove(victim)
+        return victim
+
+
+PAGES = st.integers(min_value=0, max_value=12)
+#: When a frame's transfers arrive: never in flight, empty schedule, t.
+UNTIL = st.one_of(st.none(), st.integers(min_value=-1, max_value=8))
+
+
 @given(
+    name=st.sampled_from(ALL),
     ops=st.lists(
-        st.tuples(
-            st.sampled_from(["insert", "touch", "evict"]),
-            st.integers(min_value=0, max_value=12),
+        st.one_of(
+            st.tuples(st.just("insert"), PAGES, UNTIL),
+            st.tuples(st.just("touch"), PAGES),
+            st.tuples(st.just("evict"), st.integers(0, 10)),
         ),
         max_size=80,
-    )
+    ),
 )
-@settings(max_examples=60)
-def test_lru_matches_reference_model(ops):
-    """LruPolicy agrees with a straightforward list-based LRU model."""
-    policy = LruPolicy()
-    model: list[int] = []  # oldest first
-    for op, page in ops:
-        if op == "insert" and page not in model:
-            policy.insert(page)
-            model.append(page)
-        elif op == "touch" and page in model:
-            policy.touch(page)
-            model.remove(page)
-            model.append(page)
-        elif op == "evict" and model:
-            assert policy.evict() == model.pop(0)
-    assert len(policy) == len(model)
-    for page in model:
-        assert page in policy
+@settings(max_examples=200, deadline=None)
+def test_lru_matches_reference_model(name, ops):
+    """Every policy (LRU and the others) evicts the page its list-based
+    reference model evicts, with frames in flight until random times and
+    a random eviction clock."""
+    policy = make_policy(name)
+    model = ReferenceModel(name)
+    frames = {}
+    for op, *args in ops:
+        if op == "insert" and args[0] not in frames:
+            page, until = args
+            frames[page] = Frame(until)
+            policy.insert(page, frames[page])
+            model.insert(page, until)
+        elif op == "touch" and args[0] in frames:
+            policy.touch(args[0])
+            model.touch(args[0])
+        elif op == "evict" and frames:
+            victim, frame = policy.evict(args[0])
+            assert victim == model.evict(args[0])
+            assert frame is frames.pop(victim)
+    assert list(policy.frames) == model.order
 
 
-class TestLruHints:
-    """The note_pending/note_settled hint path picks the same victim as
-    the plain predicate scan whenever the hint contract holds (every
-    unmarked page satisfies ``prefer``)."""
+class TestAblation:
+    """The replacement ablation's claims, on modula3 at 1/2 memory with
+    eager 1K subpages: LRU and Clock are close, Random pays for ignoring
+    recency."""
 
-    def _mirror(self, pending):
-        a, b = LruPolicy(), LruPolicy()
-        for page in range(6):
-            a.insert(page)
-            b.insert(page)
-        for page in pending:
-            a.note_pending(page)
-        return a, b, (lambda p: p not in pending)
+    @pytest.fixture(scope="class")
+    def faults(self):
+        trace = build_app_trace("modula3")
+        memory = memory_pages_for(trace, 0.5)
+        return {
+            policy: simulate(trace, SimulationConfig(
+                memory_pages=memory,
+                scheme="eager",
+                subpage_bytes=1024,
+                replacement=policy,
+            )).page_faults
+            for policy in ("lru", "clock", "random")
+        }
 
-    def test_unmarked_head_wins_without_probe(self):
-        pending = {0, 1}
-        hinted, plain, prefer = self._mirror(pending)
-        probed = []
+    def test_lru_no_worse_than_random(self, faults):
+        assert faults["lru"] <= faults["random"]
 
-        def spy(p):
-            probed.append(p)
-            return prefer(p)
-
-        assert hinted.evict(spy) == plain.evict(prefer) == 2
-        assert probed == [0, 1]  # only marked pages are probed
-
-    def test_settled_mark_cleared(self):
-        hinted, plain, prefer = self._mirror({0})
-        hinted.note_settled(0)
-        # 0 is unmarked again: preferred by contract, no probe at all.
-        assert hinted.evict(lambda p: pytest.fail("probed")) == 0
-
-    def test_stale_mark_lazily_cleared_by_probe(self):
-        # A marked page whose transfers finished without a settle hint
-        # is probed once, unmarked, and evicted.
-        hinted, _, _ = self._mirror({0, 1, 2, 3, 4, 5})
-        assert hinted.evict(lambda p: p >= 0) == 0
-
-    def test_all_marked_and_rejected_falls_back_to_lru_head(self):
-        hinted, _, _ = self._mirror({0, 1, 2, 3, 4, 5})
-        assert hinted.evict(lambda p: False) == 0
-
-    def test_unhinted_policy_keeps_full_scan(self):
-        plain = LruPolicy()
-        for page in range(4):
-            plain.insert(page)
-        # Ad-hoc predicate, no hints ever given: original behaviour.
-        assert plain.evict(lambda p: p % 2 == 1) == 1
-
-    def test_eviction_discards_mark(self):
-        hinted, _, _ = self._mirror({3})
-        hinted.note_pending(2)
-        hinted.evict(None)  # evicts 0, hint state for 2/3 intact
-        assert hinted.evict(lambda p: p == 3) == 1
+    def test_clock_within_25_percent_of_lru(self, faults):
+        assert faults["clock"] <= 1.25 * faults["lru"]

@@ -456,10 +456,8 @@ class TestEmptyPendingSchedule:
         result.faults.append(0, 0, 0, 0.0, 0.5, 0.5, 0.5, 0.0, False)
         full_mask = (1 << (config.page_bytes // config.subpage_bytes)) - 1
         policy = make_policy(config.replacement)
-        policy.insert(0)
-        policy.note_pending(0)
+        policy.insert(0, frame)
         return _RunState(
-            frames={0: frame},
             policy=policy,
             link=None,
             disk=None,

@@ -176,6 +176,21 @@ class TestObservabilityFlags:
         assert metrics["counters"]["faults_remote"] > 0
         common.clear_run_cache()
 
+    def test_figmt_feeds_metrics_out(self, capsys, tmp_path):
+        import json
+
+        from repro.obs.validate import validate_metrics
+
+        metrics_path = tmp_path / "metrics.json"
+        assert main(["figMT", "--metrics-out", str(metrics_path)]) == 0
+        capsys.readouterr()
+        metrics = json.loads(metrics_path.read_text())
+        assert validate_metrics(metrics) == []
+        gauges = metrics["gauges"]
+        assert gauges["figMT_p99_ms[4/pipelined/1024/t3]"] > 0
+        assert gauges["figMT_slowdown[4/pipelined/1024/t3]"] >= 1.0
+        assert gauges["figMT_fairness[4/pipelined/1024]"] >= 1.0
+
     def test_trace_dir_env_writes_per_experiment_files(
         self, capsys, tmp_path, monkeypatch
     ):
