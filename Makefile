@@ -3,16 +3,13 @@
 PYTHON ?= python3
 CSV_DIR ?= out/csv
 
-.PHONY: install test bench figures scorecard csv examples all clean
+.PHONY: install test figures scorecard csv examples all clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 figures:
 	$(PYTHON) -m repro.experiments --all
@@ -29,8 +26,8 @@ examples:
 		$(PYTHON) $$script || exit 1; \
 	done
 
-all: test bench figures
+all: test figures
 
 clean:
-	rm -rf out .pytest_cache .benchmarks
+	rm -rf out .pytest_cache
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -2,8 +2,9 @@
 
 Every module exposes ``run()`` returning a typed result object and
 ``render(result)`` returning the plain-text table/series the paper
-reports.  ``repro.experiments.registry`` lists them all; the benchmark
-harness under ``benchmarks/`` regenerates each one.
+reports.  ``repro.experiments.registry`` lists them all, and
+``python -m repro.experiments <id>`` (or ``--all``) regenerates each
+one.
 """
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_all

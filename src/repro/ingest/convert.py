@@ -163,6 +163,8 @@ def ingest_file(
     fingerprint identically.  ``cache`` accepts an
     :class:`IngestCache`, a directory path, or ``None`` for no caching;
     pass :func:`default_cache_dir` for the environment-configured one.
+    Binary dumps skip the cache: the key hashes every decompressed
+    byte, and that costs more than converting the columnar dump.
     """
     path = Path(path)
     if not path.exists():
@@ -180,6 +182,8 @@ def ingest_file(
     if chunk_refs is None:
         chunk_refs = DEFAULT_CHUNK_REFS
 
+    if fmt == "binary":
+        cache = None
     if cache is not None and not isinstance(cache, IngestCache):
         cache = IngestCache(cache)
     key = None

@@ -315,7 +315,7 @@ def write_binary_dump(
     """Write ``(addresses, writes)`` chunks as a ``REPRODUMP1`` file.
 
     The inverse of :func:`read_binary`; used by the CLI ``convert
-    --to-dump`` path and by tests/benchmarks to fabricate inputs.
+    --to-dump`` path and by tests to fabricate inputs.
     """
     path = Path(path)
     opener: Callable = gzip.open if compress else open

@@ -4,8 +4,9 @@
 optional :class:`Instrument` and invoke its hooks at fault-path events
 (never on the per-reference hot loop).  Every call site guards with
 ``if instrument is not None``, so with instrumentation disabled the only
-cost is that branch — the acceptance bar is <5% overhead on
-``benchmarks/bench_simulator_throughput.py``.
+cost is that branch.  Hooks take plain values and build no objects;
+the instrumentation gate of ``tools/bench_throughput.py`` holds a fully
+dispatched no-op instrument to the <5% budget.
 
 :class:`Recorder` is the standard implementation: it fans hook calls out
 to a :class:`~repro.obs.tracing.TraceWriter` (event stream) and/or a
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.core.fault import FAULT_KINDS
 from repro.errors import ConfigError
 from repro.obs.metrics import (
     DISTANCE_BOUNDS,
@@ -42,7 +44,6 @@ from repro.obs.metrics import (
 from repro.obs.tracing import TraceWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.fault import FaultRecord
     from repro.sim.results import SimulationResult
 
 #: Valid tokens for ``SimulationConfig.observe`` / ``--observe`` specs.
@@ -70,14 +71,27 @@ class Instrument:
     hooks are added.
     """
 
-    def on_fault(self, record: "FaultRecord") -> None:
+    def on_fault(
+        self,
+        page: int,
+        subpage: int,
+        kind: int,
+        time_ms: float,
+        sp_latency_ms: float,
+        window_start_ms: float,
+        window_end_ms: float,
+        cpu_overhead_ms: float,
+        overlapped_another: bool,
+    ) -> None:
         """A fault was serviced.
 
-        ``record`` is a snapshot taken at service time, built only for
-        this hook.  Two of its fields are not final: page-wait intervals
-        accrue afterwards, and ``window_end_ms`` moves to the last
-        arrival when the page's transfers fold and is capped at the end
-        of the run.  The result's fault log holds the final values."""
+        The arguments are the row :meth:`FaultLog.append
+        <repro.core.fault.FaultLog.append>` receives, in its order
+        (``kind`` is the :data:`~repro.core.fault.KIND_CODES` code), as
+        known at service time.  Page waits accrue afterwards, and
+        ``window_end_ms`` moves to the last arrival when the page's
+        transfers fold and is capped at the end of the run; the
+        result's fault log holds the final values."""
 
     def on_stall(
         self, start_ms: float, end_ms: float, kind: str, page: int
@@ -143,33 +157,44 @@ class Recorder(Instrument):
 
     # -- hook implementations ----------------------------------------------
 
-    def on_fault(self, record: "FaultRecord") -> None:
-        kind = record.kind.value
+    def on_fault(
+        self,
+        page: int,
+        subpage: int,
+        kind: int,
+        time_ms: float,
+        sp_latency_ms: float,
+        window_start_ms: float,
+        window_end_ms: float,
+        cpu_overhead_ms: float,
+        overlapped_another: bool,
+    ) -> None:
+        kind = FAULT_KINDS[kind].value
         metrics = self.metrics
         if metrics is not None:
             metrics.inc(f"faults_{kind}")
-            if record.overlapped_another:
+            if overlapped_another:
                 metrics.inc("faults_overlapped")
-            metrics.observe("fault_sp_latency_ms", record.sp_latency_ms)
+            metrics.observe("fault_sp_latency_ms", sp_latency_ms)
         trace = self.trace
         if trace is not None:
             trace.emit(
-                "fault", record.time_ms, node=self.node,
-                page=record.page, subpage=record.subpage, kind=kind,
-                sp_latency_ms=record.sp_latency_ms,
-                overlapped=record.overlapped_another,
+                "fault", time_ms, node=self.node,
+                page=page, subpage=subpage, kind=kind,
+                sp_latency_ms=sp_latency_ms,
+                overlapped=overlapped_another,
             )
-            if record.sp_latency_ms > 0:
+            if sp_latency_ms > 0:
                 trace.emit(
-                    "stall", record.time_ms,
-                    dur_ms=record.sp_latency_ms, node=self.node,
-                    page=record.page, kind=kind,
+                    "stall", time_ms,
+                    dur_ms=sp_latency_ms, node=self.node,
+                    page=page, kind=kind,
                 )
             if kind == "disk":
                 trace.emit(
-                    "transfer", record.time_ms,
-                    dur_ms=record.sp_latency_ms, node=self.node,
-                    page=record.page, kind="disk",
+                    "transfer", time_ms,
+                    dur_ms=sp_latency_ms, node=self.node,
+                    page=page, kind="disk",
                 )
 
     def on_stall(

@@ -31,11 +31,9 @@ from repro.sim.multinode import NodeWorkload
 from repro.sim.results import SimulationResult, TimeComponents
 from repro.sim.simulator import Simulator, simulate
 from repro.sim.sweep import (
-    SeedStudy,
     SweepResult,
     memory_sweep_jobs,
     run_memory_sweep,
-    run_seed_study,
     run_subpage_sweep,
     subpage_sweep_jobs,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "RandomPolicy",
     "ReplacementPolicy",
     "ResultCache",
-    "SeedStudy",
     "SharedTraceArena",
     "SimulationConfig",
     "SimulationResult",
@@ -68,7 +65,6 @@ __all__ = [
     "memory_sweep_jobs",
     "run_cells",
     "run_memory_sweep",
-    "run_seed_study",
     "run_subpage_sweep",
     "simulate",
     "subpage_sweep_jobs",

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.core.fault import FAULT_KINDS, KIND_CODES, FaultKind, FaultRecord
+from repro.core.fault import KIND_CODES, FaultKind
 from repro.disk.presets import paper_disk
 from repro.errors import ConfigError, SimulationError
 from repro.gms.cluster import ActiveNode, Cluster, PageLocation, build_cluster
@@ -420,11 +420,10 @@ class Simulator:
             window_end_ms, cpu_overhead_ms, overlapped,
         )
         if state.ins is not None:
-            state.ins.on_fault(FaultRecord(
-                page, sp, FAULT_KINDS[kind], clock, sp_latency_ms, resume,
-                window_end_ms, cpu_overhead_ms=cpu_overhead_ms,
-                overlapped_another=overlapped,
-            ))
+            state.ins.on_fault(
+                page, sp, kind, clock, sp_latency_ms, resume,
+                window_end_ms, cpu_overhead_ms, overlapped,
+            )
         result.components.sp_latency_ms += sp_latency_ms
         result.components.cpu_overhead_ms += cpu_overhead_ms
         state.policy.insert(page, _Frame(
@@ -567,10 +566,10 @@ class Simulator:
             window_end, cpu_overhead_ms, False,
         )
         if state.ins is not None:
-            state.ins.on_fault(FaultRecord(
-                page, sp, FaultKind.SUBPAGE, clock, sp_latency_ms, resume,
-                window_end, cpu_overhead_ms=cpu_overhead_ms,
-            ))
+            state.ins.on_fault(
+                page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
+                window_end, cpu_overhead_ms, False,
+            )
         result.subpage_faults += 1
         result.components.sp_latency_ms += sp_latency_ms
         result.components.cpu_overhead_ms += cpu_overhead_ms

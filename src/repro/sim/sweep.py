@@ -21,7 +21,6 @@ from repro.sim.parallel import (
     run_cells,
 )
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import simulate
 from repro.trace.compress import RunTrace
 
 
@@ -174,68 +173,6 @@ def run_subpage_sweep(
         row_label, column = job.key
         sweep.add(row_label, column, results[job.key])
     return sweep
-
-
-@dataclass(frozen=True, slots=True)
-class SeedStudy:
-    """Improvement statistics across workload-generation seeds.
-
-    Synthetic workloads are random; this records how stable a scheme's
-    improvement over the fullpage baseline is when the trace is
-    regenerated with different seeds.
-    """
-
-    improvements: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return sum(self.improvements) / len(self.improvements)
-
-    @property
-    def spread(self) -> float:
-        """Max - min improvement across seeds."""
-        return max(self.improvements) - min(self.improvements)
-
-    @property
-    def stdev(self) -> float:
-        mean = self.mean
-        n = len(self.improvements)
-        if n < 2:
-            return 0.0
-        return (
-            sum((x - mean) ** 2 for x in self.improvements) / (n - 1)
-        ) ** 0.5
-
-
-def run_seed_study(
-    app: str,
-    base: SimulationConfig,
-    seeds: list[int],
-    memory_fraction: float = 0.5,
-) -> SeedStudy:
-    """Improvement-vs-fullpage for one app across trace seeds."""
-    from repro.trace.synth.apps import build_app_trace
-
-    if not seeds:
-        raise ConfigError("seed study needs at least one seed")
-    improvements = []
-    for seed in seeds:
-        trace = build_app_trace(app, seed=seed)
-        memory = memory_pages_for(trace, memory_fraction)
-        candidate = simulate(
-            trace, base.with_overrides(memory_pages=memory)
-        )
-        baseline = simulate(
-            trace,
-            base.with_overrides(
-                memory_pages=memory,
-                scheme="fullpage",
-                scheme_kwargs={},
-                subpage_bytes=base.page_bytes,
-            ),
-        )
-        improvements.append(candidate.improvement_vs(baseline))
-    return SeedStudy(improvements=tuple(improvements))
 
 
 def memory_sweep_jobs(

@@ -9,6 +9,7 @@ import pytest
 from repro.atomicfile import STALE_TMP_AGE_S
 from repro.ingest.cache import INGEST_VERSION, IngestCache, ingest_key
 from repro.ingest.convert import ingest_file
+from repro.ingest.readers import write_binary_dump
 from repro.trace.compress import compress_references
 
 from tests.ingest.conftest import lackey_text, make_references, write_text
@@ -159,3 +160,14 @@ class TestIngestFileCaching:
         assert np.array_equal(cached.pages, fresh.pages)
         assert np.array_equal(cached.counts, fresh.counts)
         assert cached.dilation == fresh.dilation
+
+    def test_binary_dumps_skip_the_cache(self, tmp_path, refs):
+        # Hashing a columnar dump's bytes for the key costs more than
+        # converting them, so binary input never touches the cache.
+        path = write_binary_dump(tmp_path / "app.dump", [refs])
+        cache = IngestCache(tmp_path / "cache")
+        first = ingest_file(path, cache=cache)
+        second = ingest_file(path, cache=cache)
+        assert second.fingerprint() == first.fingerprint()
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert not list((tmp_path / "cache").glob("*/*.npz"))

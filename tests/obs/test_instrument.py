@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fault import FaultKind, FaultRecord
+from repro.core.fault import KIND_CODES, FaultKind
 from repro.errors import ConfigError
 from repro.obs.instrument import (
     Instrument,
@@ -38,10 +38,14 @@ class TestParseObserveSpec:
 
 class TestRecorder:
     def record(self, **kwargs):
+        """``on_fault``'s arguments, as ``FaultLog.append`` takes them."""
         base = dict(page=3, subpage=1, kind=FaultKind.REMOTE, time_ms=2.0,
-                    sp_latency_ms=0.5)
+                    sp_latency_ms=0.5, window_start_ms=0.0,
+                    window_end_ms=0.0, cpu_overhead_ms=0.0,
+                    overlapped_another=False)
         base.update(kwargs)
-        return FaultRecord(**base)
+        base["kind"] = KIND_CODES[base["kind"]]
+        return base
 
     def test_from_spec_selects_sinks(self):
         rec = Recorder.from_spec("trace")
@@ -51,9 +55,9 @@ class TestRecorder:
 
     def test_on_fault_counts_and_emits(self):
         rec = Recorder.from_spec("trace,metrics")
-        rec.on_fault(self.record())
-        rec.on_fault(self.record(overlapped_another=True))
-        rec.on_fault(self.record(kind=FaultKind.DISK, sp_latency_ms=8.0))
+        rec.on_fault(**self.record())
+        rec.on_fault(**self.record(overlapped_another=True))
+        rec.on_fault(**self.record(kind=FaultKind.DISK, sp_latency_ms=8.0))
         assert rec.metrics.counters == {
             "faults_remote": 2, "faults_overlapped": 1, "faults_disk": 1,
         }
@@ -170,7 +174,7 @@ class TestSimulatorWiring:
                 self.faults = 0
                 self.evictions = 0
 
-            def on_fault(self, record):
+            def on_fault(self, *args):
                 self.faults += 1
 
             def on_eviction(self, time_ms, page, dirty, cancelled):

@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 
 from repro.atomicfile import decode, encode
-from repro.core.fault import KIND_CODES, FaultKind, FaultLog, FaultRecord
+from repro.core.fault import (
+    FAULT_KINDS,
+    KIND_CODES,
+    FaultKind,
+    FaultLog,
+    FaultRecord,
+)
 from repro.obs.instrument import Instrument
 from repro.sim.config import SimulationConfig, memory_pages_for
 from repro.sim.results import SimulationResult
@@ -232,8 +238,17 @@ class ReferenceRecorder(Instrument):
         self.records: list[FaultRecord] = []
         self._page_fault: dict[int, FaultRecord] = {}
 
-    def on_fault(self, record: FaultRecord) -> None:
-        record = dataclasses.replace(record, page_wait_intervals=[])
+    def on_fault(
+        self, page, subpage, kind, time_ms, sp_latency_ms,
+        window_start_ms, window_end_ms, cpu_overhead_ms,
+        overlapped_another,
+    ) -> None:
+        record = FaultRecord(
+            page, subpage, FAULT_KINDS[kind], time_ms, sp_latency_ms,
+            window_start_ms, window_end_ms,
+            cpu_overhead_ms=cpu_overhead_ms,
+            overlapped_another=overlapped_another,
+        )
         self.records.append(record)
         if record.kind is not FaultKind.SUBPAGE:
             self._page_fault[record.page] = record

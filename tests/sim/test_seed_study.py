@@ -1,37 +1,10 @@
-"""Seed-robustness study and cancelled-transfer accounting."""
+"""Cancelled-transfer accounting: evicting a page whose transfers are
+still in flight.  (Seed robustness is Abl G in ``tests/test_ablations.py``.)"""
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.sim.config import SimulationConfig
-from repro.sim.sweep import SeedStudy, run_seed_study
 from repro.sim.simulator import simulate
 
-from tests.conftest import FixedLatencyModel, make_trace, page_addr
-
-
-class TestSeedStudy:
-    def test_stats(self):
-        study = SeedStudy(improvements=(0.2, 0.3, 0.25))
-        assert study.mean == pytest.approx(0.25)
-        assert study.spread == pytest.approx(0.1)
-        assert study.stdev == pytest.approx(0.05)
-
-    def test_single_seed_stdev_zero(self):
-        assert SeedStudy(improvements=(0.2,)).stdev == 0.0
-
-    def test_requires_seeds(self):
-        with pytest.raises(ConfigError):
-            run_seed_study("gdb", SimulationConfig(memory_pages=1), [])
-
-    def test_gdb_improvement_stable_across_seeds(self):
-        # The reproduction's conclusions must not hinge on one RNG draw.
-        base = SimulationConfig(
-            memory_pages=1, scheme="eager", subpage_bytes=1024
-        )
-        study = run_seed_study("gdb", base, seeds=[0, 1, 2])
-        assert study.mean > 0.2
-        assert study.spread < 0.15
+from tests.conftest import make_trace, page_addr
 
 
 class TestCancelledTransfers:

@@ -82,6 +82,7 @@ class TestTraceShapes:
     def test_gdb_matches_paper_reference_count(self, traces):
         # gdb's trace is NOT scaled down: the paper's trace is 0.5M refs.
         assert 0.4e6 < traces["gdb"].num_references < 0.6e6
+        assert traces["gdb"].num_runs > 10_000
 
     def test_footprints_are_plausible(self, traces):
         # Footprints sized so fault counts land near the paper's ranges.

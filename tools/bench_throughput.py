@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Dispatch and adaptive-policy gates, recording BENCH_throughput.json.
+"""Dispatch, adaptive-policy and instrumentation gates, recording
+BENCH_throughput.json.
 
-Two measurements, one trajectory file:
+Three measurements, four gates, one trajectory file:
 
 * Dispatch: runs a 24-cell sweep over one shared trace through
   ``run_cells`` twice — the arena path (persistent ``WorkerPool``,
@@ -12,13 +13,21 @@ Two measurements, one trajectory file:
 * Adaptive policy: times the transparent ``"adaptive"`` meta-scheme
   (static predictor — bit-identical plans, but every fault-path event
   flows through the per-page access history) against plain pipelining
-  on a hit-dominated cell and gates its overhead at 5%, the obs-layer
-  guard's bar.  The scoreboard arm (static + ``switch_schemes``,
-  accounting live, schedule still identical) is recorded for the
-  trajectory only.
+  on a hit-dominated cell and gates its overhead at 5%.  The
+  scoreboard arm (static + ``switch_schemes``: accounting live,
+  schedule still identical) is opted-in accounting, so it only gets a
+  20% backstop against pathological regressions such as per-hit work.
+* Instrumentation: times a run with a no-op ``Instrument`` attached
+  (every guard taken, every hook dispatched to an empty method)
+  against the same run with none, and gates the ratio at 1.05: the
+  observability layer's disabled-cost budget.
+
+The policy and instrumentation gates time their arms in mirrored
+rounds (A B B A, so drift and position costs land on every arm alike)
+and compare the median of the per-round ratios against the bound.
 
 Appends one entry to the ``BENCH_throughput.json`` perf trajectory at
-the repo root and exits non-zero if either gate fails.
+the repo root and exits non-zero if any gate fails.
 
 The dispatch gate (3x) compares two overheads measured back-to-back on
 the same machine, so it tolerates absolute noise by construction.
@@ -31,9 +40,11 @@ Usage:  python tools/bench_throughput.py [--min-dispatch-speedup 3.0]
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -43,12 +54,22 @@ sys.path.insert(0, "src")
 
 import numpy as np
 
+from repro.obs.instrument import Instrument
 from repro.sim.config import SimulationConfig
 from repro.sim.parallel import SweepJob, WorkerPool, run_cells
-from repro.sim.simulator import simulate
+from repro.sim.simulator import Simulator, simulate
 from repro.trace.compress import compress_references
 
-ROUNDS = 5
+#: Mirrored rounds per timed gate (each round runs every arm twice).
+POLICY_ROUNDS = 30
+INSTRUMENT_ROUNDS = 30
+
+#: Backstop for the opted-in prediction scoreboard (fractional
+#: overhead over plain pipelining).
+MAX_SCOREBOARD_OVERHEAD = 0.20
+
+#: Bound on the median (no-op instrument / no instrument) time ratio.
+MAX_INSTRUMENT_RATIO = 1.05
 
 #: Dispatch measurement shape: one shared trace, this many cells, this
 #: many worker processes, best-of-this-many rounds per path.
@@ -61,9 +82,46 @@ DISPATCH_ROUNDS = 3
 OVERHEAD_FLOOR_MS = 1.0
 
 
+def alternating_medians(arms, rounds, pause_gc=False):
+    """Time the arms in mirrored rounds and compare medians.
+
+    Each round runs every arm forward and then in reverse (A B B A), so
+    a cost that depends on a run's position — the run after another
+    paying for its garbage, say — lands on every arm alike.  Returns
+    each arm's median time per run (s) and each later arm's median
+    per-round ratio to the first.  With ``pause_gc`` the collector is
+    off while timing, so one arm's allocations are not billed for
+    walking the host process's heap.
+    """
+    for arm in arms:  # warm trace columns + code paths
+        arm()
+    order = list(range(len(arms)))
+    times = [[] for _ in arms]
+    gc_was_enabled = gc.isenabled()
+    if pause_gc:
+        gc.disable()
+    try:
+        for _ in range(rounds):
+            spent = [0.0] * len(arms)
+            for i in order + order[::-1]:
+                started = time.perf_counter()
+                arms[i]()
+                spent[i] += time.perf_counter() - started
+            for arm_times, elapsed in zip(times, spent):
+                arm_times.append(elapsed / 2)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    medians = [statistics.median(t) for t in times]
+    ratios = [
+        statistics.median(a / b for a, b in zip(t, times[0]))
+        for t in times[1:]
+    ]
+    return medians, ratios
+
+
 def hit_trace():
-    """Hit-dominated workload; keep in sync with the fixture in
-    ``benchmarks/bench_abl_adaptive_policy.py``."""
+    """Hit-dominated workload for the policy gate."""
     rng = np.random.default_rng(7)
     visits = rng.integers(0, 400, size=60_000)
     starts = rng.integers(0, 112, size=60_000)
@@ -78,14 +136,12 @@ def hit_trace():
 def time_policy_overhead(trace):
     """Adaptive-layer overhead vs plain pipelining, same schedule.
 
-    Interleaved min-of-rounds with GC paused (an arm's allocations must
-    not be billed for collecting the host process's heap): the
-    ``history_tracking`` arm is transparent adaptive, the ``scoreboard``
-    arm adds live prediction accounting via ``switch_schemes=True``
-    (never fires at full confidence, so all three arms simulate the
-    identical schedule).
+    The ``history_tracking`` arm is transparent adaptive; the
+    ``scoreboard`` arm adds live prediction accounting via
+    ``switch_schemes=True`` (never fires at full confidence, so all
+    three arms simulate the identical schedule, which ``same_schedule``
+    checks).  GC is paused while timing.
     """
-    import gc
 
     def policy_cfg(scheme, kwargs):
         return SimulationConfig(
@@ -102,29 +158,64 @@ def time_policy_overhead(trace):
             "adaptive", {"predictor": "static", "switch_schemes": True}
         ),
     ]
-    for arm in arms:  # warm trace columns + code paths
-        simulate(trace, arm)
-    best = [float("inf")] * len(arms)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(ROUNDS + 2):
-            for i, arm in enumerate(arms):
-                started = time.perf_counter()
-                simulate(trace, arm)
-                best[i] = min(best[i], time.perf_counter() - started)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    baseline_s, transparent_s, scored_s = best
+    baseline = simulate(trace, arms[0])
+    tracked = simulate(trace, arms[2])
+    (baseline_s, transparent_s, scored_s), (history, scored) = (
+        alternating_medians(
+            [lambda arm=arm: simulate(trace, arm) for arm in arms],
+            POLICY_ROUNDS,
+            pause_gc=True,
+        )
+    )
     return {
+        "rounds": POLICY_ROUNDS,
         "pipelined_ms": round(baseline_s * 1e3, 3),
         "transparent_ms": round(transparent_s * 1e3, 3),
         "scoreboard_ms": round(scored_s * 1e3, 3),
-        "history_tracking_overhead": round(
-            transparent_s / baseline_s - 1.0, 4
-        ),
-        "scoreboard_overhead": round(scored_s / baseline_s - 1.0, 4),
+        "history_tracking_overhead": round(history - 1.0, 4),
+        "scoreboard_overhead": round(scored - 1.0, 4),
+        "same_schedule": tracked.total_ms == baseline.total_ms,
+        "policy_faults": int(tracked.policy_stats["faults"]),
+    }
+
+
+def mid_trace():
+    """~40k-run mixed workload for the instrumentation gate."""
+    rng = np.random.default_rng(0)
+    visits = rng.integers(0, 400, size=60_000)
+    offsets = rng.integers(0, 96, size=60_000)
+    base = visits * 8192 + offsets * 64
+    runs = np.repeat(base, 8) + np.tile(
+        np.arange(8, dtype=np.int64) * 8, 60_000
+    )
+    return compress_references(runs, name="throughput")
+
+
+def time_instrumentation(trace):
+    """A no-op instrument's cost over no instrument, GC left on.
+
+    The no-op instrument is the worst case for disabled observability:
+    every ``if instrument is not None`` guard is taken and every hook is
+    dispatched, to a method that does nothing.
+    """
+    config = SimulationConfig(
+        memory_pages=128, scheme="eager", subpage_bytes=1024
+    )
+    plain = simulate(trace, config)
+    (plain_s, noop_s), (ratio,) = alternating_medians(
+        [
+            lambda: simulate(trace, config),
+            lambda: Simulator(config, instrument=Instrument()).run(trace),
+        ],
+        INSTRUMENT_ROUNDS,
+    )
+    return {
+        "rounds": INSTRUMENT_ROUNDS,
+        "page_faults": plain.page_faults,
+        "no_payloads": plain.metrics is None and plain.trace_events is None,
+        "disabled_ms": round(plain_s * 1e3, 3),
+        "noop_ms": round(noop_s * 1e3, 3),
+        "noop_ratio": round(ratio, 4),
     }
 
 
@@ -249,6 +340,13 @@ def main() -> int:
         f"{policy['scoreboard_overhead']:+8.1%}"
     )
 
+    instrumentation = time_instrumentation(mid_trace())
+    print(
+        f"instrument      disabled {instrumentation['disabled_ms']:8.1f} "
+        f"ms   no-op {instrumentation['noop_ms']:8.1f} ms   ratio "
+        f"{instrumentation['noop_ratio']:.3f}"
+    )
+
     entry = {
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "trace": {
@@ -256,11 +354,11 @@ def main() -> int:
             "num_runs": trace.num_runs,
             "num_references": trace.num_references,
         },
-        "rounds": ROUNDS,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "dispatch": dispatch,
         "adaptive_policy": policy,
+        "instrumentation": instrumentation,
     }
     history = []
     if args.out.exists():
@@ -269,33 +367,40 @@ def main() -> int:
     args.out.write_text(json.dumps(history, indent=2) + "\n")
     print(f"appended entry {len(history)} to {args.out}")
 
-    failed = False
-    dispatch_speedup = dispatch["dispatch_speedup"]
-    if dispatch_speedup < args.min_dispatch_speedup:
-        print(
-            f"FAIL: dispatch-overhead reduction {dispatch_speedup:.2f}x "
-            f"is below the {args.min_dispatch_speedup:.1f}x gate"
-        )
-        failed = True
-    else:
-        print(
-            f"OK: dispatch-overhead reduction {dispatch_speedup:.2f}x "
-            f">= {args.min_dispatch_speedup:.1f}x"
-        )
-    policy_overhead = policy["history_tracking_overhead"]
-    if policy_overhead >= args.max_policy_overhead:
-        print(
-            f"FAIL: adaptive history tracking costs "
-            f"{policy_overhead:.1%}, at or above the "
-            f"{args.max_policy_overhead:.0%} gate"
-        )
-        failed = True
-    else:
-        print(
-            f"OK: adaptive history tracking {policy_overhead:.1%} < "
-            f"{args.max_policy_overhead:.0%}"
-        )
-    return 1 if failed else 0
+    history_overhead = policy["history_tracking_overhead"]
+    scored_overhead = policy["scoreboard_overhead"]
+    ratio = instrumentation["noop_ratio"]
+    gates = [
+        (
+            dispatch["dispatch_speedup"] >= args.min_dispatch_speedup,
+            f"dispatch-overhead reduction {dispatch['dispatch_speedup']:.2f}x"
+            f" (gate >= {args.min_dispatch_speedup:.1f}x)",
+        ),
+        (
+            policy["same_schedule"]
+            and policy["policy_faults"] > 0
+            and history_overhead < args.max_policy_overhead,
+            f"adaptive history tracking {history_overhead:.1%} "
+            f"(gate < {args.max_policy_overhead:.0%}; same schedule: "
+            f"{policy['same_schedule']}, "
+            f"{policy['policy_faults']} policy faults)",
+        ),
+        (
+            scored_overhead < MAX_SCOREBOARD_OVERHEAD,
+            f"prediction scoreboard {scored_overhead:.1%} "
+            f"(backstop < {MAX_SCOREBOARD_OVERHEAD:.0%})",
+        ),
+        (
+            instrumentation["page_faults"] > 0
+            and instrumentation["no_payloads"]
+            and ratio < MAX_INSTRUMENT_RATIO,
+            f"no-op instrument {ratio:.3f}x the uninstrumented run "
+            f"(gate < {MAX_INSTRUMENT_RATIO})",
+        ),
+    ]
+    for ok, message in gates:
+        print(f"{'OK' if ok else 'FAIL'}: {message}")
+    return 0 if all(ok for ok, _ in gates) else 1
 
 
 if __name__ == "__main__":

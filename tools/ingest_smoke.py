@@ -10,7 +10,11 @@ Exercises the acceptance path end to end on the bundled lackey fixture:
 3. run a small sweep over the ingested trace through ``run_cells``
    with a ``ResultCache``;
 4. rerun it — every cell must be served from the result cache with
-   identical numbers.
+   identical numbers;
+5. time a cold conversion against a cached one on a 500k-reference
+   lackey stream, in alternating rounds: the cached median must be
+   the faster.  (Binary dumps skip the cache, so the claim is timed on
+   text, where parsing dominates.)
 
 Exits non-zero with a diagnostic on any mismatch.
 
@@ -21,11 +25,15 @@ from __future__ import annotations
 
 import gzip
 import shutil
+import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, "src")
+
+import numpy as np
 
 from repro.ingest.cache import IngestCache
 from repro.ingest.convert import ingest_file
@@ -37,6 +45,11 @@ FIXTURE = Path("tests/data/lackey_small.trace")
 #: Pinned fingerprint of the bundled fixture: conversion must be stable
 #: across commits (bump deliberately with INGEST_VERSION changes).
 PINNED = "sha:0bdfc6b1efbc15f3723a410f27102ef3e72d1f8ed08634111218c8080f10ca2d"
+
+
+#: The timed cache check: stream length and alternating rounds.
+TIMED_REFS = 500_000
+TIMED_ROUNDS = 5
 
 
 def fail(message: str) -> None:
@@ -59,6 +72,34 @@ def sweep_jobs(trace):
         )
         for size in (4096, 1024, 256)
     ]
+
+
+def write_timed_stream(path: Path) -> Path:
+    """A lackey capture of ``TIMED_REFS`` references: 256 touches per
+    256 B block, over 96 pages, every fifth block written."""
+    blocks = (np.arange(TIMED_REFS) // 256) % (96 * 32)
+    path.write_text("".join(
+        f" {'S' if block % 5 == 0 else 'L'} {block * 256:x},8\n"
+        for block in blocks.tolist()
+    ))
+    return path
+
+
+def time_ingest_cache(workdir: Path) -> tuple[float, float]:
+    """Median cold and cached conversion times (s), rounds alternating."""
+    path = write_timed_stream(workdir / "timed.trace")
+    cache = IngestCache(workdir / "timed-cache")
+    ingest_file(path, cache=cache)  # fill the entry
+    cold, warm = [], []
+    for _ in range(TIMED_ROUNDS):
+        for use, times in ((None, cold), (cache, warm)):
+            started = time.perf_counter()
+            ingest_file(path, cache=use)
+            times.append(time.perf_counter() - started)
+    if cache.hits != TIMED_ROUNDS:
+        fail(f"cached conversions missed: {cache.hits} hits in "
+             f"{TIMED_ROUNDS} rounds")
+    return statistics.median(cold), statistics.median(warm)
 
 
 def main() -> None:
@@ -115,6 +156,14 @@ def main() -> None:
             if rerun[key].total_ms != results[key].total_ms:
                 fail(f"cached rerun differs for {key}")
         print("sweep over ingested trace + cached rerun: OK")
+
+        cold_s, warm_s = time_ingest_cache(workdir)
+        print(f"{TIMED_REFS:,}-ref lackey stream: cold {cold_s * 1e3:.1f} "
+              f"ms, cached {warm_s * 1e3:.1f} ms (medians of "
+              f"{TIMED_ROUNDS})")
+        if warm_s >= cold_s:
+            fail("a cached conversion is no faster than a cold one")
+        print("cached conversion beats the cold one: OK")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print("ingest smoke: all checks passed")
