@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,16 +55,18 @@ class ReplacementPolicy(ABC):
     def __init__(self) -> None:
         #: Resident pages -> frames, in this policy's eviction order.
         self.frames: dict[int, Any] = OrderedDict()
+        #: Called with a resident page each time the program switches
+        #: to it, or ``None`` when references do not affect eviction.
+        #: Each policy binds the cheapest callable that keeps its order
+        #: (a C method where one exists), so the drive loop binds it
+        #: once and pays no Python-level call per page switch.
+        self.touch: Callable[[int], Any] | None = None
 
     def insert(self, page: int, frame: Any) -> None:
         """``page`` became resident in ``frame``."""
         if page in self.frames:
             raise SimulationError(f"page {page} already resident")
         self.frames[page] = frame
-
-    @abstractmethod
-    def touch(self, page: int) -> None:
-        """A resident page was referenced."""
 
     @abstractmethod
     def evict(self, now: float) -> tuple[int, Any]:
@@ -82,8 +84,9 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def touch(self, page: int) -> None:
-        self.frames.move_to_end(page)
+    def __init__(self) -> None:
+        super().__init__()
+        self.touch = self.frames.move_to_end
 
     def evict(self, now: float) -> tuple[int, Any]:
         return _pop_oldest_settled(self.frames, now)
@@ -93,9 +96,6 @@ class FifoPolicy(ReplacementPolicy):
     """First-in-first-out: ``frames`` stays in insertion order."""
 
     name = "fifo"
-
-    def touch(self, page: int) -> None:
-        pass
 
     def evict(self, now: float) -> tuple[int, Any]:
         return _pop_oldest_settled(self.frames, now)
@@ -110,12 +110,10 @@ class ClockPolicy(ReplacementPolicy):
     def __init__(self) -> None:
         super().__init__()
         self._referenced: set[int] = set()
+        self.touch = self._referenced.add
 
     def insert(self, page: int, frame: Any) -> None:
         super().insert(page, frame)
-        self._referenced.add(page)
-
-    def touch(self, page: int) -> None:
         self._referenced.add(page)
 
     def evict(self, now: float) -> tuple[int, Any]:
@@ -146,9 +144,6 @@ class RandomPolicy(ReplacementPolicy):
         super().__init__()
         self.frames = {}  # eviction ignores order: a plain dict
         self._rng = np.random.default_rng(seed)
-
-    def touch(self, page: int) -> None:
-        pass
 
     def evict(self, now: float) -> tuple[int, Any]:
         frames = self.frames

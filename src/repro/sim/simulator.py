@@ -48,9 +48,20 @@ _SUBPAGE = KIND_CODES[FaultKind.SUBPAGE]
 
 class _Frame:
     """Residency state of one local page (``record`` is the index of the
-    fault that brought it in, in the result's fault log)."""
+    fault that brought it in, in the result's fault log).
 
-    __slots__ = ("valid_bits", "pending", "dirty", "record", "distance_from")
+    A frame is ``settled`` once every subpage is valid, nothing is in
+    flight and its first-touch distance is recorded: from then on it is
+    a plain resident page, and a hit on it skips the incomplete-page
+    checks.  Nothing clears the flag (valid bits only grow, and only an
+    unsettled frame can take a subpage fault); a new fault builds a new
+    frame.
+    """
+
+    __slots__ = (
+        "valid_bits", "pending", "dirty", "record", "distance_from",
+        "settled",
+    )
 
     def __init__(
         self,
@@ -65,6 +76,7 @@ class _Frame:
         self.dirty = dirty
         self.record = record
         self.distance_from = distance_from
+        self.settled = False
 
 
 class Simulator:
@@ -283,12 +295,18 @@ class Simulator:
         (:meth:`_drive_reference`) passes ``until=inf`` and drives the
         whole trace in one call; the multi-tenant scheduler passes the
         next tenant's clock.
+
+        The loop keeps the current page's frame and its ``settled`` flag
+        in locals: the resident-set lookup, the policy's ``touch`` and
+        the TLB run only at a page switch, and a run that stays on a
+        settled page costs one test before its clock add.
         """
         policy = state.policy
         frames = policy.frames
         # Bound once: calling ``.get`` through an OrderedDict each run
         # costs about twice a plain dict lookup; the bound method does not.
         resident = frames.get
+        touch = policy.touch
         tlb = state.tlb
         pal = state.pal
         event_ms = state.event_ms
@@ -300,30 +318,45 @@ class Simulator:
             and state.adaptive.needs_reference_events
         )
 
+        # A resumed slice picks its current frame back up.  Residency
+        # only changes at this run's own faults, so it is still there.
+        frame = resident(last_page)
+        settled = frame is not None and frame.settled
+
         for page, sp, block, count, write in runs:
-            frame = resident(page)
-            if frame is None:
-                clock = self._page_fault(
-                    state, clock, page, sp, block, write
-                )
-                frame = frames[page]
+            if page != last_page:
+                frame = resident(page)
                 last_page = page
-                if tlb is not None and not tlb.access(page):
-                    # The TLB misses before the fault is even detected;
-                    # the walk cost is paid on top of the fault service.
-                    clock += tlb.miss_ms
-                if pal is not None and frame.pending is not None:
-                    # Software protection: the rest of the faulting run
-                    # executes against a still-incomplete page.
-                    self._charge_emulation(
-                        state, clock, page, frame, count, write
+                if frame is None:
+                    clock = self._page_fault(
+                        state, clock, page, sp, block, write
                     )
-            else:
-                if page != last_page:
-                    policy.touch(page)
-                    last_page = page
+                    frame = frames[page]
+                    settled = False
                     if tlb is not None and not tlb.access(page):
+                        # The TLB misses before the fault is even
+                        # detected; the walk cost is paid on top of the
+                        # fault service.
                         clock += tlb.miss_ms
+                    if pal is not None and frame.pending is not None:
+                        # Software protection: the rest of the faulting
+                        # run executes against a still-incomplete page.
+                        self._charge_emulation(
+                            state, clock, page, frame, count, write
+                        )
+                    clock += count * event_ms
+                    if clock > until:
+                        return clock, last_page
+                    continue
+                if touch is not None:
+                    touch(page)
+                if tlb is not None and not tlb.access(page):
+                    clock += tlb.miss_ms
+                settled = frame.settled
+            if settled:
+                if feed_hits:
+                    state.adaptive.observe(page, sp, "hit")
+            else:
                 if frame.distance_from is not None:
                     if sp != frame.distance_from:
                         distance = sp - frame.distance_from
@@ -334,10 +367,13 @@ class Simulator:
                     clock = self._touch_incomplete(
                         state, clock, page, frame, sp, block, write, count
                     )
-                elif feed_hits:
-                    state.adaptive.observe(page, sp, "hit")
-                if write and not frame.dirty:
-                    frame.dirty = True
+                else:
+                    if feed_hits:
+                        state.adaptive.observe(page, sp, "hit")
+                    if frame.distance_from is None:
+                        frame.settled = settled = True
+            if write and not frame.dirty:
+                frame.dirty = True
             clock += count * event_ms
             if clock > until:
                 return clock, last_page
@@ -431,7 +467,9 @@ class Simulator:
             pending=pending,
             dirty=is_write,
             record=index,
-            distance_from=sp,
+            # A one-subpage page has no other subpage to measure a
+            # distance to, so its distance is already settled.
+            distance_from=sp if state.full_mask > 1 else None,
         ))
         return resume + cpu_overhead_ms
 

@@ -135,16 +135,15 @@ def _write_stretches(
     n: int, fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Mark ~``fraction`` of ``n`` refs as writes, in contiguous stretches."""
-    writes = np.zeros(n, dtype=bool)
     if fraction <= 0.0 or n == 0:
-        return writes
+        return np.zeros(n, dtype=bool)
     if fraction >= 1.0:
-        writes[:] = True
-        return writes
+        return np.ones(n, dtype=bool)
     stretches = max(1, round(n * fraction / WRITE_STRETCH))
     starts = rng.integers(0, max(1, n - WRITE_STRETCH), size=stretches)
-    for start in starts:
-        writes[start : start + WRITE_STRETCH] = True
+    covered = (starts[:, None] + np.arange(WRITE_STRETCH)).ravel()
+    writes = np.zeros(n, dtype=bool)
+    writes[covered[covered < n]] = True
     return writes
 
 
@@ -162,18 +161,30 @@ def _interleave(
     # Random merge preserving each stream's internal chunk order, so a
     # sequential scan stays temporally sequential even when interleaved
     # with other strands.
-    chunk_counts = [-(-len(addrs) // chunk) for addrs, _ in streams]
-    turn_order = np.concatenate(
-        [np.full(c, i, dtype=np.int64) for i, c in enumerate(chunk_counts)]
+    lengths = [len(addrs) for addrs, _ in streams]
+    chunk_counts = [-(-n // chunk) for n in lengths]
+    turn_order = np.repeat(
+        np.arange(len(streams), dtype=np.int64), chunk_counts
     )
     rng.shuffle(turn_order)
-    cursors = [0] * len(streams)
-    addr_out: list[np.ndarray] = []
-    write_out: list[np.ndarray] = []
-    for idx in turn_order:
-        start = cursors[idx]
-        stop = min(start + chunk, len(streams[idx][0]))
-        cursors[idx] = stop
-        addr_out.append(streams[idx][0][start:stop])
-        write_out.append(streams[idx][1][start:stop])
-    return np.concatenate(addr_out), np.concatenate(write_out)
+    # Lay the streams end to end, each padded to whole chunks, so chunk
+    # g (counting stream by stream) is row g of a (rows, chunk) view.
+    # Each turn takes the next row of its stream; the padding is dropped.
+    rows = sum(chunk_counts)
+    dtype = np.result_type(*(addrs for addrs, _ in streams if len(addrs)))
+    addrs = np.empty(rows * chunk, dtype=dtype)
+    writes = np.zeros(rows * chunk, dtype=bool)
+    filled = np.zeros(rows * chunk, dtype=bool)
+    start = 0
+    for (part, part_writes), n, count in zip(streams, lengths, chunk_counts):
+        addrs[start : start + n] = part
+        writes[start : start + n] = part_writes
+        filled[start : start + n] = True
+        start += count * chunk
+    row = np.empty_like(turn_order)
+    row[np.argsort(turn_order, kind="stable")] = np.arange(rows)
+    keep = filled.reshape(rows, chunk)[row].ravel()
+    return (
+        addrs.reshape(rows, chunk)[row].ravel()[keep],
+        writes.reshape(rows, chunk)[row].ravel()[keep],
+    )

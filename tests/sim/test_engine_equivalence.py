@@ -355,6 +355,42 @@ class TestEdgeTraces:
         assert_pinned("edge/alternating_writes")
 
 
+def resident_frames(cell_id: str) -> tuple[list, int]:
+    """Drive a golden cell through the simulator's stages; return the
+    frames resident at the end of the run and the run's full mask."""
+    trace, config = CELLS[cell_id]()
+    sim = simulator.Simulator(config)
+    state, cols, recorder = sim._prepare(trace)
+    clock, _ = sim._drive_reference(state, cols.runs(), 0.0, -1)
+    sim._finish(state, clock, recorder)
+    return list(state.policy.frames.values()), state.full_mask
+
+
+class TestSettledFrames:
+    """A settled frame takes the drive loop's short hit path, so it must
+    be a plain resident page: complete, nothing in flight, and its
+    first-touch distance recorded."""
+
+    @pytest.mark.parametrize("cell_id", sorted(CELLS))
+    def test_settled_frames_are_complete(self, cell_id):
+        frames, full_mask = resident_frames(cell_id)
+        for frame in frames:
+            if frame.settled:
+                assert frame.pending is None
+                assert frame.valid_bits == full_mask
+                assert frame.distance_from is None
+
+    @pytest.mark.parametrize("cell_id", [
+        "matrix/remote/1.0/eager/2048",
+        "matrix/disk/0.5/fullpage/8192",
+        "matrix/cluster/0.25/pipelined/512",
+        "app/gdb/1.0",
+    ])
+    def test_frames_do_settle(self, cell_id):
+        frames, _ = resident_frames(cell_id)
+        assert any(frame.settled for frame in frames)
+
+
 def main(argv: list[str]) -> int:
     """Print (or with ``--write``, store) every cell's digest."""
     digests = {cell_id: cell_digest(run_cell(cell_id)) for cell_id in CELLS}

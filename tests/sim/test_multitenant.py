@@ -252,6 +252,9 @@ def slice_trace():
     )
 
 
+#: Overrides of an 8-frame config.  The drive loop carries the current
+#: frame across slices, so these reach every replacement policy, disk
+#: backing and a 2-frame thrash.
 SLICE_CONFIGS = [
     {"scheme": "eager"},
     {"scheme": "pipelined", "tlb_entries": 4},
@@ -261,11 +264,16 @@ SLICE_CONFIGS = [
     {"scheme": "adaptive",
      "scheme_kwargs": {"predictor": "stride", "feed": "events"}},
     {"scheme": "pipelined", "backing": "cluster"},
+    {"scheme": "pipelined", "replacement": "fifo"},
+    {"scheme": "eager", "replacement": "clock", "tlb_entries": 4},
+    {"scheme": "lazy", "replacement": "random"},
+    {"scheme": "eager", "backing": "disk"},
+    {"scheme": "pipelined", "memory_pages": 2, "tlb_entries": 4},
 ]
 
 
 class TestClockBoundedSlices:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         overrides=st.sampled_from(SLICE_CONFIGS),
         bounds=st.lists(
@@ -281,7 +289,7 @@ class TestClockBoundedSlices:
         the slice's start; ``-inf`` = exactly one run) is ``==`` to one
         unbounded drive."""
         trace = slice_trace()
-        config = SimulationConfig(memory_pages=8, **overrides)
+        config = SimulationConfig(**{"memory_pages": 8, **overrides})
         whole = Simulator(config).run(trace)
 
         simulator = Simulator(config)

@@ -1,5 +1,7 @@
 """Replacement policies."""
 
+from types import BuiltinMethodType
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,8 +97,29 @@ class TestLru:
 class TestFifo:
     def test_touch_does_not_reorder(self):
         policy = filled("fifo", (1, 2, 3))
-        policy.touch(1)
+        if policy.touch is not None:
+            policy.touch(1)
         assert policy.evict(0.0)[0] == 1
+
+
+class TestTouchContract:
+    """Each policy hands the drive loop its cheapest touch: a bound C
+    method of its own order-keeping container, or ``None`` when
+    references do not affect eviction."""
+
+    def test_lru_touch_is_move_to_end(self):
+        policy = make_policy("lru")
+        assert policy.touch == policy.frames.move_to_end
+        assert isinstance(policy.touch, BuiltinMethodType)
+
+    def test_clock_touch_sets_the_reference_bit(self):
+        policy = make_policy("clock")
+        assert policy.touch == policy._referenced.add
+        assert isinstance(policy.touch, BuiltinMethodType)
+
+    @pytest.mark.parametrize("name", ["fifo", "random"])
+    def test_order_blind_policies_have_no_touch(self, name):
+        assert make_policy(name).touch is None
 
 
 class TestClock:
@@ -213,7 +236,8 @@ def test_lru_matches_reference_model(name, ops):
             policy.insert(page, frames[page])
             model.insert(page, until)
         elif op == "touch" and args[0] in frames:
-            policy.touch(args[0])
+            if policy.touch is not None:
+                policy.touch(args[0])
             model.touch(args[0])
         elif op == "evict" and frames:
             victim, frame = policy.evict(args[0])

@@ -125,3 +125,46 @@ class TestTraceShapes:
         assert synthetic.seed == 5
         assert synthetic.model is get_app_model("gdb")
         assert synthetic.trace.name == "gdb"
+
+
+#: ``RunTrace.fingerprint()`` of every app at seed 0.  Result-cache keys
+#: and the benchmark's digests build on these, so a change to the trace
+#: builders must leave every one of them in place.
+SEED0_FINGERPRINTS = {
+    "modula3": (
+        "sha:2122a8e2781f6178480e1f1819f80b00f810aad5dc93fbd79215e8bdb8262b89"
+    ),
+    "ld": (
+        "sha:67d8dd6fde4752ad29c117bf58ae4e579635922ce2feb92fe47bf086e5fe6763"
+    ),
+    "atom": (
+        "sha:56755869e4741c9eff729b61644298e46556b1dcd37771aa1f08ea0db0011624"
+    ),
+    "render": (
+        "sha:7e04ac438ad7983bcc14f92ae538874e923f2748b10e808a54afd5614433e148"
+    ),
+    "gdb": (
+        "sha:bd0cdf9fdb1d5e34f2807ef0c4af6e43a523c60f6564bd00572c27d2af551aa2"
+    ),
+    "kvserve": (
+        "sha:59e276298bfea62dd66f8ce8a12ea32dfb169960bd0c9d0e46a6538246c9fd63"
+    ),
+    "graph": (
+        "sha:950d9f7e8e92b0884d066700166cc2711a2985a0fc22e0d77a495f00ceb8ba7c"
+    ),
+    "mltrain": (
+        "sha:5fbbf57ee1e1dca78d7bd90ee30c50a3a0a23007ae42429879c7e657c62f6b09"
+    ),
+    "websess": (
+        "sha:fdbb8d6d03827c6220ad78b7f4c42c211486c4e39eef8feaf8565366c1c46289"
+    ),
+}
+
+
+class TestFingerprints:
+    def test_every_app_is_pinned(self):
+        assert set(SEED0_FINGERPRINTS) == set(app_names())
+
+    @pytest.mark.parametrize("name", sorted(SEED0_FINGERPRINTS))
+    def test_seed0_fingerprint(self, traces, name):
+        assert traces[name].fingerprint() == SEED0_FINGERPRINTS[name]

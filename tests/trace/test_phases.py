@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.trace.synth.patterns import RandomUniform, Sequential
-from repro.trace.synth.phases import Phase, PhaseComponent, Workload
+from repro.trace.synth.phases import (
+    WRITE_STRETCH,
+    Phase,
+    PhaseComponent,
+    Workload,
+    _interleave,
+    _write_stretches,
+)
 from repro.trace.synth.regions import RegionAllocator
 
 
@@ -136,3 +145,83 @@ class TestWorkload:
     def test_empty_workload_rejected(self):
         with pytest.raises(ConfigError):
             Workload(name="w").build()
+
+
+def reference_write_stretches(n, fraction, rng):
+    """Loop form of ``_write_stretches``: the same draws, one slice
+    assignment per stretch."""
+    writes = np.zeros(n, dtype=bool)
+    if fraction <= 0.0 or n == 0:
+        return writes
+    if fraction >= 1.0:
+        writes[:] = True
+        return writes
+    stretches = max(1, round(n * fraction / WRITE_STRETCH))
+    starts = rng.integers(0, max(1, n - WRITE_STRETCH), size=stretches)
+    for start in starts:
+        writes[start : start + WRITE_STRETCH] = True
+    return writes
+
+
+def reference_interleave(streams, chunk, rng):
+    """Loop form of ``_interleave``: the same shuffle, one slice per
+    turn."""
+    chunk_counts = [-(-len(addrs) // chunk) for addrs, _ in streams]
+    turn_order = np.concatenate(
+        [np.full(c, i, dtype=np.int64) for i, c in enumerate(chunk_counts)]
+    )
+    rng.shuffle(turn_order)
+    cursors = [0] * len(streams)
+    addr_out, write_out = [], []
+    for idx in turn_order:
+        start = cursors[idx]
+        stop = min(start + chunk, len(streams[idx][0]))
+        cursors[idx] = stop
+        addr_out.append(streams[idx][0][start:stop])
+        write_out.append(streams[idx][1][start:stop])
+    return np.concatenate(addr_out), np.concatenate(write_out)
+
+
+class TestVectorizedBuilders:
+    """The array forms of the two builders equal their loop forms, draw
+    for draw, so every trace fingerprint stays put."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 3000),
+        fraction=st.sampled_from([0.0, 0.005, 0.1, 0.5, 0.97, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_write_stretches_match_loop(self, n, fraction, seed):
+        ours = _write_stretches(n, fraction, np.random.default_rng(seed))
+        ref = reference_write_stretches(
+            n, fraction, np.random.default_rng(seed)
+        )
+        assert ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 2000), min_size=1, max_size=5),
+        chunk=st.sampled_from([1, 7, 64, 256, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_interleave_matches_loop(self, lengths, chunk, seed):
+        if not any(lengths):
+            lengths[0] = 1
+        data = np.random.default_rng(seed)
+        streams = [
+            (
+                data.integers(0, 2**40, size=n, dtype=np.int64),
+                data.random(n) < 0.3,
+            )
+            for n in lengths
+        ]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours = _interleave(streams, chunk, rng)
+        ref = reference_interleave(streams, chunk, ref_rng)
+        for got, want in zip(ours, ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # Both consumed the same draws.
+        assert rng.integers(2**62) == ref_rng.integers(2**62)

@@ -5,11 +5,11 @@ BENCH_throughput.json.
 Three measurements, four gates, one trajectory file:
 
 * Dispatch: runs a 24-cell sweep over one shared trace through
-  ``run_cells`` twice — the arena path (persistent ``WorkerPool``,
-  trace written once to a file the workers map) and the per-cell-pickle
-  path (a transient pool whose arena publishes nothing) — and gates on
-  the reduction in per-cell dispatch overhead (wall time beyond the
-  ideal parallel compute time).
+  ``run_cells`` serially and on one persistent ``WorkerPool`` two ways
+  — the arena path (trace written once to a file the workers map) and
+  the per-cell-pickle path (the same workers, every cell shipping its
+  trace by pickle) — and gates on the reduction in per-cell dispatch
+  overhead (wall time beyond the ideal parallel compute time).
 * Adaptive policy: times the transparent ``"adaptive"`` meta-scheme
   (static predictor — bit-identical plans, but every fault-path event
   flows through the per-page access history) against plain pipelining
@@ -22,15 +22,13 @@ Three measurements, four gates, one trajectory file:
   against the same run with none, and gates the ratio at 1.05: the
   observability layer's disabled-cost budget.
 
-The policy and instrumentation gates time their arms in mirrored
-rounds (A B B A, so drift and position costs land on every arm alike)
-and compare the median of the per-round ratios against the bound.
+Every gate times its arms in mirrored rounds (A B C C B A, so drift
+and position costs land on every arm alike) and compares the median of
+the per-round figures against the bound: a host slowdown during one
+round moves that round's figure, not one arm's.
 
 Appends one entry to the ``BENCH_throughput.json`` perf trajectory at
 the repo root and exits non-zero if any gate fails.
-
-The dispatch gate (3x) compares two overheads measured back-to-back on
-the same machine, so it tolerates absolute noise by construction.
 
 Usage:  python tools/bench_throughput.py [--min-dispatch-speedup 3.0]
                                          [--max-policy-overhead 0.05]
@@ -72,28 +70,27 @@ MAX_SCOREBOARD_OVERHEAD = 0.20
 MAX_INSTRUMENT_RATIO = 1.05
 
 #: Dispatch measurement shape: one shared trace, this many cells, this
-#: many worker processes, best-of-this-many rounds per path.
+#: many worker processes, this many mirrored rounds.
 DISPATCH_CELLS = 24
 DISPATCH_WORKERS = 4
-DISPATCH_ROUNDS = 3
+DISPATCH_ROUNDS = 5
 
 #: Floor for a measured overhead (ms): keeps the speedup ratio finite
 #: when the arena path's overhead disappears into timer noise.
 OVERHEAD_FLOOR_MS = 1.0
 
 
-def alternating_medians(arms, rounds, pause_gc=False):
-    """Time the arms in mirrored rounds and compare medians.
+def mirrored_rounds(arms, rounds, pause_gc=False):
+    """Time the arms in mirrored rounds: each arm's time per run (s),
+    one entry per round.
 
     Each round runs every arm forward and then in reverse (A B B A), so
     a cost that depends on a run's position — the run after another
-    paying for its garbage, say — lands on every arm alike.  Returns
-    each arm's median time per run (s) and each later arm's median
-    per-round ratio to the first.  With ``pause_gc`` the collector is
-    off while timing, so one arm's allocations are not billed for
-    walking the host process's heap.
+    paying for its garbage, say — lands on every arm alike.  With
+    ``pause_gc`` the collector is off while timing, so one arm's
+    allocations are not billed for walking the host process's heap.
     """
-    for arm in arms:  # warm trace columns + code paths
+    for arm in arms:  # warm trace columns, code paths, pools
         arm()
     order = list(range(len(arms)))
     times = [[] for _ in arms]
@@ -112,6 +109,16 @@ def alternating_medians(arms, rounds, pause_gc=False):
     finally:
         if gc_was_enabled:
             gc.enable()
+    return times
+
+
+def alternating_medians(arms, rounds, pause_gc=False):
+    """Time the arms in :func:`mirrored_rounds` and compare medians.
+
+    Returns each arm's median time per run (s) and each later arm's
+    median per-round ratio to the first.
+    """
+    times = mirrored_rounds(arms, rounds, pause_gc)
     medians = [statistics.median(t) for t in times]
     ratios = [
         statistics.median(a / b for a, b in zip(t, times[0]))
@@ -250,15 +257,6 @@ def sweep_jobs(trace):
     ]
 
 
-def _best_wall(run, rounds=DISPATCH_ROUNDS):
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - started)
-    return min(times)
-
-
 class _NoArena:
     """An arena that publishes nothing: every cell pickles its trace."""
 
@@ -269,9 +267,13 @@ class _NoArena:
         pass
 
 
-def _run_pickled(jobs):
-    with WorkerPool(DISPATCH_WORKERS, arena=_NoArena()) as pool:
+def _run_pickled(jobs, pool):
+    """Run ``jobs`` on ``pool``'s workers with every trace pickled."""
+    arena, pool.arena = pool.arena, _NoArena()
+    try:
         run_cells(jobs, pool=pool)
+    finally:
+        pool.arena = arena
 
 
 def time_dispatch(trace):
@@ -279,40 +281,49 @@ def time_dispatch(trace):
 
     Overhead is wall time beyond the ideal parallel compute time
     (serial wall / effective worker count), so the comparison isolates
-    what execution *costs on top of* the simulations themselves.
+    what execution *costs on top of* the simulations themselves.  The
+    serial, pickle and arena arms run in mirrored rounds on one
+    persistent pool, and the gate reads the median per-round speedup.
     """
     jobs = sweep_jobs(trace)
-    serial_s = _best_wall(lambda: run_cells(jobs, workers=1))
     effective = min(DISPATCH_WORKERS, os.cpu_count() or 1)
-    ideal_s = serial_s / effective
 
-    pickle_s = _best_wall(lambda: _run_pickled(jobs))
+    def overhead_ms(wall_s, serial_s):
+        return max((wall_s - serial_s / effective) * 1e3, OVERHEAD_FLOOR_MS)
 
     with WorkerPool(DISPATCH_WORKERS) as pool:
-        run_cells(jobs, pool=pool)  # warm workers + arena + worker LRUs
-        arena_s = _best_wall(lambda: run_cells(jobs, pool=pool))
-
-    def overhead_ms(wall_s):
-        return max((wall_s - ideal_s) * 1e3, OVERHEAD_FLOOR_MS)
-
-    pickle_overhead = overhead_ms(pickle_s)
-    arena_overhead = overhead_ms(arena_s)
+        serial, pickled, arena = mirrored_rounds(
+            [
+                lambda: run_cells(jobs, workers=1),
+                lambda: _run_pickled(jobs, pool),
+                lambda: run_cells(jobs, pool=pool),
+            ],
+            DISPATCH_ROUNDS,
+        )
+    speedups = [
+        overhead_ms(p, s) / overhead_ms(a, s)
+        for s, p, a in zip(serial, pickled, arena)
+    ]
+    serial_s, pickle_s, arena_s = (
+        statistics.median(t) for t in (serial, pickled, arena)
+    )
     return {
         "cells": DISPATCH_CELLS,
         "workers": DISPATCH_WORKERS,
         "effective_workers": effective,
         "rounds": DISPATCH_ROUNDS,
         "serial_ms": round(serial_s * 1e3, 1),
-        "ideal_ms": round(ideal_s * 1e3, 1),
+        "ideal_ms": round(serial_s / effective * 1e3, 1),
         "pickle_wall_ms": round(pickle_s * 1e3, 1),
         "arena_wall_ms": round(arena_s * 1e3, 1),
         "pickle_overhead_per_cell_ms": round(
-            pickle_overhead / DISPATCH_CELLS, 3
+            overhead_ms(pickle_s, serial_s) / DISPATCH_CELLS, 3
         ),
         "arena_overhead_per_cell_ms": round(
-            arena_overhead / DISPATCH_CELLS, 3
+            overhead_ms(arena_s, serial_s) / DISPATCH_CELLS, 3
         ),
-        "dispatch_speedup": round(pickle_overhead / arena_overhead, 3),
+        "round_speedups": [round(x, 3) for x in speedups],
+        "dispatch_speedup": round(statistics.median(speedups), 3),
     }
 
 
