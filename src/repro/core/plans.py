@@ -24,9 +24,12 @@ from repro.net.latency import LatencyModel
 #: A planned fault as the simulator executes it, in absolute times:
 #: ``(resume_ms, valid_bits, follow, demand_wire_ms, background_ready_ms,
 #: background_wire_ms, cpu_overhead_ms)``.  ``valid_bits`` marks every
-#: subpage that has arrived by ``resume_ms``; ``follow`` maps each later
-#: subpage to its idle-network arrival time.
-Placement = tuple[float, int, dict[int, float], float, float, float, float]
+#: subpage that has arrived by ``resume_ms``; ``follow`` holds one
+#: ``(subpage_mask, arrival_ms)`` pair per message that lands later, at
+#: its idle-network arrival time (the masks are disjoint).
+Placement = tuple[
+    float, int, tuple[tuple[int, float], ...], float, float, float, float
+]
 
 #: Per-run fault planner: ``(now_ms, page, faulted_subpage,
 #: faulted_block) -> Placement``
@@ -40,7 +43,7 @@ class PlanRow:
     For a fixed scheme, latency model and subpage size, a plan depends on
     the fault time only through a shift, so the scheme-relative part —
     which subpages travel in which message, and every latency and wire
-    time involved — is computed once and kept here.  :meth:`times`
+    time involved — is computed once and kept here.  :meth:`place`
     turns it into absolute times with exactly the float operations, in
     exactly the order, the per-fault arithmetic used:
 
@@ -51,8 +54,8 @@ class PlanRow:
     * ``background_ready = (now + request_fixed) + demand_wire``
 
     so a plan from a row is ``==`` to one planned from scratch.  The
-    valid-bit partition (:meth:`place`) compares absolute times, since
-    at a large ``now`` rounding can collapse a step to zero.
+    valid-bit partition compares absolute times, since at a large
+    ``now`` rounding can collapse a step to zero.
 
     Building a row checks that it delivers something and that no wire
     time or CPU overhead is negative (latency models are user-supplied),
@@ -62,8 +65,8 @@ class PlanRow:
     __slots__ = (
         "initial",
         "initial_mask",
-        "parts",
-        "pipelined",
+        "group_masks",
+        "trailing_mask",
         "latency_ms",
         "step_ms",
         "rest_ms",
@@ -99,13 +102,11 @@ class PlanRow:
             raise SchemeError("cpu overhead cannot be negative")
         self.initial = initial
         self.initial_mask = _mask(initial)
-        parts = list(groups)
-        if trailing:
-            parts.append(trailing)
-        #: ``(mask, subpages)`` per message after the initial one: the
-        #: pipelined groups in order, then the trailing remainder.
-        self.parts = tuple((_mask(part), part) for part in parts)
-        self.pipelined = len(groups)
+        #: One subpage mask per pipelined message, in order.
+        self.group_masks = tuple(_mask(group) for group in groups)
+        #: The trailing remainder's subpage mask (0: no trailing
+        #: message).
+        self.trailing_mask = _mask(trailing)
         self.latency_ms = latency_ms
         self.step_ms = step_ms
         self.rest_ms = rest_ms
@@ -119,44 +120,38 @@ class PlanRow:
         self.background_wire_ms = background_wire_ms
         self.cpu_overhead_ms = cpu_overhead_ms
 
-    def times(self, now_ms: float) -> tuple[float, list[float], float]:
-        """``(resume, arrival per part, background ready)`` at ``now_ms``."""
+    def place(self, now_ms: float) -> Placement:
+        """The fault at ``now_ms`` as the simulator executes it."""
         resume = now_ms + self.latency_ms
-        arrivals = []
+        valid_bits = self.initial_mask
+        follow = []
         t = resume
         step = self.step_ms
-        for _ in range(self.pipelined):
+        for mask in self.group_masks:
             t += step
-            arrivals.append(t)
-        if len(self.parts) > self.pipelined:
+            if t <= resume:
+                valid_bits |= mask
+            else:
+                follow.append((mask, t))
+        mask = self.trailing_mask
+        if mask:
             trailing = now_ms + self.rest_ms + self.rest_extra_ms
             if self.clamp and t > trailing:
                 trailing = t
-            arrivals.append(trailing)
-        ready = (
-            now_ms + self.request_fixed_ms + self.demand_wire_ms
-            if self.background
-            else 0.0
-        )
-        return resume, arrivals, ready
-
-    def place(self, now_ms: float) -> Placement:
-        """The fault at ``now_ms`` as the simulator executes it."""
-        resume, arrivals, ready = self.times(now_ms)
-        valid_bits = self.initial_mask
-        follow: dict[int, float] = {}
-        for (mask, subpages), arrival in zip(self.parts, arrivals):
-            if arrival <= resume:
+            if trailing <= resume:
                 valid_bits |= mask
             else:
-                for index in subpages:
-                    follow[index] = arrival
+                follow.append((mask, trailing))
         return (
             resume,
             valid_bits,
-            follow,
+            tuple(follow),
             self.demand_wire_ms,
-            ready,
+            (
+                now_ms + self.request_fixed_ms + self.demand_wire_ms
+                if self.background
+                else 0.0
+            ),
             self.background_wire_ms,
             self.cpu_overhead_ms,
         )

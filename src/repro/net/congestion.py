@@ -18,8 +18,7 @@ its own wire time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import SimulationError
 
@@ -27,44 +26,69 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.instrument import Instrument
 
 
-@dataclass(slots=True)
 class PendingArrivals:
-    """Mutable per-subpage arrival schedule for one in-flight page.
+    """Mutable arrival schedule for one in-flight page, one entry per
+    message.
 
-    The simulator and the link model share this object: the link shifts
-    arrival times when demand traffic preempts the transfer, and the
-    simulator reads arrival times when the program touches subpages.
+    Message ``i`` carries the subpages in ``masks[i]`` (disjoint bit
+    masks) and lands at ``arrivals_ms[i]``; :meth:`arrival` looks a
+    subpage up.  The simulator and the link model share this object:
+    the link shifts arrival times when demand traffic preempts the
+    transfer, and the simulator reads arrival times when the program
+    touches subpages.
 
-    An empty ``arrival_ms`` schedule is legal (every arrival may already
-    have been folded into the resident page, or a transfer may carry no
-    subpage deadlines at all): :meth:`shift_after` and the
-    :class:`LinkModel` then only track ``wire_end_ms``.  Only
-    :meth:`latest` requires a non-empty schedule; call sites must check
-    ``arrival_ms`` first.
+    An empty schedule is legal (every arrival may already have been
+    folded into the resident page, or a transfer may carry no subpage
+    deadlines at all): :meth:`shift_after` and the :class:`LinkModel`
+    then only track ``wire_end_ms``.  Only :meth:`latest` requires a
+    non-empty schedule; call sites must check ``masks`` first.
 
-    The latest arrival is cached: the shifts move it exactly as they
-    move the arrival it came from (float addition rounds monotonically,
-    so no other arrival can overtake it).  Change the schedule through
-    :meth:`shift_after`, :meth:`shift_all` and :meth:`merge` only.
+    The latest arrival is cached in ``latest_ms``: the shifts move it
+    exactly as they move the arrival it came from (float addition
+    rounds monotonically, so no other arrival can overtake it).  Change
+    the schedule through :meth:`shift_after`, :meth:`shift_all` and
+    :meth:`merge` only.
     """
 
-    arrival_ms: dict[int, float] = field(default_factory=dict)
-    wire_end_ms: float = 0.0
-    _latest_ms: float = field(default=0.0, init=False, repr=False,
-                              compare=False)
+    __slots__ = ("masks", "arrivals_ms", "wire_end_ms", "latest_ms")
 
-    def __post_init__(self) -> None:
-        self._latest_ms = max(self.arrival_ms.values(), default=0.0)
+    def __init__(
+        self,
+        follow: "Iterable[tuple[int, float]]" = (),
+        wire_end_ms: float = 0.0,
+    ) -> None:
+        """``follow`` holds ``(subpage_mask, arrival_ms)`` per message,
+        a :data:`~repro.core.plans.Placement`'s ``follow``."""
+        masks = []
+        arrivals = []
+        for mask, arrival in follow:
+            masks.append(mask)
+            arrivals.append(arrival)
+        self.masks = masks
+        self.arrivals_ms = arrivals
+        self.wire_end_ms = wire_end_ms
+        self.latest_ms = max(arrivals, default=0.0)
+
+    def arrival(self, subpage: int) -> float | None:
+        """When ``subpage`` lands, or ``None`` if no message carries it."""
+        bit = 1 << subpage
+        index = 0
+        for mask in self.masks:
+            if mask & bit:
+                return self.arrivals_ms[index]
+            index += 1
+        return None
 
     def shift_after(self, time_ms: float, delta_ms: float) -> None:
         """Delay every arrival later than ``time_ms`` by ``delta_ms``."""
         if delta_ms < 0:
             raise SimulationError("cannot shift arrivals backwards")
-        for subpage, arrival in self.arrival_ms.items():
+        arrivals = self.arrivals_ms
+        for index, arrival in enumerate(arrivals):
             if arrival > time_ms:
-                self.arrival_ms[subpage] = arrival + delta_ms
-        if self._latest_ms > time_ms:
-            self._latest_ms += delta_ms
+                arrivals[index] = arrival + delta_ms
+        if self.latest_ms > time_ms:
+            self.latest_ms += delta_ms
         if self.wire_end_ms > time_ms:
             self.wire_end_ms += delta_ms
 
@@ -79,26 +103,47 @@ class PendingArrivals:
         """
         if delta_ms < 0:
             raise SimulationError("cannot shift arrivals backwards")
-        for subpage, arrival in self.arrival_ms.items():
-            self.arrival_ms[subpage] = arrival + delta_ms
-        self._latest_ms += delta_ms
+        self.arrivals_ms = [
+            arrival + delta_ms for arrival in self.arrivals_ms
+        ]
+        self.latest_ms += delta_ms
         self.wire_end_ms += delta_ms
 
     def merge(self, other: "PendingArrivals") -> None:
         """Fold ``other``'s schedule into this one (``other``'s arrival
         wins for a subpage both carry)."""
-        self.arrival_ms.update(other.arrival_ms)
-        self._latest_ms = max(self.arrival_ms.values(), default=0.0)
+        taken = 0
+        for mask in other.masks:
+            taken |= mask
+        masks = []
+        arrivals = []
+        for mask, arrival in zip(self.masks, self.arrivals_ms):
+            mask &= ~taken
+            if mask:
+                masks.append(mask)
+                arrivals.append(arrival)
+        self.masks = masks + other.masks
+        self.arrivals_ms = arrivals + other.arrivals_ms
+        self.latest_ms = max(self.arrivals_ms, default=0.0)
         self.wire_end_ms = max(self.wire_end_ms, other.wire_end_ms)
 
     def latest(self) -> float:
-        if not self.arrival_ms:
+        if not self.masks:
             raise SimulationError("no pending arrivals")
-        return self._latest_ms
+        return self.latest_ms
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"PendingArrivals({list(zip(self.masks, self.arrivals_ms))!r}, "
+            f"wire_end_ms={self.wire_end_ms!r})"
+        )
 
 
 class LinkModel:
     """The faulting node's shared receive link.
+
+    Each fault reaches the link in one call, :meth:`fault`: its demand
+    transfer, then its background transfer if it ships one.
 
     An optional :class:`~repro.obs.instrument.Instrument` receives an
     ``on_transfer`` event per demand/background transfer; ``None`` (the
@@ -151,75 +196,97 @@ class LinkModel:
             p for p in self._in_flight if p.wire_end_ms > now_ms
         ]
 
-    def demand(
-        self, ready_ms: float, wire_ms: float, page: int | None = None
-    ) -> None:
-        """Account a demand transfer occupying the wire for ``wire_ms``.
-
-        The demand transfer itself is never delayed (the program is blocked
-        on it and it has priority); instead every in-flight background
-        arrival after its start is pushed back by its wire time.
-        """
-        if wire_ms < 0:
-            raise SimulationError("wire time cannot be negative")
-        self.demand_transfers += 1
-        self._reap(ready_ms)
-        for pending in self._in_flight:
-            before = pending.wire_end_ms
-            pending.shift_after(ready_ms, wire_ms)
-            self.total_preemption_delay_ms += pending.wire_end_ms - before
-        if self._busy_until > ready_ms:
-            # The preempted background traffic finishes later too.
-            self._busy_until += wire_ms
-        self._busy_until = max(self._busy_until, ready_ms + wire_ms)
-        if self._fabric is not None:
-            if self._own_busy_until > ready_ms:
-                self._own_busy_until += wire_ms
-            self._own_busy_until = max(self._own_busy_until,
-                                       ready_ms + wire_ms)
-            self._fabric.on_demand(self, ready_ms, wire_ms)
-        if self._on_transfer is not None:
-            self._on_transfer("demand", ready_ms, ready_ms + wire_ms, page)
-
-    def background(
+    def fault(
         self,
         ready_ms: float,
         wire_ms: float,
-        pending: PendingArrivals,
         page: int | None = None,
+        pending: PendingArrivals | None = None,
+        background_ready_ms: float = 0.0,
+        background_wire_ms: float = 0.0,
     ) -> float:
-        """Schedule a background transfer; returns its queueing delay.
+        """Account one fault's transfers; returns the background's
+        queueing delay (0.0 without a background transfer).
 
-        The transfer's nominal schedule is already written in ``pending``
-        (arrival times assuming an idle link).  If the link is busy at
-        ``ready_ms`` the whole schedule slides back by the wait.
+        The demand transfer (ready at ``ready_ms``, ``wire_ms`` on the
+        wire) is never delayed: the program is blocked on it and it has
+        priority, so every in-flight background arrival after its start
+        is pushed back by its wire time instead.
+
+        With a ``pending`` schedule and a positive
+        ``background_wire_ms``, the background transfer follows: its
+        nominal schedule (arrival times assuming an idle link) is
+        already written in ``pending``, and if the link is busy at
+        ``background_ready_ms`` the whole schedule slides back by the
+        wait.  The link then tracks it until its wire end.
+
+        One pass over the in-flight schedules drops those done by the
+        demand's start, shifts the rest, and drops those done by the
+        background's start.
         """
-        if wire_ms < 0:
+        if wire_ms < 0 or background_wire_ms < 0:
             raise SimulationError("wire time cannot be negative")
+        self.demand_transfers += 1
+        background = pending is not None and background_wire_ms > 0
+        in_flight = self._in_flight
+        if in_flight:
+            kept = []
+            preempted = self.total_preemption_delay_ms
+            for other in in_flight:
+                before = other.wire_end_ms
+                if before > ready_ms:
+                    other.shift_after(ready_ms, wire_ms)
+                    after = other.wire_end_ms
+                    preempted += after - before
+                    if not background or after > background_ready_ms:
+                        kept.append(other)
+            self._in_flight = in_flight = kept
+            self.total_preemption_delay_ms = preempted
+        end = ready_ms + wire_ms
+        busy = self._busy_until
+        if busy > ready_ms:
+            # The preempted background traffic finishes later too.
+            busy += wire_ms
+        if end > busy:
+            busy = end
+        fabric = self._fabric
+        if fabric is not None:
+            own = self._own_busy_until
+            if own > ready_ms:
+                own += wire_ms
+            self._own_busy_until = own if own > end else end
+            fabric.on_demand(self, ready_ms, wire_ms)
+        on_transfer = self._on_transfer
+        if on_transfer is not None:
+            on_transfer("demand", ready_ms, end, page)
+        if not background:
+            self._busy_until = busy
+            return 0.0
+
         self.background_transfers += 1
-        self._reap(ready_ms)
-        start = max(ready_ms, self._busy_until)
-        delay = start - ready_ms
+        start = busy if busy > background_ready_ms else background_ready_ms
+        delay = start - background_ready_ms
         if delay > 0:
             pending.shift_all(delay)
             self.total_queueing_delay_ms += delay
-        pending.wire_end_ms = max(pending.wire_end_ms, start + wire_ms)
-        self._busy_until = start + wire_ms
-        if self._fabric is not None:
+        end = start + background_wire_ms
+        if end > pending.wire_end_ms:
+            pending.wire_end_ms = end
+        self._busy_until = end
+        if fabric is not None:
+            own = self._own_busy_until
+            own_start = own if own > background_ready_ms else (
+                background_ready_ms
+            )
             if delay > 0:
                 # The share of the wait this tenant's own traffic cannot
                 # explain was inflicted by cross-traffic on the fabric.
-                own_start = max(ready_ms, self._own_busy_until)
                 self.cross_queueing_delay_ms += start - own_start
-            self._own_busy_until = (
-                max(ready_ms, self._own_busy_until) + wire_ms
-            )
-            self._fabric.on_background(self, start, start + wire_ms)
-        self._in_flight.append(pending)
-        if self._on_transfer is not None:
-            self._on_transfer(
-                "background", start, start + wire_ms, page, delay
-            )
+            self._own_busy_until = own_start + background_wire_ms
+            fabric.on_background(self, start, end)
+        in_flight.append(pending)
+        if on_transfer is not None:
+            on_transfer("background", start, end, page, delay)
         return delay
 
     # -- cross-traffic (shared fabric) ------------------------------------

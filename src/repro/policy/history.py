@@ -39,8 +39,12 @@ class AccessHistory:
         self.depth = depth
         self._rings: dict[int, deque[int]] = {}
 
-    def record(self, page: int, subpage: int) -> None:
-        """Record one observed access (immediate repeats collapse)."""
+    def record(self, page: int, subpage: int, kind: str = "") -> None:
+        """Record one observed access (immediate repeats collapse).
+
+        ``kind`` is accepted and ignored, so a predictor that records
+        every kind alike can hand this method to the policy as its own
+        ``record``."""
         ring = self._rings.get(page)
         if ring is None:
             self._rings[page] = ring = deque(maxlen=self.depth)

@@ -59,6 +59,10 @@ class Predictor(ABC):
 
     def __init__(self, history_depth: int = DEFAULT_DEPTH) -> None:
         self.history = AccessHistory(depth=history_depth)
+        if type(self).record is Predictor.record:
+            # Nothing to add per observation: the policy's observe()
+            # reaches the ring in one call.
+            self.record = self.history.record
 
     def reset(self) -> None:
         """Forget everything (the simulator calls this per run)."""

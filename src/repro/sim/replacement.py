@@ -27,8 +27,8 @@ def in_flight(frame: Any, now: float) -> bool:
     pending = frame.pending
     return (
         pending is not None
-        and bool(pending.arrival_ms)
-        and pending.latest() > now
+        and pending.latest_ms > now
+        and bool(pending.masks)
     )
 
 

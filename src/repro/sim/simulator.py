@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -243,9 +243,15 @@ class Simulator:
             result=result,
             event_ms=event_ms,
             full_mask=full_mask,
+            link_fault=link.fault if cfg.congestion else None,
+            request_fixed_ms=self.latency.request_fixed_ms,
             ins=ins,
             adaptive=controller,
         )
+        if ins is not None:
+            state.on_fault = ins.on_fault
+            state.on_eviction = ins.on_eviction
+            state.on_stall = ins.on_stall
         return state, cols, recorder
 
     def _finish(
@@ -392,9 +398,27 @@ class Simulator:
     ) -> float:
         cfg = self.config
         result = state.result
+        policy = state.policy
 
-        if len(state.policy.frames) >= cfg.memory_pages:
-            self._evict(state, clock)
+        if len(policy.frames) >= cfg.memory_pages:
+            victim, frame = policy.evict(clock)
+            result.evictions += 1
+            cancelled = in_flight(frame, clock)
+            if cancelled:
+                result.cancelled_transfers += 1
+            if frame.dirty:
+                result.dirty_evictions += 1
+            if state.on_eviction is not None:
+                state.on_eviction(clock, victim, frame.dirty, cancelled)
+            if state.tlb is not None:
+                state.tlb.invalidate(victim)
+            if state.cluster is not None:
+                state.cluster.putpage(
+                    cfg.cluster_node_id,
+                    self._uid(victim),
+                    age=clock,
+                    dirty=frame.dirty,
+                )
 
         if state.adaptive is not None:
             state.adaptive.observe(page, sp, "fault")
@@ -425,28 +449,23 @@ class Simulator:
                 background_ready_ms, background_wire_ms, cpu_overhead_ms,
             ) = self._plan(clock, page, sp, block)
             overlapped = state.link.busy_until_ms > clock
-            if cfg.congestion:
-                state.link.demand(
-                    clock + self.latency.request_fixed_ms,
-                    demand_wire_ms,
-                    page=page,
+            pending = (
+                PendingArrivals(
+                    follow, background_ready_ms + background_wire_ms
                 )
-            pending = None
-            if follow:
-                pending = PendingArrivals(
-                    arrival_ms=follow,
-                    wire_end_ms=background_ready_ms + background_wire_ms,
+                if follow
+                else None
+            )
+            if state.link_fault is not None:
+                state.link_fault(
+                    clock + state.request_fixed_ms, demand_wire_ms, page,
+                    pending, background_ready_ms, background_wire_ms,
                 )
-                if cfg.congestion and background_wire_ms > 0:
-                    state.link.background(
-                        background_ready_ms,
-                        background_wire_ms,
-                        pending,
-                        page=page,
-                    )
             kind = _REMOTE
             sp_latency_ms = resume - clock
-            window_end_ms = pending.latest() if pending else resume
+            window_end_ms = (
+                pending.latest_ms if pending is not None else resume
+            )
             result.remote_faults += 1
             if overlapped:
                 result.overlapped_faults += 1
@@ -455,14 +474,14 @@ class Simulator:
             page, sp, kind, clock, sp_latency_ms, resume,
             window_end_ms, cpu_overhead_ms, overlapped,
         )
-        if state.ins is not None:
-            state.ins.on_fault(
+        if state.on_fault is not None:
+            state.on_fault(
                 page, sp, kind, clock, sp_latency_ms, resume,
                 window_end_ms, cpu_overhead_ms, overlapped,
             )
         result.components.sp_latency_ms += sp_latency_ms
         result.components.cpu_overhead_ms += cpu_overhead_ms
-        state.policy.insert(page, _Frame(
+        policy.insert(page, _Frame(
             valid_bits=valid_bits,
             pending=pending,
             dirty=is_write,
@@ -490,9 +509,7 @@ class Simulator:
             state.adaptive.observe(page, sp, "touch")
         if not frame.valid_bits >> sp & 1:
             pending = frame.pending
-            arrival = (
-                pending.arrival_ms.get(sp) if pending is not None else None
-            )
+            arrival = pending.arrival(sp) if pending is not None else None
             if arrival is None:
                 # Lazy fetch: the subpage was never requested; fault it.
                 clock = self._subpage_fault(
@@ -500,8 +517,8 @@ class Simulator:
                 )
             elif arrival > clock:
                 result.faults.add_page_wait(frame.record, clock, arrival)
-                if state.ins is not None:
-                    state.ins.on_stall(clock, arrival, "page_wait", page)
+                if state.on_stall is not None:
+                    state.on_stall(clock, arrival, "page_wait", page)
                 result.components.page_wait_ms += arrival - clock
                 clock = arrival
                 frame.valid_bits |= 1 << sp
@@ -511,11 +528,11 @@ class Simulator:
         # Fold completed transfers: once everything has arrived the page
         # behaves like any fully-resident page (access re-enabled).  An
         # empty schedule means nothing is actually in flight; fold it
-        # immediately rather than tripping PendingArrivals.latest().
+        # immediately (its latest_ms names no arrival).
         pending = frame.pending
         if pending is not None:
-            if pending.arrival_ms:
-                latest = pending.latest()
+            if pending.masks:
+                latest = pending.latest_ms
                 if clock < latest:
                     if state.pal is not None:
                         self._charge_emulation(
@@ -556,37 +573,29 @@ class Simulator:
         block: int,
     ) -> float:
         """Lazy-scheme fault on a subpage of a resident page."""
-        cfg = self.config
         (
             resume, valid_bits, follow, demand_wire_ms,
             background_ready_ms, background_wire_ms, cpu_overhead_ms,
         ) = self._plan(clock, page, sp, block)
-        if cfg.congestion:
-            state.link.demand(
-                clock + self.latency.request_fixed_ms,
-                demand_wire_ms,
-                page=page,
-            )
         frame.valid_bits |= valid_bits
-        window_end = resume
-        if follow:
-            # Follow-on arrivals ride the shared link exactly like a page
-            # fault's background transfer: register a fresh schedule with
-            # the link model (so it queues behind in-flight traffic, can
-            # be preempted by demand transfers, and carries a real
-            # wire_end_ms for _reap/_evict accounting)...
-            pending = PendingArrivals(
-                arrival_ms=follow,
-                wire_end_ms=background_ready_ms + background_wire_ms,
+        # Follow-on arrivals ride the shared link exactly like a page
+        # fault's background transfer: the link model takes a fresh
+        # schedule (so it queues behind in-flight traffic, can be
+        # preempted by demand transfers, and carries a real wire_end_ms
+        # for eviction accounting)...
+        pending = (
+            PendingArrivals(follow, background_ready_ms + background_wire_ms)
+            if follow
+            else None
+        )
+        if state.link_fault is not None:
+            state.link_fault(
+                clock + state.request_fixed_ms, demand_wire_ms, page,
+                pending, background_ready_ms, background_wire_ms,
             )
-            if cfg.congestion and background_wire_ms > 0:
-                state.link.background(
-                    background_ready_ms,
-                    background_wire_ms,
-                    pending,
-                    page=page,
-                )
-            window_end = pending.latest()
+        window_end = resume
+        if pending is not None:
+            window_end = pending.latest_ms
             if frame.pending is None:
                 frame.pending = pending
             else:
@@ -603,8 +612,8 @@ class Simulator:
             page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
             window_end, cpu_overhead_ms, False,
         )
-        if state.ins is not None:
-            state.ins.on_fault(
+        if state.on_fault is not None:
+            state.on_fault(
                 page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
                 window_end, cpu_overhead_ms, False,
             )
@@ -612,26 +621,6 @@ class Simulator:
         result.components.sp_latency_ms += sp_latency_ms
         result.components.cpu_overhead_ms += cpu_overhead_ms
         return resume + cpu_overhead_ms
-
-    def _evict(self, state: "_RunState", clock: float) -> None:
-        victim, frame = state.policy.evict(clock)
-        state.result.evictions += 1
-        cancelled = in_flight(frame, clock)
-        if cancelled:
-            state.result.cancelled_transfers += 1
-        if frame.dirty:
-            state.result.dirty_evictions += 1
-        if state.ins is not None:
-            state.ins.on_eviction(clock, victim, frame.dirty, cancelled)
-        if state.tlb is not None:
-            state.tlb.invalidate(victim)
-        if state.cluster is not None:
-            state.cluster.putpage(
-                self.config.cluster_node_id,
-                self._uid(victim),
-                age=clock,
-                dirty=frame.dirty,
-            )
 
     # -- setup / teardown --------------------------------------------------
 
@@ -705,11 +694,21 @@ class _RunState:
     result: SimulationResult
     event_ms: float
     full_mask: int
+    #: The link's per-fault call, or ``None`` without congestion.
+    link_fault: Callable[..., float] | None = None
+    #: The latency model's request overhead: a demand transfer is
+    #: ready on the wire this long after its fault.
+    request_fixed_ms: float = 0.0
     ins: Instrument | None = None
     #: The scheme's adaptive controller, if any; fed access
     #: observations from the fault path and — on the ``"events"`` feed
     #: — per reference run.
     adaptive: "AdaptivePolicy | None" = None
+    #: ``ins``'s fault-path hooks, bound once per run (``None`` without
+    #: an instrument).
+    on_fault: Callable[..., None] | None = None
+    on_eviction: Callable[..., None] | None = None
+    on_stall: Callable[..., None] | None = None
 
 
 def simulate(trace: RunTrace, config: SimulationConfig) -> SimulationResult:

@@ -47,7 +47,7 @@ class PlacedFault(NamedTuple):
 
     resume_ms: float
     valid_bits: int
-    follow: dict[int, float]
+    follow: tuple[tuple[int, float], ...]
     demand_wire_ms: float
     background_ready_ms: float
     background_wire_ms: float
@@ -56,13 +56,13 @@ class PlacedFault(NamedTuple):
     @property
     def arrivals_ms(self) -> dict[int, float]:
         """Per-subpage arrival: every valid subpage at resume, every
-        follow-on at its own time."""
-        arrivals = {
-            index: self.resume_ms
-            for index in range(self.valid_bits.bit_length())
-            if self.valid_bits >> index & 1
-        }
-        arrivals.update(self.follow)
+        follow-on at its message's time."""
+        arrivals = {}
+        for mask, arrival in ((self.valid_bits, self.resume_ms),
+                              *self.follow):
+            for index in range(mask.bit_length()):
+                if mask >> index & 1:
+                    arrivals[index] = arrival
         return arrivals
 
 

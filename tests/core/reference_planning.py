@@ -32,25 +32,29 @@ from repro.units import MIN_SUBPAGE_BYTES
 
 def placement(
     resume_ms: float,
-    arrivals_ms: dict[int, float],
+    messages: list[tuple[list[int], float]],
     demand_wire_ms: float,
     background_ready_ms: float = 0.0,
     background_wire_ms: float = 0.0,
     cpu_overhead_ms: float = 0.0,
 ) -> Placement:
-    """Partition per-subpage arrivals into the simulator's placement:
-    what has arrived by resume is valid, the rest follows."""
+    """Partition ``(subpages, arrival)`` messages, in send order, into
+    the simulator's placement: what has arrived by resume is valid, the
+    rest follows, one ``(mask, arrival)`` pair per message."""
     valid_bits = 0
-    follow: dict[int, float] = {}
-    for index, arrival in arrivals_ms.items():
+    follow = []
+    for subpages, arrival in messages:
+        mask = 0
+        for index in subpages:
+            mask |= 1 << index
         if arrival <= resume_ms:
-            valid_bits |= 1 << index
+            valid_bits |= mask
         else:
-            follow[index] = arrival
+            follow.append((mask, arrival))
     return (
         resume_ms,
         valid_bits,
-        follow,
+        tuple(follow),
         demand_wire_ms,
         background_ready_ms,
         background_wire_ms,
@@ -60,10 +64,9 @@ def placement(
 
 def fullpage(latency, subpage_bytes, page_bytes, now_ms, faulted, block):
     resume = now_ms + latency.fullpage_latency_ms()
-    arrivals = {i: resume for i in range(page_bytes // subpage_bytes)}
     return placement(
         resume_ms=resume,
-        arrivals_ms=arrivals,
+        messages=[(list(range(page_bytes // subpage_bytes)), resume)],
         demand_wire_ms=latency.wire_time_ms(page_bytes),
     )
 
@@ -72,7 +75,7 @@ def lazy(latency, subpage_bytes, page_bytes, now_ms, faulted, block):
     resume = now_ms + latency.subpage_latency_ms(subpage_bytes)
     return placement(
         resume_ms=resume,
-        arrivals_ms={faulted: resume},
+        messages=[([faulted], resume)],
         demand_wire_ms=latency.wire_time_ms(subpage_bytes),
     )
 
@@ -85,12 +88,11 @@ def eager(latency, subpage_bytes, page_bytes, now_ms, faulted, block):
         )
     resume = now_ms + latency.subpage_latency_ms(s)
     rest = now_ms + latency.rest_of_page_ms(s)
-    arrivals = {i: rest for i in range(page_bytes // s)}
-    arrivals[faulted] = resume
+    others = [i for i in range(page_bytes // s) if i != faulted]
     demand_wire = latency.wire_time_ms(s)
     return placement(
         resume_ms=resume,
-        arrivals_ms=arrivals,
+        messages=[([faulted], resume), (others, rest)],
         demand_wire_ms=demand_wire,
         background_ready_ms=now_ms + latency.request_fixed_ms + demand_wire,
         background_wire_ms=latency.wire_time_ms(page_bytes - s),
@@ -130,39 +132,37 @@ def pipelined(
         )
     initial_bytes = s * len(initial)
     resume = now_ms + latency.subpage_latency_ms(initial_bytes)
-    arrivals = {index: resume for index in initial}
+    messages = [(initial, resume)]
 
-    order = [index for index in order if index not in arrivals]
+    order = [index for index in order if index not in initial]
     wire_step = latency.wire_time_ms(s * scheme.segment_subpages)
-    messages = 0
+    pipelined = 0
     t = resume
-    while messages < pipeline_count and order:
+    while pipelined < pipeline_count and order:
         group, order = (
             order[: scheme.segment_subpages],
             order[scheme.segment_subpages :],
         )
         t += wire_step + scheme.interrupt_ms
-        for index in group:
-            arrivals[index] = t
-        messages += 1
+        messages.append((group, t))
+        pipelined += 1
     last_pipelined = t
 
     if order:
         rest_base = now_ms + latency.rest_of_page_ms(s)
         trailing = max(
-            rest_base + messages * scheme.interrupt_ms, last_pipelined
+            rest_base + pipelined * scheme.interrupt_ms, last_pipelined
         )
-        for index in order:
-            arrivals[index] = trailing
+        messages.append((order, trailing))
 
     demand_wire = latency.wire_time_ms(initial_bytes)
     return placement(
         resume_ms=resume,
-        arrivals_ms=arrivals,
+        messages=messages,
         demand_wire_ms=demand_wire,
         background_ready_ms=now_ms + latency.request_fixed_ms + demand_wire,
         background_wire_ms=latency.wire_time_ms(page_bytes - initial_bytes),
-        cpu_overhead_ms=messages * scheme.interrupt_ms,
+        cpu_overhead_ms=pipelined * scheme.interrupt_ms,
     )
 
 

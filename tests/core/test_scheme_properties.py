@@ -64,8 +64,10 @@ class TestPlanInvariants:
         # The faulted subpage is delivered exactly at resume.
         assert plan.valid_bits >> fault["subpage"] & 1
         # Valid subpages have arrived by resume; the rest follow later.
-        for index, arrival in plan.follow.items():
-            assert not plan.valid_bits >> index & 1
+        taken = plan.valid_bits
+        for mask, arrival in plan.follow:
+            assert mask and not taken & mask  # disjoint messages
+            taken |= mask
             assert arrival > plan.resume_ms
         # Nothing arrives before resume or in the past.
         for index, arrival in plan.arrivals_ms.items():

@@ -9,14 +9,31 @@ from repro.net.congestion import CrossTraffic, LinkModel, PendingArrivals
 
 
 def pending(arrivals, wire_end):
-    return PendingArrivals(arrival_ms=dict(arrivals), wire_end_ms=wire_end)
+    """A schedule with one message per ``(subpage, arrival)`` item."""
+    return PendingArrivals(
+        [(1 << index, arrival) for index, arrival in dict(arrivals).items()],
+        wire_end,
+    )
+
+
+def arrivals(p):
+    """``p``'s per-subpage arrivals, as a dict."""
+    found = {index: p.arrival(index) for index in range(32)}
+    return {index: t for index, t in found.items() if t is not None}
+
+
+def background(link, ready_ms, wire_ms, p):
+    """A fault whose demand takes no wire time at ``ready_ms``: on the
+    link that is exactly ``p``'s background transfer ready then, plus
+    one counted demand transfer."""
+    return link.fault(ready_ms, 0.0, None, p, ready_ms, wire_ms)
 
 
 class TestPendingArrivals:
     def test_shift_after_moves_later_arrivals(self):
         p = pending({0: 1.0, 1: 2.0, 2: 3.0}, wire_end=3.0)
         p.shift_after(1.5, 0.5)
-        assert p.arrival_ms == {0: 1.0, 1: 2.5, 2: 3.5}
+        assert arrivals(p) == {0: 1.0, 1: 2.5, 2: 3.5}
         assert p.wire_end_ms == 3.5
 
     def test_shift_ignores_past_wire_end(self):
@@ -62,11 +79,11 @@ class TestPendingArrivals:
                 p.shift_all(delta_ms)
             else:
                 times = st.floats(min_value=0.0, max_value=1e15)
-                if p.arrival_ms:
-                    times |= st.sampled_from(list(p.arrival_ms.values()))
+                if p.arrivals_ms:
+                    times |= st.sampled_from(list(p.arrivals_ms))
                 p.shift_after(data.draw(times), delta_ms)
             if arrivals:
-                assert p.latest() == max(p.arrival_ms.values())
+                assert p.latest() == max(p.arrivals_ms)
             else:
                 with pytest.raises(SimulationError):
                     p.latest()
@@ -75,7 +92,7 @@ class TestPendingArrivals:
         p = pending({1: 2.0, 2: 5.0}, wire_end=5.0)
         p.merge(pending({2: 3.0, 4: 4.0}, wire_end=6.0))
         # The merged-in arrival replaces the old latest one.
-        assert p.arrival_ms == {1: 2.0, 2: 3.0, 4: 4.0}
+        assert arrivals(p) == {1: 2.0, 2: 3.0, 4: 4.0}
         assert p.latest() == 4.0
         assert p.wire_end_ms == 6.0
 
@@ -84,73 +101,72 @@ class TestLinkModel:
     def test_idle_background_not_delayed(self):
         link = LinkModel()
         p = pending({1: 2.0}, wire_end=2.0)
-        delay = link.background(ready_ms=1.0, wire_ms=1.0, pending=p)
+        delay = background(link, 1.0, 1.0, p)
         assert delay == 0.0
-        assert p.arrival_ms[1] == 2.0
+        assert p.arrival(1) == 2.0
 
     def test_busy_background_queues(self):
         link = LinkModel()
         p1 = pending({1: 2.0}, wire_end=2.0)
-        link.background(1.0, 1.0, p1)  # busy until 2.0
+        background(link, 1.0, 1.0, p1)  # busy until 2.0
         p2 = pending({1: 2.5}, wire_end=2.5)
-        delay = link.background(1.5, 1.0, p2)
+        delay = background(link, 1.5, 1.0, p2)
         assert delay == pytest.approx(0.5)
-        assert p2.arrival_ms[1] == pytest.approx(3.0)
+        assert p2.arrival(1) == pytest.approx(3.0)
         assert link.total_queueing_delay_ms == pytest.approx(0.5)
 
     def test_demand_preempts_in_flight_background(self):
         link = LinkModel()
         p = pending({1: 2.0, 2: 3.0}, wire_end=3.0)
-        link.background(1.0, 2.0, p)
-        link.demand(ready_ms=1.5, wire_ms=0.4)
+        background(link, 1.0, 2.0, p)
+        link.fault(ready_ms=1.5, wire_ms=0.4)
         # Arrivals after 1.5 pushed back by the demand wire time.
-        assert p.arrival_ms[1] == pytest.approx(2.4)
-        assert p.arrival_ms[2] == pytest.approx(3.4)
+        assert p.arrival(1) == pytest.approx(2.4)
+        assert p.arrival(2) == pytest.approx(3.4)
         assert link.total_preemption_delay_ms == pytest.approx(0.4)
 
     def test_demand_ignores_finished_background(self):
         link = LinkModel()
         p = pending({1: 2.0}, wire_end=2.0)
-        link.background(1.0, 1.0, p)
-        link.demand(ready_ms=5.0, wire_ms=1.0)
-        assert p.arrival_ms[1] == 2.0  # transfer already done
+        background(link, 1.0, 1.0, p)
+        link.fault(ready_ms=5.0, wire_ms=1.0)
+        assert p.arrival(1) == 2.0  # transfer already done
 
     def test_demand_never_delayed(self):
         # Demand transfers have priority: the model exposes no delay for
         # them, only counts them.
         link = LinkModel()
-        link.demand(0.0, 1.0)
-        link.demand(0.1, 1.0)
+        link.fault(0.0, 1.0)
+        link.fault(0.1, 1.0)
         assert link.demand_transfers == 2
 
     def test_busy_until_tracks_everything(self):
         link = LinkModel()
-        link.demand(0.0, 1.0)
+        link.fault(0.0, 1.0)
         assert link.busy_until_ms == pytest.approx(1.0)
         p = pending({1: 3.0}, wire_end=3.0)
-        link.background(0.5, 1.5, p)  # starts at 1.0, ends 2.5
+        background(link, 0.5, 1.5, p)  # starts at 1.0, ends 2.5
         assert link.busy_until_ms == pytest.approx(2.5)
 
     def test_transfer_counts(self):
         link = LinkModel()
-        link.demand(0.0, 0.1)
-        link.background(0.0, 0.1, pending({1: 1.0}, 1.0))
+        link.fault(0.0, 0.1, None, pending({1: 1.0}, 1.0), 0.1, 0.1)
         assert link.demand_transfers == 1
         assert link.background_transfers == 1
 
     def test_negative_wire_rejected(self):
         link = LinkModel()
         with pytest.raises(SimulationError):
-            link.demand(0.0, -1.0)
+            link.fault(0.0, -1.0)
         with pytest.raises(SimulationError):
-            link.background(0.0, -1.0, pending({1: 1.0}, 1.0))
+            link.fault(0.0, 0.1, None, pending({1: 1.0}, 1.0), 0.1, -1.0)
 
     def test_multiple_backgrounds_fifo(self):
         link = LinkModel()
         waits = []
         for i in range(3):
             p = pending({1: 1.0 + i}, wire_end=1.0 + i)
-            waits.append(link.background(0.0, 1.0, p))
+            waits.append(background(link, 0.0, 1.0, p))
         assert waits == [0.0, pytest.approx(1.0), pytest.approx(2.0)]
 
 
@@ -160,30 +176,30 @@ class TestDemandPreemptionAccounting:
 
     def test_empty_schedule_background_then_demand(self):
         link = LinkModel()
-        p = PendingArrivals(arrival_ms={}, wire_end_ms=2.0)
-        assert link.background(1.0, 1.0, p) == 0.0
-        link.demand(1.5, 0.5)  # must not raise on the empty schedule
+        p = PendingArrivals((), wire_end_ms=2.0)
+        assert background(link, 1.0, 1.0, p) == 0.0
+        link.fault(1.5, 0.5)  # must not raise on the empty schedule
         assert p.wire_end_ms == pytest.approx(2.5)
         assert link.total_preemption_delay_ms == pytest.approx(0.5)
 
     def test_empty_schedule_queueing_shifts_wire_end(self):
         link = LinkModel()
-        link.demand(0.0, 1.0)  # busy until 1.0
-        p = PendingArrivals(arrival_ms={}, wire_end_ms=1.5)
-        delay = link.background(0.5, 1.0, p)
+        link.fault(0.0, 1.0)  # busy until 1.0
+        p = PendingArrivals((), wire_end_ms=1.5)
+        delay = background(link, 0.5, 1.0, p)
         assert delay == pytest.approx(0.5)
         assert p.wire_end_ms == pytest.approx(2.0)
 
     def test_preemption_accounting_sums_across_flights(self):
         link = LinkModel()
         p1 = pending({1: 2.0}, wire_end=2.0)
-        link.background(0.0, 2.0, p1)
+        background(link, 0.0, 2.0, p1)
         p2 = pending({1: 4.0}, wire_end=4.0)
-        link.background(0.0, 2.0, p2)  # queues behind p1 (+2.0)
-        assert p2.arrival_ms[1] == pytest.approx(6.0)
-        link.demand(1.0, 0.5)
-        assert p1.arrival_ms[1] == pytest.approx(2.5)
-        assert p2.arrival_ms[1] == pytest.approx(6.5)
+        background(link, 0.0, 2.0, p2)  # queues behind p1 (+2.0)
+        assert p2.arrival(1) == pytest.approx(6.0)
+        link.fault(1.0, 0.5)
+        assert p1.arrival(1) == pytest.approx(2.5)
+        assert p2.arrival(1) == pytest.approx(6.5)
         assert link.total_preemption_delay_ms == pytest.approx(1.0)
         assert link.total_queueing_delay_ms == pytest.approx(2.0)
 
@@ -191,7 +207,8 @@ class TestDemandPreemptionAccounting:
 class TestShiftAll:
     """Queueing a not-yet-started transfer slides its *whole* schedule.
 
-    Regression: ``LinkModel.background`` used ``shift_after(0.0, delay)``
+    Regression: the link's background transfer used
+    ``shift_after(0.0, delay)``
     to apply queueing delay, whose strict ``arrival > 0.0`` comparison
     never moved an arrival stamped exactly at time zero — a fault at
     clock 0 saw its follow-on subpage "arrive" before the link was free.
@@ -200,7 +217,7 @@ class TestShiftAll:
     def test_shift_all_moves_time_zero_arrival(self):
         p = pending({0: 0.0, 1: 1.0}, wire_end=2.0)
         p.shift_all(1.5)
-        assert p.arrival_ms == {0: 1.5, 1: 2.5}
+        assert arrivals(p) == {0: 1.5, 1: 2.5}
         assert p.wire_end_ms == pytest.approx(3.5)
 
     def test_shift_all_negative_rejected(self):
@@ -214,12 +231,11 @@ class TestShiftAll:
         # 1.0; queued behind the demand it starts at 1.5, so every
         # arrival — including the time-zero one — slides by 1.5.
         link = LinkModel()
-        link.demand(0.0, 1.5)
         p = pending({0: 0.0, 1: 1.0}, wire_end=2.0)
-        delay = link.background(0.0, 2.0, p)
+        delay = link.fault(0.0, 1.5, None, p, 0.0, 2.0)
         assert delay == pytest.approx(1.5)
-        assert p.arrival_ms[0] == pytest.approx(1.5)  # not 0.0
-        assert p.arrival_ms[1] == pytest.approx(2.5)
+        assert p.arrival(0) == pytest.approx(1.5)  # not 0.0
+        assert p.arrival(1) == pytest.approx(2.5)
         assert p.wire_end_ms == pytest.approx(3.5)
         assert link.total_queueing_delay_ms == pytest.approx(1.5)
 
@@ -228,10 +244,10 @@ class TestShiftAll:
         # using shift_after — arrivals already delivered do not move.
         link = LinkModel()
         p = pending({0: 0.5, 1: 2.0}, wire_end=2.0)
-        link.background(0.0, 2.0, p)
-        link.demand(1.0, 0.4)
-        assert p.arrival_ms[0] == pytest.approx(0.5)  # already arrived
-        assert p.arrival_ms[1] == pytest.approx(2.4)
+        background(link, 0.0, 2.0, p)
+        link.fault(1.0, 0.4)
+        assert p.arrival(0) == pytest.approx(0.5)  # already arrived
+        assert p.arrival(1) == pytest.approx(2.4)
 
 
 class TestCrossTraffic:
@@ -246,9 +262,9 @@ class TestCrossTraffic:
     def test_demand_preempts_other_links_backgrounds(self):
         _, a, b = self.pair()
         p = pending({1: 2.0}, wire_end=2.0)
-        b.background(1.0, 1.0, p)
-        a.demand(1.5, 0.4)
-        assert p.arrival_ms[1] == pytest.approx(2.4)
+        background(b, 1.0, 1.0, p)
+        a.fault(1.5, 0.4)
+        assert p.arrival(1) == pytest.approx(2.4)
         assert b.cross_preempts == 1
         assert b.cross_preemption_delay_ms == pytest.approx(0.4)
         # The victim's own preemption counter is untouched.
@@ -256,36 +272,34 @@ class TestCrossTraffic:
 
     def test_background_occupies_other_links(self):
         _, a, b = self.pair()
-        a.background(0.0, 2.0, pending({1: 2.0}, wire_end=2.0))
+        background(a, 0.0, 2.0, pending({1: 2.0}, wire_end=2.0))
         assert b.cross_occupies == 1
         assert b.busy_until_ms == pytest.approx(2.0)
         p = pending({1: 2.5}, wire_end=2.5)
-        delay = b.background(1.0, 1.0, p)
+        delay = background(b, 1.0, 1.0, p)
         assert delay == pytest.approx(1.0)  # queued behind a's transfer
         # The whole wait is cross-inflicted: b's own wire was idle.
         assert b.cross_queueing_delay_ms == pytest.approx(1.0)
 
     def test_own_queueing_not_miscounted_as_cross(self):
         _, a, b = self.pair()
-        b.background(0.0, 2.0, pending({1: 2.0}, wire_end=2.0))
+        background(b, 0.0, 2.0, pending({1: 2.0}, wire_end=2.0))
         p = pending({1: 3.0}, wire_end=3.0)
-        delay = b.background(1.0, 1.0, p)
+        delay = background(b, 1.0, 1.0, p)
         assert delay == pytest.approx(1.0)  # behind b's *own* transfer
         assert b.cross_queueing_delay_ms == 0.0
 
     def test_injected_ms_attributes_to_source(self):
         fabric, a, b = self.pair()
-        a.demand(0.0, 0.5)
-        a.background(1.0, 1.5, pending({}, 2.5))
-        b.demand(0.0, 0.25)
+        a.fault(0.0, 0.5, None, pending({}, 2.5), 1.0, 1.5)
+        b.fault(0.0, 0.25)
         assert fabric.injected_ms["a"] == pytest.approx(2.0)
         assert fabric.injected_ms["b"] == pytest.approx(0.25)
 
     def test_single_link_fabric_inert(self):
         fabric = CrossTraffic()
         a = LinkModel(fabric=fabric, label="a")
-        a.demand(0.0, 1.0)
-        a.background(0.0, 1.0, pending({1: 2.0}, 2.0))
+        a.fault(0.0, 1.0, None, pending({1: 2.0}, 2.0), 0.0, 1.0)
         assert a.cross_preempts == 0
         assert a.cross_occupies == 0
         assert fabric.injected_ms == {}
@@ -297,11 +311,10 @@ class TestCrossTraffic:
         coupled = LinkModel(fabric=fabric, label="a")
         bare = LinkModel()
         for link in (coupled, bare):
-            link.demand(0.0, 1.5)
             p = pending({0: 0.0, 1: 1.0}, wire_end=2.0)
-            link.background(0.0, 2.0, p)
-            assert p.arrival_ms[0] == pytest.approx(1.5)
-            link.demand(2.0, 0.4)
+            link.fault(0.0, 1.5, None, p, 0.0, 2.0)
+            assert p.arrival(0) == pytest.approx(1.5)
+            link.fault(2.0, 0.4)
         assert coupled.busy_until_ms == bare.busy_until_ms
         assert (coupled.total_queueing_delay_ms
                 == bare.total_queueing_delay_ms)
@@ -310,7 +323,7 @@ class TestCrossTraffic:
 
     def test_cross_stats_shape(self):
         _, a, b = self.pair()
-        a.demand(0.0, 1.0)
+        a.fault(0.0, 1.0)
         stats = b.cross_stats()
         assert stats == {
             "cross_preempts": 1,

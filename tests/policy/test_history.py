@@ -41,6 +41,13 @@ class TestRecording:
             h.record(0, sp)
         assert h.recent(0) == (4, 5, 4)
 
+    def test_kind_is_ignored(self):
+        h = AccessHistory()
+        for kind in ("fault", "touch", "hit"):
+            h.record(0, 1, kind)
+        h.record(0, 2, "hit")
+        assert h.recent(0) == (1, 2)
+
     def test_clear(self):
         h = AccessHistory()
         h.record(0, 1)

@@ -20,6 +20,27 @@ def feed(predictor, page, subpages, kind="touch"):
         predictor.record(page, sp, kind)
 
 
+class TestRecordBinding:
+    """A predictor that records every kind alike hands the policy its
+    history's ``record``: one call per observation."""
+
+    @pytest.mark.parametrize("name", ["static", "stride"])
+    def test_plain_record_binds_the_history(self, name):
+        predictor = make_predictor(name)
+        assert predictor.record == predictor.history.record
+        predictor.record(3, 1, "fault")
+        predictor.reset()
+        predictor.record(3, 2, "touch")
+        assert predictor.history.recent(3) == (2,)
+
+    def test_overriding_record_keeps_it(self):
+        predictor = make_predictor("direction")
+        assert predictor.record != predictor.history.record
+        predictor.record(3, 1, "fault")
+        predictor.record(3, 2, "touch")
+        assert predictor.history.recent(3) == (1, 2)
+
+
 class TestStatic:
     def test_reproduces_neighbor_order(self):
         p = StaticNeighborPredictor()

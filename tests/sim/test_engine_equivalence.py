@@ -122,6 +122,11 @@ ADAPTIVE_CELLS = [
 ]
 
 FRACTIONS = [1.0, 0.5, 0.25]
+
+#: 256-byte subpages, remote backing: one trailing message then carries
+#: up to 31 subpages, the most any message of an 8K page can.
+FINE_CELLS = [("eager", 256), ("pipelined", 256)]
+FINE_FRACTIONS = [0.5, 0.25]
 BACKINGS = ["remote", "disk", "cluster"]
 REPLACEMENTS = ["lru", "fifo", "clock", "random"]
 
@@ -177,6 +182,11 @@ def golden_cells() -> dict[str, Callable[[], tuple]]:
                     _mixed(fraction, scheme=scheme, subpage_bytes=subpage,
                            backing=backing)
                 )
+    for fraction in FINE_FRACTIONS:
+        for scheme, subpage in FINE_CELLS:
+            cells[f"matrix/remote/{fraction}/{scheme}/{subpage}"] = _mixed(
+                fraction, scheme=scheme, subpage_bytes=subpage
+            )
     for index, (kwargs, subpage) in enumerate(ADAPTIVE_CELLS):
         for fraction in (0.5, 0.25):
             cells[f"adaptive/{fraction}/{index}/{subpage}"] = _mixed(
@@ -198,6 +208,9 @@ def golden_cells() -> dict[str, Callable[[], tuple]]:
     )
     cells["no_congestion"] = _mixed(
         0.5, scheme="pipelined", subpage_bytes=1024, congestion=False
+    )
+    cells["no_congestion/256"] = _mixed(
+        0.5, scheme="pipelined", subpage_bytes=256, congestion=False
     )
     cells["palcode"] = _mixed(
         0.5, scheme="eager", subpage_bytes=1024, protection="palcode"
@@ -261,6 +274,11 @@ class TestMatrixEquivalence:
     def test_cell(self, scheme, subpage, fraction, backing):
         assert_pinned(f"matrix/{backing}/{fraction}/{scheme}/{subpage}")
 
+    @pytest.mark.parametrize("scheme,subpage", FINE_CELLS)
+    @pytest.mark.parametrize("fraction", FINE_FRACTIONS)
+    def test_fine_subpage_cell(self, scheme, subpage, fraction):
+        assert_pinned(f"matrix/remote/{fraction}/{scheme}/{subpage}")
+
     @pytest.mark.parametrize("kwargs,subpage", ADAPTIVE_CELLS)
     @pytest.mark.parametrize("fraction", [0.5, 0.25])
     def test_adaptive_cell(self, kwargs, subpage, fraction):
@@ -321,6 +339,9 @@ class TestSubstrateEquivalence:
 
     def test_no_congestion(self):
         assert_pinned("no_congestion")
+
+    def test_no_congestion_fine_subpages(self):
+        assert_pinned("no_congestion/256")
 
 
 class TestPerEventHooks:

@@ -31,7 +31,7 @@ class Frame:
         elif until < 0:
             self.pending = PendingArrivals()
         else:
-            self.pending = PendingArrivals(arrival_ms={0: float(until)})
+            self.pending = PendingArrivals([(1, float(until))])
 
 
 def filled(name, pages, busy=()):

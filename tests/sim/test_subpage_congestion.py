@@ -45,10 +45,11 @@ class LazyPairFetch(FetchScheme):
         def plan(now_ms, page, faulted, block):
             # The follower arrives at the rest-of-page latency, after
             # the program resumes, so it always rides in ``follow``.
-            follow = {}
+            follow = ()
             background_wire = 0.0
             if faulted + 1 < subpages:
-                follow[faulted + 1] = now_ms + latency.rest_of_page_ms(s)
+                follow = ((1 << faulted + 1,
+                           now_ms + latency.rest_of_page_ms(s)),)
                 background_wire = latency.wire_time_ms(s)
             return (
                 now_ms + latency.subpage_latency_ms(s),
