@@ -18,12 +18,9 @@ its own wire time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.instrument import Instrument
 
 
 class PendingArrivals:
@@ -143,11 +140,9 @@ class LinkModel:
     """The faulting node's shared receive link.
 
     Each fault reaches the link in one call, :meth:`fault`: its demand
-    transfer, then its background transfer if it ships one.
-
-    An optional :class:`~repro.obs.instrument.Instrument` receives an
-    ``on_transfer`` event per demand/background transfer; ``None`` (the
-    default) costs a single branch per transfer.
+    transfer, then its background transfer if it ships one.  The link
+    reports no events itself: the simulator passes each fault's
+    transfers to the instrument's ``on_fault`` hook.
 
     An optional :class:`CrossTraffic` ``fabric`` couples several tenants'
     links through one shared wire: every transfer this link carries is
@@ -159,7 +154,6 @@ class LinkModel:
 
     def __init__(
         self,
-        instrument: "Instrument | None" = None,
         fabric: "CrossTraffic | None" = None,
         label: str | None = None,
     ) -> None:
@@ -169,11 +163,6 @@ class LinkModel:
         #: of queueing delay attributable to cross-traffic.
         self._own_busy_until = 0.0
         self._in_flight: list[PendingArrivals] = []
-        #: The instrument's transfer hook, bound once (called per
-        #: transfer, positionally: the cheapest dispatch).
-        self._on_transfer = (
-            instrument.on_transfer if instrument is not None else None
-        )
         self._fabric: CrossTraffic | None = None
         self.label = label
         #: Total background delay added by queueing (for diagnostics).
@@ -200,13 +189,14 @@ class LinkModel:
         self,
         ready_ms: float,
         wire_ms: float,
-        page: int | None = None,
-        pending: PendingArrivals | None = None,
-        background_ready_ms: float = 0.0,
-        background_wire_ms: float = 0.0,
-    ) -> float:
-        """Account one fault's transfers; returns the background's
-        queueing delay (0.0 without a background transfer).
+        pending: PendingArrivals | None,
+        background_ready_ms: float,
+        background_wire_ms: float,
+    ) -> float | None:
+        """Account one fault's transfers; returns when the background
+        transfer starts on the wire (``None`` without one).  It waits
+        ``start - background_ready_ms`` in the queue and holds the wire
+        until ``start + background_wire_ms``.
 
         The demand transfer (ready at ``ready_ms``, ``wire_ms`` on the
         wire) is never delayed: the program is blocked on it and it has
@@ -256,12 +246,9 @@ class LinkModel:
                 own += wire_ms
             self._own_busy_until = own if own > end else end
             fabric.on_demand(self, ready_ms, wire_ms)
-        on_transfer = self._on_transfer
-        if on_transfer is not None:
-            on_transfer("demand", ready_ms, end, page)
         if not background:
             self._busy_until = busy
-            return 0.0
+            return None
 
         self.background_transfers += 1
         start = busy if busy > background_ready_ms else background_ready_ms
@@ -285,9 +272,7 @@ class LinkModel:
             self._own_busy_until = own_start + background_wire_ms
             fabric.on_background(self, start, end)
         in_flight.append(pending)
-        if on_transfer is not None:
-            on_transfer("background", start, end, page, delay)
-        return delay
+        return start
 
     # -- cross-traffic (shared fabric) ------------------------------------
 

@@ -1,12 +1,14 @@
 """The ``Instrument`` protocol: fault-path hooks for the simulator stack.
 
-``Simulator``, ``LinkModel``, ``DiskModel``, and ``Cluster`` accept an
-optional :class:`Instrument` and invoke its hooks at fault-path events
-(never on the per-reference hot loop).  Every call site guards with
+``Simulator``, ``DiskModel``, and ``Cluster`` accept an optional
+:class:`Instrument` and invoke its hooks at fault-path events (never on
+the per-reference hot loop).  Every call site guards with
 ``if instrument is not None``, so with instrumentation disabled the only
-cost is that branch.  Hooks take plain values and build no objects;
-the instrumentation gate of ``tools/bench_throughput.py`` holds a fully
-dispatched no-op instrument to the <5% budget.
+cost is that branch.  Hooks take plain values and build no objects, and
+a fault is one hook call, :meth:`Instrument.on_fault`, carrying its
+eviction and its link transfers too; the instrumentation gate of
+``tools/bench_throughput.py`` holds a fully dispatched no-op instrument
+to the <5% budget.
 
 :class:`Recorder` is the standard implementation: it fans hook calls out
 to a :class:`~repro.obs.tracing.TraceWriter` (event stream) and/or a
@@ -82,16 +84,39 @@ class Instrument:
         window_end_ms: float,
         cpu_overhead_ms: float,
         overlapped_another: bool,
+        evicted: int | None,
+        evicted_dirty: bool,
+        cancelled: bool,
+        demand_ready_ms: float | None,
+        demand_wire_ms: float,
+        background_ready_ms: float,
+        background_start_ms: float | None,
+        background_wire_ms: float,
     ) -> None:
-        """A fault was serviced.
+        """A fault was serviced: the fault, the eviction that made room
+        for it and its link transfers, in one call.
 
-        The arguments are the row :meth:`FaultLog.append
+        The first nine arguments are the row :meth:`FaultLog.append
         <repro.core.fault.FaultLog.append>` receives, in its order
         (``kind`` is the :data:`~repro.core.fault.KIND_CODES` code), as
         known at service time.  Page waits accrue afterwards, and
         ``window_end_ms`` moves to the last arrival when the page's
         transfers fold and is capped at the end of the run; the
-        result's fault log holds the final values."""
+        result's fault log holds the final values.
+
+        ``evicted`` is the page evicted at ``time_ms`` to make room
+        (``None`` if none was), ``evicted_dirty`` whether it was dirty
+        and ``cancelled`` whether an in-flight transfer for it was
+        abandoned.
+
+        ``demand_ready_ms`` is ``None`` unless the link model carried
+        the fault (a remote or subpage fault with congestion on).  Then
+        the demand transfer held the wire from ``demand_ready_ms`` to
+        ``demand_ready_ms + demand_wire_ms``, and, unless
+        ``background_start_ms`` is ``None``, the background transfer
+        ready at ``background_ready_ms`` queued until
+        ``background_start_ms`` and held the wire for
+        ``background_wire_ms``."""
 
     def on_stall(
         self, start_ms: float, end_ms: float, kind: str, page: int
@@ -99,24 +124,6 @@ class Instrument:
         """The program stalled on ``page`` from ``start_ms`` to
         ``end_ms`` (``kind`` is ``"page_wait"``; fault-service stalls are
         implied by :meth:`on_fault`)."""
-
-    def on_transfer(
-        self,
-        kind: str,
-        start_ms: float,
-        end_ms: float,
-        page: int | None = None,
-        queue_delay_ms: float = 0.0,
-    ) -> None:
-        """A wire transfer occupied the link (``kind`` is ``"demand"``
-        or ``"background"``; ``queue_delay_ms`` is time spent queued
-        behind earlier traffic before ``start_ms``)."""
-
-    def on_eviction(
-        self, time_ms: float, page: int, dirty: bool, cancelled: bool
-    ) -> None:
-        """``page`` was evicted (``cancelled`` means an in-flight
-        transfer for it was abandoned)."""
 
     def counter(self, name: str, value: float = 1) -> None:
         """Increment a named counter (component-level bookkeeping)."""
@@ -168,7 +175,30 @@ class Recorder(Instrument):
         window_end_ms: float,
         cpu_overhead_ms: float,
         overlapped_another: bool,
+        evicted: int | None,
+        evicted_dirty: bool,
+        cancelled: bool,
+        demand_ready_ms: float | None,
+        demand_wire_ms: float,
+        background_ready_ms: float,
+        background_start_ms: float | None,
+        background_wire_ms: float,
     ) -> None:
+        # Events in the order they happened: the eviction, the demand
+        # transfer, the background transfer, then the fault itself.
+        if evicted is not None:
+            self._eviction(time_ms, evicted, evicted_dirty, cancelled)
+        if demand_ready_ms is not None:
+            self._transfer(
+                "demand", demand_ready_ms,
+                demand_ready_ms + demand_wire_ms, page,
+            )
+            if background_start_ms is not None:
+                self._transfer(
+                    "background", background_start_ms,
+                    background_start_ms + background_wire_ms, page,
+                    background_start_ms - background_ready_ms,
+                )
         kind = FAULT_KINDS[kind].value
         metrics = self.metrics
         if metrics is not None:
@@ -210,14 +240,15 @@ class Recorder(Instrument):
                 node=self.node, page=page, kind=kind,
             )
 
-    def on_transfer(
+    def _transfer(
         self,
         kind: str,
         start_ms: float,
         end_ms: float,
-        page: int | None = None,
+        page: int,
         queue_delay_ms: float = 0.0,
     ) -> None:
+        """A ``"demand"`` or ``"background"`` transfer held the wire."""
         metrics = self.metrics
         if metrics is not None:
             metrics.inc(f"transfers_{kind}")
@@ -231,7 +262,7 @@ class Recorder(Instrument):
                 queue_delay_ms=queue_delay_ms,
             )
 
-    def on_eviction(
+    def _eviction(
         self, time_ms: float, page: int, dirty: bool, cancelled: bool
     ) -> None:
         metrics = self.metrics

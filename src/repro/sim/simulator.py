@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -181,7 +181,6 @@ class Simulator:
 
         policy = make_policy(cfg.replacement, seed=cfg.seed)
         link = LinkModel(
-            instrument=ins,
             fabric=self._link_fabric,
             label=self._link_label,
         )
@@ -243,15 +242,9 @@ class Simulator:
             result=result,
             event_ms=event_ms,
             full_mask=full_mask,
-            link_fault=link.fault if cfg.congestion else None,
-            request_fixed_ms=self.latency.request_fixed_ms,
             ins=ins,
             adaptive=controller,
         )
-        if ins is not None:
-            state.on_fault = ins.on_fault
-            state.on_eviction = ins.on_eviction
-            state.on_stall = ins.on_stall
         return state, cols, recorder
 
     def _finish(
@@ -400,16 +393,17 @@ class Simulator:
         result = state.result
         policy = state.policy
 
+        victim = None
+        victim_dirty = cancelled = False
         if len(policy.frames) >= cfg.memory_pages:
             victim, frame = policy.evict(clock)
+            victim_dirty = frame.dirty
             result.evictions += 1
             cancelled = in_flight(frame, clock)
             if cancelled:
                 result.cancelled_transfers += 1
-            if frame.dirty:
+            if victim_dirty:
                 result.dirty_evictions += 1
-            if state.on_eviction is not None:
-                state.on_eviction(clock, victim, frame.dirty, cancelled)
             if state.tlb is not None:
                 state.tlb.invalidate(victim)
             if state.cluster is not None:
@@ -417,7 +411,7 @@ class Simulator:
                     cfg.cluster_node_id,
                     self._uid(victim),
                     age=clock,
-                    dirty=frame.dirty,
+                    dirty=victim_dirty,
                 )
 
         if state.adaptive is not None:
@@ -442,6 +436,8 @@ class Simulator:
             window_end_ms = resume
             cpu_overhead_ms = 0.0
             overlapped = False
+            demand_ready_ms = background_start_ms = None
+            demand_wire_ms = background_ready_ms = background_wire_ms = 0.0
             result.disk_faults += 1
         else:
             (
@@ -456,10 +452,12 @@ class Simulator:
                 if follow
                 else None
             )
-            if state.link_fault is not None:
-                state.link_fault(
-                    clock + state.request_fixed_ms, demand_wire_ms, page,
-                    pending, background_ready_ms, background_wire_ms,
+            demand_ready_ms = background_start_ms = None
+            if cfg.congestion:
+                demand_ready_ms = clock + self.latency.request_fixed_ms
+                background_start_ms = state.link.fault(
+                    demand_ready_ms, demand_wire_ms, pending,
+                    background_ready_ms, background_wire_ms,
                 )
             kind = _REMOTE
             sp_latency_ms = resume - clock
@@ -474,10 +472,13 @@ class Simulator:
             page, sp, kind, clock, sp_latency_ms, resume,
             window_end_ms, cpu_overhead_ms, overlapped,
         )
-        if state.on_fault is not None:
-            state.on_fault(
+        if state.ins is not None:
+            state.ins.on_fault(
                 page, sp, kind, clock, sp_latency_ms, resume,
                 window_end_ms, cpu_overhead_ms, overlapped,
+                victim, victim_dirty, cancelled,
+                demand_ready_ms, demand_wire_ms, background_ready_ms,
+                background_start_ms, background_wire_ms,
             )
         result.components.sp_latency_ms += sp_latency_ms
         result.components.cpu_overhead_ms += cpu_overhead_ms
@@ -517,8 +518,8 @@ class Simulator:
                 )
             elif arrival > clock:
                 result.faults.add_page_wait(frame.record, clock, arrival)
-                if state.on_stall is not None:
-                    state.on_stall(clock, arrival, "page_wait", page)
+                if state.ins is not None:
+                    state.ins.on_stall(clock, arrival, "page_wait", page)
                 result.components.page_wait_ms += arrival - clock
                 clock = arrival
                 frame.valid_bits |= 1 << sp
@@ -588,10 +589,12 @@ class Simulator:
             if follow
             else None
         )
-        if state.link_fault is not None:
-            state.link_fault(
-                clock + state.request_fixed_ms, demand_wire_ms, page,
-                pending, background_ready_ms, background_wire_ms,
+        demand_ready_ms = background_start_ms = None
+        if self.config.congestion:
+            demand_ready_ms = clock + self.latency.request_fixed_ms
+            background_start_ms = state.link.fault(
+                demand_ready_ms, demand_wire_ms, pending,
+                background_ready_ms, background_wire_ms,
             )
         window_end = resume
         if pending is not None:
@@ -612,10 +615,13 @@ class Simulator:
             page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
             window_end, cpu_overhead_ms, False,
         )
-        if state.on_fault is not None:
-            state.on_fault(
+        if state.ins is not None:
+            state.ins.on_fault(
                 page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
                 window_end, cpu_overhead_ms, False,
+                None, False, False,
+                demand_ready_ms, demand_wire_ms, background_ready_ms,
+                background_start_ms, background_wire_ms,
             )
         result.subpage_faults += 1
         result.components.sp_latency_ms += sp_latency_ms
@@ -694,21 +700,11 @@ class _RunState:
     result: SimulationResult
     event_ms: float
     full_mask: int
-    #: The link's per-fault call, or ``None`` without congestion.
-    link_fault: Callable[..., float] | None = None
-    #: The latency model's request overhead: a demand transfer is
-    #: ready on the wire this long after its fault.
-    request_fixed_ms: float = 0.0
     ins: Instrument | None = None
     #: The scheme's adaptive controller, if any; fed access
     #: observations from the fault path and — on the ``"events"`` feed
     #: — per reference run.
     adaptive: "AdaptivePolicy | None" = None
-    #: ``ins``'s fault-path hooks, bound once per run (``None`` without
-    #: an instrument).
-    on_fault: Callable[..., None] | None = None
-    on_eviction: Callable[..., None] | None = None
-    on_stall: Callable[..., None] | None = None
 
 
 def simulate(trace: RunTrace, config: SimulationConfig) -> SimulationResult:

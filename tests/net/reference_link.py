@@ -13,9 +13,10 @@ float for float.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import SimulationError
-from repro.net.congestion import LinkModel
+from repro.net.congestion import CrossTraffic, LinkModel
 
 
 @dataclass(slots=True)
@@ -81,7 +82,21 @@ def subpage_arrivals(
 
 class TwoCallLink(LinkModel):
     """The link as two calls per fault: :meth:`demand`, then
-    :meth:`background` when the fault ships a rest of page."""
+    :meth:`background` when the fault ships a rest of page.
+
+    Each transfer is reported to ``on_transfer(kind, start_ms, end_ms,
+    page[, queue_delay_ms])`` as it happens, as the link used to
+    report it to the instrument's transfer hook.
+    """
+
+    def __init__(
+        self,
+        fabric: CrossTraffic | None = None,
+        label: str | None = None,
+        on_transfer: Callable[..., None] | None = None,
+    ) -> None:
+        super().__init__(fabric=fabric, label=label)
+        self._on_transfer = on_transfer
 
     def demand(
         self, ready_ms: float, wire_ms: float, page: int | None = None
@@ -139,12 +154,11 @@ class TwoCallLink(LinkModel):
             )
         return delay
 
-    def fault(self, ready_ms, wire_ms, page=None, pending=None,
-              background_ready_ms=0.0, background_wire_ms=0.0):
+    def fault(self, ready_ms, wire_ms, pending, background_ready_ms,
+              background_wire_ms, page=None):
         """The simulator's two calls for one fault, as it made them."""
         self.demand(ready_ms, wire_ms, page=page)
         if pending is not None and background_wire_ms > 0:
-            return self.background(
+            self.background(
                 background_ready_ms, background_wire_ms, pending, page=page
             )
-        return 0.0

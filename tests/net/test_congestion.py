@@ -22,11 +22,21 @@ def arrivals(p):
     return {index: t for index, t in found.items() if t is not None}
 
 
+def demand(link, ready_ms, wire_ms):
+    """A fault that ships no background: its demand transfer alone."""
+    return link.fault(ready_ms, wire_ms, None, 0.0, 0.0)
+
+
 def background(link, ready_ms, wire_ms, p):
-    """A fault whose demand takes no wire time at ``ready_ms``: on the
-    link that is exactly ``p``'s background transfer ready then, plus
-    one counted demand transfer."""
-    return link.fault(ready_ms, 0.0, None, p, ready_ms, wire_ms)
+    """``p``'s background transfer, ready at ``ready_ms``, on a bare
+    link; returns its queueing delay.
+
+    It is a fault whose demand takes no wire time at ``ready_ms``,
+    which leaves a bare link exactly as the background alone would,
+    plus one counted demand transfer.  On a cross-traffic fabric that
+    demand would also preempt every other link, so the fabric tests
+    use whole faults instead."""
+    return link.fault(ready_ms, 0.0, p, ready_ms, wire_ms) - ready_ms
 
 
 class TestPendingArrivals:
@@ -119,7 +129,7 @@ class TestLinkModel:
         link = LinkModel()
         p = pending({1: 2.0, 2: 3.0}, wire_end=3.0)
         background(link, 1.0, 2.0, p)
-        link.fault(ready_ms=1.5, wire_ms=0.4)
+        demand(link, 1.5, 0.4)
         # Arrivals after 1.5 pushed back by the demand wire time.
         assert p.arrival(1) == pytest.approx(2.4)
         assert p.arrival(2) == pytest.approx(3.4)
@@ -129,20 +139,20 @@ class TestLinkModel:
         link = LinkModel()
         p = pending({1: 2.0}, wire_end=2.0)
         background(link, 1.0, 1.0, p)
-        link.fault(ready_ms=5.0, wire_ms=1.0)
+        demand(link, 5.0, 1.0)
         assert p.arrival(1) == 2.0  # transfer already done
 
     def test_demand_never_delayed(self):
         # Demand transfers have priority: the model exposes no delay for
         # them, only counts them.
         link = LinkModel()
-        link.fault(0.0, 1.0)
-        link.fault(0.1, 1.0)
+        assert demand(link, 0.0, 1.0) is None
+        assert demand(link, 0.1, 1.0) is None
         assert link.demand_transfers == 2
 
     def test_busy_until_tracks_everything(self):
         link = LinkModel()
-        link.fault(0.0, 1.0)
+        demand(link, 0.0, 1.0)
         assert link.busy_until_ms == pytest.approx(1.0)
         p = pending({1: 3.0}, wire_end=3.0)
         background(link, 0.5, 1.5, p)  # starts at 1.0, ends 2.5
@@ -150,16 +160,16 @@ class TestLinkModel:
 
     def test_transfer_counts(self):
         link = LinkModel()
-        link.fault(0.0, 0.1, None, pending({1: 1.0}, 1.0), 0.1, 0.1)
+        link.fault(0.0, 0.1, pending({1: 1.0}, 1.0), 0.1, 0.1)
         assert link.demand_transfers == 1
         assert link.background_transfers == 1
 
     def test_negative_wire_rejected(self):
         link = LinkModel()
         with pytest.raises(SimulationError):
-            link.fault(0.0, -1.0)
+            demand(link, 0.0, -1.0)
         with pytest.raises(SimulationError):
-            link.fault(0.0, 0.1, None, pending({1: 1.0}, 1.0), 0.1, -1.0)
+            link.fault(0.0, 0.1, pending({1: 1.0}, 1.0), 0.1, -1.0)
 
     def test_multiple_backgrounds_fifo(self):
         link = LinkModel()
@@ -178,13 +188,13 @@ class TestDemandPreemptionAccounting:
         link = LinkModel()
         p = PendingArrivals((), wire_end_ms=2.0)
         assert background(link, 1.0, 1.0, p) == 0.0
-        link.fault(1.5, 0.5)  # must not raise on the empty schedule
+        demand(link, 1.5, 0.5)  # must not raise on the empty schedule
         assert p.wire_end_ms == pytest.approx(2.5)
         assert link.total_preemption_delay_ms == pytest.approx(0.5)
 
     def test_empty_schedule_queueing_shifts_wire_end(self):
         link = LinkModel()
-        link.fault(0.0, 1.0)  # busy until 1.0
+        demand(link, 0.0, 1.0)  # busy until 1.0
         p = PendingArrivals((), wire_end_ms=1.5)
         delay = background(link, 0.5, 1.0, p)
         assert delay == pytest.approx(0.5)
@@ -197,7 +207,7 @@ class TestDemandPreemptionAccounting:
         p2 = pending({1: 4.0}, wire_end=4.0)
         background(link, 0.0, 2.0, p2)  # queues behind p1 (+2.0)
         assert p2.arrival(1) == pytest.approx(6.0)
-        link.fault(1.0, 0.5)
+        demand(link, 1.0, 0.5)
         assert p1.arrival(1) == pytest.approx(2.5)
         assert p2.arrival(1) == pytest.approx(6.5)
         assert link.total_preemption_delay_ms == pytest.approx(1.0)
@@ -232,8 +242,8 @@ class TestShiftAll:
         # arrival — including the time-zero one — slides by 1.5.
         link = LinkModel()
         p = pending({0: 0.0, 1: 1.0}, wire_end=2.0)
-        delay = link.fault(0.0, 1.5, None, p, 0.0, 2.0)
-        assert delay == pytest.approx(1.5)
+        start = link.fault(0.0, 1.5, p, 0.0, 2.0)
+        assert start == pytest.approx(1.5)
         assert p.arrival(0) == pytest.approx(1.5)  # not 0.0
         assert p.arrival(1) == pytest.approx(2.5)
         assert p.wire_end_ms == pytest.approx(3.5)
@@ -245,7 +255,7 @@ class TestShiftAll:
         link = LinkModel()
         p = pending({0: 0.5, 1: 2.0}, wire_end=2.0)
         background(link, 0.0, 2.0, p)
-        link.fault(1.0, 0.4)
+        demand(link, 1.0, 0.4)
         assert p.arrival(0) == pytest.approx(0.5)  # already arrived
         assert p.arrival(1) == pytest.approx(2.4)
 
@@ -261,45 +271,63 @@ class TestCrossTraffic:
 
     def test_demand_preempts_other_links_backgrounds(self):
         _, a, b = self.pair()
+        # b's fault: demand on the wire 0.5-1.0, background 1.0-2.0.
         p = pending({1: 2.0}, wire_end=2.0)
-        background(b, 1.0, 1.0, p)
-        a.fault(1.5, 0.4)
+        b.fault(0.5, 0.5, p, 1.0, 1.0)
+        demand(a, 1.5, 0.4)
         assert p.arrival(1) == pytest.approx(2.4)
-        assert b.cross_preempts == 1
+        assert (b.cross_preempts, b.cross_occupies) == (1, 0)
         assert b.cross_preemption_delay_ms == pytest.approx(0.4)
         # The victim's own preemption counter is untouched.
         assert b.total_preemption_delay_ms == 0.0
+        # a saw b's demand and background, with nothing of its own to
+        # shift or queue.
+        assert (a.cross_preempts, a.cross_occupies) == (1, 1)
+        assert a.cross_preemption_delay_ms == 0.0
 
     def test_background_occupies_other_links(self):
         _, a, b = self.pair()
-        background(a, 0.0, 2.0, pending({1: 2.0}, wire_end=2.0))
-        assert b.cross_occupies == 1
-        assert b.busy_until_ms == pytest.approx(2.0)
-        p = pending({1: 2.5}, wire_end=2.5)
-        delay = background(b, 1.0, 1.0, p)
-        assert delay == pytest.approx(1.0)  # queued behind a's transfer
+        # a's fault: demand on the wire 0.0-0.5, background 0.5-2.5.
+        a.fault(0.0, 0.5, pending({1: 2.5}, wire_end=2.5), 0.5, 2.0)
+        assert (b.cross_preempts, b.cross_occupies) == (1, 1)
+        assert b.busy_until_ms == pytest.approx(2.5)
+        # b's fault at 1.0: its demand (1.0-1.25) pushes the shared
+        # wire to 2.75, and its background, ready at 1.25, queues
+        # behind a's transfer until then.
+        p = pending({1: 2.25}, wire_end=2.25)
+        start = b.fault(1.0, 0.25, p, 1.25, 1.0)
+        assert start == pytest.approx(2.75)
+        assert p.arrival(1) == pytest.approx(3.75)
+        assert b.total_queueing_delay_ms == pytest.approx(1.5)
         # The whole wait is cross-inflicted: b's own wire was idle.
-        assert b.cross_queueing_delay_ms == pytest.approx(1.0)
+        assert b.cross_queueing_delay_ms == pytest.approx(1.5)
+        # b's demand preempted a's background in flight.
+        assert (a.cross_preempts, a.cross_occupies) == (1, 1)
+        assert a.cross_preemption_delay_ms == pytest.approx(0.25)
 
     def test_own_queueing_not_miscounted_as_cross(self):
         _, a, b = self.pair()
-        background(b, 0.0, 2.0, pending({1: 2.0}, wire_end=2.0))
-        p = pending({1: 3.0}, wire_end=3.0)
-        delay = background(b, 1.0, 1.0, p)
-        assert delay == pytest.approx(1.0)  # behind b's *own* transfer
+        b.fault(0.0, 0.5, pending({1: 2.5}, wire_end=2.5), 0.5, 2.0)
+        p = pending({1: 2.25}, wire_end=2.25)
+        start = b.fault(1.0, 0.25, p, 1.25, 1.0)
+        assert start == pytest.approx(2.75)  # behind b's *own* transfer
+        assert b.total_queueing_delay_ms == pytest.approx(1.5)
         assert b.cross_queueing_delay_ms == 0.0
+        # Only a saw cross-traffic: both of b's faults.
+        assert (b.cross_preempts, b.cross_occupies) == (0, 0)
+        assert (a.cross_preempts, a.cross_occupies) == (2, 2)
 
     def test_injected_ms_attributes_to_source(self):
         fabric, a, b = self.pair()
-        a.fault(0.0, 0.5, None, pending({}, 2.5), 1.0, 1.5)
-        b.fault(0.0, 0.25)
+        a.fault(0.0, 0.5, pending({}, 2.5), 1.0, 1.5)
+        demand(b, 0.0, 0.25)
         assert fabric.injected_ms["a"] == pytest.approx(2.0)
         assert fabric.injected_ms["b"] == pytest.approx(0.25)
 
     def test_single_link_fabric_inert(self):
         fabric = CrossTraffic()
         a = LinkModel(fabric=fabric, label="a")
-        a.fault(0.0, 1.0, None, pending({1: 2.0}, 2.0), 0.0, 1.0)
+        a.fault(0.0, 1.0, pending({1: 2.0}, 2.0), 0.0, 1.0)
         assert a.cross_preempts == 0
         assert a.cross_occupies == 0
         assert fabric.injected_ms == {}
@@ -312,9 +340,9 @@ class TestCrossTraffic:
         bare = LinkModel()
         for link in (coupled, bare):
             p = pending({0: 0.0, 1: 1.0}, wire_end=2.0)
-            link.fault(0.0, 1.5, None, p, 0.0, 2.0)
+            link.fault(0.0, 1.5, p, 0.0, 2.0)
             assert p.arrival(0) == pytest.approx(1.5)
-            link.fault(2.0, 0.4)
+            demand(link, 2.0, 0.4)
         assert coupled.busy_until_ms == bare.busy_until_ms
         assert (coupled.total_queueing_delay_ms
                 == bare.total_queueing_delay_ms)
@@ -323,7 +351,7 @@ class TestCrossTraffic:
 
     def test_cross_stats_shape(self):
         _, a, b = self.pair()
-        a.fault(0.0, 1.0)
+        demand(a, 0.0, 1.0)
         stats = b.cross_stats()
         assert stats == {
             "cross_preempts": 1,

@@ -5,17 +5,18 @@ message and :meth:`LinkModel.fault <repro.net.congestion.LinkModel.fault>`
 handles a fault's demand and background transfers in one pass.  Both
 must agree ``==`` with the per-subpage schedule and the two-call link
 they replaced (:mod:`tests.net.reference_link`): every arrival, every
-counter, every instrument event, on random schedules and random
-in-flight sets, with and without a cross-traffic fabric.
+counter, every transfer event a recorder emits, on random schedules
+and random in-flight sets, with and without a cross-traffic fabric.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fault import KIND_CODES, FaultKind
 from repro.errors import SimulationError
 from repro.net.congestion import CrossTraffic, LinkModel, PendingArrivals
-from repro.obs.instrument import Instrument
+from repro.obs.instrument import Recorder
 
 from tests.net.reference_link import TwoCallLink, subpage_arrivals
 
@@ -105,14 +106,19 @@ class TestScheduleMatchesPerSubpage:
         assert new.latest() == 3.5
 
 
-class Events(Instrument):
-    """Records every ``on_transfer`` call, in order."""
+def recorder():
+    return Recorder.from_spec("trace,metrics")
 
-    def __init__(self) -> None:
-        self.events = []
 
-    def on_transfer(self, *args):
-        self.events.append(args)
+def transfers(recorder):
+    """The transfer events and transfer metrics ``recorder`` holds."""
+    metrics = recorder.metrics.as_dict()
+    return (
+        [e for e in recorder.trace.events if e["type"] == "transfer"],
+        {name: value for name, value in metrics["counters"].items()
+         if name.startswith("transfer")},
+        metrics["histograms"].get("transfer_wire_ms"),
+    )
 
 
 @st.composite
@@ -168,29 +174,42 @@ def link_state(link, schedules):
     )
 
 
-def build(kind, links, cls):
-    """``links`` links of class ``cls`` for a scenario ``kind``: bare,
-    on one cross-traffic fabric, or each with a recording instrument."""
-    fabric = CrossTraffic() if kind == "fabric" else None
-    recorders = [Events() if kind == "instrument" else None
-                 for _ in range(links)]
-    built = [
-        cls(instrument=recorder, fabric=fabric, label=f"t{index}")
-        for index, recorder in enumerate(recorders)
-    ]
-    return built, fabric, recorders
-
-
 class TestOneCallMatchesTwoCalls:
+    """The one-call link against the two-call link.
+
+    In the ``"recorded"`` scenario each reference link reports its
+    transfers to a recorder as they happen, as the link used to; each
+    new link's fault, with the background start :meth:`LinkModel.fault`
+    returns, goes to a recorder through the one ``on_fault`` call the
+    simulator makes.  Both recorders must hold the same transfer events
+    in the same order, and the same transfer metrics.
+    """
+
     @pytest.mark.parametrize("kind,links", [
-        ("bare", 1), ("fabric", 2), ("fabric", 3), ("instrument", 2),
+        ("bare", 1), ("fabric", 2), ("fabric", 3), ("recorded", 2),
     ])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_random_in_flight_sets(self, kind, links, data):
         faults = data.draw(link_faults(links))
-        new_links, new_fabric, new_events = build(kind, links, LinkModel)
-        ref_links, ref_fabric, ref_events = build(kind, links, TwoCallLink)
+        new_fabric = CrossTraffic() if kind == "fabric" else None
+        ref_fabric = CrossTraffic() if kind == "fabric" else None
+        new_recorders = [recorder() for _ in range(links)]
+        ref_recorders = [recorder() for _ in range(links)]
+        new_links = [
+            LinkModel(fabric=new_fabric, label=f"t{index}")
+            for index in range(links)
+        ]
+        ref_links = [
+            TwoCallLink(
+                fabric=ref_fabric, label=f"t{index}",
+                on_transfer=(
+                    ref_recorders[index]._transfer
+                    if kind == "recorded" else None
+                ),
+            )
+            for index in range(links)
+        ]
         new_schedules, ref_schedules = [], []
         for which, ready, wire, page, follow, bg_ready, bg_wire in faults:
             wire_end = bg_ready + bg_wire
@@ -200,12 +219,19 @@ class TestOneCallMatchesTwoCalls:
                 ref_pending = subpage_arrivals(follow, wire_end)
                 new_schedules.append(new_pending)
                 ref_schedules.append(ref_pending)
-            delay = new_links[which].fault(
-                ready, wire, page, new_pending, bg_ready, bg_wire
+            start = new_links[which].fault(
+                ready, wire, new_pending, bg_ready, bg_wire
             )
-            assert delay == ref_links[which].fault(
-                ready, wire, page, ref_pending, bg_ready, bg_wire
+            ref_links[which].fault(
+                ready, wire, ref_pending, bg_ready, bg_wire, page=page
             )
+            assert (start is None) == (follow == () or bg_wire <= 0)
+            if kind == "recorded":
+                new_recorders[which].on_fault(
+                    page, 0, KIND_CODES[FaultKind.REMOTE], ready, 0.0,
+                    ready, ready, 0.0, False, None, False, False,
+                    ready, wire, bg_ready, start, bg_wire,
+                )
             for new, ref in zip(new_schedules, ref_schedules):
                 assert_same_schedule(new, ref)
             for new, ref in zip(new_links, ref_links):
@@ -213,13 +239,15 @@ class TestOneCallMatchesTwoCalls:
                         == link_state(ref, ref_schedules))
         if new_fabric is not None:
             assert new_fabric.injected_ms == ref_fabric.injected_ms
-        if kind == "instrument":
-            for new, ref in zip(new_events, ref_events):
-                assert new.events == ref.events
+        if kind == "recorded":
+            for new, ref in zip(new_recorders, ref_recorders):
+                assert transfers(new) == transfers(ref)
             # One demand event per fault, at least.
-            assert sum(len(new.events) for new in new_events) >= len(faults)
+            assert sum(
+                len(transfers(new)[0]) for new in new_recorders
+            ) >= len(faults)
 
     def test_negative_background_wire_rejected(self):
         link = LinkModel()
         with pytest.raises(SimulationError):
-            link.fault(0.0, 0.1, None, PendingArrivals(), 0.1, -1.0)
+            link.fault(0.0, 0.1, PendingArrivals(), 0.1, -1.0)

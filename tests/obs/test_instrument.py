@@ -38,11 +38,16 @@ class TestParseObserveSpec:
 
 class TestRecorder:
     def record(self, **kwargs):
-        """``on_fault``'s arguments, as ``FaultLog.append`` takes them."""
+        """``on_fault``'s arguments: the row ``FaultLog.append`` takes,
+        then no eviction and no link transfer unless overridden."""
         base = dict(page=3, subpage=1, kind=FaultKind.REMOTE, time_ms=2.0,
                     sp_latency_ms=0.5, window_start_ms=0.0,
                     window_end_ms=0.0, cpu_overhead_ms=0.0,
-                    overlapped_another=False)
+                    overlapped_another=False,
+                    evicted=None, evicted_dirty=False, cancelled=False,
+                    demand_ready_ms=None, demand_wire_ms=0.0,
+                    background_ready_ms=0.0, background_start_ms=None,
+                    background_wire_ms=0.0)
         base.update(kwargs)
         base["kind"] = KIND_CODES[base["kind"]]
         return base
@@ -80,14 +85,55 @@ class TestRecorder:
 
     def test_transfer_queue_delay_accumulates(self):
         rec = Recorder.from_spec("metrics")
-        rec.on_transfer("background", 0.0, 1.0, queue_delay_ms=0.25)
-        rec.on_transfer("background", 1.0, 2.0, queue_delay_ms=0.5)
-        rec.on_transfer("demand", 2.0, 3.0)
+        rec.on_fault(**self.record(
+            demand_ready_ms=0.0, demand_wire_ms=0.5,
+            background_ready_ms=0.5, background_start_ms=0.75,
+            background_wire_ms=1.0,
+        ))
+        rec.on_fault(**self.record(
+            demand_ready_ms=1.0, demand_wire_ms=0.5,
+            background_ready_ms=1.5, background_start_ms=2.0,
+            background_wire_ms=1.0,
+        ))
+        rec.on_fault(**self.record(demand_ready_ms=2.0, demand_wire_ms=1.0))
         assert rec.metrics.counters["transfers_background"] == 2
-        assert rec.metrics.counters["transfers_demand"] == 1
+        assert rec.metrics.counters["transfers_demand"] == 3
         assert rec.metrics.counters["transfer_queue_delay_ms"] == (
             pytest.approx(0.75)
         )
+
+    def test_one_call_emits_every_event_in_order(self):
+        """A fault's one hook call carries its eviction and both its
+        transfers; the recorder emits them before the fault itself, in
+        the order they happened."""
+        rec = Recorder.from_spec("trace,metrics")
+        rec.on_fault(**self.record(
+            evicted=7, evicted_dirty=True, cancelled=True,
+            demand_ready_ms=2.25, demand_wire_ms=0.125,
+            background_ready_ms=2.375, background_start_ms=2.5,
+            background_wire_ms=0.875,
+        ))
+        events = [
+            (e["type"], e.get("kind"), e["t_ms"], e.get("dur_ms"))
+            for e in rec.trace.events
+        ]
+        assert events == [
+            ("eviction", None, 2.0, 0.0),
+            ("transfer", "demand", 2.25, 0.125),
+            ("transfer", "background", 2.5, 0.875),
+            ("fault", "remote", 2.0, 0.0),
+            ("stall", "remote", 2.0, 0.5),
+        ]
+        eviction = rec.trace.events[0]
+        assert eviction["page"] == 7
+        assert eviction["dirty"] and eviction["cancelled"]
+        assert rec.trace.events[1]["queue_delay_ms"] == 0.0
+        assert rec.trace.events[2]["queue_delay_ms"] == 0.125
+        assert rec.metrics.counters == {
+            "evictions": 1, "evictions_dirty": 1, "transfers_cancelled": 1,
+            "transfers_demand": 1, "transfers_background": 1,
+            "transfer_queue_delay_ms": 0.125, "faults_remote": 1,
+        }
 
 
 def eviction_workload():
@@ -152,6 +198,32 @@ class TestSimulatorWiring:
         ]
         assert len(faults) == result.total_faults
 
+    def test_fault_events_follow_their_eviction_and_transfers(
+        self, base_config
+    ):
+        """Each fault's eviction and transfers are emitted just before
+        the fault itself: same time for the eviction, same page for the
+        transfers."""
+        result = self.run_observed(base_config)
+        before = []
+        seen = set()
+        for event in result.trace_events:
+            if event["type"] in ("eviction", "transfer"):
+                before.append(event)
+            elif event["type"] == "fault":
+                for earlier in before:
+                    seen.add((earlier["type"], earlier.get("kind")))
+                    if earlier["type"] == "eviction":
+                        assert earlier["t_ms"] == event["t_ms"]
+                    else:
+                        assert earlier["page"] == event["page"]
+                before = []
+        assert not before
+        assert seen == {
+            ("eviction", None), ("transfer", "demand"),
+            ("transfer", "background"),
+        }
+
     def test_disabled_by_default(self, base_config):
         config = base_config.with_overrides(memory_pages=3,
                                             congestion=True)
@@ -176,9 +248,9 @@ class TestSimulatorWiring:
 
             def on_fault(self, *args):
                 self.faults += 1
-
-            def on_eviction(self, time_ms, page, dirty, cancelled):
-                self.evictions += 1
+                evicted = args[9]
+                if evicted is not None:
+                    self.evictions += 1
 
         counting = Counting()
         config = base_config.with_overrides(

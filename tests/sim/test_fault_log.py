@@ -241,7 +241,7 @@ class ReferenceRecorder(Instrument):
     def on_fault(
         self, page, subpage, kind, time_ms, sp_latency_ms,
         window_start_ms, window_end_ms, cpu_overhead_ms,
-        overlapped_another,
+        overlapped_another, *eviction_and_transfers,
     ) -> None:
         record = FaultRecord(
             page, subpage, FAULT_KINDS[kind], time_ms, sp_latency_ms,
