@@ -10,20 +10,15 @@ Run:  python examples/memory_pressure.py [app]
 
 import sys
 
-from repro import SimulationConfig, build_app_trace
+from repro import build_app_trace
 from repro.analysis.report import ascii_bar_chart, percent
-from repro.sim.sweep import run_subpage_sweep
+from repro.sim.sweep import MEMORY_FRACTIONS, SUBPAGE_SIZES, run_subpage_sweep
 
 
 def main(app: str = "modula3") -> None:
     trace = build_app_trace(app)
-    base = SimulationConfig(memory_pages=1)  # overridden by the sweep
     sweep = run_subpage_sweep(
-        trace,
-        base,
-        subpage_sizes=[4096, 2048, 1024, 512, 256],
-        memory_fractions={"full-mem": 1.0, "1/2-mem": 0.5,
-                          "1/4-mem": 0.25},
+        trace, {"scheme": "eager"}, SUBPAGE_SIZES, MEMORY_FRACTIONS
     )
     for memory in sweep.rows:
         values = [sweep.get(memory, col).total_ms for col in sweep.columns]

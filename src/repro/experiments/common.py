@@ -3,10 +3,11 @@
 Several figures reuse the same runs (Figures 4, 5, 6 all view the
 Modula-3 1/2-mem sweep); caching them keeps the whole experiment suite
 fast and the benches honest (each bench still *computes* its figure; it
-just shares substrate runs).  A run is named by a spec -- ``app``,
-``memory_fraction`` and any :class:`~repro.sim.config.SimulationConfig`
-fields -- and keyed by its cell's content key, the same key the on-disk
-result stores use.
+just shares substrate runs).  A run is named by ``app`` plus a cell spec
+-- ``memory_fraction`` and any :class:`~repro.sim.config.SimulationConfig`
+fields -- built by the one rule every cell goes through,
+:func:`repro.sim.sweep.cell_config`, and keyed by its cell's content
+key, the same key the on-disk result stores and the sweep service use.
 
 The in-process run cache is seedable: :func:`warm_runs` fans missing
 cells out through :func:`repro.sim.parallel.run_cells`, so grid figures
@@ -23,7 +24,6 @@ from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ConfigError
-from repro.sim.config import SimulationConfig, memory_pages_for
 from repro.sim.parallel import (
     ExecutionOptions,
     SweepJob,
@@ -32,19 +32,9 @@ from repro.sim.parallel import (
     run_cells,
 )
 from repro.sim.results import SimulationResult
+from repro.sim.sweep import MEMORY_FRACTIONS, SUBPAGE_SIZES, cell_config
 from repro.trace.compress import RunTrace
 from repro.trace.synth.apps import build_app_trace
-
-#: The paper's three memory configurations (Section 4.1).
-MEMORY_FRACTIONS: dict[str, float] = {
-    "full-mem": 1.0,
-    "1/2-mem": 0.5,
-    "1/4-mem": 0.25,
-}
-
-#: Subpage sizes evaluated throughout the paper, largest first (Figure 3
-#: bar order).
-SUBPAGE_SIZES: tuple[int, ...] = (4096, 2048, 1024, 512, 256)
 
 #: The trace seed used by all experiments (results are deterministic).
 TRACE_SEED = 0
@@ -108,19 +98,14 @@ def get_trace(app: str, seed: int = TRACE_SEED) -> RunTrace:
 def _cell(spec: dict[str, Any]) -> SweepJob:
     """One run spec as a sweep cell keyed by its content key.
 
-    A spec is ``app`` and ``memory_fraction`` plus any
-    :class:`SimulationConfig` fields (an unknown field raises
-    ``TypeError``).  The ambient observe spec joins the config, so a run
-    with observability payloads never shadows, or is shadowed by, a
-    plain run of the same spec.
+    A run spec is ``app`` plus a :func:`~repro.sim.sweep.cell_config`
+    spec.  The ambient observe spec joins the config unless the spec
+    names its own, so a run with observability payloads never shadows,
+    or is shadowed by, a plain run of the same spec.
     """
-    fields = dict(spec)
+    fields = {"observe": execution_options().observe, **spec}
     trace = get_trace(fields.pop("app"))
-    config = SimulationConfig(
-        memory_pages=memory_pages_for(trace, fields.pop("memory_fraction")),
-        observe=execution_options().observe,
-        **fields,
-    )
+    config = cell_config(trace, fields)
     key = cell_cache_key(trace, config)
     if key is None:
         raise ConfigError(
@@ -129,21 +114,18 @@ def _cell(spec: dict[str, Any]) -> SweepJob:
     return SweepJob(key=key, trace=trace, config=config)
 
 
-def warm_runs(specs: Iterable[dict[str, Any]]) -> None:
-    """Ensure every spec is in the run cache, fanning missing cells out.
+def warm_runs(specs: Iterable[dict[str, Any]]) -> list[SimulationResult]:
+    """Every spec's run, in spec order, fanning missing cells out.
 
     Each spec is a dict of :func:`run_cached` keyword arguments (``app``
     and ``memory_fraction`` required).  Missing cells execute through
     :func:`repro.sim.parallel.run_cells` under the ambient
     :func:`execution_options` (worker count, on-disk cache, progress
-    callback), so a grid figure can compute all its cells in one
-    parallel batch before reading them back serially.
+    callback), so a grid figure computes all its cells in one parallel
+    batch and reads its results from the returned list.
     """
-    jobs: dict[str, SweepJob] = {}
-    for spec in specs:
-        job = _cell(spec)
-        if job.key not in _RUN_CACHE:
-            jobs.setdefault(job.key, job)
+    cells = [_cell(spec) for spec in specs]
+    jobs = {job.key: job for job in cells if job.key not in _RUN_CACHE}
     if jobs:
         options = execution_options()
         _RUN_CACHE.update(run_cells(
@@ -153,6 +135,7 @@ def warm_runs(specs: Iterable[dict[str, Any]]) -> None:
             progress=options.progress,
             pool=options.pool,
         ))
+    return [_RUN_CACHE[job.key] for job in cells]
 
 
 def clear_run_cache() -> None:
@@ -186,11 +169,9 @@ def run_cached(
 ) -> SimulationResult:
     """Run (or fetch) one simulation: ``app`` at ``memory_fraction`` of
     its footprint, with any other :class:`SimulationConfig` fields."""
-    spec = {"app": app, "memory_fraction": memory_fraction, **fields}
-    key = _cell(spec).key
-    if key not in _RUN_CACHE:
-        warm_runs([spec])
-    return _RUN_CACHE[key]
+    return warm_runs(
+        [{"app": app, "memory_fraction": memory_fraction, **fields}]
+    )[0]
 
 
 def fullpage_run(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.analysis.report import ascii_bar_chart, format_table, percent
 from repro.experiments import common
+from repro.sim import sweep
 
 APP = "modula3"
 
@@ -49,51 +50,27 @@ class Fig03Result:
         )
 
 
+#: The grid's ``((memory, bar), spec)`` cells: eager fetch at every
+#: subpage size, beside the disk and fullpage baselines.
+GRID = sweep.subpage_grid(
+    {"scheme": "eager"}, common.SUBPAGE_SIZES, common.MEMORY_FRACTIONS
+)
+
+
 def grid_specs(app: str = APP) -> list[dict]:
     """Every cell of the Figure 3 grid as :func:`common.warm_runs` specs."""
-    specs = []
-    for fraction in common.MEMORY_FRACTIONS.values():
-        specs.append({
-            "app": app, "memory_fraction": fraction,
-            "scheme": "fullpage", "subpage_bytes": 8192, "backing": "disk",
-        })
-        specs.append({
-            "app": app, "memory_fraction": fraction,
-            "scheme": "fullpage", "subpage_bytes": 8192,
-        })
-        for size in common.SUBPAGE_SIZES:
-            specs.append({
-                "app": app, "memory_fraction": fraction,
-                "scheme": "eager", "subpage_bytes": size,
-            })
-    return specs
+    return [{"app": app, **spec} for _, spec in GRID]
 
 
 def run(app: str = APP) -> Fig03Result:
-    memory_labels = tuple(common.MEMORY_FRACTIONS)
-    bar_labels = ["disk_8192", "p_8192"] + [
-        f"sp_{size}" for size in common.SUBPAGE_SIZES
-    ]
-    # Fan the whole grid out at once (parallel under --workers); the
-    # loop below then reads every cell back from the run cache.
-    common.warm_runs(grid_specs(app))
-    totals: dict[tuple[str, str], float] = {}
-    for memory, fraction in common.MEMORY_FRACTIONS.items():
-        totals[(memory, "disk_8192")] = common.disk_run(
-            app, fraction
-        ).total_ms
-        totals[(memory, "p_8192")] = common.fullpage_run(
-            app, fraction
-        ).total_ms
-        for size in common.SUBPAGE_SIZES:
-            totals[(memory, f"sp_{size}")] = common.run_cached(
-                app, fraction, scheme="eager", subpage_bytes=size
-            ).total_ms
+    # One batch for the whole grid (parallel under --workers).
+    results = common.warm_runs(grid_specs(app))
+    totals = {key: r.total_ms for (key, _), r in zip(GRID, results)}
     return Fig03Result(
         app=app,
         totals_ms=totals,
-        memory_labels=memory_labels,
-        bar_labels=tuple(bar_labels),
+        memory_labels=tuple(common.MEMORY_FRACTIONS),
+        bar_labels=tuple(dict.fromkeys(bar for _, bar in totals)),
     )
 
 

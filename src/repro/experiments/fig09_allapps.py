@@ -71,22 +71,11 @@ def grid_specs() -> list[dict]:
 
 def run() -> Fig09Result:
     rows = []
-    # Fan the applications x schemes grid out in one parallel batch.
-    common.warm_runs(grid_specs())
-    for app in classic_app_names():
-        full = common.fullpage_run(app, MEMORY_FRACTION)
-        eager = common.run_cached(
-            app,
-            MEMORY_FRACTION,
-            scheme="eager",
-            subpage_bytes=SUBPAGE_BYTES,
-        )
-        piped = common.run_cached(
-            app,
-            MEMORY_FRACTION,
-            scheme="pipelined",
-            subpage_bytes=SUBPAGE_BYTES,
-        )
+    # One batch for the whole grid: per app, in grid_specs' order, the
+    # fullpage, eager and pipelined runs.
+    results = common.warm_runs(grid_specs())
+    for i, app in enumerate(classic_app_names()):
+        full, eager, piped = results[3 * i:3 * i + 3]
         overlap = attribute_overlap(eager)
         rows.append(
             AppRow(

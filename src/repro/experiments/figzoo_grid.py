@@ -108,23 +108,19 @@ def grid_specs() -> list[dict]:
 
 
 def run() -> FigZooResult:
-    """Warm the grid in one batch, then digest it per app."""
-    common.warm_runs(grid_specs())
+    """Run the grid in one batch, then digest it per app, reading the
+    results in grid_specs' order."""
+    results = iter(common.warm_runs(grid_specs()))
     cells: list[ZooCell] = []
     summaries: list[ZooSummary] = []
     for app in app_names():
         era = APP_MODELS[app].era
-        full = common.fullpage_run(app, MEMORY_FRACTION)
+        full = next(results)
         best: dict[str, tuple[int, float]] = {}
         at_1024: dict[str, float] = {}
         for scheme in SCHEMES:
             for subpage in GRID_SUBPAGES:
-                result = common.run_cached(
-                    app,
-                    MEMORY_FRACTION,
-                    scheme=scheme,
-                    subpage_bytes=subpage,
-                )
+                result = next(results)
                 improvement = result.improvement_vs(full)
                 cells.append(
                     ZooCell(

@@ -1,13 +1,15 @@
 """Sweep specs and the asyncio job manager behind the HTTP service.
 
 A :class:`SweepSpec` is the JSON payload a client POSTs: which app
-trace, which base configuration, and which grid (the Figure 3
+trace, which base config fields, and which grid (the Figure 3
 subpage x memory grid, or a memory-size sweep).  It builds *exactly*
 the jobs the in-process sweep helpers build — both call
 :func:`repro.sim.sweep.subpage_sweep_jobs` /
-:func:`~repro.sim.sweep.memory_sweep_jobs` — so a sweep served over
-HTTP is byte-identical to one run in process, and its cells carry the
-same content keys into the result store.
+:func:`~repro.sim.sweep.memory_sweep_jobs`, whose cells go through the
+one spec builder, :func:`repro.sim.sweep.cell_config` — so a sweep
+served over HTTP is byte-identical to one run in process, and its cells
+carry the same content keys into the result store as the experiments'.
+A bad ``base`` fails at submit (:func:`repro.sim.sweep.check_fields`).
 
 :class:`JobManager` owns the execution substrate: one persistent
 :class:`~repro.sim.parallel.WorkerPool` (when workers are configured),
@@ -24,16 +26,18 @@ everything else is served from the store as ``"cached"`` events.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.sim.config import SimulationConfig
 from repro.sim.parallel import CellEvent, SweepJob, WorkerPool, run_cells
 from repro.sim.sweep import (
+    MEMORY_FRACTIONS,
+    SPEC_FIELDS,
+    SUBPAGE_SIZES,
     SweepResult,
+    check_fields,
     memory_sweep_jobs,
     subpage_sweep_jobs,
 )
@@ -44,15 +48,9 @@ from repro.trace.compress import RunTrace
 #: event, not a completion.
 COMPUTED_STATUSES = frozenset({"done", "fallback", "retried"})
 
-#: ``SimulationConfig`` fields a spec's ``base`` mapping may set.
-#: ``memory_pages`` is excluded (the grid sets it per row), and so are
-#: live-object fields (``latency_model``, ``disk_model``) — a JSON spec
-#: cannot carry those, and cells must stay content-addressable.
-SPEC_BASE_FIELDS = frozenset(
-    f.name
-    for f in dataclasses.fields(SimulationConfig)
-    if f.name not in ("memory_pages", "latency_model", "disk_model")
-)
+#: Config fields a spec's ``base`` may set: a cell spec's fields but the
+#: live objects, which JSON cannot carry and content keys cannot hash.
+SPEC_BASE_FIELDS = SPEC_FIELDS - {"latency_model", "disk_model"}
 
 _SPEC_KEYS = frozenset({
     "kind", "app", "seed", "scale", "base", "subpage_sizes",
@@ -78,9 +76,9 @@ class SweepSpec:
     seed: int = 0
     scale: float | None = None
     base: dict[str, Any] = field(default_factory=dict)
-    subpage_sizes: tuple[int, ...] = (4096, 2048, 1024, 512, 256)
-    memory_fractions: tuple[tuple[str, float], ...] = (
-        ("full-mem", 1.0), ("1/2-mem", 0.5), ("1/4-mem", 0.25),
+    subpage_sizes: tuple[int, ...] = SUBPAGE_SIZES
+    memory_fractions: tuple[tuple[str, float], ...] = tuple(
+        MEMORY_FRACTIONS.items()
     )
     include_baselines: bool = True
 
@@ -112,16 +110,13 @@ class SweepSpec:
             raise ConfigError(
                 f"unknown config fields in 'base': {sorted(bad)}"
             )
-        sizes = payload.get("subpage_sizes", (4096, 2048, 1024, 512, 256))
+        sizes = payload.get("subpage_sizes", SUBPAGE_SIZES)
         if (not isinstance(sizes, (list, tuple)) or not sizes
                 or not all(_is_int(s) and s > 0 for s in sizes)):
             raise ConfigError(
                 "'subpage_sizes' must be a non-empty list of positive ints"
             )
-        fractions = payload.get(
-            "memory_fractions",
-            {"full-mem": 1.0, "1/2-mem": 0.5, "1/4-mem": 0.25},
-        )
+        fractions = payload.get("memory_fractions", MEMORY_FRACTIONS)
         if (not isinstance(fractions, dict) or not fractions
                 or not all(
                     isinstance(k, str) and _is_number(v) and 0 < v
@@ -173,27 +168,12 @@ class SweepSpec:
 
         return build_app_trace(self.app, seed=self.seed, scale=self.scale)
 
-    def build_base(self) -> SimulationConfig:
-        """The base config the grid's rows override ``memory_pages`` on.
-
-        ``scheme_kwargs`` keys arrive as JSON; nothing else needs
-        coercion — :class:`SimulationConfig` fields are plain scalars.
-        """
-        try:
-            return SimulationConfig(memory_pages=1, **self.base)
-        except TypeError as exc:
-            raise ConfigError(f"bad base config: {exc}") from None
-
     def build_jobs(self, trace: RunTrace) -> list[SweepJob]:
-        base = self.build_base()
         fractions = dict(self.memory_fractions)
         if self.kind == "memory":
-            return memory_sweep_jobs(trace, base, fractions)
+            return memory_sweep_jobs(trace, self.base, fractions)
         return subpage_sweep_jobs(
-            trace,
-            base,
-            list(self.subpage_sizes),
-            fractions,
+            trace, self.base, self.subpage_sizes, fractions,
             self.include_baselines,
         )
 
@@ -324,10 +304,12 @@ class JobManager:
         if self._closed:
             raise ConfigError("service is shutting down")
         spec = SweepSpec.from_dict(payload)
-        # Fail malformed app names at submit time (HTTP 400), not
-        # inside the worker thread.  ``ingest:<path>`` names resolve to
-        # trace files instead of the synthetic registry: validate that
-        # the file exists without paying for conversion here.
+        # Fail a bad base and malformed app names at submit time (HTTP
+        # 400), not inside the worker thread.
+        check_fields(spec.base)
+        # ``ingest:<path>`` names resolve to trace files instead of the
+        # synthetic registry: validate that the file exists without
+        # paying for conversion here.
         from repro.trace.synth.apps import INGEST_PREFIX, get_app_model
 
         if spec.app.startswith(INGEST_PREFIX):
@@ -433,8 +415,4 @@ class JobManager:
         )
         job.results_by_key = results
         if job.spec.kind == "subpage":
-            sweep = SweepResult()
-            for cell in jobs:
-                row, column = cell.key
-                sweep.add(row, column, results[cell.key])
-            job.sweep = sweep
+            job.sweep = SweepResult.of(results)

@@ -15,6 +15,7 @@ from repro.core.schemes import FetchScheme, make_scheme
 from repro.disk.model import DiskModel
 from repro.errors import ConfigError, UnknownSchemeError
 from repro.net.latency import LatencyModel
+from repro.sim.replacement import policy_names
 from repro.trace.compress import RunTrace
 from repro.units import (
     DEFAULT_EVENT_NS,
@@ -117,16 +118,23 @@ class SimulationConfig:
         if self.memory_pages < 1:
             raise ConfigError("memory_pages must be >= 1")
         if not is_power_of_two(self.page_bytes):
-            raise ConfigError(f"page size {self.page_bytes} not power of two")
+            raise ConfigError(
+                f"page_bytes {self.page_bytes} is not a power of two"
+            )
         if not is_power_of_two(self.subpage_bytes):
             raise ConfigError(
-                f"subpage size {self.subpage_bytes} not a power of two"
+                f"subpage_bytes {self.subpage_bytes} is not a power of two"
             )
         if self.subpage_bytes > self.page_bytes:
-            raise ConfigError("subpage size exceeds page size")
+            raise ConfigError("subpage_bytes exceeds page_bytes")
         if self.backing not in BACKINGS:
             raise ConfigError(
                 f"backing {self.backing!r} not one of {BACKINGS}"
+            )
+        if self.replacement not in policy_names():
+            raise ConfigError(
+                f"replacement {self.replacement!r} not one of "
+                f"{policy_names()}"
             )
         if self.protection not in PROTECTIONS:
             raise ConfigError(
@@ -139,7 +147,7 @@ class SimulationConfig:
         if self.tlb_miss_ns < 0:
             raise ConfigError("tlb_miss_ns cannot be negative")
         if self.cluster_nodes < 2 and self.backing == "cluster":
-            raise ConfigError("a cluster needs at least 2 nodes")
+            raise ConfigError("a cluster needs cluster_nodes >= 2")
         if self.cluster_node_id < 0:
             raise ConfigError("cluster_node_id cannot be negative")
         if self.shared_from_page is not None and self.shared_from_page < 0:

@@ -8,7 +8,8 @@ policy's own eviction order.  A frame is any object with a ``pending``
 attribute (``None`` or a
 :class:`~repro.net.congestion.PendingArrivals`).  Eviction prefers pages
 whose transfers have all arrived over pages with subpage transfers still
-in flight, taking them in the policy's order.
+in flight, taking them in the policy's order, and tells the caller
+whether its victim was in flight (the victim's transfers are cancelled).
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ def in_flight(frame: Any, now: float) -> bool:
 
 def _pop_oldest_settled(
     frames: dict[int, Any], now: float
-) -> tuple[int, Any]:
-    """Remove and return the first ``(page, frame)`` in ``frames``'
-    order with nothing in flight at ``now``, else the first one."""
+) -> tuple[int, Any, bool]:
+    """Remove and return the first ``(page, frame, False)`` in
+    ``frames``' order with nothing in flight at ``now``, else the first
+    one, in flight."""
     if not frames:
         raise SimulationError("nothing to evict")
     for page, frame in frames.items():
         if not in_flight(frame, now):
-            break
-    else:
-        page = next(iter(frames))
-    return page, frames.pop(page)
+            return page, frames.pop(page), False
+    page = next(iter(frames))
+    return page, frames.pop(page), True
 
 
 class ReplacementPolicy(ABC):
@@ -69,12 +70,13 @@ class ReplacementPolicy(ABC):
         self.frames[page] = frame
 
     @abstractmethod
-    def evict(self, now: float) -> tuple[int, Any]:
-        """Remove and return ``(page, frame)`` of a victim.
+    def evict(self, now: float) -> tuple[int, Any, bool]:
+        """Remove and return ``(page, frame, in_flight)`` of a victim.
 
         The victim is the policy's normal choice among the pages with
         nothing in flight at ``now`` when any exists, and its
-        unconstrained choice otherwise.
+        unconstrained choice otherwise; ``in_flight`` is true exactly in
+        that fallback, when every resident page is in flight.
         """
 
 
@@ -88,7 +90,7 @@ class LruPolicy(ReplacementPolicy):
         super().__init__()
         self.touch = self.frames.move_to_end
 
-    def evict(self, now: float) -> tuple[int, Any]:
+    def evict(self, now: float) -> tuple[int, Any, bool]:
         return _pop_oldest_settled(self.frames, now)
 
 
@@ -97,7 +99,7 @@ class FifoPolicy(ReplacementPolicy):
 
     name = "fifo"
 
-    def evict(self, now: float) -> tuple[int, Any]:
+    def evict(self, now: float) -> tuple[int, Any, bool]:
         return _pop_oldest_settled(self.frames, now)
 
 
@@ -116,7 +118,7 @@ class ClockPolicy(ReplacementPolicy):
         super().insert(page, frame)
         self._referenced.add(page)
 
-    def evict(self, now: float) -> tuple[int, Any]:
+    def evict(self, now: float) -> tuple[int, Any, bool]:
         frames = self.frames
         if not frames:
             raise SimulationError("nothing to evict")
@@ -127,12 +129,12 @@ class ClockPolicy(ReplacementPolicy):
             if page in referenced:
                 referenced.discard(page)
             elif not in_flight(frame, now):
-                return page, frames.pop(page)
+                return page, frames.pop(page), False
             frames.move_to_end(page)
         # Every page is in flight: two laps cleared every bit and
         # brought the hand back to where it started.
         page = next(iter(frames))
-        return page, frames.pop(page)
+        return page, frames.pop(page), True
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -145,16 +147,17 @@ class RandomPolicy(ReplacementPolicy):
         self.frames = {}  # eviction ignores order: a plain dict
         self._rng = np.random.default_rng(seed)
 
-    def evict(self, now: float) -> tuple[int, Any]:
+    def evict(self, now: float) -> tuple[int, Any, bool]:
         frames = self.frames
         if not frames:
             raise SimulationError("nothing to evict")
-        pool = [
+        settled = [
             page for page, frame in frames.items()
             if not in_flight(frame, now)
-        ] or list(frames)
+        ]
+        pool = settled or list(frames)
         page = pool[int(self._rng.integers(len(pool)))]
-        return page, frames.pop(page)
+        return page, frames.pop(page), not settled
 
 
 _POLICIES: dict[str, type[ReplacementPolicy]] = {

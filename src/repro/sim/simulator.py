@@ -31,7 +31,7 @@ from repro.net.latency import CalibratedLatencyModel
 from repro.obs.instrument import Instrument, Recorder
 from repro.palcode.emulator import PalEmulator
 from repro.sim.config import SimulationConfig
-from repro.sim.replacement import ReplacementPolicy, in_flight, make_policy
+from repro.sim.replacement import ReplacementPolicy, make_policy
 from repro.sim.results import SimulationResult
 from repro.sim.tlb import TlbModel
 from repro.trace.compress import RunTrace
@@ -396,10 +396,9 @@ class Simulator:
         victim = None
         victim_dirty = cancelled = False
         if len(policy.frames) >= cfg.memory_pages:
-            victim, frame = policy.evict(clock)
+            victim, frame, cancelled = policy.evict(clock)
             victim_dirty = frame.dirty
             result.evictions += 1
-            cancelled = in_flight(frame, clock)
             if cancelled:
                 result.cancelled_transfers += 1
             if victim_dirty:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.service import JobManager, ServiceServer, SweepSpec
-from repro.sim.config import SimulationConfig
 from repro.sim.sweep import run_subpage_sweep
 from repro.store import SqliteResultStore
 from repro.trace.synth.apps import build_app_trace
@@ -159,7 +158,7 @@ class TestEndToEnd:
         trace = build_app_trace("modula3", seed=0, scale=0.25)
         local = run_subpage_sweep(
             trace,
-            SimulationConfig(memory_pages=1, scheme="eager"),
+            {"scheme": "eager"},
             [4096, 1024],
             {"1/2-mem": 0.5},
             include_baselines=False,
@@ -242,6 +241,20 @@ class TestErrorMapping:
             status, body = service.submit(bad)
             assert status == 400, bad
             assert body["error"]
+        # Real fields with bad values fail at submit too, not later in
+        # the worker thread, and the error names the field.
+        for base, name in (
+            ({"scheme": "nope"}, "scheme"),
+            ({"scheme": "pipelined", "scheme_kwargs": {"bogus": 1}},
+             "scheme_kwargs"),
+            ({"subpage_bytes": 3000}, "subpage_bytes"),
+            ({"backing": "tape"}, "backing"),
+            ({"observe": "bogus"}, "observe"),
+            ({"replacement": "mru"}, "replacement"),
+        ):
+            status, body = service.submit({"app": "modula3", "base": base})
+            assert status == 400, base
+            assert name in body["error"], body
 
     def test_bad_json_is_400(self, service):
         conn = http.client.HTTPConnection(
@@ -318,7 +331,7 @@ class TestSpecValidation:
         jobs = spec.build_jobs(trace)
         direct = subpage_sweep_jobs(
             trace,
-            SimulationConfig(memory_pages=1, scheme="eager"),
+            {"scheme": "eager"},
             [4096, 1024],
             {"1/2-mem": 0.5},
             include_baselines=False,

@@ -134,20 +134,13 @@ class TestSweepIdentity:
         dataclass: same rows, columns, cell keys, and cell results."""
         plain = run_subpage_sweep(
             mixed_trace,
-            SimulationConfig(
-                memory_pages=1,
-                scheme="pipelined",
-            ),
+            {"scheme": "pipelined"},
             subpage_sizes=[2048, 1024, 512],
             memory_fractions={"1/2-mem": 0.5, "1/4-mem": 0.25},
         )
         adaptive = run_subpage_sweep(
             mixed_trace,
-            SimulationConfig(
-                memory_pages=1,
-                scheme="adaptive",
-                scheme_kwargs={"predictor": "static"},
-            ),
+            {"scheme": "adaptive", "scheme_kwargs": {"predictor": "static"}},
             subpage_sizes=[2048, 1024, 512],
             memory_fractions={"1/2-mem": 0.5, "1/4-mem": 0.25},
         )

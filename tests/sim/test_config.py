@@ -33,6 +33,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config(backing="tape").validate()
 
+    def test_rejects_unknown_replacement(self):
+        with pytest.raises(ConfigError, match="replacement"):
+            config(replacement="mru").validate()
+
     def test_rejects_unknown_protection(self):
         with pytest.raises(ConfigError):
             config(protection="ecc").validate()

@@ -306,7 +306,8 @@ class TestSubstrateEquivalence:
         """Witness that the inflight cells reach the preferred-victim
         rule: some eviction passes over the page the policy takes when
         nothing is in flight (the LRU page, or the first unreferenced
-        page from the clock hand) because its transfers still are."""
+        page from the clock hand) because its transfers still are.  Every
+        eviction's in-flight flag is what the victim's schedule says."""
         skipped = []
 
         def watched_policy(name, seed=0):
@@ -321,10 +322,11 @@ class TestSubstrateEquivalence:
                     pages[0],
                 )
                 busy = in_flight(policy.frames[plain], now)
-                victim, frame = evict(now)
+                victim, frame, cancelled = evict(now)
+                assert cancelled == in_flight(frame, now)
                 if busy and victim != plain:
                     skipped.append(victim)
-                return victim, frame
+                return victim, frame, cancelled
 
             policy.evict = evict_and_check
             return policy

@@ -61,7 +61,7 @@ class TestCommonBehaviour:
         frame = Frame()
         policy = make_policy(name)
         policy.insert(1, frame)
-        assert policy.evict(0.0) == (1, frame)
+        assert policy.evict(0.0) == (1, frame, False)
         assert not policy.frames
 
     @pytest.mark.parametrize("name", ALL)
@@ -225,7 +225,7 @@ UNTIL = st.one_of(st.none(), st.integers(min_value=-1, max_value=8))
 def test_lru_matches_reference_model(name, ops):
     """Every policy (LRU and the others) evicts the page its list-based
     reference model evicts, with frames in flight until random times and
-    a random eviction clock."""
+    a random eviction clock, and says whether that page was in flight."""
     policy = make_policy(name)
     model = ReferenceModel(name)
     frames = {}
@@ -240,8 +240,9 @@ def test_lru_matches_reference_model(name, ops):
                 policy.touch(args[0])
             model.touch(args[0])
         elif op == "evict" and frames:
-            victim, frame = policy.evict(args[0])
+            victim, frame, busy = policy.evict(args[0])
             assert victim == model.evict(args[0])
+            assert busy == (not model._settled(victim, args[0]))
             assert frame is frames.pop(victim)
     assert list(policy.frames) == model.order
 

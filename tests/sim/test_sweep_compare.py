@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.config import SimulationConfig
 from repro.sim.sweep import (
     SweepResult,
     run_memory_sweep,
@@ -25,12 +24,11 @@ def small_trace():
 
 @pytest.fixture()
 def cfg():
-    return SimulationConfig(
-        memory_pages=12,
-        latency_model=FixedLatencyModel(),
-        event_ns=1000.0,
-        use_trace_dilation=False,
-    )
+    return {
+        "latency_model": FixedLatencyModel(),
+        "event_ns": 1000.0,
+        "use_trace_dilation": False,
+    }
 
 
 class TestSweepResult:

@@ -11,14 +11,19 @@ way an external user would:
    same sweep run in process (same builders, same renderer);
 4. resubmit the spec and assert every cell is served from the store
    (``cached`` events only — incremental recompute's base case);
-5. check the store's row count over ``GET /store``.
+5. check the store's row count over ``GET /store``;
+6. submit the default spec (the Figure 3 grid for modula3), then run
+   ``python -m repro.experiments fig03 --store <db> --progress`` on the
+   same store and assert it computes nothing: every progress line says
+   ``cached`` and the store's row count does not change.
 
     PYTHONPATH=src python tools/service_smoke.py [--verbose]
 
 Exits non-zero on the first mismatch.  A CSV difference means the
 service's job builders or renderer drifted from the in-process sweep
 helpers; leftover ``done`` events on resubmit mean content keys are
-unstable, which breaks incremental recompute.
+unstable, which breaks incremental recompute; a computed fig03 cell
+means the service and the experiments key the same cell differently.
 """
 
 from __future__ import annotations
@@ -34,9 +39,14 @@ from pathlib import Path
 
 sys.path.insert(0, "src")
 
-from repro.sim.config import SimulationConfig
 from repro.sim.sweep import run_subpage_sweep
 from repro.trace.synth.apps import build_app_trace
+
+#: The service's default spec: the Figure 3 grid, keyed as ``fig03``'s.
+DEFAULT_SPEC = {"app": "modula3"}
+
+#: ``--progress`` lines: ``[cell   1] cached      0.3 ms  <key>``.
+PROGRESS = re.compile(r"\[cell\s+\d+\]\s+(\S+)")
 
 SPEC = {
     "app": "modula3",
@@ -86,6 +96,36 @@ def run_job(port, spec, verbose):
     return job_id, statuses
 
 
+def check_fig03_served(port, store, verbose):
+    """Fill ``store`` through the service's default spec, then run the
+    fig03 experiment on it; it must compute no cell."""
+    _, statuses = run_job(port, DEFAULT_SPEC, verbose)
+    print(f"default spec: {len(statuses)} cells "
+          f"({statuses.count('done')} computed)")
+    rows = json.loads(request(port, "GET", "/store")[1])["rows"]
+    experiment = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "fig03",
+         "--store", str(store), "--progress"],
+        capture_output=True,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        text=True,
+        timeout=300,
+    )
+    assert experiment.returncode == 0, experiment.stderr
+    cells = PROGRESS.findall(experiment.stderr)
+    if verbose:
+        print(experiment.stderr, end="")
+    assert len(cells) == len(statuses) and all(
+        s == "cached" for s in cells
+    ), (
+        f"fig03 recomputed cells the service stored: {cells}"
+    )
+    after = json.loads(request(port, "GET", "/store")[1])["rows"]
+    assert after == rows, f"fig03 added store rows: {rows} -> {after}"
+    print(f"fig03 on the service's store: {len(cells)} cells cached, "
+          f"{after} rows unchanged")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0]
@@ -124,7 +164,7 @@ def main(argv=None):
             trace = build_app_trace("modula3", seed=0, scale=0.5)
             local = run_subpage_sweep(
                 trace,
-                SimulationConfig(memory_pages=1, scheme="eager"),
+                SPEC["base"],
                 SPEC["subpage_sizes"],
                 SPEC["memory_fractions"],
                 include_baselines=True,
@@ -150,6 +190,8 @@ def main(argv=None):
                 f"store stats off: {stats}"
             )
             print(f"store holds {stats['rows']} rows: OK")
+
+            check_fig03_served(port, store, args.verbose)
         finally:
             service.terminate()
             service.wait(timeout=30)
