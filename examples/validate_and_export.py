@@ -1,60 +1,19 @@
 #!/usr/bin/env python3
-"""Validate the simulator and export the reproduction's data.
+"""Print the reproduction scorecard and export the reproduction's data.
 
-Part 1 runs the Section 3.2-style validation pass: isolated-fault
-latencies must match the calibrated (prototype-measured) model exactly,
-and the idealized TLB-protection mode must agree with the prototype's
-software (PALcode) mode on both improvement and optimal subpage size.
-
-Part 2 prints the paper-vs-measured scorecard and exports every
-figure's data series as CSV under ``out/csv``.
+The scorecard carries every paper-vs-measured claim, the Section 3.2
+simulator validation among them: the prototype's software (PALcode)
+protection mode must agree with the idealized TLB mode on both the
+improvement and the optimal subpage size.  The script then exports
+figure data series as CSV under ``out/csv``.
 
 Run:  python examples/validate_and_export.py
 """
 
 from pathlib import Path
 
-from repro.analysis.report import format_table, percent
 from repro.experiments import get_experiment
 from repro.experiments.export import export_csv
-from repro.sim.validate import validate_simulator
-from repro.trace.synth.apps import build_app_trace
-
-
-def run_validation() -> None:
-    print("== simulator validation (paper Section 3.2) ==")
-    report = validate_simulator(build_app_trace("modula3"))
-
-    rows = [
-        (c.scheme, c.subpage_bytes, round(c.expected_ms, 3),
-         round(c.simulated_ms, 3))
-        for c in report.micro_checks
-    ]
-    print(format_table(
-        ["scheme", "subpage", "model ms", "simulated ms"], rows,
-        title="isolated-fault latencies",
-    ))
-    print()
-    rows = [
-        (
-            a.subpage_bytes,
-            percent(a.tlb_improvement),
-            percent(a.prototype_improvement),
-            percent(a.emulation_overhead_fraction, 2),
-        )
-        for a in report.agreements
-    ]
-    print(format_table(
-        ["subpage", "TLB mode", "prototype mode", "emulation cost"],
-        rows,
-        title="eager-fetch improvement, hardware vs software protection",
-    ))
-    print(
-        f"\noptimal subpage size: TLB mode {report.tlb_optimal_subpage}B,"
-        f" prototype mode {report.prototype_optimal_subpage}B"
-        f" -> agree: {report.optimal_sizes_agree}"
-    )
-    print(f"validation passed: {report.passed()}\n")
 
 
 def run_scorecard_and_export() -> None:
@@ -75,5 +34,4 @@ def run_scorecard_and_export() -> None:
 
 
 if __name__ == "__main__":
-    run_validation()
     run_scorecard_and_export()

@@ -175,15 +175,17 @@ def run_cached(
 
 
 def fullpage_run(
-    app: str, memory_fraction: float, backing: str = "remote"
+    app: str, memory_fraction: float, backing: str = "remote", **fields: Any
 ) -> SimulationResult:
-    """The 8K fullpage baseline for an app/memory configuration."""
+    """The 8K fullpage baseline for an app/memory configuration, with
+    any other :class:`SimulationConfig` fields."""
     return run_cached(
         app,
         memory_fraction,
         scheme="fullpage",
         subpage_bytes=8192,
         backing=backing,
+        **fields,
     )
 
 

@@ -42,6 +42,7 @@ from repro.sim.sweep import (
     subpage_sweep_jobs,
 )
 from repro.trace.compress import RunTrace
+from repro.units import FULL_PAGE_BYTES
 
 #: Statuses that mean "the cell was computed this run" (vs served from
 #: the store).  ``cache-error`` rides the same stream but is an extra
@@ -322,6 +323,14 @@ class JobManager:
                 )
         else:
             get_app_model(spec.app)
+            # Every synthetic app builds full (8 KB) pages; an ingested
+            # trace's page size is only known once its header is read.
+            page_bytes = spec.base.get("page_bytes", FULL_PAGE_BYTES)
+            if page_bytes != FULL_PAGE_BYTES:
+                raise ConfigError(
+                    f"bad config fields: page_bytes {page_bytes} != the "
+                    f"synthetic trace's {FULL_PAGE_BYTES}"
+                )
         job = Job(id=f"job-{self._next_id:04d}", spec=spec)
         self._next_id += 1
         self.jobs[job.id] = job

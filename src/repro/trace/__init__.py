@@ -4,20 +4,19 @@ The paper drives its simulator with Atom-generated memory-reference traces
 of five applications (Section 3.2).  Those traces (and the binaries that
 produced them) are not available, so this package provides:
 
-* :mod:`repro.trace.events` — the reference record and address arithmetic;
 * :mod:`repro.trace.compress` — run-length compression of reference streams
   at the finest (256-byte block) protection granularity, which is what the
   simulator consumes;
 * :mod:`repro.trace.encode` — a trace file format (``.npz``-based);
 * :mod:`repro.trace.synth` — the phased synthetic workload generator and
-  the five calibrated application models;
-* :mod:`repro.trace.cachesim` / :mod:`repro.trace.calibrate` — the cache
-  simulator used to calibrate the average time per trace event (the paper's
-  12 ns figure).
+  the five calibrated application models.
+
+A trace carries no byte addresses, so the paper's cache-simulated cost
+per reference (12 ns, Section 3.2) enters as the constant
+:data:`repro.units.DEFAULT_EVENT_NS`.
 """
 
 from repro.trace.compress import RunTrace, compress_references
-from repro.trace.events import AccessType, MemoryRef, block_of, page_of
 from repro.trace.encode import (
     load_trace,
     load_trace_text,
@@ -27,17 +26,13 @@ from repro.trace.encode import (
 from repro.trace.synth import SyntheticTrace, app_names, build_app_trace
 
 __all__ = [
-    "AccessType",
-    "MemoryRef",
     "RunTrace",
     "SyntheticTrace",
     "app_names",
-    "block_of",
     "build_app_trace",
     "compress_references",
     "load_trace",
     "load_trace_text",
-    "page_of",
     "save_trace",
     "save_trace_text",
 ]

@@ -251,6 +251,7 @@ class TestErrorMapping:
             ({"backing": "tape"}, "backing"),
             ({"observe": "bogus"}, "observe"),
             ({"replacement": "mru"}, "replacement"),
+            ({"page_bytes": 4096}, "page_bytes"),
         ):
             status, body = service.submit({"app": "modula3", "base": base})
             assert status == 400, base

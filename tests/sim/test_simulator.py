@@ -1,16 +1,18 @@
 """Simulator correctness on hand-built traces.
 
-All scenarios use the FixedLatencyModel (subpage 0.5 ms, rest-of-page
-1.5 ms, fullpage 2.0 ms, wire = size/8192 ms) and a 1 us event cost, so
-expected totals can be computed by hand.
+All scenarios but ``TestCalibratedLatency`` use the FixedLatencyModel
+(subpage 0.5 ms, rest-of-page 1.5 ms, fullpage 2.0 ms, wire = size/8192
+ms) and a 1 us event cost, so expected totals can be computed by hand.
 """
 
 import pytest
 
 from repro.core.fault import FaultKind
 from repro.errors import ConfigError
+from repro.net.latency import CalibratedLatencyModel
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator, simulate
+from repro.units import PAPER_SUBPAGE_SIZES
 
 from tests.conftest import make_trace, page_addr
 
@@ -51,6 +53,30 @@ class TestSingleFault:
     def test_stall_interval_recorded(self, base_config):
         result = run(base_config, [page_addr(0)])
         assert result.stall_intervals == [(0.0, pytest.approx(0.5))]
+
+
+class TestCalibratedLatency:
+    """The Section 3.2 micro check: an isolated fault costs exactly what
+    the calibrated model (the prototype's Table 2 medians) says."""
+
+    @pytest.mark.parametrize(
+        "scheme,size",
+        [("eager", size) for size in PAPER_SUBPAGE_SIZES]
+        + [("pipelined", 1024), ("lazy", 1024), ("fullpage", 8192)],
+    )
+    def test_one_fault_costs_model_latency(self, scheme, size):
+        model = CalibratedLatencyModel()
+        config = SimulationConfig(
+            memory_pages=4, scheme=scheme, subpage_bytes=size
+        )
+        result = run(config, [page_addr(0)])
+        assert result.remote_faults == 1
+        expected = (
+            model.fullpage_latency_ms()
+            if scheme == "fullpage"
+            else model.subpage_latency_ms(size)
+        )
+        assert result.components.sp_latency_ms == pytest.approx(expected)
 
 
 class TestPageWait:

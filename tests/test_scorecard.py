@@ -25,6 +25,9 @@ class TestScorecard:
         # The headline claims from abstract, Fig 3, Fig 7-9 are present.
         assert {"latency-1k", "m3-half-1k", "fig9-eager-max",
                 "fig8-pw-cut", "fig7-plus-one"} <= ids
+        # The Section 3.2 validation: prototype mode agrees with TLB mode.
+        assert {"proto-optimal-size", "proto-improvement-gap",
+                "proto-emulation-cost"} <= ids
 
     def test_render_mentions_every_claim(self, card):
         text = scorecard.render(card)

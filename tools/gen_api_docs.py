@@ -48,7 +48,6 @@ MODULES = [
     "repro.store.sqlite",
     "repro.service.jobs",
     "repro.service.server",
-    "repro.sim.validate",
     "repro.sim.multinode",
     "repro.sim.multitenant",
     "repro.net.params",
@@ -56,7 +55,6 @@ MODULES = [
     "repro.net.timeline",
     "repro.net.latency",
     "repro.net.congestion",
-    "repro.net.measurement",
     "repro.obs.metrics",
     "repro.obs.tracing",
     "repro.obs.instrument",
@@ -72,15 +70,12 @@ MODULES = [
     "repro.disk.presets",
     "repro.palcode.costs",
     "repro.palcode.emulator",
-    "repro.trace.events",
     "repro.trace.compress",
     "repro.trace.encode",
     "repro.ingest",
     "repro.ingest.readers",
     "repro.ingest.convert",
     "repro.ingest.cache",
-    "repro.trace.cachesim",
-    "repro.trace.calibrate",
     "repro.trace.synth.regions",
     "repro.trace.synth.patterns",
     "repro.trace.synth.phases",
