@@ -4,7 +4,8 @@ Each fault is one row of a run's :class:`FaultLog`.  The subpage latency
 is known when the fault is serviced; the page-wait component accrues
 afterwards, as the program stalls on not-yet-arrived subpages of the same
 page; the rest-of-page window enables the I/O-vs-computation overlap
-attribution of Section 4.4.  :class:`FaultRecord` is the same row as one
+attribution of Section 4.4; the eviction that made room for the fault
+rides in the same row.  :class:`FaultRecord` is the same row as one
 object, built on demand.
 """
 
@@ -60,6 +61,12 @@ class FaultRecord:
     #: Whether this fault began while another page's background transfer
     #: was still in flight (an I/O-overlap opportunity).
     overlapped_another: bool = False
+    #: The page evicted to make room for this fault (-1: none), whether
+    #: it was dirty, and whether a transfer to it was still in flight
+    #: (and so cancelled).
+    victim: int = -1
+    victim_dirty: bool = False
+    cancelled: bool = False
 
     @property
     def page_wait_ms(self) -> float:
@@ -82,17 +89,33 @@ class FaultRecord:
 class FaultLog:
     """A run's faults as typed, append-only columns.
 
-    One row per fault, in fault order; ``append`` returns the row's
-    index, through which the simulator later writes the fault's page
-    waits (:meth:`add_page_wait`) and moves its ``window_end_ms`` (the
-    fold).  The columns are lists while the run appends and NumPy
-    arrays once :meth:`freeze` has run, so a finished result holds a
-    dozen arrays however many faults it saw: it pickles compactly and
-    unpickles without creating one Python object per fault.
+    One row per fault, in fault order.  While the run appends, the log
+    is one flat list, ``rows``: each fault extends it by its
+    :data:`FIELDS` in order, so a fault costs one ``list.extend`` and
+    keeps no container of its own.  The simulator binds
+    ``rows.extend`` once per run, finds a fault's row at offset
+    ``index * WIDTH`` (writing its page waits through
+    :meth:`add_page_wait` and moving its ``window_end_ms`` when its
+    transfers fold), and :meth:`freeze` slices the rows into NumPy
+    columns.  A finished result thus holds fifteen arrays however many
+    faults it saw: it pickles compactly and unpickles without creating
+    one Python object per fault.
 
-    Page waits are three columns of their own: the index of the fault
-    they are charged to, and each stall's start and end.
+    The row ends with the eviction that made room for the fault: the
+    ``victim`` page (-1 for none), whether it was dirty and whether a
+    transfer to it was cancelled.  Page waits are three columns of
+    their own: the index of the fault they are charged to, and each
+    stall's start and end; they stay lists until :meth:`freeze`.
     """
+
+    #: The per-fault fields, in row order.
+    FIELDS: tuple[str, ...] = (
+        "page", "subpage", "kind", "time_ms", "sp_latency_ms",
+        "window_start_ms", "window_end_ms", "cpu_overhead_ms",
+        "overlapped_another", "victim", "victim_dirty", "cancelled",
+    )
+    #: Fields per row of ``rows``.
+    WIDTH = len(FIELDS)
 
     #: Every column and its frozen dtype, in ``==`` order: the per-fault
     #: columns, then the page-wait columns.
@@ -106,16 +129,22 @@ class FaultLog:
         "window_end_ms": np.float64,
         "cpu_overhead_ms": np.float64,
         "overlapped_another": np.bool_,
+        "victim": np.int64,
+        "victim_dirty": np.bool_,
+        "cancelled": np.bool_,
         "wait_fault": np.int64,
         "wait_start_ms": np.float64,
         "wait_end_ms": np.float64,
     }
 
-    __slots__ = tuple(COLUMNS)
+    __slots__ = ("rows", *COLUMNS)
 
     def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, [])
+        #: The flat rows while the run appends; ``None`` once frozen.
+        self.rows: list | None = []
+        self.wait_fault = []
+        self.wait_start_ms = []
+        self.wait_end_ms = []
 
     @classmethod
     def from_records(cls, records: Iterable[FaultRecord]) -> "FaultLog":
@@ -132,6 +161,9 @@ class FaultLog:
                 record.window_end_ms,
                 record.cpu_overhead_ms,
                 record.overlapped_another,
+                record.victim,
+                record.victim_dirty,
+                record.cancelled,
             )
             for start, end in record.page_wait_intervals:
                 log.add_page_wait(index, start, end)
@@ -151,19 +183,21 @@ class FaultLog:
         window_end_ms: float,
         cpu_overhead_ms: float,
         overlapped_another: bool,
+        victim: int = -1,
+        victim_dirty: bool = False,
+        cancelled: bool = False,
     ) -> int:
         """Add one fault (``kind`` is its :data:`KIND_CODES` code) and
-        return its row index."""
-        self.page.append(page)
-        self.subpage.append(subpage)
-        self.kind.append(kind)
-        self.time_ms.append(time_ms)
-        self.sp_latency_ms.append(sp_latency_ms)
-        self.window_start_ms.append(window_start_ms)
-        self.window_end_ms.append(window_end_ms)
-        self.cpu_overhead_ms.append(cpu_overhead_ms)
-        self.overlapped_another.append(overlapped_another)
-        return len(self.page) - 1
+        return its row index.  The simulator extends ``rows`` directly;
+        this is the same row with the eviction's fields defaulting to
+        none."""
+        rows = self.rows
+        rows.extend((
+            page, subpage, kind, time_ms, sp_latency_ms, window_start_ms,
+            window_end_ms, cpu_overhead_ms, overlapped_another, victim,
+            victim_dirty, cancelled,
+        ))
+        return len(rows) // self.WIDTH - 1
 
     def add_page_wait(self, index: int, start_ms: float, end_ms: float) -> None:
         """Charge the stall ``[start_ms, end_ms)`` to fault ``index``."""
@@ -174,25 +208,32 @@ class FaultLog:
 
     def freeze(self) -> None:
         """Turn every column into a NumPy array (idempotent)."""
-        for name in self.__slots__:
+        for name in self.COLUMNS:
             setattr(self, name, self.array(name))
+        self.rows = None
 
     # -- reading -------------------------------------------------------------
 
     def array(self, name: str) -> np.ndarray:
         """Column ``name`` as an array of its frozen dtype (the column
-        itself once frozen)."""
-        return np.asarray(getattr(self, name), dtype=self.COLUMNS[name])
+        itself once frozen; a slice of the rows before)."""
+        rows = self.rows
+        if rows is not None and name in self.FIELDS:
+            column = rows[self.FIELDS.index(name)::self.WIDTH]
+        else:
+            column = getattr(self, name)
+        return np.asarray(column, dtype=self.COLUMNS[name])
 
     def __len__(self) -> int:
-        return len(self.page)
+        rows = self.rows
+        return len(self.page) if rows is None else len(rows) // self.WIDTH
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultLog):
             return NotImplemented
         return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
+            np.array_equal(self.array(name), other.array(name))
+            for name in self.COLUMNS
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -242,17 +283,11 @@ class FaultLog:
         """The faults as :class:`FaultRecord` objects (only those of
         ``kind`` if given), with plain ``int``/``float``/``bool`` and
         :class:`FaultKind` values."""
+        fields = self.FIELDS
         rows = zip(
-            *(
-                self.array(name).tolist()
-                for name in (
-                    "page", "subpage", "kind", "time_ms", "sp_latency_ms",
-                    "window_start_ms", "window_end_ms",
-                )
-            ),
+            *(self.array(name).tolist() for name in fields[:7]),
             self.page_waits(),
-            self.array("cpu_overhead_ms").tolist(),
-            self.array("overlapped_another").tolist(),
+            *(self.array(name).tolist() for name in fields[7:]),
         )
         wanted = None if kind is None else KIND_CODES[kind]
         return [

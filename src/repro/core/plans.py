@@ -9,8 +9,9 @@ arrivals.
 
 The built-in schemes are fixed policies, so each distinct plan is
 compiled once into a :class:`PlanRow` and shifted to every later fault's
-time.  A planner keeps its rows in its own :class:`PlanTable`, built for
-the run's latency model, subpage size and page size.
+time by :func:`row_planner`.  A planner keeps its rows in its own
+:class:`PlanTable`, built for the run's latency model, subpage size and
+page size.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from repro.net.latency import LatencyModel
 
 
 #: A planned fault as the simulator executes it, in absolute times:
-#: ``(resume_ms, valid_bits, follow, demand_wire_ms, background_ready_ms,
-#: background_wire_ms, cpu_overhead_ms)``.  ``valid_bits`` marks every
-#: subpage that has arrived by ``resume_ms``; ``follow`` holds one
-#: ``(subpage_mask, arrival_ms)`` pair per message that lands later, at
-#: its idle-network arrival time (the masks are disjoint).
+#: ``(resume_ms, valid_bits, masks, arrivals_ms, demand_wire_ms,
+#: background_ready_ms, background_wire_ms, cpu_overhead_ms)``.
+#: ``valid_bits`` marks every subpage that has arrived by ``resume_ms``;
+#: each message that lands later has its subpage mask in the ``masks``
+#: tuple (disjoint masks, in send order) and its idle-network arrival
+#: time at the same index of the ``arrivals_ms`` list.  The list is
+#: fresh on every call: the simulator's frame adopts it as the page's
+#: schedule, and the link shifts it in place.
 Placement = tuple[
-    float, int, tuple[tuple[int, float], ...], float, float, float, float
+    float, int, tuple[int, ...], list[float], float, float, float, float
 ]
 
 #: Per-run fault planner: ``(now_ms, page, faulted_subpage,
@@ -43,9 +47,10 @@ class PlanRow:
     For a fixed scheme, latency model and subpage size, a plan depends on
     the fault time only through a shift, so the scheme-relative part —
     which subpages travel in which message, and every latency and wire
-    time involved — is computed once and kept here.  :meth:`place`
-    turns it into absolute times with exactly the float operations, in
-    exactly the order, the per-fault arithmetic used:
+    time involved — is computed once and kept here.  A
+    :func:`row_planner` places it at each fault's time with exactly the
+    float operations, in exactly the order, the per-fault arithmetic
+    used:
 
     * ``resume = now + latency``
     * each pipelined message: ``t = t + step`` from ``t = resume``
@@ -57,8 +62,9 @@ class PlanRow:
     valid-bit partition compares absolute times, since at a large
     ``now`` rounding can collapse a step to zero.
 
-    Building a row checks that it delivers something and that no wire
-    time or CPU overhead is negative (latency models are user-supplied),
+    Building a row checks that it delivers something, that every
+    pipelined message carries a subpage, and that no wire time or CPU
+    overhead is negative (latency models are user-supplied),
     so a malformed row raises :class:`SchemeError` and is never cached.
     """
 
@@ -67,6 +73,7 @@ class PlanRow:
         "initial_mask",
         "group_masks",
         "trailing_mask",
+        "follow_masks",
         "latency_ms",
         "step_ms",
         "rest_ms",
@@ -96,6 +103,9 @@ class PlanRow:
     ) -> None:
         if not initial:
             raise SchemeError("a transfer plan must deliver something")
+        if not all(groups):
+            # Each message's mask keeps its place in ``follow_masks``.
+            raise SchemeError("a pipelined message must carry a subpage")
         if demand_wire_ms < 0 or background_wire_ms < 0:
             raise SchemeError("wire times cannot be negative")
         if cpu_overhead_ms < 0:
@@ -107,6 +117,11 @@ class PlanRow:
         #: The trailing remainder's subpage mask (0: no trailing
         #: message).
         self.trailing_mask = _mask(trailing)
+        #: Every message's mask after the initial one, in send order:
+        #: a placement's ``masks`` unless a step rounds to nothing.
+        self.follow_masks = self.group_masks + (
+            (self.trailing_mask,) if trailing else ()
+        )
         self.latency_ms = latency_ms
         self.step_ms = step_ms
         self.rest_ms = rest_ms
@@ -120,41 +135,68 @@ class PlanRow:
         self.background_wire_ms = background_wire_ms
         self.cpu_overhead_ms = cpu_overhead_ms
 
-    def place(self, now_ms: float) -> Placement:
-        """The fault at ``now_ms`` as the simulator executes it."""
-        resume = now_ms + self.latency_ms
-        valid_bits = self.initial_mask
-        follow = []
+
+def row_planner(
+    row_for: Callable[[int, int, int], PlanRow], by_subpage: bool
+) -> Planner:
+    """The planner that places a compiled row at each fault's time.
+
+    ``row_for(page, faulted, block)`` names a fault's :class:`PlanRow`.
+    With ``by_subpage`` the row depends on the faulted subpage only, so
+    the planner asks once per subpage and keeps the answer: a fault then
+    costs one Python frame, the row lookup and placement being inlined
+    here.  Without it, ``row_for`` is asked on every fault (the doubled
+    initial fetch, the adaptive layer).
+    """
+    rows: dict[int, PlanRow] = {}
+
+    def plan(now_ms: float, page: int, faulted: int, block: int):
+        if by_subpage:
+            row = rows.get(faulted)
+            if row is None:
+                row = rows[faulted] = row_for(page, faulted, block)
+        else:
+            row = row_for(page, faulted, block)
+        resume = now_ms + row.latency_ms
+        valid_bits = initial_mask = row.initial_mask
+        arrivals = []
         t = resume
-        step = self.step_ms
-        for mask in self.group_masks:
+        step = row.step_ms
+        for mask in row.group_masks:
             t += step
             if t <= resume:
                 valid_bits |= mask
             else:
-                follow.append((mask, t))
-        mask = self.trailing_mask
+                arrivals.append(t)
+        mask = row.trailing_mask
         if mask:
-            trailing = now_ms + self.rest_ms + self.rest_extra_ms
-            if self.clamp and t > trailing:
+            trailing = now_ms + row.rest_ms + row.rest_extra_ms
+            if row.clamp and t > trailing:
                 trailing = t
             if trailing <= resume:
                 valid_bits |= mask
             else:
-                follow.append((mask, trailing))
+                arrivals.append(trailing)
+        masks = row.follow_masks
+        if valid_bits != initial_mask:
+            # Some message landed by resume: it leaves the schedule.
+            masks = tuple(mask for mask in masks if not mask & valid_bits)
         return (
             resume,
             valid_bits,
-            tuple(follow),
-            self.demand_wire_ms,
+            masks,
+            arrivals,
+            row.demand_wire_ms,
             (
-                now_ms + self.request_fixed_ms + self.demand_wire_ms
-                if self.background
+                now_ms + row.request_fixed_ms + row.demand_wire_ms
+                if row.background
                 else 0.0
             ),
-            self.background_wire_ms,
-            self.cpu_overhead_ms,
+            row.background_wire_ms,
+            row.cpu_overhead_ms,
         )
+
+    return plan
 
 
 def _mask(subpages: tuple[int, ...]) -> int:

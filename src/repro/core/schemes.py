@@ -13,7 +13,7 @@ the fault's position in the page, shifted by the fault time.  Each
 planner compiles every distinct plan once into a
 :class:`~repro.core.plans.PlanRow` in its own
 :class:`~repro.core.plans.PlanTable`, and answers every later fault from
-it.
+it through :func:`~repro.core.plans.row_planner`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigError, SchemeError, UnknownSchemeError
-from repro.core.plans import PlanRow, PlanTable, Planner
+from repro.core.plans import PlanRow, PlanTable, Planner, row_planner
 from repro.core.sequencers import Sequencer, check_follow_on, make_sequencer
 from repro.net.latency import LatencyModel
 from repro.units import MIN_SUBPAGE_BYTES
@@ -72,19 +72,6 @@ def fullpage_row(table: PlanTable) -> PlanRow:
     return row
 
 
-def _by_subpage_planner(rows: dict, build) -> Planner:
-    """Planner for a scheme whose row depends on the faulted subpage
-    only: ``rows[faulted]``, built by ``build(faulted)`` on first use."""
-
-    def plan(now_ms: float, page: int, faulted: int, block: int):
-        row = rows.get(faulted)
-        if row is None:
-            row = rows[faulted] = build(faulted)
-        return row.place(now_ms)
-
-    return plan
-
-
 class _SubpageKeyedScheme(FetchScheme):
     """A scheme whose plan depends on the faulted subpage only."""
 
@@ -96,8 +83,9 @@ class _SubpageKeyedScheme(FetchScheme):
         self, latency: LatencyModel, subpage_bytes: int, page_bytes: int
     ) -> Planner:
         table = PlanTable(latency, subpage_bytes, page_bytes)
-        return _by_subpage_planner(
-            {}, lambda faulted: self.row(table, faulted)
+        return row_planner(
+            lambda page, faulted, block: self.row(table, faulted),
+            by_subpage=True,
         )
 
 
@@ -314,31 +302,34 @@ class SubpagePipelining(FetchScheme):
     ) -> Planner:
         table = PlanTable(latency, subpage_bytes, page_bytes)
         if table.whole_page:
-            return _by_subpage_planner({}, lambda _: fullpage_row(table))
+            return row_planner(
+                lambda page, faulted, block: fullpage_row(table),
+                by_subpage=True,
+            )
         spp = table.subpages_per_page
         depth = self.pipeline_count
 
-        def build(faulted: int, block: int = 0) -> PlanRow:
+        def build(page: int, faulted: int, block: int) -> PlanRow:
             order = tuple(self.sequencer.order(faulted, spp))
             return self.row(table, faulted, block, order, depth)
 
         if not self.double_initial:
             # The sequencer order is a pure function of the faulted
             # subpage, so with one initial subpage the row is too.
-            return _by_subpage_planner({}, build)
+            return row_planner(build, by_subpage=True)
         by_initial: dict[tuple[int, int], PlanRow] = {}
 
-        def plan(now_ms: float, page: int, faulted: int, block: int):
+        def row_for(page: int, faulted: int, block: int) -> PlanRow:
             key = (
                 faulted,
                 self._initial_partner(faulted, block, subpage_bytes, spp),
             )
             row = by_initial.get(key)
             if row is None:
-                row = by_initial[key] = build(faulted, block)
-            return row.place(now_ms)
+                row = by_initial[key] = build(page, faulted, block)
+            return row
 
-        return plan
+        return row_planner(row_for, by_subpage=False)
 
     def _initial_partner(
         self,

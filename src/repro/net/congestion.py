@@ -29,10 +29,17 @@ class PendingArrivals:
 
     Message ``i`` carries the subpages in ``masks[i]`` (disjoint bit
     masks) and lands at ``arrivals_ms[i]``; :meth:`arrival` looks a
-    subpage up.  The simulator and the link model share this object:
-    the link shifts arrival times when demand traffic preempts the
-    transfer, and the simulator reads arrival times when the program
-    touches subpages.
+    subpage up.  The link shifts arrival times when demand traffic
+    preempts the transfer, and the simulator reads them when the
+    program touches subpages.
+
+    The simulator's resident frame (``repro.sim.simulator._Frame``) is
+    a subclass: a page carries its own schedule, so a fault allocates
+    one object, and :class:`LinkModel`'s in-flight list holds frames.
+    A frame whose page has nothing scheduled, or whose schedule has
+    folded into the resident page, has ``masks`` ``None``; the link
+    may still hold a folded frame until its ``wire_end_ms`` passes and
+    keeps shifting it, which only moves times nobody reads any more.
 
     An empty schedule is legal (every arrival may already have been
     folded into the resident page, or a transfer may carry no subpage
@@ -55,7 +62,8 @@ class PendingArrivals:
         wire_end_ms: float = 0.0,
     ) -> None:
         """``follow`` holds ``(subpage_mask, arrival_ms)`` per message,
-        a :data:`~repro.core.plans.Placement`'s ``follow``."""
+        in send order (a :data:`~repro.core.plans.Placement`'s masks
+        and arrivals, zipped)."""
         masks = []
         arrivals = []
         for mask, arrival in follow:
@@ -119,8 +127,8 @@ class PendingArrivals:
             if mask:
                 masks.append(mask)
                 arrivals.append(arrival)
-        self.masks = masks + other.masks
-        self.arrivals_ms = arrivals + other.arrivals_ms
+        self.masks = [*masks, *other.masks]
+        self.arrivals_ms = [*arrivals, *other.arrivals_ms]
         self.latest_ms = max(self.arrivals_ms, default=0.0)
         self.wire_end_ms = max(self.wire_end_ms, other.wire_end_ms)
 
@@ -157,11 +165,16 @@ class LinkModel:
         fabric: "CrossTraffic | None" = None,
         label: str | None = None,
     ) -> None:
-        self._busy_until = 0.0
-        #: What ``_busy_until`` would be from this tenant's own traffic
+        #: When the wire falls idle, all traffic scheduled so far
+        #: included (read-only outside the link).
+        self.busy_until_ms = 0.0
+        #: What ``busy_until_ms`` would be from this tenant's own traffic
         #: alone; the gap between the two at schedule time is the share
         #: of queueing delay attributable to cross-traffic.
         self._own_busy_until = 0.0
+        #: Schedules whose wire time has not ended: the simulator's
+        #: frames, each at most once, plus the fresh schedule of a
+        #: subpage fault that merged into its page's own.
         self._in_flight: list[PendingArrivals] = []
         self._fabric: CrossTraffic | None = None
         self.label = label
@@ -208,7 +221,9 @@ class LinkModel:
         nominal schedule (arrival times assuming an idle link) is
         already written in ``pending``, and if the link is busy at
         ``background_ready_ms`` the whole schedule slides back by the
-        wait.  The link then tracks it until its wire end.
+        wait.  The link then tracks it until its wire end; ``pending``
+        (in the simulator, the faulting page's frame) must not be in
+        flight already.
 
         One pass over the in-flight schedules drops those done by the
         demand's start, shifts the rest, and drops those done by the
@@ -233,7 +248,7 @@ class LinkModel:
             self._in_flight = in_flight = kept
             self.total_preemption_delay_ms = preempted
         end = ready_ms + wire_ms
-        busy = self._busy_until
+        busy = self.busy_until_ms
         if busy > ready_ms:
             # The preempted background traffic finishes later too.
             busy += wire_ms
@@ -247,7 +262,7 @@ class LinkModel:
             self._own_busy_until = own if own > end else end
             fabric.on_demand(self, ready_ms, wire_ms)
         if not background:
-            self._busy_until = busy
+            self.busy_until_ms = busy
             return None
 
         self.background_transfers += 1
@@ -259,7 +274,7 @@ class LinkModel:
         end = start + background_wire_ms
         if end > pending.wire_end_ms:
             pending.wire_end_ms = end
-        self._busy_until = end
+        self.busy_until_ms = end
         if fabric is not None:
             own = self._own_busy_until
             own_start = own if own > background_ready_ms else (
@@ -292,9 +307,9 @@ class LinkModel:
             before = pending.wire_end_ms
             pending.shift_after(ready_ms, wire_ms)
             self.cross_preemption_delay_ms += pending.wire_end_ms - before
-        if self._busy_until > ready_ms:
-            self._busy_until += wire_ms
-        self._busy_until = max(self._busy_until, ready_ms + wire_ms)
+        if self.busy_until_ms > ready_ms:
+            self.busy_until_ms += wire_ms
+        self.busy_until_ms = max(self.busy_until_ms, ready_ms + wire_ms)
 
     def occupy_external(self, end_ms: float) -> None:
         """Another tenant's background transfer holds the fabric to
@@ -302,8 +317,8 @@ class LinkModel:
         it (in-flight schedules are not shifted — background traffic
         shares the wire FIFO)."""
         self.cross_occupies += 1
-        if end_ms > self._busy_until:
-            self._busy_until = end_ms
+        if end_ms > self.busy_until_ms:
+            self.busy_until_ms = end_ms
 
     def cross_stats(self) -> dict[str, float]:
         """Interference received from other tenants on the fabric."""
@@ -313,10 +328,6 @@ class LinkModel:
             "cross_preemption_delay_ms": self.cross_preemption_delay_ms,
             "cross_queueing_delay_ms": self.cross_queueing_delay_ms,
         }
-
-    @property
-    def busy_until_ms(self) -> float:
-        return self._busy_until
 
 
 class CrossTraffic:

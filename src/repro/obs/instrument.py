@@ -18,19 +18,23 @@ makes :func:`~repro.sim.simulator.simulate` build one per run and attach
 its output to ``SimulationResult.trace_events`` / ``.metrics``.
 
 Counter names mirror ``SimulationResult`` fields one-for-one so a
-metrics dump can be cross-checked against the aggregate result:
+metrics dump can be cross-checked against the aggregate result.  The
+counters count hook calls; the result fields are derived from the
+fault log when the run finishes (each is a count over one of its
+columns), so the two are independent tallies of the same faults and
+must agree:
 
-================== ==============================
-counter            SimulationResult field
-================== ==============================
-faults_remote      remote_faults
-faults_disk        disk_faults
-faults_subpage     subpage_faults
-faults_overlapped  overlapped_faults
-evictions          evictions
-evictions_dirty    dirty_evictions
-transfers_cancelled cancelled_transfers
-================== ==============================
+=================== =================== ==========================
+counter             SimulationResult    fault-log column counted
+=================== =================== ==========================
+faults_remote       remote_faults       ``kind`` == remote
+faults_disk         disk_faults         ``kind`` == disk
+faults_subpage      subpage_faults      ``kind`` == subpage
+faults_overlapped   overlapped_faults   ``overlapped_another``
+evictions           evictions           ``victim`` >= 0
+evictions_dirty     dirty_evictions     ``victim_dirty``
+transfers_cancelled cancelled_transfers ``cancelled``
+=================== =================== ==========================
 """
 
 from __future__ import annotations
@@ -96,10 +100,11 @@ class Instrument:
         """A fault was serviced: the fault, the eviction that made room
         for it and its link transfers, in one call.
 
-        The first nine arguments are the row :meth:`FaultLog.append
-        <repro.core.fault.FaultLog.append>` receives, in its order
-        (``kind`` is the :data:`~repro.core.fault.KIND_CODES` code), as
-        known at service time.  Page waits accrue afterwards, and
+        The first nine arguments are the first nine fields of the
+        fault's row in the :class:`~repro.core.fault.FaultLog`, in its
+        order (``kind`` is the :data:`~repro.core.fault.KIND_CODES`
+        code), as known at service time; the next three are the rest of
+        the row, with ``evicted`` ``None`` where the row holds -1.  Page waits accrue afterwards, and
         ``window_end_ms`` moves to the last arrival when the page's
         transfers fold and is capped at the end of the run; the
         result's fault log holds the final values.

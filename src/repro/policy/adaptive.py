@@ -22,7 +22,9 @@ regression anchor (see ``tests/sim/test_adaptive_equivalence.py``).
 
 from __future__ import annotations
 
-from repro.core.plans import PlanRow, PlanTable, Planner
+import functools
+
+from repro.core.plans import PlanRow, PlanTable, Planner, row_planner
 from repro.core.schemes import (
     FetchScheme,
     LazySubpageFetch,
@@ -126,12 +128,9 @@ class AdaptivePolicy:
         """
         table = PlanTable(latency, subpage_bytes, page_bytes)
         lazy_table = PlanTable(latency, subpage_bytes, page_bytes)
-        row = self.row
-
-        def plan(now_ms: float, page: int, faulted: int, block: int):
-            return row(table, lazy_table, page, faulted, block).place(now_ms)
-
-        return plan
+        return row_planner(
+            functools.partial(self.row, table, lazy_table), by_subpage=False
+        )
 
     def row(
         self,

@@ -89,8 +89,10 @@ ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 #: and the ``track_distances`` config field is gone.  v7: results keep
 #: their faults as a columnar ``FaultLog`` of NumPy arrays in place of a
 #: list of ``FaultRecord`` objects, and the ``record_faults`` config
-#: field is gone.
-CACHE_VERSION = 7
+#: field is gone.  v8: the fault log gains the eviction columns
+#: (``victim``, ``victim_dirty``, ``cancelled``), and the result's fault
+#: counters and per-fault components are derived from it.
+CACHE_VERSION = 8
 
 @dataclass(frozen=True, slots=True)
 class SweepJob:

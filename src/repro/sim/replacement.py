@@ -4,12 +4,15 @@
 an LRU policy is used by default" (paper Section 3.2).  A policy owns a
 run's resident set: :attr:`ReplacementPolicy.frames`, the one
 ``page -> frame`` map the simulator reads and writes, kept in the
-policy's own eviction order.  A frame is any object with a ``pending``
-attribute (``None`` or a
-:class:`~repro.net.congestion.PendingArrivals`).  Eviction prefers pages
-whose transfers have all arrived over pages with subpage transfers still
-in flight, taking them in the policy's order, and tells the caller
-whether its victim was in flight (the victim's transfers are cancelled).
+policy's own eviction order.  A frame is the page's own arrival
+schedule (the simulator's ``_Frame`` is a
+:class:`~repro.net.congestion.PendingArrivals`): its ``masks`` are
+``None`` when nothing is scheduled, and otherwise one subpage mask per
+message still expected, the last of them landing at ``latest_ms``.
+Eviction prefers pages whose transfers have all arrived over pages
+with subpage transfers still in flight, taking them in the policy's
+order, and tells the caller whether its victim was in flight (the
+victim's transfers are cancelled).
 """
 
 from __future__ import annotations
@@ -25,27 +28,7 @@ from repro.errors import SimulationError, UnknownSchemeError
 
 def in_flight(frame: Any, now: float) -> bool:
     """True while some of ``frame``'s transfers arrive after ``now``."""
-    pending = frame.pending
-    return (
-        pending is not None
-        and pending.latest_ms > now
-        and bool(pending.masks)
-    )
-
-
-def _pop_oldest_settled(
-    frames: dict[int, Any], now: float
-) -> tuple[int, Any, bool]:
-    """Remove and return the first ``(page, frame, False)`` in
-    ``frames``' order with nothing in flight at ``now``, else the first
-    one, in flight."""
-    if not frames:
-        raise SimulationError("nothing to evict")
-    for page, frame in frames.items():
-        if not in_flight(frame, now):
-            return page, frames.pop(page), False
-    page = next(iter(frames))
-    return page, frames.pop(page), True
+    return bool(frame.masks) and frame.latest_ms > now
 
 
 class ReplacementPolicy(ABC):
@@ -91,16 +74,25 @@ class LruPolicy(ReplacementPolicy):
         self.touch = self.frames.move_to_end
 
     def evict(self, now: float) -> tuple[int, Any, bool]:
-        return _pop_oldest_settled(self.frames, now)
+        # The first page in ``frames``' order with nothing in flight at
+        # ``now`` (``in_flight`` inlined), else the first one, in flight.
+        frames = self.frames
+        for page, frame in frames.items():
+            if not frame.masks or not frame.latest_ms > now:
+                return page, frames.pop(page), False
+        if not frames:
+            raise SimulationError("nothing to evict")
+        page = next(iter(frames))
+        return page, frames.pop(page), True
 
 
 class FifoPolicy(ReplacementPolicy):
-    """First-in-first-out: ``frames`` stays in insertion order."""
+    """First-in-first-out: ``frames`` stays in insertion order, and
+    eviction scans it exactly as LRU's does."""
 
     name = "fifo"
 
-    def evict(self, now: float) -> tuple[int, Any, bool]:
-        return _pop_oldest_settled(self.frames, now)
+    evict = LruPolicy.evict
 
 
 class ClockPolicy(ReplacementPolicy):

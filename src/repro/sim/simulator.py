@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.fault import KIND_CODES, FaultKind
+from repro.core.fault import KIND_CODES, FaultKind, FaultLog
 from repro.disk.presets import paper_disk
 from repro.errors import ConfigError, SimulationError
 from repro.gms.cluster import ActiveNode, Cluster, PageLocation, build_cluster
@@ -44,11 +44,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _REMOTE = KIND_CODES[FaultKind.REMOTE]
 _DISK = KIND_CODES[FaultKind.DISK]
 _SUBPAGE = KIND_CODES[FaultKind.SUBPAGE]
+#: Fields per fault-log row, and the window end's place in a row.
+_ROW_WIDTH = FaultLog.WIDTH
+_WINDOW_END = FaultLog.FIELDS.index("window_end_ms")
 
 
-class _Frame:
-    """Residency state of one local page (``record`` is the index of the
-    fault that brought it in, in the result's fault log).
+class _Frame(PendingArrivals):
+    """Residency state of one local page, and its arrival schedule.
+
+    The frame *is* the page's schedule: the
+    :class:`~repro.net.congestion.PendingArrivals` slots (``masks``,
+    ``arrivals_ms``, ``latest_ms``, ``wire_end_ms``) hold the messages
+    still expected, so a fault allocates this one object and the link
+    tracks the frame itself.  ``masks`` is ``None`` when nothing is
+    scheduled: the page's fault shipped no follow-on, or its schedule
+    has folded into ``valid_bits``.  ``record`` is the offset of the
+    fault that brought the page in within the fault log's flat rows.
 
     A frame is ``settled`` once every subpage is valid, nothing is in
     flight and its first-touch distance is recorded: from then on it is
@@ -59,20 +70,25 @@ class _Frame:
     """
 
     __slots__ = (
-        "valid_bits", "pending", "dirty", "record", "distance_from",
-        "settled",
+        "valid_bits", "dirty", "record", "distance_from", "settled",
     )
 
     def __init__(
         self,
         valid_bits: int,
-        pending: PendingArrivals | None,
+        masks: Sequence[int] | None,
+        arrivals_ms: list[float] | None,
+        latest_ms: float,
+        wire_end_ms: float,
         dirty: bool,
         record: int,
         distance_from: int | None,
     ) -> None:
         self.valid_bits = valid_bits
-        self.pending = pending
+        self.masks = masks
+        self.arrivals_ms = arrivals_ms
+        self.latest_ms = latest_ms
+        self.wire_end_ms = wire_end_ms
         self.dirty = dirty
         self.record = record
         self.distance_from = distance_from
@@ -232,6 +248,7 @@ class Simulator:
             num_runs=trace.num_runs,
             event_cost_ms=event_ms,
         )
+        rows = result.faults.rows
         state = _RunState(
             policy=policy,
             link=link,
@@ -242,6 +259,11 @@ class Simulator:
             result=result,
             event_ms=event_ms,
             full_mask=full_mask,
+            memory_pages=cfg.memory_pages,
+            backing=cfg.backing,
+            congestion=cfg.congestion,
+            rows=rows,
+            log_row=rows.extend,
             ins=ins,
             adaptive=controller,
         )
@@ -267,7 +289,7 @@ class Simulator:
     def _drive_reference(
         self,
         state: "_RunState",
-        runs: Iterator[tuple[int, int, int, int, bool]],
+        runs: Iterator[tuple[int, int, int, float, bool]],
         clock: float,
         last_page: int,
     ) -> tuple[float, int | None]:
@@ -277,7 +299,7 @@ class Simulator:
     def _drive(
         self,
         state: "_RunState",
-        runs: Iterator[tuple[int, int, int, int, bool]],
+        runs: Iterator[tuple[int, int, int, float, bool]],
         clock: float,
         last_page: int,
         until: float,
@@ -306,6 +328,8 @@ class Simulator:
         # costs about twice a plain dict lookup; the bound method does not.
         resident = frames.get
         touch = policy.touch
+        page_fault = self._page_fault
+        touch_incomplete = self._touch_incomplete
         tlb = state.tlb
         pal = state.pal
         event_ms = state.event_ms
@@ -327,9 +351,7 @@ class Simulator:
                 frame = resident(page)
                 last_page = page
                 if frame is None:
-                    clock = self._page_fault(
-                        state, clock, page, sp, block, write
-                    )
+                    clock = page_fault(state, clock, page, sp, block, write)
                     frame = frames[page]
                     settled = False
                     if tlb is not None and not tlb.access(page):
@@ -337,7 +359,7 @@ class Simulator:
                         # detected; the walk cost is paid on top of the
                         # fault service.
                         clock += tlb.miss_ms
-                    if pal is not None and frame.pending is not None:
+                    if pal is not None and frame.masks is not None:
                         # Software protection: the rest of the faulting
                         # run executes against a still-incomplete page.
                         self._charge_emulation(
@@ -362,8 +384,8 @@ class Simulator:
                         hist = result.distance_histogram
                         hist[distance] = hist.get(distance, 0) + 1
                         frame.distance_from = None
-                if frame.pending is not None or frame.valid_bits != full_mask:
-                    clock = self._touch_incomplete(
+                if frame.masks is not None or frame.valid_bits != full_mask:
+                    clock = touch_incomplete(
                         state, clock, page, frame, sp, block, write, count
                     )
                 else:
@@ -389,25 +411,21 @@ class Simulator:
         block: int,
         is_write: bool,
     ) -> float:
-        cfg = self.config
-        result = state.result
+        """Bring ``page`` in: make room, fetch it, and log the fault as
+        one row; returns when the program resumes."""
         policy = state.policy
+        cluster = state.cluster
 
-        victim = None
+        victim = -1
         victim_dirty = cancelled = False
-        if len(policy.frames) >= cfg.memory_pages:
-            victim, frame, cancelled = policy.evict(clock)
-            victim_dirty = frame.dirty
-            result.evictions += 1
-            if cancelled:
-                result.cancelled_transfers += 1
-            if victim_dirty:
-                result.dirty_evictions += 1
+        if len(policy.frames) >= state.memory_pages:
+            victim, evicted, cancelled = policy.evict(clock)
+            victim_dirty = evicted.dirty
             if state.tlb is not None:
                 state.tlb.invalidate(victim)
-            if state.cluster is not None:
-                state.cluster.putpage(
-                    cfg.cluster_node_id,
+            if cluster is not None:
+                cluster.putpage(
+                    self.config.cluster_node_id,
                     self._uid(victim),
                     age=clock,
                     dirty=victim_dirty,
@@ -416,80 +434,76 @@ class Simulator:
         if state.adaptive is not None:
             state.adaptive.observe(page, sp, "fault")
 
-        service = cfg.backing
-        if state.cluster is not None:
-            got = state.cluster.getpage(
-                cfg.cluster_node_id, self._uid(page), clock
+        service = state.backing
+        if cluster is not None:
+            got = cluster.getpage(
+                self.config.cluster_node_id, self._uid(page), clock
             )
             service = (
                 "disk" if got.location is PageLocation.DISK else "remote"
             )
 
+        record = len(state.rows)
+        # A one-subpage page has no other subpage to measure a distance
+        # to, so its distance is already settled.
+        distance_from = sp if state.full_mask > 1 else None
         if service == "disk":
             latency = state.disk.read_page(page)
-            resume = clock + latency
+            resume = window_end_ms = clock + latency
             kind = _DISK
             sp_latency_ms = latency
-            valid_bits = state.full_mask
-            pending = None
-            window_end_ms = resume
             cpu_overhead_ms = 0.0
             overlapped = False
             demand_ready_ms = background_start_ms = None
             demand_wire_ms = background_ready_ms = background_wire_ms = 0.0
-            result.disk_faults += 1
+            frame = _Frame(
+                state.full_mask, None, None, 0.0, 0.0,
+                is_write, record, distance_from,
+            )
         else:
             (
-                resume, valid_bits, follow, demand_wire_ms,
+                resume, valid_bits, masks, arrivals, demand_wire_ms,
                 background_ready_ms, background_wire_ms, cpu_overhead_ms,
             ) = self._plan(clock, page, sp, block)
-            overlapped = state.link.busy_until_ms > clock
-            pending = (
-                PendingArrivals(
-                    follow, background_ready_ms + background_wire_ms
+            link = state.link
+            overlapped = link.busy_until_ms > clock
+            if masks:
+                # The frame is the schedule the link shifts.
+                schedule = frame = _Frame(
+                    valid_bits, masks, arrivals, max(arrivals),
+                    background_ready_ms + background_wire_ms,
+                    is_write, record, distance_from,
                 )
-                if follow
-                else None
-            )
+            else:
+                schedule = None
+                frame = _Frame(
+                    valid_bits, None, None, 0.0, 0.0,
+                    is_write, record, distance_from,
+                )
             demand_ready_ms = background_start_ms = None
-            if cfg.congestion:
+            if state.congestion:
                 demand_ready_ms = clock + self.latency.request_fixed_ms
-                background_start_ms = state.link.fault(
-                    demand_ready_ms, demand_wire_ms, pending,
+                background_start_ms = link.fault(
+                    demand_ready_ms, demand_wire_ms, schedule,
                     background_ready_ms, background_wire_ms,
                 )
             kind = _REMOTE
             sp_latency_ms = resume - clock
-            window_end_ms = (
-                pending.latest_ms if pending is not None else resume
-            )
-            result.remote_faults += 1
-            if overlapped:
-                result.overlapped_faults += 1
+            window_end_ms = frame.latest_ms if masks else resume
 
-        index = result.faults.append(
-            page, sp, kind, clock, sp_latency_ms, resume,
-            window_end_ms, cpu_overhead_ms, overlapped,
-        )
+        state.log_row((
+            page, sp, kind, clock, sp_latency_ms, resume, window_end_ms,
+            cpu_overhead_ms, overlapped, victim, victim_dirty, cancelled,
+        ))
         if state.ins is not None:
             state.ins.on_fault(
                 page, sp, kind, clock, sp_latency_ms, resume,
                 window_end_ms, cpu_overhead_ms, overlapped,
-                victim, victim_dirty, cancelled,
+                victim if victim >= 0 else None, victim_dirty, cancelled,
                 demand_ready_ms, demand_wire_ms, background_ready_ms,
                 background_start_ms, background_wire_ms,
             )
-        result.components.sp_latency_ms += sp_latency_ms
-        result.components.cpu_overhead_ms += cpu_overhead_ms
-        policy.insert(page, _Frame(
-            valid_bits=valid_bits,
-            pending=pending,
-            dirty=is_write,
-            record=index,
-            # A one-subpage page has no other subpage to measure a
-            # distance to, so its distance is already settled.
-            distance_from=sp if state.full_mask > 1 else None,
-        ))
+        policy.insert(page, frame)
         return resume + cpu_overhead_ms
 
     def _touch_incomplete(
@@ -501,22 +515,23 @@ class Simulator:
         sp: int,
         block: int,
         is_write: bool,
-        count: int,
+        count: float,
     ) -> float:
         """Access path for a page that is resident but incomplete."""
         result = state.result
         if state.adaptive is not None:
             state.adaptive.observe(page, sp, "touch")
         if not frame.valid_bits >> sp & 1:
-            pending = frame.pending
-            arrival = pending.arrival(sp) if pending is not None else None
+            arrival = frame.arrival(sp) if frame.masks is not None else None
             if arrival is None:
                 # Lazy fetch: the subpage was never requested; fault it.
                 clock = self._subpage_fault(
                     state, clock, page, frame, sp, block
                 )
             elif arrival > clock:
-                result.faults.add_page_wait(frame.record, clock, arrival)
+                result.faults.add_page_wait(
+                    frame.record // _ROW_WIDTH, clock, arrival
+                )
                 if state.ins is not None:
                     state.ins.on_stall(clock, arrival, "page_wait", page)
                 result.components.page_wait_ms += arrival - clock
@@ -529,19 +544,19 @@ class Simulator:
         # behaves like any fully-resident page (access re-enabled).  An
         # empty schedule means nothing is actually in flight; fold it
         # immediately (its latest_ms names no arrival).
-        pending = frame.pending
-        if pending is not None:
-            if pending.masks:
-                latest = pending.latest_ms
+        masks = frame.masks
+        if masks is not None:
+            if masks:
+                latest = frame.latest_ms
                 if clock < latest:
                     if state.pal is not None:
                         self._charge_emulation(
                             state, clock, page, frame, count, is_write
                         )
                     return clock
-                result.faults.window_end_ms[frame.record] = latest
+                state.rows[frame.record + _WINDOW_END] = latest
             frame.valid_bits = state.full_mask
-            frame.pending = None
+            frame.masks = None
         return clock
 
     def _charge_emulation(
@@ -550,15 +565,15 @@ class Simulator:
         clock: float,
         page: int,
         frame: _Frame,
-        count: int,
+        count: float,
         is_write: bool,
     ) -> None:
         """Software protection: references to an incomplete page are
         emulated (Table 1 costs) until its last subpage arrives."""
-        assert state.pal is not None and frame.pending is not None
-        latest = frame.pending.latest()
+        assert state.pal is not None and frame.masks is not None
+        latest = frame.latest()
         refs_until_done = int((latest - clock) / state.event_ms) + 1
-        emulated = min(count, refs_until_done)
+        emulated = min(int(count), refs_until_done)
         state.result.components.emulation_ms += state.pal.charge_run(
             page, emulated, is_write
         )
@@ -574,46 +589,52 @@ class Simulator:
     ) -> float:
         """Lazy-scheme fault on a subpage of a resident page."""
         (
-            resume, valid_bits, follow, demand_wire_ms,
+            resume, valid_bits, masks, arrivals, demand_wire_ms,
             background_ready_ms, background_wire_ms, cpu_overhead_ms,
         ) = self._plan(clock, page, sp, block)
         frame.valid_bits |= valid_bits
         # Follow-on arrivals ride the shared link exactly like a page
-        # fault's background transfer: the link model takes a fresh
-        # schedule (so it queues behind in-flight traffic, can be
-        # preempted by demand transfers, and carries a real wire_end_ms
-        # for eviction accounting)...
-        pending = (
-            PendingArrivals(follow, background_ready_ms + background_wire_ms)
-            if follow
-            else None
-        )
+        # fault's background transfer: the link takes the schedule (so
+        # it queues behind in-flight traffic, can be preempted by demand
+        # transfers, and carries a real wire_end_ms for eviction
+        # accounting).  A page with nothing scheduled takes it into its
+        # own frame, which the link has never held (a frame leaves the
+        # link's sight only by folding, and a folded page is complete).
+        # A page with a schedule in flight gets a fresh one for the link
+        # and folds it into its own below.
+        schedule = None
+        if masks:
+            wire_end_ms = background_ready_ms + background_wire_ms
+            if frame.masks is None:
+                frame.masks = masks
+                frame.arrivals_ms = arrivals
+                frame.latest_ms = max(arrivals)
+                frame.wire_end_ms = wire_end_ms
+                schedule = frame
+            else:
+                schedule = PendingArrivals(zip(masks, arrivals), wire_end_ms)
         demand_ready_ms = background_start_ms = None
-        if self.config.congestion:
+        if state.congestion:
             demand_ready_ms = clock + self.latency.request_fixed_ms
             background_start_ms = state.link.fault(
-                demand_ready_ms, demand_wire_ms, pending,
+                demand_ready_ms, demand_wire_ms, schedule,
                 background_ready_ms, background_wire_ms,
             )
         window_end = resume
-        if pending is not None:
-            window_end = pending.latest_ms
-            if frame.pending is None:
-                frame.pending = pending
-            else:
-                # ... then fold it into the page's existing schedule.
-                # The link keeps shifting the registered (fresh) object;
-                # post-merge demand preemption does not propagate to the
+        if schedule is not None:
+            window_end = schedule.latest_ms
+            if schedule is not frame:
+                # The link keeps shifting the fresh schedule; demand
+                # preemption after the merge does not propagate to the
                 # merged copy.  Built-in schemes never reach this corner
                 # (a subpage fault implies the earlier plan requested
                 # only a subset of the page, i.e. no pending schedule).
-                frame.pending.merge(pending)
-        result = state.result
+                frame.merge(schedule)
         sp_latency_ms = resume - clock
-        result.faults.append(
-            page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
-            window_end, cpu_overhead_ms, False,
-        )
+        state.log_row((
+            page, sp, _SUBPAGE, clock, sp_latency_ms, resume, window_end,
+            cpu_overhead_ms, False, -1, False, False,
+        ))
         if state.ins is not None:
             state.ins.on_fault(
                 page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
@@ -622,9 +643,6 @@ class Simulator:
                 demand_ready_ms, demand_wire_ms, background_ready_ms,
                 background_start_ms, background_wire_ms,
             )
-        result.subpage_faults += 1
-        result.components.sp_latency_ms += sp_latency_ms
-        result.components.cpu_overhead_ms += cpu_overhead_ms
         return resume + cpu_overhead_ms
 
     # -- setup / teardown --------------------------------------------------
@@ -667,9 +685,25 @@ class Simulator:
             stats = state.adaptive.finish()
             if stats is not None:
                 result.policy_stats = stats
-        # Close any still-open fault windows at the end of the run.
+        # The fault counters and the per-fault components come from the
+        # log, so they cannot disagree with it.  The sums run left to
+        # right from 0.0 in fault order, the order the faults happened.
         faults = result.faults
         faults.freeze()
+        kinds = faults.kind
+        result.remote_faults = int(np.count_nonzero(kinds == _REMOTE))
+        result.disk_faults = int(np.count_nonzero(kinds == _DISK))
+        result.subpage_faults = int(np.count_nonzero(kinds == _SUBPAGE))
+        result.overlapped_faults = int(
+            np.count_nonzero(faults.overlapped_another)
+        )
+        result.evictions = int(np.count_nonzero(faults.victim >= 0))
+        result.dirty_evictions = int(np.count_nonzero(faults.victim_dirty))
+        result.cancelled_transfers = int(np.count_nonzero(faults.cancelled))
+        components = result.components
+        components.sp_latency_ms = _running_sum(faults.sp_latency_ms)
+        components.cpu_overhead_ms = _running_sum(faults.cpu_overhead_ms)
+        # Close any still-open fault windows at the end of the run.
         faults.window_end_ms = np.minimum(faults.window_end_ms, clock)
         if state.ins is not None:
             ins = state.ins
@@ -699,11 +733,25 @@ class _RunState:
     result: SimulationResult
     event_ms: float
     full_mask: int
+    #: The run's constants the fault path reads on every fault.
+    memory_pages: int
+    backing: str
+    congestion: bool
+    #: The result's fault log rows, and their bound ``extend``: a fault
+    #: appends its row in one call.
+    rows: list
+    log_row: Callable[[tuple], None]
     ins: Instrument | None = None
     #: The scheme's adaptive controller, if any; fed access
     #: observations from the fault path and — on the ``"events"`` feed
     #: — per reference run.
     adaptive: "AdaptivePolicy | None" = None
+
+
+def _running_sum(column: np.ndarray) -> float:
+    """``column`` summed left to right from 0.0, as a loop of ``+=``
+    would: the last running sum, not NumPy's pairwise ``sum``."""
+    return float(np.cumsum(np.concatenate(([0.0], column)))[-1])
 
 
 def simulate(trace: RunTrace, config: SimulationConfig) -> SimulationResult:

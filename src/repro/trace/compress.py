@@ -27,6 +27,21 @@ from repro.errors import TraceError
 from repro.units import FULL_PAGE_BYTES, MIN_SUBPAGE_BYTES, is_power_of_two
 
 
+#: One shared float object per run count below 4096 (nearly every run's
+#: count), so a float count column costs no more memory than a column of
+#: small ints, which the interpreter shares too.
+_SHARED_COUNTS = np.arange(4096, dtype=np.float64).astype(object)
+
+
+def _float_list(counts: np.ndarray) -> list[float]:
+    """``counts`` as a list of floats, shared ones below 4096."""
+    top = len(_SHARED_COUNTS) - 1
+    floats = _SHARED_COUNTS[np.minimum(counts, top)]
+    long = counts > top
+    floats[long] = counts[long].astype(np.float64).astype(object)
+    return floats.tolist()
+
+
 class TraceColumns:
     """Per-run columns for the simulator's drive loop.
 
@@ -34,6 +49,11 @@ class TraceColumns:
     :class:`RunTrace` so sweeps that revisit a trace (or a subpage size)
     pay the array→list conversion once.  Plain Python lists, because the
     per-run loop iterates them fastest.
+
+    ``counts`` holds floats: the loop's ``count * event_ms`` is then a
+    float product, which the interpreter computes without the int
+    operand's round trip (it is the same double either way, since every
+    count is exact in a float).
     """
 
     __slots__ = ("pages", "subpages", "blocks", "counts", "writes")
@@ -53,10 +73,10 @@ class TraceColumns:
             return
         self.pages = trace.pages.tolist()
         self.blocks = trace.blocks.tolist()
-        self.counts = trace.counts.tolist()
+        self.counts = _float_list(trace.counts)
         self.writes = trace.writes.tolist()
 
-    def runs(self) -> Iterator[tuple[int, int, int, int, bool]]:
+    def runs(self) -> Iterator[tuple[int, int, int, float, bool]]:
         """A fresh iterator over ``(page, subpage, block, count, write)``."""
         return zip(
             self.pages, self.subpages, self.blocks, self.counts, self.writes

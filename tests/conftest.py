@@ -47,11 +47,18 @@ class PlacedFault(NamedTuple):
 
     resume_ms: float
     valid_bits: int
-    follow: tuple[tuple[int, float], ...]
+    masks: tuple[int, ...]
+    arrivals: list[float]
     demand_wire_ms: float
     background_ready_ms: float
     background_wire_ms: float
     cpu_overhead_ms: float
+
+    @property
+    def follow(self) -> list[tuple[int, float]]:
+        """One ``(subpage_mask, arrival_ms)`` pair per message that
+        lands after resume."""
+        return list(zip(self.masks, self.arrivals))
 
     @property
     def arrivals_ms(self) -> dict[int, float]:

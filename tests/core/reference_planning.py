@@ -40,9 +40,10 @@ def placement(
 ) -> Placement:
     """Partition ``(subpages, arrival)`` messages, in send order, into
     the simulator's placement: what has arrived by resume is valid, the
-    rest follows, one ``(mask, arrival)`` pair per message."""
+    rest follows, one mask and one arrival per message."""
     valid_bits = 0
-    follow = []
+    masks = []
+    arrivals = []
     for subpages, arrival in messages:
         mask = 0
         for index in subpages:
@@ -50,11 +51,13 @@ def placement(
         if arrival <= resume_ms:
             valid_bits |= mask
         else:
-            follow.append((mask, arrival))
+            masks.append(mask)
+            arrivals.append(arrival)
     return (
         resume_ms,
         valid_bits,
-        tuple(follow),
+        tuple(masks),
+        arrivals,
         demand_wire_ms,
         background_ready_ms,
         background_wire_ms,

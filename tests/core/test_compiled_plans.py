@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.plans import PlanTable
+from repro.core.plans import PlanRow, PlanTable, row_planner
 from repro.core.schemes import SubpagePipelining, make_scheme
 from repro.core.sequencers import DistanceSequencer
 from repro.errors import SchemeError
@@ -45,6 +45,14 @@ from tests.sim.test_engine_equivalence import (  # noqa: F401  (fixture)
 )
 
 INTERRUPTS = [0.0, *PAPER_PIPELINE_INTERRUPT_MS.values()]
+
+
+def place(row: PlanRow, now: float):
+    """``row`` placed at a fault at ``now``, through the planner that
+    places every built-in row."""
+    return row_planner(lambda page, faulted, block: row, False)(
+        now, 0, 0, 0
+    )
 
 
 def latency_models(page_bytes: int):
@@ -142,7 +150,7 @@ class TestRowsMatchReference:
                 )
             else:
                 row = scheme.row(table, faulted)
-            assert row.place(now) == reference_placement(
+            assert place(row, now) == reference_placement(
                 scheme, latency, subpage_bytes, page_bytes,
                 now, faulted, block,
             )
@@ -201,7 +209,7 @@ class TestRowsMatchReference:
             row = scheme.row(
                 table, faulted, block, tuple(order), depth, direction
             )
-            assert row.place(now) == pipelined(
+            assert place(row, now) == pipelined(
                 scheme, latency, subpage_bytes, page_bytes,
                 now, faulted, block, order,
                 pipeline_count=depth, direction=direction,
@@ -241,13 +249,13 @@ class TestCollapsedSteps:
         reference = pipelined(scheme, latency, 1024, 8192, now, 3, 12)
         placement = scheme.planner(latency, 1024, 8192)(now, 0, 3, 12)
         assert placement == reference
-        resume, valid_bits, follow = placement[:3]
+        resume, valid_bits, masks = placement[:3]
         # Subpage 4 rides the first pipelined message, one step after
         # resume.
         collapsed = resume + latency.wire_time_ms(1024) == resume
         assert collapsed is (now > 0.0)
         assert bool(valid_bits >> 4 & 1) is collapsed
-        assert any(mask >> 4 & 1 for mask, _ in follow) is not collapsed
+        assert any(mask >> 4 & 1 for mask in masks) is not collapsed
 
 
 class TestSimulationMatchesReference:

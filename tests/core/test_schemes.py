@@ -181,6 +181,16 @@ class TestPlanRowValidation:
         with pytest.raises(SchemeError):
             PlanRow(initial=(), latency_ms=1.0, demand_wire_ms=0.1)
 
+    def test_rejects_empty_pipelined_message(self):
+        with pytest.raises(SchemeError, match="message"):
+            PlanRow(
+                initial=(0,),
+                latency_ms=1.0,
+                demand_wire_ms=0.1,
+                groups=((1,), ()),
+                step_ms=0.1,
+            )
+
     def test_rejects_negative_wire(self):
         with pytest.raises(SchemeError):
             PlanRow(initial=(0,), latency_ms=1.0, demand_wire_ms=-0.1)

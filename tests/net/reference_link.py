@@ -109,9 +109,9 @@ class TwoCallLink(LinkModel):
             before = pending.wire_end_ms
             pending.shift_after(ready_ms, wire_ms)
             self.total_preemption_delay_ms += pending.wire_end_ms - before
-        if self._busy_until > ready_ms:
-            self._busy_until += wire_ms
-        self._busy_until = max(self._busy_until, ready_ms + wire_ms)
+        if self.busy_until_ms > ready_ms:
+            self.busy_until_ms += wire_ms
+        self.busy_until_ms = max(self.busy_until_ms, ready_ms + wire_ms)
         if self._fabric is not None:
             if self._own_busy_until > ready_ms:
                 self._own_busy_until += wire_ms
@@ -132,13 +132,13 @@ class TwoCallLink(LinkModel):
             raise SimulationError("wire time cannot be negative")
         self.background_transfers += 1
         self._reap(ready_ms)
-        start = max(ready_ms, self._busy_until)
+        start = max(ready_ms, self.busy_until_ms)
         delay = start - ready_ms
         if delay > 0:
             pending.shift_all(delay)
             self.total_queueing_delay_ms += delay
         pending.wire_end_ms = max(pending.wire_end_ms, start + wire_ms)
-        self._busy_until = start + wire_ms
+        self.busy_until_ms = start + wire_ms
         if self._fabric is not None:
             if delay > 0:
                 own_start = max(ready_ms, self._own_busy_until)

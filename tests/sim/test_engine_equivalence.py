@@ -399,7 +399,7 @@ class TestSettledFrames:
         frames, full_mask = resident_frames(cell_id)
         for frame in frames:
             if frame.settled:
-                assert frame.pending is None
+                assert frame.masks is None
                 assert frame.valid_bits == full_mask
                 assert frame.distance_from is None
 

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atomicfile import decode, encode
 from repro.core.fault import (
@@ -26,12 +28,15 @@ from repro.core.fault import (
     FaultLog,
     FaultRecord,
 )
-from repro.obs.instrument import Instrument
+from repro.obs.instrument import Instrument, Recorder
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import SimulationConfig, memory_pages_for
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
 
+from tests.conftest import make_trace, page_addr
 from tests.sim.test_engine_equivalence import build_mixed_trace
+from tests.sim.test_subpage_congestion import LazyPairFetch
 
 REMOTE = KIND_CODES[FaultKind.REMOTE]
 DISK = KIND_CODES[FaultKind.DISK]
@@ -90,8 +95,17 @@ class TestFaultLog:
     def test_equal_before_and_after_freeze(self):
         frozen = sample_log()
         building = FaultLog()
-        for name in FaultLog.__slots__:
-            setattr(building, name, getattr(frozen, name).tolist())
+        for index, record in enumerate(frozen.records()):
+            building.rows.extend((
+                record.page, record.subpage, KIND_CODES[record.kind],
+                record.time_ms, record.sp_latency_ms,
+                record.window_start_ms, record.window_end_ms,
+                record.cpu_overhead_ms, record.overlapped_another,
+                record.victim, record.victim_dirty, record.cancelled,
+            ))
+            for start, end in record.page_wait_intervals:
+                building.add_page_wait(index, start, end)
+        assert building.rows is not None and len(building) == 3
         assert building == frozen
 
     @pytest.mark.parametrize("name", list(FaultLog.COLUMNS))
@@ -228,8 +242,9 @@ def test_decoding_creates_no_per_fault_objects():
 class ReferenceRecorder(Instrument):
     """Rebuilds the fault records from the instrument hooks alone.
 
-    One record per ``on_fault``; each page wait is charged to the fault
-    that brought its page in, as the simulator charges it.  The window
+    One record per ``on_fault``, with the eviction it carries; each page
+    wait is charged to the fault that brought its page in, as the
+    simulator charges it.  The window
     end is the hook's value; :meth:`close_windows` applies the
     end-of-run clamp.
     """
@@ -241,13 +256,17 @@ class ReferenceRecorder(Instrument):
     def on_fault(
         self, page, subpage, kind, time_ms, sp_latency_ms,
         window_start_ms, window_end_ms, cpu_overhead_ms,
-        overlapped_another, *eviction_and_transfers,
+        overlapped_another, evicted, evicted_dirty, cancelled,
+        *transfers,
     ) -> None:
         record = FaultRecord(
             page, subpage, FAULT_KINDS[kind], time_ms, sp_latency_ms,
             window_start_ms, window_end_ms,
             cpu_overhead_ms=cpu_overhead_ms,
             overlapped_another=overlapped_another,
+            victim=-1 if evicted is None else evicted,
+            victim_dirty=evicted_dirty,
+            cancelled=cancelled,
         )
         self.records.append(record)
         if record.kind is not FaultKind.SUBPAGE:
@@ -328,3 +347,115 @@ def test_view_equals_reference_records_under_congestion(
         assert dataclasses.replace(mine, window_end_ms=0.0) == (
             dataclasses.replace(theirs, window_end_ms=0.0)
         )
+
+
+class CountingReference(ReferenceRecorder):
+    """:class:`ReferenceRecorder` that also feeds the standard
+    :class:`~repro.obs.instrument.Recorder`'s metrics from the same
+    hooks, so one run yields both."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.recorder = Recorder(metrics=MetricsRegistry())
+
+    def on_fault(self, *args) -> None:
+        super().on_fault(*args)
+        self.recorder.on_fault(*args)
+
+    def on_stall(self, *args) -> None:
+        super().on_stall(*args)
+        self.recorder.on_stall(*args)
+
+
+#: Every built-in scheme (and the lazy scheme with one follow-on) with
+#: a subpage size it runs at.
+INVARIANT_SCHEMES = [
+    ("fullpage", {}, 8192),
+    ("lazy", {}, 1024),
+    ("eager", {}, 1024),
+    ("pipelined", {}, 1024),
+    ("pipelined", {"double_initial": True, "interrupt_ms": 0.068}, 512),
+    ("adaptive", {"predictor": "stride", "max_depth": 6}, 1024),
+    (LazyPairFetch(), {}, 1024),
+]
+
+
+@st.composite
+def write_heavy_traces(draw):
+    """Up to 60 references over 8 pages, three in four of them writes:
+    with 2-4 frames nearly every reference faults or evicts."""
+    refs = draw(st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.integers(0, 31),
+            st.sampled_from([True, True, True, False]),
+        ),
+        min_size=1,
+        max_size=60,
+    ))
+    return make_trace(
+        [page_addr(page, block * 256) for page, block, _ in refs],
+        [write for _, _, write in refs],
+    )
+
+
+@given(
+    trace=write_heavy_traces(),
+    frames=st.integers(2, 4),
+    policy=st.sampled_from(["lru", "fifo", "clock", "random"]),
+    backing=st.sampled_from(["remote", "disk", "cluster"]),
+    scheme=st.sampled_from(INVARIANT_SCHEMES),
+    congestion=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_fault_dominated_invariants(
+    trace, frames, policy, backing, scheme, congestion
+):
+    """Tiny memory, write-heavy traces, every policy, backing and
+    scheme: the counters derived from the log obey the residency
+    arithmetic, equal what the instrument hooks counted, and the log's
+    records equal the ones rebuilt from the hooks."""
+    name, kwargs, subpage = scheme
+    config = SimulationConfig(
+        memory_pages=frames,
+        scheme=name,
+        scheme_kwargs=kwargs,
+        subpage_bytes=subpage,
+        replacement=policy,
+        backing=backing,
+        congestion=congestion,
+    )
+    reference = CountingReference()
+    sim = Simulator(config, instrument=reference)
+    state, cols, _ = sim._prepare(trace)
+    clock, _ = sim._drive_reference(state, cols.runs(), 0.0, -1)
+    result = sim._finish(state, clock, None)
+    reference.close_windows(clock)
+
+    # Every page fault past the first ``frames`` makes room for itself.
+    assert result.evictions == max(0, result.page_faults - frames)
+    assert result.dirty_evictions <= result.evictions
+    assert result.cancelled_transfers <= result.evictions
+    assert result.overlapped_faults <= result.remote_faults
+
+    counters = reference.recorder.metrics.as_dict()["counters"]
+    for counter, value in {
+        "faults_remote": result.remote_faults,
+        "faults_disk": result.disk_faults,
+        "faults_subpage": result.subpage_faults,
+        "faults_overlapped": result.overlapped_faults,
+        "evictions": result.evictions,
+        "evictions_dirty": result.dirty_evictions,
+        "transfers_cancelled": result.cancelled_transfers,
+    }.items():
+        assert counters.get(counter, 0) == value, counter
+
+    view = result.fault_records
+    if not congestion:
+        assert view == reference.records
+    else:
+        assert len(view) == len(reference.records)
+        for mine, theirs in zip(view, reference.records):
+            assert dataclasses.replace(mine, window_end_ms=0.0) == (
+                dataclasses.replace(theirs, window_end_ms=0.0)
+            )

@@ -21,17 +21,21 @@ from repro.trace.synth.apps import build_app_trace
 ALL = ["lru", "fifo", "clock", "random"]
 
 
-class Frame:
+class Frame(PendingArrivals):
     """A resident frame whose transfers arrive at ``until`` (``None``:
-    nothing was ever in flight; ``-1``: an empty arrival schedule)."""
+    nothing was ever in flight; ``-1``: an empty arrival schedule).
+
+    Like the simulator's frame it is its own schedule, with ``masks``
+    ``None`` when nothing is scheduled."""
 
     def __init__(self, until: int | None = None) -> None:
         if until is None:
-            self.pending = None
+            super().__init__()
+            self.masks = None
         elif until < 0:
-            self.pending = PendingArrivals()
+            super().__init__()
         else:
-            self.pending = PendingArrivals([(1, float(until))])
+            super().__init__([(1, float(until))])
 
 
 def filled(name, pages, busy=()):

@@ -493,19 +493,28 @@ class TestEmptyPendingSchedule:
             result=result,
             event_ms=0.001,
             full_mask=full_mask,
+            memory_pages=config.memory_pages,
+            backing=config.backing,
+            congestion=config.congestion,
+            rows=result.faults.rows,
+            log_row=result.faults.rows.extend,
         )
 
     def test_touch_incomplete_folds_empty_schedule(self, base_config):
-        from repro.net.congestion import PendingArrivals
         from repro.sim.simulator import Simulator, _Frame
 
         sim = Simulator(base_config)
         full_mask = (
             1 << (base_config.page_bytes // base_config.subpage_bytes)
         ) - 1
+        # A schedule with no messages (``masks == []``), as opposed to
+        # no schedule at all (``masks is None``).
         frame = _Frame(
             valid_bits=full_mask,
-            pending=PendingArrivals(),
+            masks=[],
+            arrivals_ms=[],
+            latest_ms=0.0,
+            wire_end_ms=0.0,
             dirty=False,
             record=0,
             distance_from=None,
@@ -515,7 +524,7 @@ class TestEmptyPendingSchedule:
             state, 1.0, 0, frame, 0, 0, False, 1
         )
         assert clock == 1.0
-        assert frame.pending is None
+        assert frame.masks is None
         assert frame.valid_bits == full_mask
         assert state.result.components.page_wait_ms == 0.0
-        assert state.result.faults.window_end_ms == [0.5]
+        assert state.result.faults.array("window_end_ms").tolist() == [0.5]

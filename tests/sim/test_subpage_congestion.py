@@ -44,17 +44,19 @@ class LazyPairFetch(FetchScheme):
 
         def plan(now_ms, page, faulted, block):
             # The follower arrives at the rest-of-page latency, after
-            # the program resumes, so it always rides in ``follow``.
-            follow = ()
+            # the program resumes, so it always rides in ``masks``.
+            masks = ()
+            arrivals = []
             background_wire = 0.0
             if faulted + 1 < subpages:
-                follow = ((1 << faulted + 1,
-                           now_ms + latency.rest_of_page_ms(s)),)
+                masks = (1 << faulted + 1,)
+                arrivals = [now_ms + latency.rest_of_page_ms(s)]
                 background_wire = latency.wire_time_ms(s)
             return (
                 now_ms + latency.subpage_latency_ms(s),
                 1 << faulted,
-                follow,
+                masks,
+                arrivals,
                 latency.wire_time_ms(s),
                 now_ms + latency.request_fixed_ms,
                 background_wire,
@@ -213,3 +215,89 @@ class TestMergedScheduleLatest:
         )
         assert result.evictions == 1
         assert result.cancelled_transfers == 1
+
+
+class TestMergeCornerPinned:
+    """A subpage fault while the page's follower is still in flight,
+    under congestion, pinned exactly.
+
+    ``_subpage_fault`` folds the new follow-on into the page's in-flight
+    schedule (its merge branch), three times in this cell: subpages
+    (0, 4), (1, 3) and (2, 2) fault while the follower of their page's
+    first fault is on the wire.  Two frames, so the cell also evicts
+    (one dirty page).  The values were recorded before the frame began
+    to carry its own schedule and must stay ``==``.
+    """
+
+    TRACE = [sp(0, 0), sp(0, 4), sp(1, 0), sp(0, 5), sp(1, 3), sp(0, 1),
+             sp(2, 6), sp(2, 2), sp(1, 4), sp(0, 0), sp(2, 7)]
+    WRITES = [False, True] + [False] * 4 + [True] + [False] * 4
+
+    SUMMARY = {
+        "trace": "trace",
+        "scheme": "lazypair_1024",
+        "subpage_bytes": 1024,
+        "memory_pages": 2,
+        "backing": "remote",
+        "references": 11,
+        "total_ms": 7.501999999999998,
+        "components": {
+            "exec_ms": 0.011,
+            "sp_latency_ms": 3.4999999999999996,
+            "page_wait_ms": 3.9909999999999983,
+            "cpu_overhead_ms": 0.0,
+            "emulation_ms": 0.0,
+            "tlb_miss_ms": 0.0,
+        },
+        "remote_faults": 4,
+        "disk_faults": 0,
+        "subpage_faults": 3,
+        "evictions": 2,
+        "dirty_evictions": 1,
+        "cancelled_transfers": 0,
+        "overlapped_faults": 3,
+        "link_stats": {
+            "demand_transfers": 7,
+            "background_transfers": 7,
+            "queueing_delay_ms": 7.490999999999998,
+            "preemption_delay_ms": 4.0,
+        },
+        "policy_stats": {},
+    }
+
+    #: (page, subpage, kind, time, sp_latency, window start, window end,
+    #: page waits, cpu overhead, overlapped) per fault.
+    ROWS = [
+        (0, 0, "remote", 0.0, 0.5, 0.5, 3.5,
+         [(1.5029999999999997, 3.5)], 0.0, False),
+        (0, 4, "subpage", 0.501, 0.4999999999999999, 1.001, 3.0,
+         [], 0.0, False),
+        (1, 0, "remote", 1.0019999999999998, 0.5, 1.5019999999999998,
+         5.5009999999999994, [(5.005000000000001, 5.5009999999999994)],
+         0.0, True),
+        (1, 3, "subpage", 3.501, 0.49999999999999956, 4.0009999999999994,
+         5.5009999999999994, [], 0.0, False),
+        (2, 6, "remote", 4.003, 0.5, 4.503, 6.5009999999999994,
+         [(6.003, 7.5009999999999994)], 0.0, True),
+        (2, 2, "subpage", 4.5040000000000004, 0.5, 5.0040000000000004,
+         7.5009999999999994, [], 0.0, False),
+        (0, 0, "remote", 5.502, 0.5, 6.002, 7.502, [], 0.0, True),
+    ]
+
+    def run(self):
+        return simulate(
+            make_trace(self.TRACE, self.WRITES),
+            lazypair_config(True, memory_pages=2),
+        )
+
+    def test_summary_is_pinned(self):
+        assert self.run().summary() == self.SUMMARY
+
+    def test_fault_rows_are_pinned(self):
+        rows = [
+            (r.page, r.subpage, r.kind.value, r.time_ms, r.sp_latency_ms,
+             r.window_start_ms, r.window_end_ms, r.page_wait_intervals,
+             r.cpu_overhead_ms, r.overlapped_another)
+            for r in self.run().fault_records
+        ]
+        assert rows == self.ROWS

@@ -213,3 +213,25 @@ class TestCompressionProperties:
         addrs, writes = stream
         trace = make_trace(addrs, writes)
         assert trace.footprint_pages() == len({a // 8192 for a in addrs})
+
+
+class TestColumnCounts:
+    """The drive loop's count column holds floats equal to the counts,
+    one shared object per small count."""
+
+    def test_counts_are_equal_floats(self):
+        counts = [1, 5, 4095, 4096, 10**9, 3]
+        runs = make_trace([page_addr(page) for page in range(len(counts))])
+        trace = RunTrace(
+            pages=runs.pages, blocks=runs.blocks,
+            counts=np.array(counts, dtype=np.int64), writes=runs.writes,
+        )
+        column = trace.columns(1024).counts
+        assert column == [float(c) for c in trace.counts]
+        assert all(type(c) is float for c in column)
+
+    def test_small_counts_share_one_object(self):
+        trace = make_trace([page_addr(0), page_addr(1), page_addr(2)])
+        first, second, third = trace.columns(1024).counts
+        assert first == second == third == 1.0
+        assert first is second is third
