@@ -16,8 +16,7 @@ See ``docs/PARALLEL.md``.
 ``--trace-out FILE`` / ``--metrics-out FILE`` enable the observability
 layer (``docs/OBSERVABILITY.md``): every simulated run records its fault
 path, and the CLI writes a merged Chrome trace-event JSON (plus a
-``.jsonl`` sibling) and/or a metrics JSON.  ``$REPRO_TRACE_DIR`` instead
-writes per-experiment files into a directory.
+``.jsonl`` sibling) and/or a metrics JSON.
 """
 
 from __future__ import annotations
@@ -150,12 +149,12 @@ def build_options(args: argparse.Namespace) -> ExecutionOptions:
         options.cache = SqliteResultStore(args.store)
     if args.progress:
         options.progress = make_progress_printer()
-    tokens = {part for part in options.observe.split(",") if part}
-    if getattr(args, "trace_out", None):
-        tokens.add("trace")
+    tokens = []
     if getattr(args, "metrics_out", None):
-        tokens.add("metrics")
-    options.observe = ",".join(sorted(tokens))
+        tokens.append("metrics")
+    if getattr(args, "trace_out", None):
+        tokens.append("trace")
+    options.observe = ",".join(tokens)
     if options.workers > 1:
         options.pool = WorkerPool(options.workers)
     return options
@@ -165,12 +164,9 @@ class _ObsCollector:
     """Gathers trace events and metrics across the experiments of one
     CLI invocation, and writes the requested output files."""
 
-    def __init__(
-        self, options: ExecutionOptions, args: argparse.Namespace
-    ) -> None:
+    def __init__(self, args: argparse.Namespace) -> None:
         from repro.obs import MetricsRegistry
 
-        self.options = options
         self.args = args
         self._seen: set[int] = set()
         self.groups: list[tuple[str, list[dict]]] = []
@@ -179,49 +175,20 @@ class _ObsCollector:
     def collect(self, exp_id: str, result: object) -> None:
         """Pick up everything the just-finished experiment produced."""
         from repro.experiments.common import harvest_observed_runs
-        from repro.obs import MetricsRegistry
         from repro.obs.export import experiment_observability
 
         groups, gauges = experiment_observability(exp_id, result)
-        registry = MetricsRegistry()
+        self.groups.extend(groups)
         for name, value in gauges.items():
-            registry.set_gauge(name, value)
+            self.registry.set_gauge(name, value)
         for run in harvest_observed_runs(self._seen):
             if run.trace_events:
-                groups.append((
+                self.groups.append((
                     f"{exp_id}: {run.trace_name}/{run.scheme_label}",
                     run.trace_events,
                 ))
             if run.metrics:
-                registry.merge_dict(run.metrics)
-        if self.options.trace_dir:
-            self._write_dir(exp_id, groups, registry)
-        self.groups.extend(groups)
-        self.registry.merge(registry)
-
-    def _write_dir(self, exp_id, groups, registry) -> None:
-        from repro.obs import (
-            combine_groups,
-            write_chrome_trace,
-            write_jsonl,
-            write_metrics,
-        )
-
-        out = Path(self.options.trace_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if groups:
-            events, names = combine_groups(groups)
-            trace_path = out / f"{exp_id}.trace.json"
-            write_chrome_trace(trace_path, events, names)
-            write_jsonl(
-                out / f"{exp_id}.jsonl", events,
-                header={"experiment": exp_id},
-            )
-            print(f"wrote {trace_path}")
-        if registry.counters or registry.gauges or registry.histograms:
-            metrics_path = out / f"{exp_id}.metrics.json"
-            write_metrics(metrics_path, registry)
-            print(f"wrote {metrics_path}")
+                self.registry.merge_dict(run.metrics)
 
     def finish(self) -> None:
         """Write the merged ``--trace-out`` / ``--metrics-out`` files."""
@@ -260,8 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     options = build_options(args)
     collector = None
-    if args.trace_out or args.metrics_out or options.trace_dir:
-        collector = _ObsCollector(options, args)
+    if args.trace_out or args.metrics_out:
+        collector = _ObsCollector(args)
     try:
         for exp_id in ids:
             experiment = get_experiment(exp_id)

@@ -47,11 +47,12 @@ from repro.units import FULL_PAGE_BYTES
 #: Statuses that mean "the cell was computed this run" (vs served from
 #: the store).  ``cache-error`` rides the same stream but is an extra
 #: event, not a completion.
-COMPUTED_STATUSES = frozenset({"done", "fallback", "retried"})
+COMPUTED_STATUSES = frozenset({"done", "retried"})
 
 #: Config fields a spec's ``base`` may set: a cell spec's fields but the
-#: live objects, which JSON cannot carry and content keys cannot hash.
-SPEC_BASE_FIELDS = SPEC_FIELDS - {"latency_model", "disk_model"}
+#: live latency model, which JSON cannot carry and content keys cannot
+#: hash.
+SPEC_BASE_FIELDS = SPEC_FIELDS - {"latency_model"}
 
 _SPEC_KEYS = frozenset({
     "kind", "app", "seed", "scale", "base", "subpage_sizes",

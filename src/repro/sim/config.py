@@ -1,9 +1,10 @@
 """Simulation configuration.
 
-A :class:`SimulationConfig` is declarative: schemes, latency models, and
-disks may be given as registry names / presets (strings, None) or as
+A :class:`SimulationConfig` is declarative: schemes and latency models
+may be given as registry names / presets (strings, None) or as
 constructed instances.  The :class:`~repro.sim.simulator.Simulator`
-resolves them at construction time.
+resolves them at construction time; the disk is always the paper's
+preset (:func:`~repro.disk.presets.paper_disk`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.schemes import FetchScheme, make_scheme
-from repro.disk.model import DiskModel
 from repro.errors import ConfigError, UnknownSchemeError
 from repro.net.latency import LatencyModel
 from repro.sim.replacement import policy_names
@@ -86,7 +86,6 @@ class SimulationConfig:
     page_bytes: int = FULL_PAGE_BYTES
     backing: str = "remote"
     latency_model: LatencyModel | None = None
-    disk_model: DiskModel | None = None
     event_ns: float = DEFAULT_EVENT_NS
     use_trace_dilation: bool = True
     replacement: str = "lru"

@@ -119,8 +119,9 @@ def run_multi_tenant(
     )
     fabric = CrossTraffic() if cross_traffic else None
 
-    sims = []
-    cursors = []
+    # One simulator per tenant, holding its run, and the tenant's
+    # cursor: its runs iterator and the page it stopped on.
+    tenants = []
     for node_id, workload in enumerate(workloads):
         config = workload_config(workload, node_id, seed=seed)
         simulator = Simulator(
@@ -129,17 +130,15 @@ def run_multi_tenant(
             link_fabric=fabric,
             link_label=workload.name,
         )
-        state, cols, recorder = simulator._prepare(workload.trace)
-        sims.append((workload, simulator, state, recorder))
-        cursors.append([cols.runs(), -1])
+        tenants.append((simulator, [simulator._prepare(workload.trace), -1]))
 
     # Virtual-time scheduling: always advance the tenant whose clock is
     # smallest (ties broken by tenant index, i.e. workload order).  The
     # popped tenant i keeps the CPU while (clock, i) stays below the
     # next entry (c, j): up to and including c when i < j, strictly
     # below c otherwise.
-    final_clock = [0.0] * len(sims)
-    heap = [(0.0, i) for i in range(len(sims))]
+    final_clock = [0.0] * len(tenants)
+    heap = [(0.0, i) for i in range(len(tenants))]
     heapq.heapify(heap)
     while heap:
         clock, i = heapq.heappop(heap)
@@ -148,24 +147,23 @@ def run_multi_tenant(
             until = c if i < j else math.nextafter(c, -math.inf)
         else:
             until = math.inf
-        _, simulator, state, _ = sims[i]
-        runs, last_page = cursors[i]
+        simulator, cursor = tenants[i]
         clock, last_page = simulator._drive(
-            state, runs, clock, last_page, until
+            cursor[0], clock, cursor[1], until
         )
         if last_page is None:
             final_clock[i] = clock
         else:
-            cursors[i][1] = last_page
+            cursor[1] = last_page
             heapq.heappush(heap, (clock, i))
 
     result = MultiTenantResult()
-    for i, (workload, simulator, state, recorder) in enumerate(sims):
-        result.per_tenant[workload.name] = simulator._finish(
-            state, final_clock[i], recorder
-        )
+    for workload, (simulator, _), clock in zip(
+        workloads, tenants, final_clock
+    ):
+        result.per_tenant[workload.name] = simulator._finish(clock)
         if fabric is not None:
-            result.cross_stats[workload.name] = state.link.cross_stats()
+            result.cross_stats[workload.name] = simulator.link.cross_stats()
     result.cluster_stats = cluster.stats.as_dict()
     if fabric is not None:
         result.injected_ms = dict(fabric.injected_ms)

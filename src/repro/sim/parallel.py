@@ -9,7 +9,7 @@ on:
 * :func:`run_cells` fans a list of :class:`SweepJob` cells out to a
   ``concurrent.futures.ProcessPoolExecutor``.  Cells whose payload does
   not pickle (e.g. a config holding an ad-hoc latency-model instance)
-  transparently fall back to inline execution, as does the whole batch
+  fail their future and re-run inline, and the whole batch runs inline
   when ``workers <= 1`` — so results are always bit-identical to a
   serial run (the simulator is deterministic and shares no state across
   cells).
@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -68,10 +66,6 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: Environment variable naming a sqlite result-store path; when set it
 #: takes precedence over ``REPRO_CACHE_DIR`` (see :mod:`repro.store`).
 ENV_STORE = "REPRO_STORE"
-
-#: Environment variable naming a directory for per-experiment trace and
-#: metrics files (enables observability on CLI runs).
-ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 
 #: Bumped whenever simulator semantics change in a way that invalidates
 #: previously cached results.  v2: lazy-scheme follow-on arrivals route
@@ -114,10 +108,10 @@ class CellEvent:
     """Progress report for one sweep cell.
 
     ``status`` is ``"done"`` (computed), ``"cached"`` (served from the
-    result cache), ``"fallback"`` (computed inline because the payload
-    could not be pickled to a worker), ``"retried"`` (computed inline
-    after a worker or the pool itself failed mid-batch).  ``elapsed_s``
-    is the cell's own compute time (zero for cache hits).
+    result cache) or ``"retried"`` (computed inline after its payload
+    could not be pickled to a worker, or a worker or the pool itself
+    failed mid-batch).  ``elapsed_s`` is the cell's own compute time
+    (zero for cache hits).
 
     One extra event kind rides the same stream: ``"cache-error"``,
     emitted *in addition to* the cell's completion event when its
@@ -233,7 +227,7 @@ def config_fingerprint(config: SimulationConfig) -> str | None:
     """
     if not isinstance(config.scheme, str):
         return None
-    if config.latency_model is not None or config.disk_model is not None:
+    if config.latency_model is not None:
         return None
     parts = []
     for f in dataclasses.fields(config):
@@ -419,32 +413,22 @@ class ExecutionOptions:
     """How sweep cells should be executed (workers, cache, progress).
 
     ``observe`` is an observability spec applied to every config the
-    experiment helpers build (see ``SimulationConfig.observe``);
-    ``trace_dir`` asks the CLI to write per-experiment trace/metrics
-    files into a directory (``REPRO_TRACE_DIR``), implying
-    ``observe="metrics,trace"`` unless set explicitly.  ``pool`` is a
-    persistent :class:`WorkerPool` reused across every batch executed
-    under these options; whoever sets it owns its lifecycle
-    (``experiments.common.execution_scope`` installs and closes one
-    automatically when ``workers > 1``).
+    experiment helpers build (see ``SimulationConfig.observe``).
+    ``pool`` is a persistent :class:`WorkerPool` reused across every
+    batch executed under these options; whoever sets it owns its
+    lifecycle (``experiments.common.execution_scope`` installs and
+    closes one automatically when ``workers > 1``).
     """
 
     workers: int = 1
     cache: ResultCache | None = None
     progress: ProgressCallback | None = None
     observe: str = ""
-    trace_dir: str | None = None
     pool: WorkerPool | None = None
 
     @classmethod
     def from_env(cls) -> "ExecutionOptions":
-        trace_dir = os.environ.get(ENV_TRACE_DIR, "").strip() or None
-        return cls(
-            workers=default_workers(),
-            cache=default_cache(),
-            observe="metrics,trace" if trace_dir else "",
-            trace_dir=trace_dir,
-        )
+        return cls(workers=default_workers(), cache=default_cache())
 
 
 def _materialize(trace: RunTrace | TraceHandle) -> RunTrace:
@@ -487,43 +471,6 @@ def _write_through(
             _emit(progress, CellEvent(key, "cache-error", 0.0))
 
 
-def _try_pickle(obj: Any) -> bool:
-    try:
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return False
-    return True
-
-
-def _payload_picklable(
-    trace: RunTrace | TraceHandle,
-    config: SimulationConfig,
-    memo: dict,
-) -> bool:
-    """Whether a (trace, config) payload can ship to a worker.
-
-    ``memo`` is a per-batch cache keyed by object identity: a sweep
-    whose 50 cells share one trace pickles it for the check once, not
-    50 times (and handles skip the check entirely — they are plain
-    dataclasses of primitives).  Identity keying is safe because
-    the batch's job list keeps every payload alive for the duration.
-    """
-    if isinstance(trace, TraceHandle):
-        trace_ok = True
-    else:
-        key = ("trace", id(trace))
-        trace_ok = memo.get(key)
-        if trace_ok is None:
-            trace_ok = memo[key] = _try_pickle(trace)
-    if not trace_ok:
-        return False
-    key = ("config", id(config))
-    config_ok = memo.get(key)
-    if config_ok is None:
-        config_ok = memo[key] = _try_pickle(config)
-    return config_ok
-
-
 def _run_pool(
     todo: list[tuple[SweepJob, str | None]],
     pool: WorkerPool,
@@ -531,13 +478,14 @@ def _run_pool(
     progress: ProgressCallback | None,
     results: dict[Any, SimulationResult],
 ) -> list[tuple[SweepJob, str | None, str]]:
-    """Run shippable cells through the pool.
+    """Run cells through the pool.
 
     Futures are collected ``as_completed``, so progress events and cache
     write-through happen as cells finish rather than in submission
     order.  Returns the cells that still need inline execution as
-    ``(job, cache_key, status)`` triples — ``"fallback"`` for payloads
-    that could not pickle, ``"retried"`` for worker or pool failures.
+    ``(job, cache_key, "retried")`` triples: cells whose worker failed,
+    whose payload could not pickle (the executor fails that cell's
+    future and keeps going), or that a dead pool never finished.
     When the pool itself dies mid-batch, results workers already
     produced are kept (cache write-through included) and only the
     unfinished cells re-run inline.  An exception raised by ``progress``
@@ -545,16 +493,7 @@ def _run_pool(
     propagates.
     """
     inline: list[tuple[SweepJob, str | None, str]] = []
-    shippable: list[tuple[SweepJob, str | None, Any]] = []
-    memo: dict = {}
-    for job, ckey in todo:
-        payload = pool.prepare(job.trace)
-        if _payload_picklable(payload, job.config, memo):
-            shippable.append((job, ckey, payload))
-        else:
-            inline.append((job, ckey, "fallback"))
-    if not shippable:
-        return inline
+    shippable = [(job, ckey, pool.prepare(job.trace)) for job, ckey in todo]
 
     def record(job: SweepJob, ckey: str | None, result, elapsed) -> None:
         results[job.key] = result
@@ -599,7 +538,6 @@ def run_cells(
     workers: int | None = None,
     cache: ResultCache | None = None,
     progress: ProgressCallback | None = None,
-    metrics: Any | None = None,
     pool: WorkerPool | None = None,
 ) -> dict[Any, SimulationResult]:
     """Execute sweep cells, in parallel when asked, returning by key.
@@ -610,9 +548,6 @@ def run_cells(
     it and newly computed results are written through.  Every cell
     reports exactly one completion :class:`CellEvent` to ``progress``
     (plus a ``"cache-error"`` event when its write-through failed).
-    ``metrics`` may be a :class:`repro.obs.metrics.MetricsRegistry`:
-    each cell whose config enabled metrics collection merges its
-    registry into it (cache hits included), giving a batch-wide view.
 
     ``pool`` is a persistent :class:`WorkerPool` to execute on; without
     one, a transient pool (own arena, own worker processes) is built for
@@ -667,10 +602,4 @@ def run_cells(
         results[job.key] = result
         _write_through(cache, ckey, result, progress, job.key)
         _emit(progress, CellEvent(job.key, status, elapsed))
-    ordered = {job.key: results[job.key] for job in jobs}
-    if metrics is not None:
-        for result in ordered.values():
-            payload = getattr(result, "metrics", None)
-            if payload:
-                metrics.merge_dict(payload)
-    return ordered
+    return {job.key: results[job.key] for job in jobs}

@@ -4,8 +4,10 @@
 an LRU policy is used by default" (paper Section 3.2).  A policy owns a
 run's resident set: :attr:`ReplacementPolicy.frames`, the one
 ``page -> frame`` map the simulator reads and writes, kept in the
-policy's own eviction order.  A frame is the page's own arrival
-schedule (the simulator's ``_Frame`` is a
+policy's own eviction order.  The simulator adds a page by storing its
+frame in the map: a new key lands at the end of the order, which is
+where every policy puts a page that has just become resident.  A frame
+is the page's own arrival schedule (the simulator's ``_Frame`` is a
 :class:`~repro.net.congestion.PendingArrivals`): its ``masks`` are
 ``None`` when nothing is scheduled, and otherwise one subpage mask per
 message still expected, the last of them landing at ``latest_ms``.
@@ -45,12 +47,6 @@ class ReplacementPolicy(ABC):
         #: (a C method where one exists), so the drive loop binds it
         #: once and pays no Python-level call per page switch.
         self.touch: Callable[[int], Any] | None = None
-
-    def insert(self, page: int, frame: Any) -> None:
-        """``page`` became resident in ``frame``."""
-        if page in self.frames:
-            raise SimulationError(f"page {page} already resident")
-        self.frames[page] = frame
 
     @abstractmethod
     def evict(self, now: float) -> tuple[int, Any, bool]:
@@ -97,35 +93,39 @@ class FifoPolicy(ReplacementPolicy):
 
 class ClockPolicy(ReplacementPolicy):
     """Second-chance clock: cheap LRU approximation.  ``frames`` is in
-    clock-hand order, the hand at its head."""
+    clock-hand order, the hand at its head.
+
+    Reference bits are kept inverted, as the set of resident pages whose
+    bit is *clear*: a page becomes resident referenced (absent from the
+    set) with no call into the policy, and a touch sets the bit with the
+    set's C-level ``discard``.
+    """
 
     name = "clock"
 
     def __init__(self) -> None:
         super().__init__()
-        self._referenced: set[int] = set()
-        self.touch = self._referenced.add
-
-    def insert(self, page: int, frame: Any) -> None:
-        super().insert(page, frame)
-        self._referenced.add(page)
+        self._cleared: set[int] = set()
+        self.touch = self._cleared.discard
 
     def evict(self, now: float) -> tuple[int, Any, bool]:
         frames = self.frames
         if not frames:
             raise SimulationError("nothing to evict")
-        referenced = self._referenced
+        cleared = self._cleared
         # Up to two full laps: the first clears reference bits.
         for _ in range(2 * len(frames)):
             page, frame = next(iter(frames.items()))
-            if page in referenced:
-                referenced.discard(page)
+            if page not in cleared:
+                cleared.add(page)
             elif not in_flight(frame, now):
+                cleared.discard(page)
                 return page, frames.pop(page), False
             frames.move_to_end(page)
         # Every page is in flight: two laps cleared every bit and
         # brought the hand back to where it started.
         page = next(iter(frames))
+        cleared.discard(page)
         return page, frames.pop(page), True
 
 

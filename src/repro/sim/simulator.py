@@ -16,12 +16,12 @@ data *more* valid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.fault import KIND_CODES, FaultKind, FaultLog
+from repro.disk.model import DiskModel
 from repro.disk.presets import paper_disk
 from repro.errors import ConfigError, SimulationError
 from repro.gms.cluster import ActiveNode, Cluster, PageLocation, build_cluster
@@ -38,7 +38,6 @@ from repro.trace.compress import RunTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.policy.adaptive import AdaptivePolicy
-    from repro.trace.compress import TraceColumns
 
 #: Fault-log kind codes of the three fault paths.
 _REMOTE = KIND_CODES[FaultKind.REMOTE]
@@ -96,7 +95,7 @@ class _Frame(PendingArrivals):
 
 
 class Simulator:
-    """Runs one :class:`SimulationConfig` over traces.
+    """Runs one :class:`SimulationConfig` over traces, one run at a time.
 
     ``cluster`` may supply a prebuilt (and possibly shared) GMS cluster
     for ``backing="cluster"`` runs, built by
@@ -109,7 +108,47 @@ class Simulator:
     ``config.observe`` is set, each run builds its own
     :class:`~repro.obs.instrument.Recorder` and attaches the collected
     trace events / metrics to the returned result.
+
+    The simulator also holds the state of the run in progress: the
+    attributes from ``policy`` on are set by :meth:`_prepare`, advanced
+    by :meth:`_drive` and read out by :meth:`_finish`, so a simulator
+    drives one run at a time and each :meth:`_prepare` starts afresh.
     """
+
+    __slots__ = (
+        "config", "scheme", "latency", "_plan", "_external_cluster",
+        "_instrument", "_link_fabric", "_link_label",
+        # The run in progress (set by ``_prepare``).
+        "policy", "link", "disk", "tlb", "pal", "cluster", "adaptive",
+        "result", "event_ms", "full_mask", "memory_pages", "backing",
+        "congestion", "rows", "log_row", "ins", "recorder",
+    )
+
+    #: Owns the resident set: ``policy.frames`` maps page -> _Frame.
+    policy: ReplacementPolicy
+    link: LinkModel
+    disk: DiskModel
+    tlb: TlbModel | None
+    pal: PalEmulator | None
+    cluster: Cluster | None
+    #: The scheme's adaptive controller, if any; fed access observations
+    #: from the fault path and — on the ``"events"`` feed — per run.
+    adaptive: "AdaptivePolicy | None"
+    result: SimulationResult
+    event_ms: float
+    full_mask: int
+    #: The run's constants the fault path reads on every fault.
+    memory_pages: int
+    backing: str
+    congestion: bool
+    #: The result's fault log rows, and their bound ``extend``: a fault
+    #: appends its row in one call.
+    rows: list
+    log_row: Callable[[tuple], None]
+    #: Where the run's hooks go, and the run's own recorder when it
+    #: built one (``config.observe`` without an ``instrument``).
+    ins: Instrument | None
+    recorder: Recorder | None
 
     def __init__(
         self,
@@ -156,20 +195,21 @@ class Simulator:
 
     def run(self, trace: RunTrace) -> SimulationResult:
         """Simulate ``trace`` and return the result."""
-        state, cols, recorder = self._prepare(trace)
-        clock, _ = self._drive_reference(state, cols.runs(), 0.0, -1)
-        return self._finish(state, clock, recorder)
+        runs = self._prepare(trace)
+        clock, _ = self._drive_reference(runs, 0.0, -1)
+        return self._finish(clock)
 
     def _prepare(
         self, trace: RunTrace
-    ) -> tuple["_RunState", "TraceColumns", Recorder | None]:
-        """Build the per-run state the drive loop advances.
+    ) -> Iterator[tuple[int, int, int, float, bool]]:
+        """Set up a run of ``trace`` and return its runs to drive.
 
-        Split out of :meth:`run` so the multi-tenant scheduler
-        (:mod:`repro.sim.multitenant`) can set up each tenant exactly the
-        way a standalone run would — same substrate objects, same reset
-        order — and drive them in clock-bounded slices.  Pair with
-        :meth:`_finish`.
+        Every attribute of the run in progress is set here, so whatever
+        an earlier run left behind is replaced.  Split out of :meth:`run`
+        so the multi-tenant scheduler (:mod:`repro.sim.multitenant`) can
+        set up each tenant exactly the way a standalone run would — same
+        substrate objects, same reset order — and drive them in
+        clock-bounded slices.  Pair with :meth:`_finish`.
         """
         cfg = self.config
         if trace.page_bytes != cfg.page_bytes:
@@ -181,39 +221,33 @@ class Simulator:
         event_ms = cfg.event_ns * 1e-6
         if cfg.use_trace_dilation:
             event_ms *= trace.dilation
-
-        # Per-run columns, cached on the trace across runs/subpage sizes.
-        cols = trace.columns(cfg.subpage_bytes)
-
-        full_mask = (1 << (cfg.page_bytes // cfg.subpage_bytes)) - 1
+        self.event_ms = event_ms
+        self.full_mask = (1 << (cfg.page_bytes // cfg.subpage_bytes)) - 1
+        self.memory_pages = cfg.memory_pages
+        self.backing = cfg.backing
+        self.congestion = cfg.congestion
 
         ins = self._instrument
-        recorder: Recorder | None = None
+        self.recorder = None
         if ins is None and cfg.observe:
-            recorder = Recorder.from_spec(
+            self.recorder = ins = Recorder.from_spec(
                 cfg.observe, node=cfg.cluster_node_id
             )
-            ins = recorder
+        self.ins = ins
 
-        policy = make_policy(cfg.replacement, seed=cfg.seed)
-        link = LinkModel(
+        self.policy = make_policy(cfg.replacement, seed=cfg.seed)
+        self.link = LinkModel(
             fabric=self._link_fabric,
             label=self._link_label,
         )
-        disk = cfg.disk_model if cfg.disk_model is not None else paper_disk(
-            cfg.page_bytes
-        )
-        disk.reset()
-        if cfg.disk_model is None and ins is not None:
-            # Only the simulator-owned preset disk is instrumented; a
-            # caller-supplied model keeps whatever instrument it carries.
-            disk.instrument = ins
-        tlb = (
+        self.disk = paper_disk(cfg.page_bytes)
+        self.disk.instrument = ins
+        self.tlb = (
             TlbModel(cfg.tlb_entries, cfg.tlb_miss_ns)
             if cfg.tlb_entries > 0
             else None
         )
-        pal = PalEmulator() if cfg.protection == "palcode" else None
+        self.pal = PalEmulator() if cfg.protection == "palcode" else None
         cluster = None
         if cfg.backing == "cluster":
             cluster = self._external_cluster
@@ -229,14 +263,15 @@ class Simulator:
                     warm=cfg.cluster_warm,
                     instrument=ins,
                 )
+        self.cluster = cluster
 
         # Adaptive schemes carry a per-run controller; reset it and feed
         # it fault-path observations for the whole run.
-        controller = self.scheme.controller
-        if controller is not None:
-            controller.begin_run(subpage_bytes=cfg.subpage_bytes)
+        self.adaptive = self.scheme.controller
+        if self.adaptive is not None:
+            self.adaptive.begin_run(subpage_bytes=cfg.subpage_bytes)
 
-        result = SimulationResult(
+        self.result = SimulationResult(
             trace_name=trace.name,
             scheme_label=cfg.scheme_label(),
             scheme_name=self.scheme.name,
@@ -248,63 +283,29 @@ class Simulator:
             num_runs=trace.num_runs,
             event_cost_ms=event_ms,
         )
-        rows = result.faults.rows
-        state = _RunState(
-            policy=policy,
-            link=link,
-            disk=disk,
-            tlb=tlb,
-            pal=pal,
-            cluster=cluster,
-            result=result,
-            event_ms=event_ms,
-            full_mask=full_mask,
-            memory_pages=cfg.memory_pages,
-            backing=cfg.backing,
-            congestion=cfg.congestion,
-            rows=rows,
-            log_row=rows.extend,
-            ins=ins,
-            adaptive=controller,
-        )
-        return state, cols, recorder
-
-    def _finish(
-        self,
-        state: "_RunState",
-        clock: float,
-        recorder: Recorder | None,
-    ) -> SimulationResult:
-        """Finalize a driven run and return its result (pairs with
-        :meth:`_prepare`)."""
-        result = state.result
-        self._finalize(state, clock)
-        if recorder is not None:
-            if recorder.metrics is not None:
-                result.metrics = recorder.metrics.as_dict()
-            if recorder.trace is not None:
-                result.trace_events = recorder.trace.events
-        return result
+        self.rows = self.result.faults.rows
+        self.log_row = self.rows.extend
+        # Per-run columns, cached on the trace across runs/subpage sizes.
+        return trace.columns(cfg.subpage_bytes).runs()
 
     def _drive_reference(
         self,
-        state: "_RunState",
         runs: Iterator[tuple[int, int, int, float, bool]],
         clock: float,
         last_page: int,
     ) -> tuple[float, int | None]:
         """Drive one whole cell: :meth:`_drive` with no clock bound."""
-        return self._drive(state, runs, clock, last_page, math.inf)
+        return self._drive(runs, clock, last_page, math.inf)
 
     def _drive(
         self,
-        state: "_RunState",
         runs: Iterator[tuple[int, int, int, float, bool]],
         clock: float,
         last_page: int,
         until: float,
     ) -> tuple[float, int | None]:
-        """The drive loop: advance ``state`` over ``runs`` from ``clock``.
+        """The drive loop: advance the run in progress over ``runs``
+        from ``clock``.
 
         ``runs`` is an iterator of ``(page, subpage, block, count,
         write)`` runs (:meth:`~repro.trace.compress.TraceColumns.runs`);
@@ -322,24 +323,20 @@ class Simulator:
         the TLB run only at a page switch, and a run that stays on a
         settled page costs one test before its clock add.
         """
-        policy = state.policy
-        frames = policy.frames
+        frames = self.policy.frames
         # Bound once: calling ``.get`` through an OrderedDict each run
         # costs about twice a plain dict lookup; the bound method does not.
         resident = frames.get
-        touch = policy.touch
+        touch = self.policy.touch
         page_fault = self._page_fault
         touch_incomplete = self._touch_incomplete
-        tlb = state.tlb
-        pal = state.pal
-        event_ms = state.event_ms
-        full_mask = state.full_mask
-        result = state.result
-
-        feed_hits = (
-            state.adaptive is not None
-            and state.adaptive.needs_reference_events
-        )
+        tlb = self.tlb
+        pal = self.pal
+        event_ms = self.event_ms
+        full_mask = self.full_mask
+        result = self.result
+        adaptive = self.adaptive
+        feed_hits = adaptive is not None and adaptive.needs_reference_events
 
         # A resumed slice picks its current frame back up.  Residency
         # only changes at this run's own faults, so it is still there.
@@ -351,7 +348,7 @@ class Simulator:
                 frame = resident(page)
                 last_page = page
                 if frame is None:
-                    clock = page_fault(state, clock, page, sp, block, write)
+                    clock = page_fault(clock, page, sp, block, write)
                     frame = frames[page]
                     settled = False
                     if tlb is not None and not tlb.access(page):
@@ -363,7 +360,7 @@ class Simulator:
                         # Software protection: the rest of the faulting
                         # run executes against a still-incomplete page.
                         self._charge_emulation(
-                            state, clock, page, frame, count, write
+                            clock, page, frame, count, write
                         )
                     clock += count * event_ms
                     if clock > until:
@@ -376,7 +373,7 @@ class Simulator:
                 settled = frame.settled
             if settled:
                 if feed_hits:
-                    state.adaptive.observe(page, sp, "hit")
+                    adaptive.observe(page, sp, "hit")
             else:
                 if frame.distance_from is not None:
                     if sp != frame.distance_from:
@@ -386,11 +383,11 @@ class Simulator:
                         frame.distance_from = None
                 if frame.masks is not None or frame.valid_bits != full_mask:
                     clock = touch_incomplete(
-                        state, clock, page, frame, sp, block, write, count
+                        clock, page, frame, sp, block, write, count
                     )
                 else:
                     if feed_hits:
-                        state.adaptive.observe(page, sp, "hit")
+                        adaptive.observe(page, sp, "hit")
                     if frame.distance_from is None:
                         frame.settled = settled = True
             if write and not frame.dirty:
@@ -404,7 +401,6 @@ class Simulator:
 
     def _page_fault(
         self,
-        state: "_RunState",
         clock: float,
         page: int,
         sp: int,
@@ -413,16 +409,16 @@ class Simulator:
     ) -> float:
         """Bring ``page`` in: make room, fetch it, and log the fault as
         one row; returns when the program resumes."""
-        policy = state.policy
-        cluster = state.cluster
+        frames = self.policy.frames
+        cluster = self.cluster
 
         victim = -1
         victim_dirty = cancelled = False
-        if len(policy.frames) >= state.memory_pages:
-            victim, evicted, cancelled = policy.evict(clock)
+        if len(frames) >= self.memory_pages:
+            victim, evicted, cancelled = self.policy.evict(clock)
             victim_dirty = evicted.dirty
-            if state.tlb is not None:
-                state.tlb.invalidate(victim)
+            if self.tlb is not None:
+                self.tlb.invalidate(victim)
             if cluster is not None:
                 cluster.putpage(
                     self.config.cluster_node_id,
@@ -431,10 +427,10 @@ class Simulator:
                     dirty=victim_dirty,
                 )
 
-        if state.adaptive is not None:
-            state.adaptive.observe(page, sp, "fault")
+        if self.adaptive is not None:
+            self.adaptive.observe(page, sp, "fault")
 
-        service = state.backing
+        service = self.backing
         if cluster is not None:
             got = cluster.getpage(
                 self.config.cluster_node_id, self._uid(page), clock
@@ -443,12 +439,12 @@ class Simulator:
                 "disk" if got.location is PageLocation.DISK else "remote"
             )
 
-        record = len(state.rows)
+        record = len(self.rows)
         # A one-subpage page has no other subpage to measure a distance
         # to, so its distance is already settled.
-        distance_from = sp if state.full_mask > 1 else None
+        distance_from = sp if self.full_mask > 1 else None
         if service == "disk":
-            latency = state.disk.read_page(page)
+            latency = self.disk.read_page(page)
             resume = window_end_ms = clock + latency
             kind = _DISK
             sp_latency_ms = latency
@@ -457,7 +453,7 @@ class Simulator:
             demand_ready_ms = background_start_ms = None
             demand_wire_ms = background_ready_ms = background_wire_ms = 0.0
             frame = _Frame(
-                state.full_mask, None, None, 0.0, 0.0,
+                self.full_mask, None, None, 0.0, 0.0,
                 is_write, record, distance_from,
             )
         else:
@@ -465,7 +461,7 @@ class Simulator:
                 resume, valid_bits, masks, arrivals, demand_wire_ms,
                 background_ready_ms, background_wire_ms, cpu_overhead_ms,
             ) = self._plan(clock, page, sp, block)
-            link = state.link
+            link = self.link
             overlapped = link.busy_until_ms > clock
             if masks:
                 # The frame is the schedule the link shifts.
@@ -481,7 +477,7 @@ class Simulator:
                     is_write, record, distance_from,
                 )
             demand_ready_ms = background_start_ms = None
-            if state.congestion:
+            if self.congestion:
                 demand_ready_ms = clock + self.latency.request_fixed_ms
                 background_start_ms = link.fault(
                     demand_ready_ms, demand_wire_ms, schedule,
@@ -491,24 +487,24 @@ class Simulator:
             sp_latency_ms = resume - clock
             window_end_ms = frame.latest_ms if masks else resume
 
-        state.log_row((
+        self.log_row((
             page, sp, kind, clock, sp_latency_ms, resume, window_end_ms,
             cpu_overhead_ms, overlapped, victim, victim_dirty, cancelled,
         ))
-        if state.ins is not None:
-            state.ins.on_fault(
+        if self.ins is not None:
+            self.ins.on_fault(
                 page, sp, kind, clock, sp_latency_ms, resume,
                 window_end_ms, cpu_overhead_ms, overlapped,
                 victim if victim >= 0 else None, victim_dirty, cancelled,
                 demand_ready_ms, demand_wire_ms, background_ready_ms,
                 background_start_ms, background_wire_ms,
             )
-        policy.insert(page, frame)
+        # The drive loop faults only on a page it did not find resident.
+        frames[page] = frame
         return resume + cpu_overhead_ms
 
     def _touch_incomplete(
         self,
-        state: "_RunState",
         clock: float,
         page: int,
         frame: _Frame,
@@ -518,22 +514,20 @@ class Simulator:
         count: float,
     ) -> float:
         """Access path for a page that is resident but incomplete."""
-        result = state.result
-        if state.adaptive is not None:
-            state.adaptive.observe(page, sp, "touch")
+        if self.adaptive is not None:
+            self.adaptive.observe(page, sp, "touch")
         if not frame.valid_bits >> sp & 1:
             arrival = frame.arrival(sp) if frame.masks is not None else None
             if arrival is None:
                 # Lazy fetch: the subpage was never requested; fault it.
-                clock = self._subpage_fault(
-                    state, clock, page, frame, sp, block
-                )
+                clock = self._subpage_fault(clock, page, frame, sp, block)
             elif arrival > clock:
+                result = self.result
                 result.faults.add_page_wait(
                     frame.record // _ROW_WIDTH, clock, arrival
                 )
-                if state.ins is not None:
-                    state.ins.on_stall(clock, arrival, "page_wait", page)
+                if self.ins is not None:
+                    self.ins.on_stall(clock, arrival, "page_wait", page)
                 result.components.page_wait_ms += arrival - clock
                 clock = arrival
                 frame.valid_bits |= 1 << sp
@@ -549,19 +543,18 @@ class Simulator:
             if masks:
                 latest = frame.latest_ms
                 if clock < latest:
-                    if state.pal is not None:
+                    if self.pal is not None:
                         self._charge_emulation(
-                            state, clock, page, frame, count, is_write
+                            clock, page, frame, count, is_write
                         )
                     return clock
-                state.rows[frame.record + _WINDOW_END] = latest
-            frame.valid_bits = state.full_mask
+                self.rows[frame.record + _WINDOW_END] = latest
+            frame.valid_bits = self.full_mask
             frame.masks = None
         return clock
 
     def _charge_emulation(
         self,
-        state: "_RunState",
         clock: float,
         page: int,
         frame: _Frame,
@@ -570,17 +563,16 @@ class Simulator:
     ) -> None:
         """Software protection: references to an incomplete page are
         emulated (Table 1 costs) until its last subpage arrives."""
-        assert state.pal is not None and frame.masks is not None
+        assert self.pal is not None and frame.masks is not None
         latest = frame.latest()
-        refs_until_done = int((latest - clock) / state.event_ms) + 1
+        refs_until_done = int((latest - clock) / self.event_ms) + 1
         emulated = min(int(count), refs_until_done)
-        state.result.components.emulation_ms += state.pal.charge_run(
+        self.result.components.emulation_ms += self.pal.charge_run(
             page, emulated, is_write
         )
 
     def _subpage_fault(
         self,
-        state: "_RunState",
         clock: float,
         page: int,
         frame: _Frame,
@@ -614,9 +606,9 @@ class Simulator:
             else:
                 schedule = PendingArrivals(zip(masks, arrivals), wire_end_ms)
         demand_ready_ms = background_start_ms = None
-        if state.congestion:
+        if self.congestion:
             demand_ready_ms = clock + self.latency.request_fixed_ms
-            background_start_ms = state.link.fault(
+            background_start_ms = self.link.fault(
                 demand_ready_ms, demand_wire_ms, schedule,
                 background_ready_ms, background_wire_ms,
             )
@@ -631,12 +623,12 @@ class Simulator:
                 # only a subset of the page, i.e. no pending schedule).
                 frame.merge(schedule)
         sp_latency_ms = resume - clock
-        state.log_row((
+        self.log_row((
             page, sp, _SUBPAGE, clock, sp_latency_ms, resume, window_end,
             cpu_overhead_ms, False, -1, False, False,
         ))
-        if state.ins is not None:
-            state.ins.on_fault(
+        if self.ins is not None:
+            self.ins.on_fault(
                 page, sp, _SUBPAGE, clock, sp_latency_ms, resume,
                 window_end, cpu_overhead_ms, False,
                 None, False, False,
@@ -653,18 +645,21 @@ class Simulator:
         cfg = self.config
         return page_uid(cfg.cluster_node_id, page, cfg.shared_from_page)
 
-    def _finalize(self, state: "_RunState", clock: float) -> None:
-        result = state.result
-        result.components.exec_ms = result.num_references * state.event_ms
-        if state.tlb is not None:
-            result.components.tlb_miss_ms = state.tlb.stats.miss_time_ms
+    def _finish(self, clock: float) -> SimulationResult:
+        """Close the run driven to ``clock`` and return its result
+        (pairs with :meth:`_prepare`)."""
+        result = self.result
+        result.components.exec_ms = result.num_references * self.event_ms
+        if self.tlb is not None:
+            stats = self.tlb.stats
+            result.components.tlb_miss_ms = stats.miss_time_ms
             result.tlb_stats = {
-                "accesses": state.tlb.stats.accesses,
-                "misses": state.tlb.stats.misses,
-                "miss_rate": state.tlb.stats.miss_rate,
+                "accesses": stats.accesses,
+                "misses": stats.misses,
+                "miss_rate": stats.miss_rate,
             }
-        if state.pal is not None:
-            stats = state.pal.stats
+        if self.pal is not None:
+            stats = self.pal.stats
             result.emulation_stats = {
                 "emulated_accesses": stats.emulated_accesses,
                 "overhead_ms": stats.overhead_ms,
@@ -673,16 +668,17 @@ class Simulator:
                 "fast_stores": stats.fast_stores,
                 "slow_stores": stats.slow_stores,
             }
+        link = self.link
         result.link_stats = {
-            "demand_transfers": state.link.demand_transfers,
-            "background_transfers": state.link.background_transfers,
-            "queueing_delay_ms": state.link.total_queueing_delay_ms,
-            "preemption_delay_ms": state.link.total_preemption_delay_ms,
+            "demand_transfers": link.demand_transfers,
+            "background_transfers": link.background_transfers,
+            "queueing_delay_ms": link.total_queueing_delay_ms,
+            "preemption_delay_ms": link.total_preemption_delay_ms,
         }
-        if state.cluster is not None:
-            result.cluster_stats = state.cluster.stats.as_dict()
-        if state.adaptive is not None:
-            stats = state.adaptive.finish()
+        if self.cluster is not None:
+            result.cluster_stats = self.cluster.stats.as_dict()
+        if self.adaptive is not None:
+            stats = self.adaptive.finish()
             if stats is not None:
                 result.policy_stats = stats
         # The fault counters and the per-fault components come from the
@@ -705,8 +701,8 @@ class Simulator:
         components.cpu_overhead_ms = _running_sum(faults.cpu_overhead_ms)
         # Close any still-open fault windows at the end of the run.
         faults.window_end_ms = np.minimum(faults.window_end_ms, clock)
-        if state.ins is not None:
-            ins = state.ins
+        ins = self.ins
+        if ins is not None:
             ins.publish("link", result.link_stats)
             if result.policy_stats:
                 ins.publish("policy", result.policy_stats)
@@ -717,35 +713,13 @@ class Simulator:
             if result.cluster_stats:
                 ins.publish("cluster", result.cluster_stats)
             ins.on_run_end(result)
-
-
-@dataclass(slots=True)
-class _RunState:
-    """Mutable per-run plumbing shared by the simulator's helpers."""
-
-    #: Owns the resident set: ``policy.frames`` maps page -> _Frame.
-    policy: ReplacementPolicy
-    link: LinkModel
-    disk: object
-    tlb: TlbModel | None
-    pal: PalEmulator | None
-    cluster: Cluster | None
-    result: SimulationResult
-    event_ms: float
-    full_mask: int
-    #: The run's constants the fault path reads on every fault.
-    memory_pages: int
-    backing: str
-    congestion: bool
-    #: The result's fault log rows, and their bound ``extend``: a fault
-    #: appends its row in one call.
-    rows: list
-    log_row: Callable[[tuple], None]
-    ins: Instrument | None = None
-    #: The scheme's adaptive controller, if any; fed access
-    #: observations from the fault path and — on the ``"events"`` feed
-    #: — per reference run.
-    adaptive: "AdaptivePolicy | None" = None
+        recorder = self.recorder
+        if recorder is not None:
+            if recorder.metrics is not None:
+                result.metrics = recorder.metrics.as_dict()
+            if recorder.trace is not None:
+                result.trace_events = recorder.trace.events
+        return result
 
 
 def _running_sum(column: np.ndarray) -> float:

@@ -282,8 +282,10 @@ class TestParallelMetricsMerge:
             )
             for pages in (3, 4)
         ]
+        results = run_cells(jobs, workers=1)
         registry = MetricsRegistry()
-        results = run_cells(jobs, workers=1, metrics=registry)
+        for result in results.values():
+            registry.merge_dict(result.metrics)
         expected = sum(r.remote_faults for r in results.values())
         assert registry.counters["faults_remote"] == expected
         assert registry.histograms["fault_waiting_ms"].count == sum(

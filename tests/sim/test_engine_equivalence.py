@@ -316,9 +316,10 @@ class TestSubstrateEquivalence:
 
             def evict_and_check(now):
                 pages = list(policy.frames)
-                referenced = getattr(policy, "_referenced", ())
+                # Clock's unreferenced pages are its cleared ones.
+                cleared = getattr(policy, "_cleared", None)
                 plain = next(
-                    (page for page in pages if page not in referenced),
+                    (p for p in pages if cleared is None or p in cleared),
                     pages[0],
                 )
                 busy = in_flight(policy.frames[plain], now)
@@ -383,10 +384,9 @@ def resident_frames(cell_id: str) -> tuple[list, int]:
     frames resident at the end of the run and the run's full mask."""
     trace, config = CELLS[cell_id]()
     sim = simulator.Simulator(config)
-    state, cols, recorder = sim._prepare(trace)
-    clock, _ = sim._drive_reference(state, cols.runs(), 0.0, -1)
-    sim._finish(state, clock, recorder)
-    return list(state.policy.frames.values()), state.full_mask
+    clock, _ = sim._drive_reference(sim._prepare(trace), 0.0, -1)
+    sim._finish(clock)
+    return list(sim.policy.frames.values()), sim.full_mask
 
 
 class TestSettledFrames:

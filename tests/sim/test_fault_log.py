@@ -296,9 +296,8 @@ def _run_with_reference(config: SimulationConfig):
     trace = build_mixed_trace()
     recorder = ReferenceRecorder()
     sim = Simulator(config, instrument=recorder)
-    state, cols, _ = sim._prepare(trace)
-    clock, _ = sim._drive_reference(state, cols.runs(), 0.0, -1)
-    result = sim._finish(state, clock, None)
+    clock, _ = sim._drive_reference(sim._prepare(trace), 0.0, -1)
+    result = sim._finish(clock)
     recorder.close_windows(clock)
     return result, recorder.records
 
@@ -427,9 +426,8 @@ def test_fault_dominated_invariants(
     )
     reference = CountingReference()
     sim = Simulator(config, instrument=reference)
-    state, cols, _ = sim._prepare(trace)
-    clock, _ = sim._drive_reference(state, cols.runs(), 0.0, -1)
-    result = sim._finish(state, clock, None)
+    clock, _ = sim._drive_reference(sim._prepare(trace), 0.0, -1)
+    result = sim._finish(clock)
     reference.close_windows(clock)
 
     # Every page fault past the first ``frames`` makes room for itself.

@@ -165,8 +165,7 @@ def run_multi_tenant_per_run(
             link_fabric=fabric,
             link_label=workload.name,
         )
-        state, cols, recorder = simulator._prepare(workload.trace)
-        tenants.append([simulator, state, recorder, cols.runs(), -1])
+        tenants.append([simulator, simulator._prepare(workload.trace), -1])
     final_clock = [0.0] * len(tenants)
     ties = 0
     heap = [(0.0, i) for i in range(len(tenants))]
@@ -174,23 +173,21 @@ def run_multi_tenant_per_run(
     while heap:
         clock, i = heapq.heappop(heap)
         ties += bool(heap) and heap[0][0] == clock
-        simulator, state, _, runs, last_page = tenants[i]
+        simulator, runs, last_page = tenants[i]
         clock, last_page = simulator._drive(
-            state, runs, clock, last_page, -math.inf
+            runs, clock, last_page, -math.inf
         )
         if last_page is None:
             final_clock[i] = clock
         else:
-            tenants[i][4] = last_page
+            tenants[i][2] = last_page
             heapq.heappush(heap, (clock, i))
     result = MultiTenantResult()
     for i, workload in enumerate(workloads):
-        simulator, state, recorder, _, _ = tenants[i]
-        result.per_tenant[workload.name] = simulator._finish(
-            state, final_clock[i], recorder
-        )
+        simulator = tenants[i][0]
+        result.per_tenant[workload.name] = simulator._finish(final_clock[i])
         if fabric is not None:
-            result.cross_stats[workload.name] = state.link.cross_stats()
+            result.cross_stats[workload.name] = simulator.link.cross_stats()
     result.cluster_stats = cluster.stats.as_dict()
     if fabric is not None:
         result.injected_ms = dict(fabric.injected_ms)
@@ -293,15 +290,14 @@ class TestClockBoundedSlices:
         whole = Simulator(config).run(trace)
 
         simulator = Simulator(config)
-        state, cols, recorder = simulator._prepare(trace)
-        runs = cols.runs()
+        runs = simulator._prepare(trace)
         clock, last_page = 0.0, -1
         for bound in [*bounds, math.inf]:
             clock, page = simulator._drive(
-                state, runs, clock, last_page, clock + bound
+                runs, clock, last_page, clock + bound
             )
             if page is None:
                 break
             last_page = page
-        sliced = simulator._finish(state, clock, recorder)
+        sliced = simulator._finish(clock)
         assert sliced == whole

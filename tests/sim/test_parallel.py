@@ -5,8 +5,8 @@ whatever the worker count or trace-shipping path (inline, per-cell
 pickle, mapped-file arena), ``run_cells`` returns results
 bit-identical to serial execution, in job order, with exactly one
 progress event per cell; the on-disk cache serves completed cells back
-and misses on any input change; unpicklable payloads fall back to
-inline execution and worker failures retry inline instead of failing.
+and misses on any input change; cells whose payload cannot pickle, or
+whose worker fails, retry inline instead of failing.
 """
 
 import os
@@ -141,7 +141,8 @@ class TestFallback:
         out = run_cells(jobs, workers=2, progress=events.append)
         expected = simulate(trace, config)
         assert out["local"].total_ms == expected.total_ms
-        assert {e.key: e.status for e in events}["local"] == "fallback"
+        # The executor fails the cell's future; it re-runs inline.
+        assert {e.key: e.status for e in events}["local"] == "retried"
         assert {e.key: e.status for e in events}["sp_1024"] == "done"
 
     def test_progress_events_serial(self, trace):
@@ -479,7 +480,7 @@ class TestInvariants:
         assert len(events) == len(jobs)
         assert sorted(statuses) == sorted(j.key for j in jobs)
         assert statuses[pooled[0].key] == "cached"
-        assert statuses["local"] == "fallback"
+        assert statuses["local"] == "retried"
         assert all(
             statuses[j.key] == "done" for j in pooled[1:]
         )
@@ -498,13 +499,18 @@ class TestInvariants:
             )
             for size in (1024, 512)
         ]
-        first = MetricsRegistry()
-        run_cells(jobs, workers=1, cache=cache, metrics=first)
+
+        def merged(results):
+            registry = MetricsRegistry()
+            for result in results.values():
+                registry.merge_dict(result.metrics)
+            return registry
+
+        first = merged(run_cells(jobs, workers=1, cache=cache))
         assert first.counters
-        second = MetricsRegistry()
         events: list[CellEvent] = []
-        run_cells(jobs, workers=1, cache=cache, metrics=second,
-                  progress=events.append)
+        second = merged(run_cells(jobs, workers=1, cache=cache,
+                                  progress=events.append))
         assert all(e.status == "cached" for e in events)
         assert second.counters == first.counters
 

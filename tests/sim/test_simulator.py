@@ -5,6 +5,7 @@ All scenarios but ``TestCalibratedLatency`` use the FixedLatencyModel
 ms) and a 1 us event cost, so expected totals can be computed by hand.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.fault import FaultKind
@@ -12,6 +13,7 @@ from repro.errors import ConfigError
 from repro.net.latency import CalibratedLatencyModel
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator, simulate
+from repro.trace.compress import compress_references
 from repro.units import PAPER_SUBPAGE_SIZES
 
 from tests.conftest import make_trace, page_addr
@@ -461,56 +463,17 @@ class TestOwnCluster:
 class TestEmptyPendingSchedule:
     """Regression: an empty arrival schedule folds instead of raising."""
 
-    def _make_state(self, config, frame):
-        from repro.sim.replacement import make_policy
-        from repro.sim.results import SimulationResult
-        from repro.sim.simulator import _RunState
-
-        result = SimulationResult(
-            trace_name="t",
-            scheme_label="sp_1024",
-            scheme_name="eager",
-            subpage_bytes=config.subpage_bytes,
-            page_bytes=config.page_bytes,
-            memory_pages=config.memory_pages,
-            backing=config.backing,
-            num_references=1,
-            num_runs=1,
-            event_cost_ms=0.001,
-        )
-        # Fault 0 brought page 0 in (the frame's ``record``).
-        result.faults.append(0, 0, 0, 0.0, 0.5, 0.5, 0.5, 0.0, False)
-        full_mask = (1 << (config.page_bytes // config.subpage_bytes)) - 1
-        policy = make_policy(config.replacement)
-        policy.insert(0, frame)
-        return _RunState(
-            policy=policy,
-            link=None,
-            disk=None,
-            tlb=None,
-            pal=None,
-            cluster=None,
-            result=result,
-            event_ms=0.001,
-            full_mask=full_mask,
-            memory_pages=config.memory_pages,
-            backing=config.backing,
-            congestion=config.congestion,
-            rows=result.faults.rows,
-            log_row=result.faults.rows.extend,
-        )
-
     def test_touch_incomplete_folds_empty_schedule(self, base_config):
-        from repro.sim.simulator import Simulator, _Frame
+        from repro.sim.simulator import _Frame
 
         sim = Simulator(base_config)
-        full_mask = (
-            1 << (base_config.page_bytes // base_config.subpage_bytes)
-        ) - 1
+        sim._prepare(make_trace([page_addr(0)]))
+        # Fault 0 brought page 0 in (the frame's ``record``).
+        sim.result.faults.append(0, 0, 0, 0.0, 0.5, 0.5, 0.5, 0.0, False)
         # A schedule with no messages (``masks == []``), as opposed to
         # no schedule at all (``masks is None``).
         frame = _Frame(
-            valid_bits=full_mask,
+            valid_bits=sim.full_mask,
             masks=[],
             arrivals_ms=[],
             latest_ms=0.0,
@@ -519,12 +482,45 @@ class TestEmptyPendingSchedule:
             record=0,
             distance_from=None,
         )
-        state = self._make_state(base_config, frame)
-        clock = sim._touch_incomplete(
-            state, 1.0, 0, frame, 0, 0, False, 1
-        )
+        sim.policy.frames[0] = frame
+        clock = sim._touch_incomplete(1.0, 0, frame, 0, 0, False, 1)
         assert clock == 1.0
         assert frame.masks is None
-        assert frame.valid_bits == full_mask
-        assert state.result.components.page_wait_ms == 0.0
-        assert state.result.faults.array("window_end_ms").tolist() == [0.5]
+        assert frame.valid_bits == sim.full_mask
+        assert sim.result.components.page_wait_ms == 0.0
+        assert sim.result.faults.array("window_end_ms").tolist() == [0.5]
+
+
+def visiting_trace(seed: int, pages: int, name: str):
+    """Page visits that sweep a few blocks each, with writes, over a
+    footprint larger than the reuse tests' 12 frames."""
+    rng = np.random.default_rng(seed)
+    visits = rng.integers(0, pages, size=400)
+    starts = rng.integers(0, 120, size=400)
+    blocks = (starts[:, None] + np.arange(6)) % 128
+    addrs = (visits[:, None] * 8192 + blocks * 64).ravel()
+    writes = rng.random(addrs.size) < 0.3
+    return compress_references(addrs, writes, name=name)
+
+
+class TestReusedSimulator:
+    """One simulator runs trace A, then B, then A again: each run is
+    ``==`` to a fresh simulation, so nothing of an earlier run leaks
+    into the next through the run state the simulator holds."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"scheme": "adaptive",
+         "scheme_kwargs": {"predictor": "stride", "max_depth": 6,
+                           "feed": "events"}},
+        {"backing": "cluster", "cluster_warm": False},
+        {"tlb_entries": 16, "replacement": "clock"},
+        {"protection": "palcode", "scheme": "pipelined"},
+        {"observe": "metrics,trace", "replacement": "random"},
+    ], ids=["adaptive", "cluster", "tlb", "palcode", "observe"])
+    def test_each_run_equals_a_fresh_one(self, overrides):
+        config = SimulationConfig(memory_pages=12, **overrides)
+        a = visiting_trace(1, 40, "a")
+        b = visiting_trace(2, 24, "b")
+        sim = Simulator(config)
+        for trace in (a, b, a):
+            assert sim.run(trace) == simulate(trace, config)

@@ -88,10 +88,9 @@ class TestExecutionFlags:
 
 
 class TestObservabilityFlags:
-    def test_build_options_merges_observe_tokens(self, monkeypatch):
+    def test_build_options_merges_observe_tokens(self):
         from repro.experiments.__main__ import build_options
 
-        monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
         args = build_parser().parse_args(
             ["--trace-out", "t.json", "fig02"]
         )
@@ -190,26 +189,3 @@ class TestObservabilityFlags:
         assert gauges["figMT_p99_ms[4/pipelined/1024/t3]"] > 0
         assert gauges["figMT_slowdown[4/pipelined/1024/t3]"] >= 1.0
         assert gauges["figMT_fairness[4/pipelined/1024]"] >= 1.0
-
-    def test_trace_dir_env_writes_per_experiment_files(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        import json
-
-        from repro.obs.validate import (
-            validate_chrome_trace,
-            validate_jsonl,
-            validate_metrics,
-        )
-
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert main(["fig02"]) == 0
-        capsys.readouterr()
-        trace = json.loads((tmp_path / "fig02.trace.json").read_text())
-        assert validate_chrome_trace(trace) == []
-        assert validate_jsonl(
-            (tmp_path / "fig02.jsonl").read_text()
-        ) == []
-        metrics = json.loads((tmp_path / "fig02.metrics.json").read_text())
-        assert validate_metrics(metrics) == []

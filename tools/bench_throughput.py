@@ -59,7 +59,9 @@ from repro.sim.simulator import Simulator, simulate
 from repro.trace.compress import compress_references
 
 #: Mirrored rounds per timed gate (each round runs every arm twice).
-POLICY_ROUNDS = 30
+#: The adaptive gate measures about 1 ms on a 32 ms base, so it takes more
+#: rounds for its median to hold still on a shared host.
+POLICY_ROUNDS = 90
 INSTRUMENT_ROUNDS = 30
 
 #: Backstop for the opted-in prediction scoreboard (fractional
