@@ -225,18 +225,15 @@ class SubpagePipelining(FetchScheme):
         block: int,
         order: tuple[int, ...],
         depth: int,
-        direction: int = 0,
     ) -> PlanRow:
         """The compiled plan for one fault.
 
         ``order`` is the predicted access order for the page's other
         subpages (validated against the sequencer contract — see
-        :func:`repro.core.sequencers.check_follow_on`), ``depth`` the
-        number of individually pipelined messages, and a nonzero
-        ``direction`` steers the doubled initial fetch's neighbor choice
-        (Section 4.3) instead of the faulted-block-offset heuristic.
-        :meth:`planner` passes the sequencer's order and the configured
-        depth; the adaptive policy layer passes its predictions.
+        :func:`repro.core.sequencers.check_follow_on`) and ``depth`` the
+        number of individually pipelined messages.  :meth:`planner`
+        passes the sequencer's order and the configured depth; the
+        adaptive policy layer passes its predictions.
 
         Keyed by (initial subpages, the faulted one first; follow-on
         order; depth).  The order is validated when its row is built; an
@@ -250,7 +247,7 @@ class SubpagePipelining(FetchScheme):
             initial += (
                 self._initial_partner(
                     faulted, block, table.subpage_bytes,
-                    table.subpages_per_page, direction,
+                    table.subpages_per_page,
                 ),
             )
         key = (initial, order, depth)  # initial[0] is the faulted subpage
@@ -337,17 +334,12 @@ class SubpagePipelining(FetchScheme):
         block: int,
         subpage_bytes: int,
         subpages_per_page: int,
-        direction: int = 0,
     ) -> int:
         """Neighbor to ride along with the initial fetch (direction by
-        where in the subpage the faulted block lies, unless a predictor
-        supplies a nonzero ``direction``)."""
-        if direction:
-            prefer_next = direction > 0
-        else:
-            blocks_per_subpage = max(1, subpage_bytes // MIN_SUBPAGE_BYTES)
-            offset = block % blocks_per_subpage
-            prefer_next = offset >= blocks_per_subpage / 2
+        where in the subpage the faulted block lies)."""
+        blocks_per_subpage = max(1, subpage_bytes // MIN_SUBPAGE_BYTES)
+        offset = block % blocks_per_subpage
+        prefer_next = offset >= blocks_per_subpage / 2
         candidates = (
             (faulted + 1, faulted - 1)
             if prefer_next
@@ -369,34 +361,23 @@ _SCHEMES: dict[str, type[FetchScheme]] = {
     SubpagePipelining.name: SubpagePipelining,
 }
 
-_PLUGINS_LOADED = False
 
+def _schemes() -> dict[str, type[FetchScheme]]:
+    """Every scheme class by registry name.
 
-def _ensure_plugin_schemes() -> None:
-    """Import the scheme modules that register themselves.
-
-    :mod:`repro.policy.adaptive` registers the ``"adaptive"``
-    meta-scheme; it imports this module for :class:`FetchScheme`, so the
-    import has to happen lazily here rather than at module top level.
+    :class:`repro.policy.adaptive.AdaptiveScheme` imports this module
+    for :class:`FetchScheme`, so it joins the table on first use rather
+    than at module top level.
     """
-    global _PLUGINS_LOADED
-    if _PLUGINS_LOADED:
-        return
-    _PLUGINS_LOADED = True
-    import repro.policy.adaptive  # noqa: F401  (registers "adaptive")
+    if "adaptive" not in _SCHEMES:
+        from repro.policy.adaptive import AdaptiveScheme
 
-
-def register_scheme(cls: type[FetchScheme]) -> type[FetchScheme]:
-    """Register a :class:`FetchScheme` subclass under its ``name``."""
-    if not cls.name or cls.name == "base":
-        raise ConfigError(f"scheme class {cls.__name__} needs a name")
-    _SCHEMES[cls.name] = cls
-    return cls
+        _SCHEMES[AdaptiveScheme.name] = AdaptiveScheme
+    return _SCHEMES
 
 
 def scheme_names() -> tuple[str, ...]:
-    _ensure_plugin_schemes()
-    return tuple(sorted(_SCHEMES))
+    return tuple(sorted(_schemes()))
 
 
 def make_scheme(spec: str | FetchScheme, **kwargs) -> FetchScheme:
@@ -411,9 +392,8 @@ def make_scheme(spec: str | FetchScheme, **kwargs) -> FetchScheme:
                 "cannot pass constructor arguments with a scheme instance"
             )
         return spec
-    _ensure_plugin_schemes()
     try:
-        cls = _SCHEMES[spec]
+        cls = _schemes()[spec]
     except KeyError:
         known = ", ".join(scheme_names())
         raise UnknownSchemeError(

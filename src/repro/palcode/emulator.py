@@ -79,15 +79,6 @@ class PalEmulator:
         self.stats.overhead_ms += total
         return total
 
-    def page_completed(self, page: int) -> None:
-        """Note that ``page`` became complete (access re-enabled).
-
-        Kept for symmetry/diagnostics; the valid-bit cache keying is by
-        page, so completion does not change fast/slow classification.
-        """
-        if self._last_page == page:
-            self._last_page = None
-
     def reset(self) -> None:
         self.stats = EmulationStats()
         self._last_page = None

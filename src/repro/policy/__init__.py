@@ -2,22 +2,15 @@
 
 Online access-pattern prediction driving fetch-scheme selection and
 pipeline sequencing: per-page access histories
-(:mod:`repro.policy.history`), pluggable predictors
+(:mod:`repro.policy.history`), two predictors
 (:mod:`repro.policy.predictors`), and the ``"adaptive"`` meta-scheme
 plus its per-run controller (:mod:`repro.policy.adaptive`).  See
 ``docs/POLICY.md`` for the design.
 """
 
 from repro.policy.adaptive import AdaptivePolicy, AdaptiveScheme
-from repro.policy.history import (
-    DEFAULT_DEPTH,
-    KIND_FAULT,
-    KIND_HIT,
-    KIND_TOUCH,
-    AccessHistory,
-)
+from repro.policy.history import KIND_FAULT, KIND_TOUCH, AccessHistory
 from repro.policy.predictors import (
-    DirectionEwmaPredictor,
     Prediction,
     Predictor,
     StaticNeighborPredictor,
@@ -30,10 +23,7 @@ __all__ = [
     "AccessHistory",
     "AdaptivePolicy",
     "AdaptiveScheme",
-    "DEFAULT_DEPTH",
-    "DirectionEwmaPredictor",
     "KIND_FAULT",
-    "KIND_HIT",
     "KIND_TOUCH",
     "Prediction",
     "Predictor",

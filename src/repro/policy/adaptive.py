@@ -30,29 +30,24 @@ from repro.core.schemes import (
     LazySubpageFetch,
     SubpagePipelining,
     fullpage_row,
-    register_scheme,
 )
 from repro.errors import ConfigError
 from repro.net.latency import LatencyModel
-from repro.policy.history import DEFAULT_DEPTH, KIND_FAULT
+from repro.policy.history import KIND_FAULT
 from repro.policy.predictors import (
     Predictor,
     StaticNeighborPredictor,
     make_predictor,
 )
 
-#: Observation feeds: ``"faults"`` sees page faults and
-#: incomplete-page touches; ``"events"`` additionally sees every
-#: reference run's first touch (a hit observation per resident run).
-FEEDS = ("faults", "events")
-
 
 class AdaptivePolicy:
     """Per-run controller gluing a predictor to the fetch pipeline.
 
     Owned by an :class:`AdaptiveScheme`; the simulator calls
-    :meth:`begin_run` before each run and :meth:`observe` from the fault
-    path, and the scheme routes every fault through :meth:`row`.
+    :meth:`begin_run` before each run and :meth:`observe` at every page
+    fault and incomplete-page touch, and the scheme routes every fault
+    through :meth:`row`.
     Also keeps the prediction scoreboard: each fault's predicted-
     to-arrive set is scored against the subpages actually touched before
     the page is next predicted for (or the run ends).
@@ -87,15 +82,6 @@ class AdaptivePolicy:
         self._pred_hits = 0
         self._pred_misses = 0
         self._wasted_bytes = 0
-
-    @property
-    def needs_reference_events(self) -> bool:
-        """True when this policy demands the per-event ``"events"`` feed
-        (the drive loop then reports every resident run as a hit)."""
-        return (
-            self.scheme.feed == "events"
-            or self.predictor.needs_reference_events
-        )
 
     def begin_run(self, subpage_bytes: int) -> None:
         """Reset all per-run state before a simulation run."""
@@ -157,7 +143,6 @@ class AdaptivePolicy:
                 block,
                 prediction.order,
                 self._depth_for(prediction.confidence),
-                prediction.direction,
             )
         self._faults += 1
         self._retire(page)
@@ -165,20 +150,13 @@ class AdaptivePolicy:
 
         if (
             scheme.switch_schemes
-            and prediction.confidence < scheme.min_confidence
+            and prediction.confidence < scheme.MIN_CONFIDENCE
         ):
             self._lazy_fallbacks += 1
             return scheme.lazy.row(lazy_table, faulted)
 
         depth = self._depth_for(prediction.confidence)
-        row = self._inner_row(
-            table,
-            faulted,
-            block,
-            prediction.order,
-            depth,
-            prediction.direction,
-        )
+        row = self._inner_row(table, faulted, block, prediction.order, depth)
 
         initial = set(row.initial)
         budget = depth * scheme.inner.segment_subpages
@@ -229,90 +207,54 @@ class AdaptivePolicy:
         }
 
 
-@register_scheme
 class AdaptiveScheme(FetchScheme):
     """Meta-scheme: predictor-driven pipelining with confidence scaling.
+
+    It wraps the paper's default :class:`SubpagePipelining` (two
+    pipelined messages of one subpage each).
 
     Parameters
     ----------
     predictor:
-        Registry name (``"static"``, ``"stride"``, ``"direction"``) or a
+        Registry name (``"static"`` or ``"stride"``) or a
         :class:`~repro.policy.predictors.Predictor` instance.
-    predictor_kwargs:
-        Constructor arguments for a by-name predictor.
-    pipeline_count, segment_subpages, interrupt_ms, double_initial:
-        Forwarded to the wrapped :class:`SubpagePipelining`.
     max_depth:
-        Pipelined-message count at full confidence; defaults to
-        ``pipeline_count`` (no deepening).
-    min_confidence, full_confidence:
-        The fallback ladder's knees: below ``min`` the fault gets no
-        pipelined messages (or lazy fetch with ``switch_schemes``); at
-        ``full`` and above it gets the whole ``max_depth``.
+        Pipelined-message count at full confidence; defaults to the
+        wrapped scheme's ``pipeline_count`` (no deepening).
     switch_schemes:
         Service very-low-confidence faults with lazy subpage fetch
         instead of the eager remainder.
-    feed:
-        ``"faults"`` (default) or ``"events"`` (adds per-reference-run
-        hit observations).
-    history_depth:
-        Ring depth for the predictor's per-page access history.
     """
 
     name = "adaptive"
 
+    #: The fallback ladder's knees: below ``MIN_CONFIDENCE`` a fault
+    #: gets no pipelined messages (or lazy fetch with
+    #: ``switch_schemes``); at ``FULL_CONFIDENCE`` and above it gets the
+    #: whole ``max_depth``.
+    MIN_CONFIDENCE = 0.25
+    FULL_CONFIDENCE = 0.75
+
     def __init__(
         self,
         predictor: str | Predictor = "static",
-        predictor_kwargs: dict | None = None,
-        pipeline_count: int = 2,
-        segment_subpages: int = 1,
-        interrupt_ms: float = 0.0,
-        double_initial: bool = False,
         max_depth: int | None = None,
-        min_confidence: float = 0.25,
-        full_confidence: float = 0.75,
         switch_schemes: bool = False,
-        feed: str = "faults",
-        history_depth: int = DEFAULT_DEPTH,
     ) -> None:
-        if feed not in FEEDS:
-            raise ConfigError(
-                f"feed must be one of {FEEDS}, not {feed!r}"
-            )
-        if not 0.0 <= min_confidence <= full_confidence <= 1.0:
-            raise ConfigError(
-                "need 0 <= min_confidence <= full_confidence <= 1"
-            )
         if max_depth is not None and max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
-        if isinstance(predictor, Predictor):
-            self.predictor = make_predictor(predictor)
-        else:
-            self.predictor = make_predictor(
-                predictor,
-                history_depth=history_depth,
-                **(predictor_kwargs or {}),
-            )
-        self.inner = SubpagePipelining(
-            pipeline_count=pipeline_count,
-            segment_subpages=segment_subpages,
-            interrupt_ms=interrupt_ms,
-            double_initial=double_initial,
-        )
+        self.predictor = make_predictor(predictor)
+        self.inner = SubpagePipelining()
         self.lazy = LazySubpageFetch()
         self.max_depth = max_depth
-        self.min_confidence = min_confidence
-        self.full_confidence = full_confidence
         self.switch_schemes = switch_schemes
-        self.feed = feed
         # Transparent mode: static predictor, no switching, no deepening
         # — the layer is provably a no-op, so report the inner scheme's
         # identity and let results compare equal to plain pipelining.
         self.transparent = (
             isinstance(self.predictor, StaticNeighborPredictor)
             and not switch_schemes
-            and (max_depth is None or max_depth == pipeline_count)
+            and max_depth in (None, self.inner.pipeline_count)
         )
         if self.transparent:
             self.name = self.inner.name
@@ -325,14 +267,13 @@ class AdaptiveScheme(FetchScheme):
             if self.max_depth is not None
             else self.inner.pipeline_count
         )
-        if confidence >= self.full_confidence:
+        if confidence >= self.FULL_CONFIDENCE:
             return cap
-        if confidence < self.min_confidence:
+        if confidence < self.MIN_CONFIDENCE:
             return 0
-        span = self.full_confidence - self.min_confidence
-        if span <= 0.0:
-            return cap
-        fraction = (confidence - self.min_confidence) / span
+        fraction = (confidence - self.MIN_CONFIDENCE) / (
+            self.FULL_CONFIDENCE - self.MIN_CONFIDENCE
+        )
         return max(1, min(cap, 1 + int(fraction * (cap - 1))))
 
     def planner(

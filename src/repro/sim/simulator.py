@@ -58,7 +58,12 @@ class _Frame(PendingArrivals):
     tracks the frame itself.  ``masks`` is ``None`` when nothing is
     scheduled: the page's fault shipped no follow-on, or its schedule
     has folded into ``valid_bits``.  ``record`` is the offset of the
-    fault that brought the page in within the fault log's flat rows.
+    fault that brought the page in within the fault log's flat rows;
+    its page waits are charged there.  ``owner`` is the offset of the
+    fault whose messages the schedule holds, whose window end the fold
+    rewrites: the page fault's, a later subpage fault's once the frame
+    adopts that fault's schedule, and -1 once two faults' schedules are
+    merged (neither window then moves).
 
     A frame is ``settled`` once every subpage is valid, nothing is in
     flight and its first-touch distance is recorded: from then on it is
@@ -69,7 +74,8 @@ class _Frame(PendingArrivals):
     """
 
     __slots__ = (
-        "valid_bits", "dirty", "record", "distance_from", "settled",
+        "valid_bits", "dirty", "record", "owner", "distance_from",
+        "settled",
     )
 
     def __init__(
@@ -89,7 +95,7 @@ class _Frame(PendingArrivals):
         self.latest_ms = latest_ms
         self.wire_end_ms = wire_end_ms
         self.dirty = dirty
-        self.record = record
+        self.record = self.owner = record
         self.distance_from = distance_from
         self.settled = False
 
@@ -131,8 +137,8 @@ class Simulator:
     tlb: TlbModel | None
     pal: PalEmulator | None
     cluster: Cluster | None
-    #: The scheme's adaptive controller, if any; fed access observations
-    #: from the fault path and — on the ``"events"`` feed — per run.
+    #: The scheme's adaptive controller, if any; fed an observation at
+    #: every page fault and incomplete-page touch.
     adaptive: "AdaptivePolicy | None"
     result: SimulationResult
     event_ms: float
@@ -335,8 +341,6 @@ class Simulator:
         event_ms = self.event_ms
         full_mask = self.full_mask
         result = self.result
-        adaptive = self.adaptive
-        feed_hits = adaptive is not None and adaptive.needs_reference_events
 
         # A resumed slice picks its current frame back up.  Residency
         # only changes at this run's own faults, so it is still there.
@@ -371,10 +375,7 @@ class Simulator:
                 if tlb is not None and not tlb.access(page):
                     clock += tlb.miss_ms
                 settled = frame.settled
-            if settled:
-                if feed_hits:
-                    adaptive.observe(page, sp, "hit")
-            else:
+            if not settled:
                 if frame.distance_from is not None:
                     if sp != frame.distance_from:
                         distance = sp - frame.distance_from
@@ -385,11 +386,8 @@ class Simulator:
                     clock = touch_incomplete(
                         clock, page, frame, sp, block, write, count
                     )
-                else:
-                    if feed_hits:
-                        adaptive.observe(page, sp, "hit")
-                    if frame.distance_from is None:
-                        frame.settled = settled = True
+                elif frame.distance_from is None:
+                    frame.settled = settled = True
             if write and not frame.dirty:
                 frame.dirty = True
             clock += count * event_ms
@@ -548,7 +546,8 @@ class Simulator:
                             clock, page, frame, count, is_write
                         )
                     return clock
-                self.rows[frame.record + _WINDOW_END] = latest
+                if frame.owner >= 0:
+                    self.rows[frame.owner + _WINDOW_END] = latest
             frame.valid_bits = self.full_mask
             frame.masks = None
         return clock
@@ -591,9 +590,10 @@ class Simulator:
         # transfers, and carries a real wire_end_ms for eviction
         # accounting).  A page with nothing scheduled takes it into its
         # own frame, which the link has never held (a frame leaves the
-        # link's sight only by folding, and a folded page is complete).
-        # A page with a schedule in flight gets a fresh one for the link
-        # and folds it into its own below.
+        # link's sight only by folding, and a folded page is complete);
+        # its fold then closes this fault's window.  A page with a
+        # schedule in flight gets a fresh one for the link and folds it
+        # into its own below.
         schedule = None
         if masks:
             wire_end_ms = background_ready_ms + background_wire_ms
@@ -602,6 +602,7 @@ class Simulator:
                 frame.arrivals_ms = arrivals
                 frame.latest_ms = max(arrivals)
                 frame.wire_end_ms = wire_end_ms
+                frame.owner = len(self.rows)
                 schedule = frame
             else:
                 schedule = PendingArrivals(zip(masks, arrivals), wire_end_ms)
@@ -621,7 +622,9 @@ class Simulator:
                 # merged copy.  Built-in schemes never reach this corner
                 # (a subpage fault implies the earlier plan requested
                 # only a subset of the page, i.e. no pending schedule).
+                # The merged fold closes neither fault's window.
                 frame.merge(schedule)
+                frame.owner = -1
         sp_latency_ms = resume - clock
         self.log_row((
             page, sp, _SUBPAGE, clock, sp_latency_ms, resume, window_end,

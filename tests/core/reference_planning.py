@@ -112,7 +112,6 @@ def pipelined(
     block: int,
     order: list[int] | None = None,
     pipeline_count: int | None = None,
-    direction: int = 0,
 ) -> Placement:
     """``scheme``'s plan; ``order`` defaults to its sequencer's."""
     s = subpage_bytes
@@ -131,7 +130,7 @@ def pipelined(
     initial = [faulted]
     if scheme.double_initial and spp >= 2:
         initial.append(
-            _initial_partner(subpage_bytes, spp, faulted, block, direction)
+            _initial_partner(subpage_bytes, spp, faulted, block)
         )
     initial_bytes = s * len(initial)
     resume = now_ms + latency.subpage_latency_ms(initial_bytes)
@@ -170,14 +169,11 @@ def pipelined(
 
 
 def _initial_partner(
-    subpage_bytes: int, spp: int, faulted: int, block: int, direction: int
+    subpage_bytes: int, spp: int, faulted: int, block: int
 ) -> int:
-    if direction:
-        prefer_next = direction > 0
-    else:
-        blocks_per_subpage = max(1, subpage_bytes // MIN_SUBPAGE_BYTES)
-        offset = block % blocks_per_subpage
-        prefer_next = offset >= blocks_per_subpage / 2
+    blocks_per_subpage = max(1, subpage_bytes // MIN_SUBPAGE_BYTES)
+    offset = block % blocks_per_subpage
+    prefer_next = offset >= blocks_per_subpage / 2
     candidates = (
         (faulted + 1, faulted - 1)
         if prefer_next

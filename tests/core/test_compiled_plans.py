@@ -188,8 +188,8 @@ class TestRowsMatchReference:
     )
     @settings(max_examples=300, deadline=None)
     def test_plan_with_order(self, fault, data, segment, interrupt, double):
-        """Externally supplied orders, depths and directions (the
-        adaptive layer's entry point, :meth:`SubpagePipelining.row`)."""
+        """Externally supplied orders and depths (the adaptive layer's
+        entry point, :meth:`SubpagePipelining.row`)."""
         scheme = make_scheme(
             "pipelined",
             segment_subpages=segment,
@@ -204,15 +204,11 @@ class TestRowsMatchReference:
         ]
         order = data.draw(st.permutations(others))
         depth = data.draw(st.integers(0, 4))
-        direction = data.draw(st.sampled_from([-1, 0, 1]))
         for now, _, faulted, block in events:
-            row = scheme.row(
-                table, faulted, block, tuple(order), depth, direction
-            )
+            row = scheme.row(table, faulted, block, tuple(order), depth)
             assert place(row, now) == pipelined(
                 scheme, latency, subpage_bytes, page_bytes,
-                now, faulted, block, order,
-                pipeline_count=depth, direction=direction,
+                now, faulted, block, order, pipeline_count=depth,
             )
 
 

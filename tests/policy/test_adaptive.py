@@ -6,8 +6,32 @@ from repro.core.schemes import SubpagePipelining, make_scheme
 from repro.errors import ConfigError
 from repro.policy.adaptive import AdaptiveScheme
 from repro.policy.predictors import StrideMajorityPredictor
+from repro.sim.config import SimulationConfig
+from repro.sim.simulator import simulate
 
-from tests.conftest import place
+from tests.conftest import make_trace, page_addr, place
+
+
+class ColdStride(StrideMajorityPredictor):
+    """The stride predictor with no trust in a page it has not seen
+    move: a cold fault falls to the bottom of the ladder."""
+
+    COLD_CONFIDENCE = 0.0
+
+
+class KindLog(StrideMajorityPredictor):
+    """The stride predictor, logging every observation's kind."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kinds: list[str] = []
+        ring = self.record
+
+        def record(page, subpage, kind):
+            self.kinds.append(kind)
+            ring(page, subpage, kind)
+
+        self.record = record
 
 
 class TestTransparentMode:
@@ -45,7 +69,9 @@ class TestTransparentMode:
         assert scheme.label(1024, 8192) == "ad_1024"
 
     def test_max_depth_equal_to_pipeline_count_stays_transparent(self):
-        assert AdaptiveScheme(pipeline_count=3, max_depth=3).transparent
+        scheme = AdaptiveScheme(max_depth=2)
+        assert scheme.inner.pipeline_count == 2
+        assert scheme.transparent
 
 
 class TestDepthLadder:
@@ -73,13 +99,12 @@ class TestDepthLadder:
 
 class TestPlanning:
     def test_predicted_order_pipelines_first(self):
-        # Teach the predictor a +2 stride on page 5, then fault at 2:
-        # predicted next subpages (4, 6) must be the pipelined ones.
-        scheme = AdaptiveScheme(
-            predictor="stride", max_depth=2, full_confidence=0.5
-        )
+        # Teach the predictor a unanimous +2 stride on page 5, then
+        # fault at 2: predicted next subpages (4, 6) must be the
+        # pipelined ones.
+        scheme = AdaptiveScheme(predictor="stride", max_depth=2)
         scheme.controller.begin_run(subpage_bytes=1024)
-        for sp in (0, 2):
+        for sp in (0, 2, 4):
             scheme.controller.observe(5, sp, "touch")
         plan = place(scheme, subpage=2, page=5)
         wire = 1024 / 8192
@@ -90,22 +115,14 @@ class TestPlanning:
     def test_zero_depth_degenerates_to_eager_shape(self):
         # Cold page under a strict ladder: no pipelined messages, the
         # rest arrives in one trailing message.
-        scheme = AdaptiveScheme(
-            predictor="stride",
-            predictor_kwargs={"cold_confidence": 0.0},
-            max_depth=6,
-        )
+        scheme = AdaptiveScheme(predictor=ColdStride(), max_depth=6)
         scheme.controller.begin_run(subpage_bytes=1024)
         plan = place(scheme, subpage=2)
         others = {a for i, a in plan.arrivals_ms.items() if i != 2}
         assert len(others) == 1  # one trailing arrival time
 
     def test_lazy_fallback_when_switching(self):
-        scheme = AdaptiveScheme(
-            predictor="stride",
-            predictor_kwargs={"cold_confidence": 0.0},
-            switch_schemes=True,
-        )
+        scheme = AdaptiveScheme(predictor=ColdStride(), switch_schemes=True)
         scheme.controller.begin_run(subpage_bytes=1024)
         plan = place(scheme, subpage=3)
         assert set(plan.arrivals_ms) == {3}
@@ -121,16 +138,14 @@ class TestPlanning:
 
 class TestScoreboard:
     def make(self):
-        scheme = AdaptiveScheme(
-            predictor="stride", max_depth=2, full_confidence=0.5
-        )
+        scheme = AdaptiveScheme(predictor="stride", max_depth=2)
         scheme.controller.begin_run(subpage_bytes=1024)
         return scheme
 
     def test_hits_and_misses(self):
         scheme = self.make()
         c = scheme.controller
-        for sp in (0, 2):
+        for sp in (0, 2, 4):
             c.observe(5, sp, "touch")
         place(scheme, subpage=2, page=5)  # predicts 4, 6
         c.observe(5, 4, "touch")  # hit
@@ -143,7 +158,7 @@ class TestScoreboard:
     def test_wasted_bytes_charged_on_retire(self):
         scheme = self.make()
         c = scheme.controller
-        for sp in (0, 2):
+        for sp in (0, 2, 4):
             c.observe(5, sp, "touch")
         place(scheme, subpage=2, page=5)  # speculates on 4, 6
         c.observe(5, 4, "touch")  # 6 never touched
@@ -180,29 +195,25 @@ class TestScoreboard:
 
 class TestFeeds:
     def test_fault_feed_stays_fast_compatible(self):
-        scheme = AdaptiveScheme(predictor="stride")
-        assert not scheme.controller.needs_reference_events
-
-    def test_events_feed_demands_reference(self):
-        scheme = AdaptiveScheme(predictor="stride", feed="events")
-        assert scheme.controller.needs_reference_events
-
-    def test_predictor_can_demand_reference(self):
-        predictor = StrideMajorityPredictor()
-        predictor.needs_reference_events = True
-        scheme = AdaptiveScheme(predictor=predictor)
-        assert scheme.controller.needs_reference_events
+        """One feed: the policy sees the page faults and the touches of
+        incomplete pages, never a hit from the drive loop."""
+        predictor = KindLog()
+        trace = make_trace(
+            [page_addr(page, 1024 * sp) for page in range(4)
+             for sp in (0, 1, 2, 0, 1, 2)] * 3
+        )
+        result = simulate(trace, SimulationConfig(
+            memory_pages=2,
+            scheme="adaptive",
+            scheme_kwargs={"predictor": predictor},
+            subpage_bytes=1024,
+            congestion=False,
+        ))
+        assert set(predictor.kinds) == {"fault", "touch"}
+        assert predictor.kinds.count("fault") == result.page_faults
 
 
 class TestValidation:
-    def test_bad_feed(self):
-        with pytest.raises(ConfigError):
-            AdaptiveScheme(feed="everything")
-
-    def test_bad_confidence_order(self):
-        with pytest.raises(ConfigError):
-            AdaptiveScheme(min_confidence=0.9, full_confidence=0.5)
-
     def test_bad_max_depth(self):
         with pytest.raises(ConfigError):
             AdaptiveScheme(max_depth=0)

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sequencers import NeighborSequencer, check_follow_on
-from repro.errors import ConfigError, UnknownSchemeError
+from repro.errors import UnknownSchemeError
 from repro.policy.predictors import (
-    DirectionEwmaPredictor,
     StaticNeighborPredictor,
     StrideMajorityPredictor,
     make_predictor,
@@ -21,24 +20,19 @@ def feed(predictor, page, subpages, kind="touch"):
 
 
 class TestRecordBinding:
-    """A predictor that records every kind alike hands the policy its
-    history's ``record``: one call per observation."""
+    """A predictor hands the policy its history's ``record``: one call
+    per observation."""
 
     @pytest.mark.parametrize("name", ["static", "stride"])
     def test_plain_record_binds_the_history(self, name):
         predictor = make_predictor(name)
         assert predictor.record == predictor.history.record
         predictor.record(3, 1, "fault")
+        predictor.record(3, 4, "touch")
         predictor.reset()
         predictor.record(3, 2, "touch")
-        assert predictor.history.recent(3) == (2,)
-
-    def test_overriding_record_keeps_it(self):
-        predictor = make_predictor("direction")
-        assert predictor.record != predictor.history.record
-        predictor.record(3, 1, "fault")
-        predictor.record(3, 2, "touch")
-        assert predictor.history.recent(3) == (1, 2)
+        predictor.record(3, 3, "touch")
+        assert predictor.history.deltas(3) == [1]
 
 
 class TestStatic:
@@ -48,7 +42,6 @@ class TestStatic:
         pred = p.predict(0, 3, 8)
         assert pred.order == expected
         assert pred.confidence == 1.0
-        assert pred.direction == 0
 
     def test_history_blind(self):
         p = StaticNeighborPredictor()
@@ -61,15 +54,13 @@ class TestStride:
         p = StrideMajorityPredictor()
         pred = p.predict(0, 2, 8)
         assert pred.order == tuple(NeighborSequencer().order(2, 8))
-        assert pred.confidence == p.cold_confidence
-        assert pred.direction == 0
+        assert pred.confidence == p.COLD_CONFIDENCE
 
     def test_unanimous_forward_stride(self):
         p = StrideMajorityPredictor()
         feed(p, 0, [0, 1, 2, 3, 4])
         pred = p.predict(0, 4, 8)
         assert pred.order[:3] == (5, 6, 7)
-        assert pred.direction == 1
         assert pred.confidence == 1.0
 
     def test_backward_stride(self):
@@ -77,14 +68,12 @@ class TestStride:
         feed(p, 0, [7, 6, 5, 4])
         pred = p.predict(0, 4, 8)
         assert pred.order[:4] == (3, 2, 1, 0)
-        assert pred.direction == -1
 
     def test_stride_of_two(self):
         p = StrideMajorityPredictor()
         feed(p, 0, [0, 2, 4])
         pred = p.predict(0, 4, 8)
         assert pred.order[0] == 6
-        assert pred.direction == 1
 
     def test_majority_beats_minority(self):
         p = StrideMajorityPredictor()
@@ -101,7 +90,7 @@ class TestStride:
     def test_per_page_isolation(self):
         p = StrideMajorityPredictor()
         feed(p, 0, [0, 1, 2, 3])
-        assert p.predict(1, 2, 8).confidence == p.cold_confidence
+        assert p.predict(1, 2, 8).confidence == p.COLD_CONFIDENCE
 
     def test_order_is_valid_follow_on(self):
         p = StrideMajorityPredictor()
@@ -110,65 +99,29 @@ class TestStride:
         check_follow_on(6, list(pred.order), 8)
         assert sorted(pred.order) == [i for i in range(8) if i != 6]
 
-    def test_window_validation(self):
-        with pytest.raises(ConfigError):
-            StrideMajorityPredictor(window=0)
-
-
-class TestDirection:
-    def test_cold_start_is_ascending(self):
-        p = DirectionEwmaPredictor()
-        pred = p.predict(0, 2, 6)
-        assert pred.order == (3, 4, 5, 1, 0)
-        assert pred.confidence == 0.0
-        assert pred.direction == 0
-
-    def test_forward_trend(self):
-        p = DirectionEwmaPredictor()
-        feed(p, 0, [0, 1, 2, 3, 4, 5])
-        pred = p.predict(0, 6, 8)
-        assert pred.order[0] == 7
-        assert pred.direction == 1
-        assert pred.confidence > 0.5
-
-    def test_backward_trend_descends_first(self):
-        p = DirectionEwmaPredictor()
-        feed(p, 0, [7, 6, 5, 4, 3])
+    def test_window_bounds_the_vote(self):
+        p = StrideMajorityPredictor()
+        # Four -1 moves, then three +1 moves: over all seven the -1s
+        # would win, but the vote sees only the last WINDOW (six), a
+        # 3-3 tie the forward stride breaks.
+        feed(p, 0, [7, 6, 5, 4, 3, 4, 5, 6])
+        assert len(p.history.deltas(0)) == 7
         pred = p.predict(0, 3, 8)
-        assert pred.order[:3] == (2, 1, 0)
-        assert pred.direction == -1
-
-    def test_mixed_trend_low_confidence(self):
-        p = DirectionEwmaPredictor()
-        feed(p, 0, [0, 1, 0, 1, 0, 1, 0])
-        assert p.predict(0, 1, 8).confidence < 0.5
-
-    def test_reset_clears_trend(self):
-        p = DirectionEwmaPredictor()
-        feed(p, 0, [0, 1, 2, 3])
-        p.reset()
-        assert p.predict(0, 2, 8).confidence == 0.0
-
-    def test_alpha_validation(self):
-        with pytest.raises(ConfigError):
-            DirectionEwmaPredictor(alpha=0.0)
+        assert pred.confidence == 0.5
+        assert pred.order[0] == 4
 
 
 class TestRegistry:
     def test_names(self):
-        assert predictor_names() == ("direction", "static", "stride")
+        assert predictor_names() == ("static", "stride")
 
-    @pytest.mark.parametrize("name", ["static", "stride", "direction"])
+    @pytest.mark.parametrize("name", ["static", "stride"])
     def test_builds_by_name(self, name):
         assert make_predictor(name).name == name
 
     def test_passthrough(self):
         p = StaticNeighborPredictor()
         assert make_predictor(p) is p
-
-    def test_passthrough_rejects_kwargs(self):
-        with pytest.raises(ConfigError):
-            make_predictor(StaticNeighborPredictor(), history_depth=4)
 
     def test_unknown_lists_names(self):
         with pytest.raises(UnknownSchemeError, match="static"):
@@ -180,7 +133,7 @@ class TestRegistry:
         st.integers(min_value=0, max_value=7), min_size=0, max_size=20
     ),
     faulted=st.integers(min_value=0, max_value=7),
-    name=st.sampled_from(["static", "stride", "direction"]),
+    name=st.sampled_from(["static", "stride"]),
 )
 @settings(max_examples=120)
 def test_predictions_always_satisfy_the_sequencer_contract(
@@ -195,4 +148,3 @@ def test_predictions_always_satisfy_the_sequencer_contract(
     check_follow_on(faulted, list(pred.order), 8)
     assert sorted(pred.order) == [i for i in range(8) if i != faulted]
     assert 0.0 <= pred.confidence <= 1.0
-    assert pred.direction in (-1, 0, 1)

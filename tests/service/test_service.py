@@ -19,6 +19,8 @@ from repro.sim.sweep import run_subpage_sweep
 from repro.store import SqliteResultStore
 from repro.trace.synth.apps import build_app_trace
 
+from tests.sim.test_config import REMOVED_ADAPTIVE_SETTINGS
+
 #: A tiny but real spec: the modula3 app model at quarter scale, a
 #: 2-cell Figure 3 grid.  Small enough to run in well under a second.
 SPEC = {
@@ -252,6 +254,11 @@ class TestErrorMapping:
             ({"observe": "bogus"}, "observe"),
             ({"replacement": "mru"}, "replacement"),
             ({"page_bytes": 4096}, "page_bytes"),
+            *(
+                ({"scheme": "adaptive", "scheme_kwargs": {setting: value}},
+                 "scheme_kwargs")
+                for setting, value in REMOVED_ADAPTIVE_SETTINGS
+            ),
         ):
             status, body = service.submit({"app": "modula3", "base": base})
             assert status == 400, base

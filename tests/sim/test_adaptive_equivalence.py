@@ -40,19 +40,18 @@ def mixed_trace():
     return compress_references(addrs, writes, name="mixed-adaptive")
 
 
-def pair(trace, adaptive_kwargs=None, **overrides):
+def pair(trace, **overrides):
     """The same cell under plain pipelining and transparent adaptive
-    (static predictor plus any ``adaptive_kwargs``)."""
-    base = dict(overrides)
+    (static predictor)."""
     plain = simulate(
-        trace, SimulationConfig(scheme="pipelined", **base)
+        trace, SimulationConfig(scheme="pipelined", **overrides)
     )
     adaptive = simulate(
         trace,
         SimulationConfig(
             scheme="adaptive",
-            scheme_kwargs={"predictor": "static", **(adaptive_kwargs or {})},
-            **base,
+            scheme_kwargs={"predictor": "static"},
+            **overrides,
         ),
     )
     return plain, adaptive
@@ -71,17 +70,6 @@ class TestMatrixIdentity:
         )
         assert adaptive == plain
 
-    def test_events_feed(self, mixed_trace):
-        """The per-run ``"events"`` feed adds a hit observation for
-        every resident run; the static predictor ignores them all."""
-        plain, adaptive = pair(
-            mixed_trace,
-            {"feed": "events"},
-            memory_pages=memory_pages_for(mixed_trace, 0.5),
-            subpage_bytes=1024,
-        )
-        assert adaptive == plain
-
     def test_with_fault_records_and_distances(self, mixed_trace):
         """The per-fault raw material and distance histogram match too
         (the hit path diverges there if observation leaks)."""
@@ -89,41 +77,6 @@ class TestMatrixIdentity:
             mixed_trace,
             memory_pages=memory_pages_for(mixed_trace, 0.5),
             subpage_bytes=1024,
-        )
-        assert adaptive == plain
-
-    @pytest.mark.parametrize(
-        "inner_kwargs",
-        [
-            {"pipeline_count": 4},
-            {"segment_subpages": 2},
-            {"interrupt_ms": 0.091},
-            {"double_initial": True},
-        ],
-    )
-    def test_inner_scheme_knobs_pass_through(
-        self, mixed_trace, inner_kwargs
-    ):
-        base = dict(
-            memory_pages=memory_pages_for(mixed_trace, 0.5),
-            subpage_bytes=1024,
-        )
-        plain = simulate(
-            mixed_trace,
-            SimulationConfig(
-                scheme="pipelined", scheme_kwargs=dict(inner_kwargs), **base
-            ),
-        )
-        kwargs = {"predictor": "static", **inner_kwargs}
-        if "pipeline_count" in inner_kwargs:
-            # Transparency requires max_depth == pipeline_count; the
-            # default (None) already tracks it.
-            kwargs["max_depth"] = inner_kwargs["pipeline_count"]
-        adaptive = simulate(
-            mixed_trace,
-            SimulationConfig(
-                scheme="adaptive", scheme_kwargs=kwargs, **base
-            ),
         )
         assert adaptive == plain
 

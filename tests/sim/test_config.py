@@ -9,6 +9,23 @@ from repro.sim.config import SimulationConfig, memory_pages_for
 from tests.conftest import make_trace, page_addr
 
 
+#: Settings the adaptive scheme no longer takes, each with a value it
+#: once accepted: the knees and the history depth are constants, the
+#: wrapped pipelined scheme is the paper's default, and only the fault
+#: feed is left.
+REMOVED_ADAPTIVE_SETTINGS = [
+    ("predictor_kwargs", {"window": 4}),
+    ("history_depth", 4),
+    ("feed", "faults"),
+    ("pipeline_count", 4),
+    ("segment_subpages", 2),
+    ("interrupt_ms", 0.091),
+    ("double_initial", True),
+    ("min_confidence", 0.1),
+    ("full_confidence", 0.9),
+]
+
+
 def config(**kwargs) -> SimulationConfig:
     base = dict(memory_pages=8)
     base.update(kwargs)
@@ -69,6 +86,18 @@ class TestSchemeBuilding:
     def test_instance_passthrough(self):
         scheme = EagerFullPageFetch()
         assert config(scheme=scheme).build_scheme() is scheme
+
+    @pytest.mark.parametrize(
+        "name,value", REMOVED_ADAPTIVE_SETTINGS,
+        ids=[name for name, _ in REMOVED_ADAPTIVE_SETTINGS],
+    )
+    def test_removed_adaptive_setting_is_refused(self, name, value):
+        cfg = config(
+            scheme="adaptive",
+            scheme_kwargs={"predictor": "stride", name: value},
+        )
+        with pytest.raises(ConfigError, match=name):
+            cfg.build_scheme()
 
 
 class TestLabels:

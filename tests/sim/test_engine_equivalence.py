@@ -15,8 +15,8 @@ x memory configuration x backing over ``mixed_trace``), the adaptive
 cells, replacement policies (also in 3 frames, where evictions meet
 pages whose transfers are still in flight), TLB, no-congestion, the
 edge traces, and the configurations that used to force the reference
-loop (PALcode, observe, the adaptive ``"events"`` feed).  Every cell keeps its
-distance histogram, so the histogram is pinned too.
+loop (PALcode, observe).  Every cell keeps its distance histogram, so
+the histogram is pinned too.
 
 Regenerate (only when a change is *meant* to move the numbers)::
 
@@ -118,7 +118,6 @@ ADAPTIVE_CELLS = [
     ({"predictor": "stride", "max_depth": 6}, 512),
     ({"predictor": "stride", "max_depth": 6}, 2048),
     ({"predictor": "stride", "switch_schemes": True}, 1024),
-    ({"predictor": "direction", "double_initial": True}, 1024),
 ]
 
 FRACTIONS = [1.0, 0.5, 0.25]
@@ -221,11 +220,6 @@ def golden_cells() -> dict[str, Callable[[], tuple]]:
     )
     cells["observe"] = _mixed(
         0.5, scheme="eager", subpage_bytes=1024, observe="metrics"
-    )
-    cells["adaptive_events_feed"] = _mixed(
-        0.5, scheme="adaptive",
-        scheme_kwargs={"predictor": "stride", "feed": "events"},
-        subpage_bytes=1024,
     )
     cells["edge/single_run"] = _edge([page_addr(0)])
     cells["edge/single_page_hammer"] = _edge(
@@ -360,9 +354,6 @@ class TestPerEventHooks:
     def test_observe(self):
         result = assert_pinned("observe")
         assert result.metrics
-
-    def test_adaptive_events_feed(self):
-        assert_pinned("adaptive_events_feed")
 
 
 class TestEdgeTraces:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.atomicfile import decode, encode
@@ -398,6 +398,14 @@ def write_heavy_traces(draw):
     )
 
 
+def _lazypair_writes(*refs: tuple[int, int]):
+    """A write per ``(page, block)``: the traces of the pinned draws."""
+    return make_trace(
+        [page_addr(page, block * 256) for page, block in refs],
+        [True] * len(refs),
+    )
+
+
 @given(
     trace=write_heavy_traces(),
     frames=st.integers(2, 4),
@@ -407,6 +415,21 @@ def write_heavy_traces(draw):
     congestion=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
+# The subpage fault at block 8 merges its follow-on into the page
+# fault's schedule: the fold must leave both windows where they were.
+@example(
+    trace=_lazypair_writes((0, 0), (0, 8), (0, 12)),
+    frames=2, policy="lru", backing="remote",
+    scheme=INVARIANT_SCHEMES[-1], congestion=False,
+)
+# The page fault at block 28 ships no follow-on, so the subpage fault
+# at block 24 hands its schedule to the frame: the fold closes the
+# subpage fault's window, not the page fault's.
+@example(
+    trace=_lazypair_writes((0, 28), (0, 24), (1, 0), (1, 4), (0, 25)),
+    frames=2, policy="lru", backing="remote",
+    scheme=INVARIANT_SCHEMES[-1], congestion=False,
+)
 def test_fault_dominated_invariants(
     trace, frames, policy, backing, scheme, congestion
 ):

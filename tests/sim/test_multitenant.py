@@ -259,7 +259,7 @@ SLICE_CONFIGS = [
     {"scheme": "lazy", "subpage_bytes": 2048, "protection": "palcode",
      "tlb_entries": 4},
     {"scheme": "adaptive",
-     "scheme_kwargs": {"predictor": "stride", "feed": "events"}},
+     "scheme_kwargs": {"predictor": "stride"}},
     {"scheme": "pipelined", "backing": "cluster"},
     {"scheme": "pipelined", "replacement": "fifo"},
     {"scheme": "eager", "replacement": "clock", "tlb_entries": 4},

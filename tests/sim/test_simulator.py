@@ -511,7 +511,7 @@ class TestReusedSimulator:
     @pytest.mark.parametrize("overrides", [
         {"scheme": "adaptive",
          "scheme_kwargs": {"predictor": "stride", "max_depth": 6,
-                           "feed": "events"}},
+                           "switch_schemes": True}},
         {"backing": "cluster", "cluster_warm": False},
         {"tlb_entries": 16, "replacement": "clock"},
         {"protection": "palcode", "scheme": "pipelined"},

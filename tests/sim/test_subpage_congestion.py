@@ -203,8 +203,12 @@ class TestMergedScheduleLatest:
         # Still incomplete after subpage 1 lands: subpage 5 stalls.
         start, end = result.stall_intervals[-1]
         assert (start, end) == (pytest.approx(1.501), pytest.approx(2.001))
-        page_fault = result.fault_records[0]
-        assert page_fault.window_end_ms == end
+        # The fold closes neither window: each fault's window ends at
+        # its own last message, the page fault's follower at 1.5 and
+        # the subpage fault's at 2.001.
+        page_fault, subpage_fault = result.fault_records[:2]
+        assert page_fault.window_end_ms == pytest.approx(1.5)
+        assert subpage_fault.window_end_ms == end
 
     def test_eviction_cancels_the_merged_transfer(self):
         # Page 1's fault at 1.501 evicts page 0: subpage 1 has landed,
@@ -226,7 +230,10 @@ class TestMergeCornerPinned:
     (0, 4), (1, 3) and (2, 2) fault while the follower of their page's
     first fault is on the wire.  Two frames, so the cell also evicts
     (one dirty page).  The values were recorded before the frame began
-    to carry its own schedule and must stay ``==``.
+    to carry its own schedule and must stay ``==``, except the window
+    ends of the page faults on pages 0 and 1: a merged schedule's fold
+    no longer moves them (3.5 -> 2.0 and 5.501 -> 4.0, each its own
+    follower's arrival).
     """
 
     TRACE = [sp(0, 0), sp(0, 4), sp(1, 0), sp(0, 5), sp(1, 3), sp(0, 1),
@@ -268,12 +275,12 @@ class TestMergeCornerPinned:
     #: (page, subpage, kind, time, sp_latency, window start, window end,
     #: page waits, cpu overhead, overlapped) per fault.
     ROWS = [
-        (0, 0, "remote", 0.0, 0.5, 0.5, 3.5,
+        (0, 0, "remote", 0.0, 0.5, 0.5, 2.0,
          [(1.5029999999999997, 3.5)], 0.0, False),
         (0, 4, "subpage", 0.501, 0.4999999999999999, 1.001, 3.0,
          [], 0.0, False),
         (1, 0, "remote", 1.0019999999999998, 0.5, 1.5019999999999998,
-         5.5009999999999994, [(5.005000000000001, 5.5009999999999994)],
+         4.0, [(5.005000000000001, 5.5009999999999994)],
          0.0, True),
         (1, 3, "subpage", 3.501, 0.49999999999999956, 4.0009999999999994,
          5.5009999999999994, [], 0.0, False),

@@ -2,9 +2,10 @@
 """Pinned figure CSVs: the exported grids must stay byte-identical.
 
 Runs ``python -m repro.experiments --csv DIR`` for the figures whose
-grids the benchmark times (fig03, fig09, figZOO and figMT) into a
-temporary directory, hashes every CSV it wrote, and compares the
-SHA-256 digests against ``tests/data/figure_csv_digests.json``.
+grids the benchmark times (fig03, fig09, figZOO and figMT) and for the
+adaptive-policy grid (figAX) into a temporary directory, hashes every
+CSV it wrote, and compares the SHA-256 digests against
+``tests/data/figure_csv_digests.json``.
 
     PYTHONPATH=src python tools/csv_digests.py --check   # the default
     PYTHONPATH=src python tools/csv_digests.py --write   # re-record
@@ -28,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "data" / "figure_csv_digests.json"
-FIGURES = ("fig03", "fig09", "figZOO", "figMT")
+FIGURES = ("fig03", "fig09", "figZOO", "figMT", "figAX")
 
 
 def export(out_dir: Path) -> None:
