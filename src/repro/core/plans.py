@@ -31,6 +31,12 @@ from repro.net.latency import LatencyModel
 #: time at the same index of the ``arrivals_ms`` list.  The list is
 #: fresh on every call: the simulator's frame adopts it as the page's
 #: schedule, and the link shifts it in place.
+#:
+#: The follow-on messages are either empty or cover every subpage the
+#: page does not yet have: lazy fetch sends nothing more, eager fetch
+#: and pipelining send the rest of the page.  A subpage the page lacks
+#: is thus never touched while a schedule is in flight; the simulator
+#: raises :class:`~repro.errors.SchemeError` if it is.
 Placement = tuple[
     float, int, tuple[int, ...], list[float], float, float, float, float
 ]

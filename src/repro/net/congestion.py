@@ -41,17 +41,11 @@ class PendingArrivals:
     may still hold a folded frame until its ``wire_end_ms`` passes and
     keeps shifting it, which only moves times nobody reads any more.
 
-    An empty schedule is legal (every arrival may already have been
-    folded into the resident page, or a transfer may carry no subpage
-    deadlines at all): :meth:`shift_after` and the :class:`LinkModel`
-    then only track ``wire_end_ms``.  Only :meth:`latest` requires a
-    non-empty schedule; call sites must check ``masks`` first.
-
     The latest arrival is cached in ``latest_ms``: the shifts move it
     exactly as they move the arrival it came from (float addition
     rounds monotonically, so no other arrival can overtake it).  Change
-    the schedule through :meth:`shift_after`, :meth:`shift_all` and
-    :meth:`merge` only.
+    the schedule through :meth:`shift_after` and :meth:`shift_all`
+    only.
     """
 
     __slots__ = ("masks", "arrivals_ms", "wire_end_ms", "latest_ms")
@@ -114,24 +108,6 @@ class PendingArrivals:
         self.latest_ms += delta_ms
         self.wire_end_ms += delta_ms
 
-    def merge(self, other: "PendingArrivals") -> None:
-        """Fold ``other``'s schedule into this one (``other``'s arrival
-        wins for a subpage both carry)."""
-        taken = 0
-        for mask in other.masks:
-            taken |= mask
-        masks = []
-        arrivals = []
-        for mask, arrival in zip(self.masks, self.arrivals_ms):
-            mask &= ~taken
-            if mask:
-                masks.append(mask)
-                arrivals.append(arrival)
-        self.masks = [*masks, *other.masks]
-        self.arrivals_ms = [*arrivals, *other.arrivals_ms]
-        self.latest_ms = max(self.arrivals_ms, default=0.0)
-        self.wire_end_ms = max(self.wire_end_ms, other.wire_end_ms)
-
     def latest(self) -> float:
         if not self.masks:
             raise SimulationError("no pending arrivals")
@@ -173,8 +149,7 @@ class LinkModel:
         #: of queueing delay attributable to cross-traffic.
         self._own_busy_until = 0.0
         #: Schedules whose wire time has not ended: the simulator's
-        #: frames, each at most once, plus the fresh schedule of a
-        #: subpage fault that merged into its page's own.
+        #: frames, each at most once.
         self._in_flight: list[PendingArrivals] = []
         self._fabric: CrossTraffic | None = None
         self.label = label

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.fault import KIND_CODES, FaultKind, FaultLog
 from repro.disk.model import DiskModel
 from repro.disk.presets import paper_disk
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SchemeError, SimulationError
 from repro.gms.cluster import ActiveNode, Cluster, PageLocation, build_cluster
 from repro.gms.ids import PageUid, page_uid
 from repro.net.congestion import CrossTraffic, LinkModel, PendingArrivals
@@ -61,9 +61,10 @@ class _Frame(PendingArrivals):
     fault that brought the page in within the fault log's flat rows;
     its page waits are charged there.  ``owner`` is the offset of the
     fault whose messages the schedule holds, whose window end the fold
-    rewrites: the page fault's, a later subpage fault's once the frame
-    adopts that fault's schedule, and -1 once two faults' schedules are
-    merged (neither window then moves).
+    rewrites: the page fault's, or a later subpage fault's once the
+    frame adopts that fault's schedule.  A schedule covers every
+    subpage its page still lacks (:data:`~repro.core.plans.Placement`),
+    so a frame adopts one only while it has none.
 
     A frame is ``settled`` once every subpage is valid, nothing is in
     flight and its first-touch distance is recorded: from then on it is
@@ -515,39 +516,39 @@ class Simulator:
         if self.adaptive is not None:
             self.adaptive.observe(page, sp, "touch")
         if not frame.valid_bits >> sp & 1:
-            arrival = frame.arrival(sp) if frame.masks is not None else None
-            if arrival is None:
+            if frame.masks is None:
                 # Lazy fetch: the subpage was never requested; fault it.
                 clock = self._subpage_fault(clock, page, frame, sp, block)
-            elif arrival > clock:
-                result = self.result
-                result.faults.add_page_wait(
-                    frame.record // _ROW_WIDTH, clock, arrival
-                )
-                if self.ins is not None:
-                    self.ins.on_stall(clock, arrival, "page_wait", page)
-                result.components.page_wait_ms += arrival - clock
-                clock = arrival
-                frame.valid_bits |= 1 << sp
             else:
+                arrival = frame.arrival(sp)
+                if arrival is None:
+                    raise SchemeError(
+                        f"{self.scheme.name}: subpage {sp} of page {page} "
+                        f"was never requested while the page's follow-on "
+                        f"is in flight; a fault's follow-on must be empty "
+                        f"or cover every subpage the page lacks"
+                    )
+                if arrival > clock:
+                    self.result.faults.add_page_wait(
+                        frame.record // _ROW_WIDTH, clock, arrival
+                    )
+                    if self.ins is not None:
+                        self.ins.on_stall(clock, arrival, "page_wait", page)
+                    clock = arrival
                 frame.valid_bits |= 1 << sp
 
         # Fold completed transfers: once everything has arrived the page
-        # behaves like any fully-resident page (access re-enabled).  An
-        # empty schedule means nothing is actually in flight; fold it
-        # immediately (its latest_ms names no arrival).
-        masks = frame.masks
-        if masks is not None:
-            if masks:
-                latest = frame.latest_ms
-                if clock < latest:
-                    if self.pal is not None:
-                        self._charge_emulation(
-                            clock, page, frame, count, is_write
-                        )
-                    return clock
-                if frame.owner >= 0:
-                    self.rows[frame.owner + _WINDOW_END] = latest
+        # behaves like any fully-resident page (access re-enabled), and
+        # the fault whose messages they were has its window closed.
+        if frame.masks is not None:
+            latest = frame.latest_ms
+            if clock < latest:
+                if self.pal is not None:
+                    self._charge_emulation(
+                        clock, page, frame, count, is_write
+                    )
+                return clock
+            self.rows[frame.owner + _WINDOW_END] = latest
             frame.valid_bits = self.full_mask
             frame.masks = None
         return clock
@@ -566,9 +567,7 @@ class Simulator:
         latest = frame.latest()
         refs_until_done = int((latest - clock) / self.event_ms) + 1
         emulated = min(int(count), refs_until_done)
-        self.result.components.emulation_ms += self.pal.charge_run(
-            page, emulated, is_write
-        )
+        self.pal.charge_run(page, emulated, is_write)
 
     def _subpage_fault(
         self,
@@ -578,34 +577,29 @@ class Simulator:
         sp: int,
         block: int,
     ) -> float:
-        """Lazy-scheme fault on a subpage of a resident page."""
+        """Lazy-scheme fault on a subpage of a resident page with nothing
+        scheduled."""
         (
             resume, valid_bits, masks, arrivals, demand_wire_ms,
             background_ready_ms, background_wire_ms, cpu_overhead_ms,
         ) = self._plan(clock, page, sp, block)
         frame.valid_bits |= valid_bits
         # Follow-on arrivals ride the shared link exactly like a page
-        # fault's background transfer: the link takes the schedule (so
-        # it queues behind in-flight traffic, can be preempted by demand
-        # transfers, and carries a real wire_end_ms for eviction
-        # accounting).  A page with nothing scheduled takes it into its
-        # own frame, which the link has never held (a frame leaves the
-        # link's sight only by folding, and a folded page is complete);
-        # its fold then closes this fault's window.  A page with a
-        # schedule in flight gets a fresh one for the link and folds it
-        # into its own below.
+        # fault's background transfer: the frame adopts the schedule and
+        # the link takes the frame (so it queues behind in-flight
+        # traffic, can be preempted by demand transfers, and carries a
+        # real wire_end_ms for eviction accounting).  The link has never
+        # held this frame: a frame leaves the link's sight only by
+        # folding, and a folded page is complete.  The fold then closes
+        # this fault's window.
         schedule = None
         if masks:
-            wire_end_ms = background_ready_ms + background_wire_ms
-            if frame.masks is None:
-                frame.masks = masks
-                frame.arrivals_ms = arrivals
-                frame.latest_ms = max(arrivals)
-                frame.wire_end_ms = wire_end_ms
-                frame.owner = len(self.rows)
-                schedule = frame
-            else:
-                schedule = PendingArrivals(zip(masks, arrivals), wire_end_ms)
+            frame.masks = masks
+            frame.arrivals_ms = arrivals
+            frame.latest_ms = max(arrivals)
+            frame.wire_end_ms = background_ready_ms + background_wire_ms
+            frame.owner = len(self.rows)
+            schedule = frame
         demand_ready_ms = background_start_ms = None
         if self.congestion:
             demand_ready_ms = clock + self.latency.request_fixed_ms
@@ -613,18 +607,7 @@ class Simulator:
                 demand_ready_ms, demand_wire_ms, schedule,
                 background_ready_ms, background_wire_ms,
             )
-        window_end = resume
-        if schedule is not None:
-            window_end = schedule.latest_ms
-            if schedule is not frame:
-                # The link keeps shifting the fresh schedule; demand
-                # preemption after the merge does not propagate to the
-                # merged copy.  Built-in schemes never reach this corner
-                # (a subpage fault implies the earlier plan requested
-                # only a subset of the page, i.e. no pending schedule).
-                # The merged fold closes neither fault's window.
-                frame.merge(schedule)
-                frame.owner = -1
+        window_end = frame.latest_ms if masks else resume
         sp_latency_ms = resume - clock
         self.log_row((
             page, sp, _SUBPAGE, clock, sp_latency_ms, resume, window_end,
@@ -663,6 +646,7 @@ class Simulator:
             }
         if self.pal is not None:
             stats = self.pal.stats
+            result.components.emulation_ms = stats.overhead_ms
             result.emulation_stats = {
                 "emulated_accesses": stats.emulated_accesses,
                 "overhead_ms": stats.overhead_ms,
@@ -701,6 +685,9 @@ class Simulator:
         result.cancelled_transfers = int(np.count_nonzero(faults.cancelled))
         components = result.components
         components.sp_latency_ms = _running_sum(faults.sp_latency_ms)
+        components.page_wait_ms = _running_sum(
+            faults.wait_end_ms - faults.wait_start_ms
+        )
         components.cpu_overhead_ms = _running_sum(faults.cpu_overhead_ms)
         # Close any still-open fault windows at the end of the run.
         faults.window_end_ms = np.minimum(faults.window_end_ms, clock)

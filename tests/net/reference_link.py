@@ -55,13 +55,6 @@ class SubpageArrivals:
         self._latest_ms += delta_ms
         self.wire_end_ms += delta_ms
 
-    def merge(self, other: "SubpageArrivals") -> None:
-        """Fold ``other``'s schedule into this one (``other``'s arrival
-        wins for a subpage both carry)."""
-        self.arrival_ms.update(other.arrival_ms)
-        self._latest_ms = max(self.arrival_ms.values(), default=0.0)
-        self.wire_end_ms = max(self.wire_end_ms, other.wire_end_ms)
-
     def latest(self) -> float:
         if not self.arrival_ms:
             raise SimulationError("no pending arrivals")

@@ -98,14 +98,6 @@ class TestPendingArrivals:
                 with pytest.raises(SimulationError):
                     p.latest()
 
-    def test_merge_refreshes_latest(self):
-        p = pending({1: 2.0, 2: 5.0}, wire_end=5.0)
-        p.merge(pending({2: 3.0, 4: 4.0}, wire_end=6.0))
-        # The merged-in arrival replaces the old latest one.
-        assert arrivals(p) == {1: 2.0, 2: 3.0, 4: 4.0}
-        assert p.latest() == 4.0
-        assert p.wire_end_ms == 6.0
-
 
 class TestLinkModel:
     def test_idle_background_not_delayed(self):

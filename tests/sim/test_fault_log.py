@@ -36,7 +36,7 @@ from repro.sim.simulator import Simulator
 
 from tests.conftest import make_trace, page_addr
 from tests.sim.test_engine_equivalence import build_mixed_trace
-from tests.sim.test_subpage_congestion import LazyPairFetch
+from tests.sim.test_subpage_congestion import LazyThenRest
 
 REMOTE = KIND_CODES[FaultKind.REMOTE]
 DISK = KIND_CODES[FaultKind.DISK]
@@ -366,8 +366,10 @@ class CountingReference(ReferenceRecorder):
         self.recorder.on_stall(*args)
 
 
-#: Every built-in scheme (and the lazy scheme with one follow-on) with
-#: a subpage size it runs at.
+#: Every built-in scheme (and the lazy scheme that ships the rest of a
+#: page on its second fault) with a subpage size it runs at.  The
+#: adaptive layer with ``switch_schemes`` is the built-in route to a
+#: subpage fault that ships a follow-on.
 INVARIANT_SCHEMES = [
     ("fullpage", {}, 8192),
     ("lazy", {}, 1024),
@@ -375,7 +377,8 @@ INVARIANT_SCHEMES = [
     ("pipelined", {}, 1024),
     ("pipelined", {"double_initial": True, "interrupt_ms": 0.068}, 512),
     ("adaptive", {"predictor": "stride", "max_depth": 6}, 1024),
-    (LazyPairFetch(), {}, 1024),
+    ("adaptive", {"predictor": "stride", "switch_schemes": True}, 1024),
+    (LazyThenRest(), {}, 1024),
 ]
 
 
@@ -398,8 +401,8 @@ def write_heavy_traces(draw):
     )
 
 
-def _lazypair_writes(*refs: tuple[int, int]):
-    """A write per ``(page, block)``: the traces of the pinned draws."""
+def _writes(*refs: tuple[int, int]):
+    """A write per ``(page, block)``: the trace of a pinned draw."""
     return make_trace(
         [page_addr(page, block * 256) for page, block in refs],
         [True] * len(refs),
@@ -415,18 +418,11 @@ def _lazypair_writes(*refs: tuple[int, int]):
     congestion=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-# The subpage fault at block 8 merges its follow-on into the page
-# fault's schedule: the fold must leave both windows where they were.
-@example(
-    trace=_lazypair_writes((0, 0), (0, 8), (0, 12)),
-    frames=2, policy="lru", backing="remote",
-    scheme=INVARIANT_SCHEMES[-1], congestion=False,
-)
 # The page fault at block 28 ships no follow-on, so the subpage fault
 # at block 24 hands its schedule to the frame: the fold closes the
 # subpage fault's window, not the page fault's.
 @example(
-    trace=_lazypair_writes((0, 28), (0, 24), (1, 0), (1, 4), (0, 25)),
+    trace=_writes((0, 28), (0, 24), (1, 0), (1, 4), (0, 25)),
     frames=2, policy="lru", backing="remote",
     scheme=INVARIANT_SCHEMES[-1], congestion=False,
 )

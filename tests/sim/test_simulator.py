@@ -460,37 +460,6 @@ class TestOwnCluster:
         Simulator(config.with_overrides(backing="remote"))
 
 
-class TestEmptyPendingSchedule:
-    """Regression: an empty arrival schedule folds instead of raising."""
-
-    def test_touch_incomplete_folds_empty_schedule(self, base_config):
-        from repro.sim.simulator import _Frame
-
-        sim = Simulator(base_config)
-        sim._prepare(make_trace([page_addr(0)]))
-        # Fault 0 brought page 0 in (the frame's ``record``).
-        sim.result.faults.append(0, 0, 0, 0.0, 0.5, 0.5, 0.5, 0.0, False)
-        # A schedule with no messages (``masks == []``), as opposed to
-        # no schedule at all (``masks is None``).
-        frame = _Frame(
-            valid_bits=sim.full_mask,
-            masks=[],
-            arrivals_ms=[],
-            latest_ms=0.0,
-            wire_end_ms=0.0,
-            dirty=False,
-            record=0,
-            distance_from=None,
-        )
-        sim.policy.frames[0] = frame
-        clock = sim._touch_incomplete(1.0, 0, frame, 0, 0, False, 1)
-        assert clock == 1.0
-        assert frame.masks is None
-        assert frame.valid_bits == sim.full_mask
-        assert sim.result.components.page_wait_ms == 0.0
-        assert sim.result.faults.array("window_end_ms").tolist() == [0.5]
-
-
 def visiting_trace(seed: int, pages: int, name: str):
     """Page visits that sweep a few blocks each, with writes, over a
     footprint larger than the reuse tests' 12 frames."""
